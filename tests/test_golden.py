@@ -1,0 +1,47 @@
+"""Golden outputs: the exact stdout bytes of fixed command-line runs.
+
+Each file under ``tests/golden/`` is the stdout of one ``cli.main`` call.
+Any change to the arithmetic, the reconstruction or the printed format that
+moves a single byte fails here.  After an intended output change, rewrite
+the files with ``PYTHONPATH=src python tests/test_golden.py``.
+"""
+
+import sys
+from pathlib import Path
+
+import pytest
+
+from mahlerlab import cli
+
+GOLDEN = Path(__file__).resolve().parent / "golden"
+
+CASES = {
+    "stability_delta_1-10": ["stability", "--n", "3", "--trials", "100", "--seed", "0", "--delta", "1/10"],
+    "stability_delta_1-20": ["stability", "--n", "3", "--trials", "100", "--seed", "0", "--delta", "1/20"],
+    "stability_delta_1-40": ["stability", "--n", "3", "--trials", "100", "--seed", "0", "--delta", "1/40"],
+    "stability_probe_symmetric": ["stability", "--probe", "symmetric", "--n", "3", "--trials", "20", "--seed", "0"],
+    **{f"verify_{suite}": ["verify", suite] for suite in cli.SUITES},
+}
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_golden_stdout(name, capsys):
+    code = cli.main(CASES[name])
+    out = capsys.readouterr().out
+    assert code == 0
+    assert out == (GOLDEN / f"{name}.txt").read_text(encoding="utf-8")
+
+
+if __name__ == "__main__":
+    import contextlib
+    import io
+
+    GOLDEN.mkdir(exist_ok=True)
+    for name, argv in sorted(CASES.items()):
+        buf = io.StringIO()
+        with contextlib.redirect_stdout(buf):
+            code = cli.main(argv)
+        if code != 0:
+            sys.exit(f"{name}: exit code {code}")
+        (GOLDEN / f"{name}.txt").write_text(buf.getvalue(), encoding="utf-8")
+        print(f"wrote {name}.txt")
