@@ -10,7 +10,6 @@ from fractions import Fraction
 from mahlerlab import (
     corner_bound_factor,
     corner_bound_instance,
-    corner_pieces,
     cross_polytope,
     cube,
     mahler_bound,
@@ -40,11 +39,10 @@ def truncation_sweep(n: int) -> None:
 
 def corner_anatomy() -> None:
     inst = corner_bound_instance(3, Fraction(2, 3))
-    body_piece, polar_piece = corner_pieces(inst)
     print(f"boundary point {tuple(map(format_exact, inst.boundary_point))}")
     print(f"polar point    {tuple(map(format_exact, inst.polar_point))}, inner product 1")
-    print(f"body piece volume:  {format_exact(volume(body_piece))}")
-    print(f"polar piece volume: {format_exact(volume(polar_piece))}")
+    print(f"body piece volume:  {format_exact(volume(inst.body_piece))}")
+    print(f"polar piece volume: {format_exact(volume(inst.polar_piece))}")
     print(f"corner constant:    {format_exact(inst.corner_constant)}")
     print(f"bound factor:       {format_exact(corner_bound_factor(3, Fraction(2, 3)))}")
 

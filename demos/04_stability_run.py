@@ -1,12 +1,12 @@
 """Perturb a Hanner ball, then try to find the way back.
 
-The reconstruction pipeline recovers a generating graph from coordinate
-sections, proposes its independent-set ball as a Hanner candidate, and
-measures two gaps: squared Hausdorff distance to the candidate and
+The reconstruction pipeline reads a generating graph from the body's
+coordinate pairs, proposes its independent-set ball as a Hanner candidate,
+and measures two gaps: squared Hausdorff distance to the candidate and
 volume-product excess over 4^n/n!.  For a true Hanner input both gaps are
-exactly zero.  Under perturbation the gluing is deliberately one-sided (an
-off-signature pair reads as an edge), so its candidate is a conservative
-witness; the excess is the gap that actually tracks the perturbation size.
+exactly zero.  Under perturbation every pair still reads as an edge or not,
+so the candidate is a conservative witness; the excess is the gap that
+actually tracks the perturbation size.
 """
 
 from fractions import Fraction
@@ -36,7 +36,7 @@ def single_trial() -> None:
     moved = perturb_unconditional(ball, Fraction(1, 40), seed=2)
     rec = reconstruct_hanner(moved, body_id="demo")
     print("perturbed at delta 1/40:")
-    print(f"  glued graph:   {edges(rec.nearest_graph)}  (conservative)")
+    print(f"  pair graph:    {edges(rec.nearest_graph)}  (conservative)")
     print(f"  distance^2:    {format_approx(rec.distance_sq)}")
     print(f"  excess:        {format_exact(rec.product_excess)} ({format_approx(rec.product_excess)})")
     g, d = nearest_hanner_bruteforce(moved)

@@ -55,6 +55,11 @@ def _print_config(parts: list[str]) -> None:
     print("config: mahlerlab " + " ".join(parts))
 
 
+def _write_out(path: str, text: str) -> None:
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(text)
+
+
 def _parse_delta(text: str) -> Fraction:
     try:
         return parse_fraction(text)
@@ -98,8 +103,7 @@ def cmd_hanner_enumerate(args: argparse.Namespace) -> int:
     }
     text = _json(doc)
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text + "\n")
+        _write_out(args.out, text + "\n")
         print(f"wrote {len(entries)} entries to {args.out}")
     else:
         print(text)
@@ -121,8 +125,7 @@ def cmd_volprod(args: argparse.Namespace) -> int:
     rep = volume_product(body, body_id=args.polytope)
     text = _json(rep.to_json_dict())
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text + "\n")
+        _write_out(args.out, text + "\n")
     print(text)
     if not rep.verdict and is_unconditional(body):
         print("falsification: unconditional body below the cube's volume product", file=sys.stderr)
@@ -244,22 +247,11 @@ def cmd_stability(args: argparse.Namespace) -> int:
         parts.extend(["--out", args.out])
     _print_config(parts)
     if args.probe == "unconditional":
-        cfg = ExperimentConfig(n=args.n, trials=args.trials, delta=delta, seed=args.seed, out=args.out)
+        cfg = ExperimentConfig(n=args.n, trials=args.trials, delta=delta, seed=args.seed)
         _records, csv_text, summary = stability_experiment(cfg)
-        if args.out:
-            print(f"wrote {args.trials} rows to {args.out}")
-        else:
-            print(csv_text, end="")
-        print("summary: " + json.dumps(summary, sort_keys=True))
     else:
         report = symmetric_probe(cube(args.n), delta, args.trials, args.seed)
         csv_text = probe_csv(report)
-        if args.out:
-            with open(args.out, "w", encoding="utf-8") as fh:
-                fh.write(csv_text)
-            print(f"wrote {args.trials} rows to {args.out}")
-        else:
-            print(csv_text, end="")
         summary = {
             "n": report.n,
             "delta": format_exact(report.delta),
@@ -267,7 +259,12 @@ def cmd_stability(args: argparse.Namespace) -> int:
             "seed": report.seed,
             "min_excess": format_exact(report.min_excess),
         }
-        print("summary: " + json.dumps(summary, sort_keys=True))
+    if args.out:
+        _write_out(args.out, csv_text)
+        print(f"wrote {args.trials} rows to {args.out}")
+    else:
+        print(csv_text, end="")
+    print("summary: " + json.dumps(summary, sort_keys=True))
     return 0
 
 

@@ -22,7 +22,7 @@ from functools import lru_cache
 from itertools import combinations
 from typing import Iterable, Sequence, Union
 
-from .errors import ConsistencyError, FormatError, PreconditionError, ResourceError
+from .errors import AmbiguousSectionError, ConsistencyError, FormatError, PreconditionError, ResourceError
 from .polytope import (
     Polytope,
     from_vertices,
@@ -31,11 +31,10 @@ from .polytope import (
     is_unconditional,
     l1_sum,
     linf_sum,
-    membership,
     permute_coordinates,
     polar,
 )
-from .ratlin import unit_vec
+from .ratlin import format_exact, unit_vec, vadd
 
 MAX_VERTICES = 32
 
@@ -218,11 +217,15 @@ def polytope_from_graph(g: Graph) -> Polytope:
     return from_vertices(sorted(pts))
 
 
-def graph_from_polytope(p: Polytope) -> Graph:
+def graph_from_polytope(p: Polytope, band: Fraction = Fraction(0)) -> Graph:
     """Edge (i, j) iff e_i + e_j lies outside the polytope.
 
     Defined for unconditional bodies in standard position (every +-e_i on the
-    boundary); inverse of polytope_from_graph on standard Hanner balls.
+    boundary); inverse of polytope_from_graph on standard Hanner balls.  Each
+    pair is read from its gauge margin m = gauge(p, e_i + e_j) - 1: m = 0 (the
+    Hanner signature) or m < -band/2 is no edge, m > band/2 is an edge, and
+    any other margin raises AmbiguousSectionError.  With band 0 every margin
+    is decided.
     """
     n = p.dim
     if not is_unconditional(p):
@@ -233,9 +236,14 @@ def graph_from_polytope(p: Polytope) -> Graph:
     es = []
     for i in range(n):
         for j in range(i + 1, n):
-            x = tuple(a + b for a, b in zip(unit_vec(n, i), unit_vec(n, j)))
-            if membership(p, x) == "outside":
-                es.append((i, j))
+            m = gauge(p, vadd(unit_vec(n, i), unit_vec(n, j))) - 1
+            if m == 0 or m < -band / 2:
+                continue
+            if m <= band / 2:
+                raise AmbiguousSectionError(
+                    f"gauge margin {format_exact(m)} at pair ({i}, {j}) is inside the +-{format_exact(band)}/2 band"
+                )
+            es.append((i, j))
     return from_edges(n, es)
 
 

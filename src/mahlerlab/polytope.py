@@ -122,18 +122,6 @@ def from_halfspaces(ineqs: Sequence[tuple[Sequence[Fraction | int], Fraction | i
     return _make(dim, verts, facets)
 
 
-def facet_enumeration(points: Sequence[Sequence[Fraction | int]]) -> tuple[Facet, ...]:
-    """Irredundant facet description of conv(points), canonically scaled."""
-    return from_vertices(points).facets
-
-
-def vertex_enumeration(
-    ineqs: Sequence[tuple[Sequence[Fraction | int], Fraction | int]], dim: int
-) -> tuple[Vec, ...]:
-    """Extreme points of a bounded halfspace intersection, lex sorted."""
-    return from_halfspaces(ineqs, dim).vertices
-
-
 def cube(n: int) -> Polytope:
     """[-1, 1]^n, built directly."""
     verts = []
@@ -327,13 +315,6 @@ def permute_coordinates(p: Polytope, perm: Sequence[int]) -> Polytope:
 # volume
 
 
-def _facet_vertex_sets(p: Polytope) -> list[frozenset[int]]:
-    out = []
-    for a, b in p.facets:
-        out.append(frozenset(i for i, v in enumerate(p.vertices) if dot(a, v) == b))
-    return out
-
-
 def _facet_vertex_masks(p: Polytope) -> list[int]:
     masks = []
     for a, b in p.facets:
@@ -343,6 +324,10 @@ def _facet_vertex_masks(p: Polytope) -> list[int]:
                 m |= 1 << i
         masks.append(m)
     return masks
+
+
+def _facet_vertex_sets(p: Polytope) -> list[frozenset[int]]:
+    return [frozenset(i for i in range(p.n_vertices) if m >> i & 1) for m in _facet_vertex_masks(p)]
 
 
 def _pull_triangulation(s: int, facet_masks: list[int], memo: dict[int, list[tuple[int, ...]]]) -> list[tuple[int, ...]]:
@@ -436,18 +421,13 @@ def _project_affine(x: Vec, pts: list[Vec]) -> Vec:
     k = len(basis)
     gram = tuple(tuple(dot(basis[i], basis[j]) for j in range(k)) for i in range(k))
     rhs = tuple(dot(basis[i], vsub(x, p0)) for i in range(k))
-    lam = _solve_pd(gram, rhs)
+    lam = solve_linear(gram, rhs)
+    assert lam is not None, "Gram matrix of an independent family is invertible"
     out = list(p0)
     for coef, w in zip(lam, basis):
         for i in range(len(out)):
             out[i] += coef * w[i]
     return tuple(out)
-
-
-def _solve_pd(gram: tuple[tuple[Fraction, ...], ...], rhs: Vec) -> Vec:
-    sol = solve_linear(gram, rhs)
-    assert sol is not None, "Gram matrix of an independent family is invertible"
-    return sol
 
 
 def point_distance_sq(p: Polytope, x: Sequence[Fraction | int]) -> Fraction:

@@ -13,9 +13,8 @@ than Fraction arithmetic and just as exact.
 
 from __future__ import annotations
 
-import math
 from fractions import Fraction
-from math import gcd, isqrt
+from math import gcd
 from typing import Iterable, Sequence
 
 from .errors import DimensionError
@@ -77,15 +76,6 @@ def vscale(s: Fraction, u: Sequence[Fraction]) -> Vec:
 
 def mat_vec(m: Mat, v: Vec) -> Vec:
     return tuple(dot(row, v) for row in m)
-
-
-def mat_mul(a: Mat, b: Mat) -> Mat:
-    bt = tuple(zip(*b, strict=True))
-    return tuple(tuple(dot(row, col) for col in bt) for row in a)
-
-
-def identity(n: int) -> Mat:
-    return tuple(unit_vec(n, i) for i in range(n))
 
 
 # ---------------------------------------------------------------------------
@@ -250,24 +240,6 @@ def solve_linear(m: Mat, b: Vec) -> Vec | None:
                 f = a[i][col]
                 a[i] = [x - f * y for x, y in zip(a[i], a[col], strict=True)]
     return tuple(a[i][n] for i in range(n))
-
-
-def sqrt_enclosure(x: Fraction, tol: Fraction) -> tuple[Fraction, Fraction]:
-    """Rational enclosure [lo, hi] of sqrt(x) with hi - lo <= tol.
-
-    lo^2 <= x <= hi^2 exactly; lo == hi when x is a perfect rational square.
-    """
-    if x < 0:
-        raise ValueError("sqrt_enclosure needs x >= 0")
-    if tol <= 0:
-        raise ValueError("tol must be positive")
-    num, den = x.numerator, x.denominator
-    k = math.ceil(1 / tol)
-    m = isqrt(num * den * k * k)
-    if m * m == num * den * k * k:
-        s = Fraction(m, den * k)
-        return (s, s)
-    return (Fraction(m, den * k), Fraction(m + 1, den * k))
 
 
 def format_exact(x: Fraction) -> str:

@@ -1,11 +1,17 @@
 """Reconstruction of near-Hanner bodies and randomized stability experiments.
 
-The pipeline mirrors how Hanner balls are determined by their coordinate
-sections: recurse down to two dimensions, read off one bit per coordinate
-pair (is e_i + e_j inside?), and glue the per-section graphs into one graph
-on all coordinates.  For an exact Hanner ball this recovers its generator
-graph on the nose; for perturbed bodies it yields the candidate the distance
-is measured against.
+A Hanner ball in standard position is fixed by one bit per coordinate pair:
+whether e_i + e_j lies outside it.  Reconstruction normalizes the body and
+reads every bit from the full body through `graphs.graph_from_polytope`.  A
+coordinate section leaves the gauge of any point inside it unchanged, so
+each section would read the same bits; `glue_graphs` keeps the gluing lemma
+that this makes consistent, as a standalone combinatorial fact.  For an
+exact Hanner ball the bits give its generator graph on the nose; for
+perturbed bodies they give the candidate the distance is measured against.
+
+With a nonzero `band`, a bit is read only when it is clear: a margin
+m = gauge(K, e_i + e_j) - 1 of 0 or below -band/2 is no edge, one above
+band/2 is an edge, and any other margin raises AmbiguousSectionError.
 
 Everything random is driven by explicit integer seeds and exact rational
 scales, so experiment outputs are reproducible byte for byte.
@@ -21,7 +27,6 @@ from fractions import Fraction
 from typing import Optional, Sequence
 
 from .errors import (
-    AmbiguousSectionError,
     ConsistencyError,
     FalsificationError,
     PreconditionError,
@@ -29,11 +34,11 @@ from .errors import (
 )
 from .graphs import (
     Graph,
-    complement,
     complete_graph,
     empty_graph,
     enumerate_p4_free_labeled,
     from_edges,
+    graph_from_polytope,
     induced_subgraph,
     is_p4_free,
     maximal_independent_sets,
@@ -54,7 +59,7 @@ from .polytope import (
     polar,
     volume,
 )
-from .ratlin import format_approx, format_exact, fr, unit_vec, vadd, vec
+from .ratlin import format_approx, format_exact, fr, unit_vec, vec
 from .volprod import corner_bound_factor, mahler_bound, volume_product
 
 CASE_TAGS = ("generic", "caseI-cube", "caseI-cross", "caseII-path")
@@ -77,7 +82,6 @@ class ExperimentConfig:
     trials: int
     delta: Fraction
     seed: int
-    out: Optional[str] = None
 
     def __post_init__(self) -> None:
         if self.n < 1:
@@ -132,36 +136,7 @@ def glue_graphs(sections: Sequence[Graph]) -> Graph:
 
 
 # ---------------------------------------------------------------------------
-# section-graph extraction
-
-
-def _edge_bit(k: Polytope, i: int, j: int, band: Fraction) -> bool:
-    m = gauge(k, vadd(unit_vec(k.dim, i), unit_vec(k.dim, j))) - 1
-    if band == 0:
-        return m > 0
-    # exact boundary is the Hanner signature, never ambiguous
-    if m == 0 or m < -band / 2:
-        return False
-    if m > band / 2:
-        return True
-    raise AmbiguousSectionError(
-        f"gauge margin {format_exact(m)} at pair ({i}, {j}) is inside the +-{format_exact(band)}/2 band"
-    )
-
-
-def _graph_of(k: Polytope, band: Fraction) -> Graph:
-    # sections of a normalized unconditional body stay normalized, so the
-    # recursion never rescales
-    n = k.dim
-    if n == 1:
-        return empty_graph(1)
-    if n == 2:
-        return from_edges(2, [(0, 1)] if _edge_bit(k, 0, 1, band) else [])
-    return glue_graphs([_graph_of(coordinate_section(k, j), band) for j in range(n)])
-
-
-# ---------------------------------------------------------------------------
-# diagonal refinement (glued graph empty: compare against the cube)
+# diagonal refinement (empty graph: compare against the cube)
 
 
 def diagonal_boundary_point(k: Polytope) -> Fraction:
@@ -231,17 +206,18 @@ def diagonal_truncation_check(k: Polytope) -> tuple[Fraction, Fraction, Fraction
 def reconstruct_hanner(
     k: Polytope, body_id: str = "", seed: int = 0, band: Fraction = Fraction(0)
 ) -> StabilityRecord:
-    """Normalize, recover the glued section graph, and measure the distance.
+    """Normalize, read the pair graph, and measure the distance.
 
-    Case tags: an empty glued graph means the candidate is the cube and a
+    The graph is `graph_from_polytope` of the normalized body with the given
+    band.  Case tags: an empty graph means the candidate is the cube and a
     complete one the cross polytope (both rechecked through the diagonal
     truncation bound); a 4-path on four coordinates is its own tag since its
-    ball is the one non-Hanner candidate the gluing can produce there; all
+    ball is the one non-Hanner candidate the pair bits can produce there; all
     other graphs go through the plain independent-set ball.
 
     Two uniqueness facts are enforced exactly: for a Hanner candidate,
-    distance zero and excess zero happen together; for a non-Hanner glued
-    graph the excess must be strictly positive.
+    distance zero and excess zero happen together; for a non-Hanner graph
+    the excess must be strictly positive.
     """
     if not is_unconditional(k):
         raise PreconditionError("reconstruction is defined for unconditional bodies")
@@ -249,7 +225,7 @@ def reconstruct_hanner(
     n = kn.dim
     if n == 1:
         return StabilityRecord(body_id, empty_graph(1), interval(1), Fraction(0), Fraction(0), "caseI-cube", seed)
-    g = _graph_of(kn, fr(band))
+    g = graph_from_polytope(kn, fr(band))
     if g == empty_graph(n):
         tag, candidate = "caseI-cube", cube(n)
         if n >= 3:
@@ -276,7 +252,7 @@ def reconstruct_hanner(
             )
     elif excess == 0:
         raise FalsificationError(
-            f"{body_id or 'body'} attains the minimal product but its glued graph is not P4-free"
+            f"{body_id or 'body'} attains the minimal product but its graph is not P4-free"
         )
     return StabilityRecord(body_id, g, candidate, dist, excess, tag, seed)
 
@@ -390,8 +366,7 @@ def stability_experiment(cfg: ExperimentConfig) -> tuple[list[StabilityRecord], 
 
     Each trial perturbs a random non-degenerate Hanner base and reconstructs;
     rows are exact, the summary carries the minimum and median excess plus
-    the empirical excess/(bound * distance) floor.  Writes the CSV to
-    cfg.out when set.
+    the empirical excess/(bound * distance) floor.
     """
     bases = trial_base_graphs(cfg.n)
     bound = mahler_bound(cfg.n)
@@ -440,9 +415,6 @@ def stability_experiment(cfg: ExperimentConfig) -> tuple[list[StabilityRecord], 
         "zero_distance_trials": sum(1 for r in records if r.distance_sq == 0),
         "case_counts": case_counts,
     }
-    if cfg.out:
-        with open(cfg.out, "w", encoding="utf-8") as fh:
-            fh.write(csv_text)
     return records, csv_text, summary
 
 
@@ -524,18 +496,3 @@ def probe_csv(report: SymmetricProbeReport) -> str:
             )
         )
     return "\n".join(rows) + "\n"
-
-
-def concordance_share(pairs: Sequence[tuple[float, float]]) -> float:
-    """Share of pair comparisons where distance and excess move together."""
-    agree = total = 0
-    for a in range(len(pairs)):
-        for b in range(a + 1, len(pairs)):
-            dd = pairs[a][0] - pairs[b][0]
-            de = pairs[a][1] - pairs[b][1]
-            if dd == 0:
-                continue
-            total += 1
-            if dd * de >= 0:
-                agree += 1
-    return agree / total if total else 1.0

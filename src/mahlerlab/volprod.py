@@ -405,11 +405,6 @@ def corner_bound_instance(n: int, t, q: Optional[Sequence] = None) -> CornerBoun
     )
 
 
-def corner_pieces(inst: CornerBoundInstance) -> tuple[Polytope, Polytope]:
-    """The two positive-orthant pieces; volume-checked when the instance was built."""
-    return inst.body_piece, inst.polar_piece
-
-
 @dataclass(frozen=True)
 class TruncatedCubeReport:
     n: int

@@ -193,15 +193,17 @@ def test_stability_canonicalizes_delta_and_repeats(capsys):
 
 def test_stability_out_file(tmp_path, capsys):
     target = tmp_path / "rows.csv"
-    code, out, _ = run_main(
-        capsys,
-        ["stability", "--trials", "2", "--delta", "1/20", "--out", str(target)],
-    )
+    argv = ["stability", "--trials", "2", "--delta", "1/20"]
+    code, out, _ = run_main(capsys, [*argv, "--out", str(target)])
     assert code == 0
     assert f"wrote 2 rows to {target}" in out
-    lines = target.read_text(encoding="utf-8").strip().split("\n")
-    assert lines[0].startswith("trial,n,delta,")
-    assert len(lines) == 3
+    code, printed, _ = run_main(capsys, argv)
+    assert code == 0
+    rows = printed.splitlines(keepends=True)[1:-1]  # between the config and summary lines
+    assert target.read_text(encoding="utf-8") == "".join(rows)
+    assert rows[0].startswith("trial,n,delta,")
+    assert len(rows) == 3
+    assert out.splitlines()[-1] == printed.splitlines()[-1]
 
 
 def test_stability_symmetric_probe(capsys):

@@ -26,7 +26,6 @@ from mahlerlab.polytope import (
     cube,
     diagonal_image,
     face_vertex_sets,
-    facet_enumeration,
     from_halfspaces,
     from_json_dict,
     from_vertices,
@@ -44,7 +43,6 @@ from mahlerlab.polytope import (
     scale,
     to_json_dict,
     validate,
-    vertex_enumeration,
     volume,
 )
 from mahlerlab.ratlin import vec
@@ -124,11 +122,6 @@ def test_degenerate_inputs_raise():
         from_halfspaces([((F(1), F(0)), F(1))], 2)  # rank-deficient rows
     with pytest.raises(UnboundedError):
         from_halfspaces([((F(1), F(0)), F(1)), ((F(0), F(1)), F(1))], 2)  # open corner
-
-
-def test_enumeration_wrappers():
-    assert facet_enumeration(cube(2).vertices) == cube(2).facets
-    assert vertex_enumeration(cube(2).facets, 2) == cube(2).vertices
 
 
 @given(general_body())

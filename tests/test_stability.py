@@ -1,4 +1,4 @@
-"""Tests for section gluing, reconstruction, and the seeded experiments."""
+"""Tests for the section-gluing lemma, reconstruction, and the seeded experiments."""
 
 import re
 from fractions import Fraction
@@ -17,11 +17,13 @@ from mahlerlab.graphs import (
     empty_graph,
     enumerate_p4_free_labeled,
     from_edges,
+    graph_from_polytope,
     induced_subgraph,
     path_graph,
     polytope_from_graph,
 )
 from mahlerlab.polytope import (
+    coordinate_section,
     cross_polytope,
     cube,
     diagonal_image,
@@ -40,7 +42,6 @@ from mahlerlab.stability import (
     EXPERIMENT_CSV_HEADER,
     PROBE_CSV_HEADER,
     ExperimentConfig,
-    concordance_share,
     diagonal_boundary_point,
     diagonal_truncation_check,
     exact_median,
@@ -76,6 +77,19 @@ def test_glue_conflict_names_the_witnesses():
     s3 = empty_graph(3)  # says it is not
     with pytest.raises(ConsistencyError, match=re.escape("sections 2 and 3 disagree on pair (0, 1)")):
         glue_graphs([s0, s1, s2, s3])
+
+
+def test_glued_section_graphs_give_the_body_graph():
+    # the gluing lemma on real geometry: the graphs of the coordinate sections
+    # glue to the graph of the body, for Hanner balls and perturbed bodies
+    bodies = [polytope_from_graph(g) for n in (3, 4) for g in enumerate_p4_free_labeled(n)]
+    bases = trial_base_graphs(3) + trial_base_graphs(4)
+    for seed in range(10):
+        base = bases[seed % len(bases)]
+        bodies.append(perturb_unconditional(polytope_from_graph(base), F(1, 10), seed=seed))
+    for body in bodies:
+        sections = [graph_from_polytope(coordinate_section(body, j)) for j in range(body.dim)]
+        assert glue_graphs(sections) == graph_from_polytope(body)
 
 
 def test_glue_preconditions():
@@ -206,6 +220,13 @@ def test_band_flags_margins_inside_it():
     body = from_vertices([(1, 0), (-1, 0), (0, 1), (0, -1), (a, a), (a, -a), (-a, a), (-a, -a)])
     with pytest.raises(AmbiguousSectionError):
         reconstruct_hanner(body, band=F(1, 10))
+    # in 3-D the ambiguous margin 1/40 sits at pair (1, 2) and is named there
+    body3 = from_vertices(
+        [(1, 0, 0), (-1, 0, 0), (0, 1, 0), (0, -1, 0), (0, 0, 1), (0, 0, -1)]
+        + [(0, s * a, t * a) for s in (1, -1) for t in (1, -1)]
+    )
+    with pytest.raises(AmbiguousSectionError, match=r"pair \(1, 2\)"):
+        reconstruct_hanner(body3, band=F(1, 10))
     # without a band the margin is just a positive number: an edge
     assert reconstruct_hanner(body).nearest_graph == complete_graph(2)
     # an exact Hanner signature inside the band stays unambiguous
@@ -332,15 +353,13 @@ def test_experiment_zero_delta_rows_are_exact_zeros():
     assert summary["min_excess"] == "0"
 
 
-def test_experiment_runs_are_reproducible(tmp_path):
-    out = tmp_path / "rows.csv"
-    cfg = ExperimentConfig(n=3, trials=5, delta=F(1, 10), seed=3, out=str(out))
+def test_experiment_runs_are_reproducible():
+    cfg = ExperimentConfig(n=3, trials=5, delta=F(1, 10), seed=3)
     records1, csv1, summary1 = stability_experiment(cfg)
     records2, csv2, summary2 = stability_experiment(cfg)
     assert csv1 == csv2
     assert summary1 == summary2
     assert records1 == records2
-    assert out.read_text(encoding="utf-8") == csv1
     lines = csv1.strip().split("\n")
     assert lines[0] == EXPERIMENT_CSV_HEADER
     assert len(lines) == 6
@@ -385,10 +404,3 @@ def test_symmetric_probe_preconditions():
     tilted = from_vertices([(1, 0), (0, 1), (-1, 0), (0, -1), (1, 1)])
     with pytest.raises(PreconditionError):
         symmetric_probe(tilted, F(1, 20), trials=1, seed=0)
-
-
-def test_concordance_share():
-    assert concordance_share([(1.0, 1.0), (2.0, 2.0), (3.0, 3.0)]) == 1.0
-    assert concordance_share([(1.0, 2.0), (2.0, 1.0)]) == 0.0
-    assert concordance_share([]) == 1.0
-    assert concordance_share([(1.0, 5.0), (1.0, 7.0)]) == 1.0  # ties skipped

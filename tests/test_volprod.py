@@ -22,7 +22,6 @@ from mahlerlab.volprod import (
     combine_stability_constants,
     corner_bound_factor,
     corner_bound_instance,
-    corner_pieces,
     euclidean_ball_product_float,
     mahler_bound,
     meyer_inequality_check,
@@ -195,9 +194,8 @@ def test_corner_bound_factor_frozen():
 
 def test_corner_instance_piece_volumes():
     inst = corner_bound_instance(3, F(2, 3))
-    p, q = corner_pieces(inst)
-    assert volume(p) == F(5, 6)
-    assert volume(q) == F(1, 4)
+    assert volume(inst.body_piece) == F(5, 6)
+    assert volume(inst.polar_piece) == F(1, 4)
     assert inst.boundary_point == (F(2, 3),) * 3
     assert sum(inst.polar_point) == F(3, 2)
     assert inst.corner_constant == F(1, 2)
