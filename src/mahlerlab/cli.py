@@ -5,8 +5,8 @@ its full effective configuration as a rerunnable invocation line, and all
 output is deterministic for a fixed seed: no timestamps, sorted JSON keys,
 exact rationals as "p/q" strings next to decimal approximations.
 
-Exit codes: 0 success, 2 usage/parse/IO errors, 3 mathematical falsification
-events, 4 internal errors.
+Exit codes: 0 success, 2 usage/parse/IO errors and requests refused as too
+large, 3 mathematical falsification events, 4 internal errors.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ import sys
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .errors import FalsificationError, FormatError, GeometryError
+from .errors import FalsificationError, FormatError, GeometryError, ResourceError
 from .graphs import (
     complement,
     cotree_shapes,
@@ -78,9 +78,10 @@ def cmd_hanner_enumerate(args: argparse.Namespace) -> int:
     if args.out:
         parts.extend(["--out", args.out])
     _print_config(parts)
+    bodies = enumerate_standard_hanner(args.n, dedup=args.dedup)
     bound = mahler_bound(args.n)
     entries = []
-    for g, p in enumerate_standard_hanner(args.n, dedup=args.dedup):
+    for g, p in bodies:
         rep = volume_product(p, body_id=f"hanner-n{args.n}")
         if rep.product != bound:
             raise FalsificationError(
@@ -280,7 +281,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_enum = sub.add_parser("hanner-enumerate", help="enumerate standard Hanner polytopes")
-    p_enum.add_argument("--n", type=int, required=True, help="dimension, 1..7")
+    p_enum.add_argument("--n", type=int, required=True, help="dimension, 1..7 (7 needs --dedup)")
     p_enum.add_argument("--dedup", action="store_true", help="one entry per isomorphism class")
     p_enum.add_argument("--out", help="write the JSON document to this path")
     p_enum.set_defaults(func=cmd_hanner_enumerate)
@@ -323,7 +324,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except FalsificationError as exc:
         print(f"falsification: {exc}", file=sys.stderr)
         return 3
-    except (FormatError, OSError) as exc:
+    except (FormatError, ResourceError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except GeometryError as exc:

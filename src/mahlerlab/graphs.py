@@ -225,8 +225,10 @@ def graph_from_polytope(p: Polytope, band: Fraction = Fraction(0)) -> Graph:
     pair is read from its gauge margin m = gauge(p, e_i + e_j) - 1: m = 0 (the
     Hanner signature) or m < -band/2 is no edge, m > band/2 is an edge, and
     any other margin raises AmbiguousSectionError.  With band 0 every margin
-    is decided.
+    is decided; a negative band is refused.
     """
+    if band < 0:
+        raise PreconditionError(f"band must be nonnegative, got {format_exact(band)}")
     n = p.dim
     if not is_unconditional(p):
         raise PreconditionError("graph extraction needs an unconditional polytope")
@@ -451,10 +453,13 @@ def enumerate_standard_hanner(n: int, dedup: bool = False) -> list[tuple[Graph, 
 
     Without dedup, one entry per labeled P4-free graph; with dedup, one per
     isomorphism class (canonical cotree representatives).  Every polytope is
-    built from its independent-set vertices by an honest hull.
+    built from its independent-set vertices by an honest hull.  Raises
+    ResourceError above n = 7, and at n = 7 without dedup (78416 bodies).
     """
     if n > 7:
         raise ResourceError("Hanner enumeration above n = 7 is not supported")
+    if n == 7 and not dedup:
+        raise ResourceError("n = 7 without dedup means 78416 labeled bodies; pass dedup=True (--dedup)")
     gs = enumerate_p4_free_classes(n) if dedup else enumerate_p4_free_labeled(n)
     return [(g, polytope_from_graph(g)) for g in gs]
 

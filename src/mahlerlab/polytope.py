@@ -15,10 +15,12 @@ normal is kept as is).  For a bounded polytope with the origin interior every
 offset canonicalizes to +1, which is what the polar swap requires.
 
 Volume uses a pulling triangulation: cone from the first vertex over the
-recursively triangulated facets that miss it.  Faces are recovered as
-intersections of facet vertex sets, filtered by affine rank, and shared
-across the recursion through a memo, so the triangulation stays near linear
-in the number of faces actually touched.
+recursively triangulated facets that miss it.  The subfaces of a face are its
+maximal proper intersections with facet vertex sets (bitmasks, no rank
+work), shared across the recursion through a memo, so the triangulation
+stays near linear in the number of faces actually touched.  The distance
+from a point to a polytope is the norm of the min-norm point of the
+translated vertices, found exactly by Wolfe's algorithm.
 """
 
 from __future__ import annotations
@@ -326,10 +328,6 @@ def _facet_vertex_masks(p: Polytope) -> list[int]:
     return masks
 
 
-def _facet_vertex_sets(p: Polytope) -> list[frozenset[int]]:
-    return [frozenset(i for i in range(p.n_vertices) if m >> i & 1) for m in _facet_vertex_masks(p)]
-
-
 def _pull_triangulation(s: int, facet_masks: list[int], memo: dict[int, list[tuple[int, ...]]]) -> list[tuple[int, ...]]:
     """Simplices (as vertex-id tuples) of the pulling triangulation of face s.
 
@@ -387,47 +385,42 @@ def volume(p: Polytope) -> Fraction:
 # distances
 
 
-def face_vertex_sets(p: Polytope) -> list[frozenset[int]]:
-    """All proper nonempty faces, as vertex index sets.
+def _min_norm_point(pts: list[Vec]) -> Vec:
+    """The point of least norm in conv(pts), by Wolfe's algorithm.
 
-    Every proper face of a polytope is an intersection of facets, so the
-    closure of the facet incidence sets under pairwise intersection is the
-    whole face lattice minus the improper elements.
+    The corral, affinely independent points holding y with positive weights,
+    starts as the first point of least norm.  Each major step adds the first
+    minimiser q of <y, q>, or stops when <y, q> >= <y, y>, which certifies y
+    optimal.  Minor steps move y towards the affine minimiser of the corral
+    while the weights stay nonnegative, dropping the points whose weight
+    reaches zero.  The norm falls strictly, so no corral repeats (P. Wolfe,
+    Finding the nearest point in a polytope, Math. Programming 11, 1976).
     """
-    faces: set[frozenset[int]] = set(_facet_vertex_sets(p))
-    frontier = set(faces)
-    while frontier:
-        fresh: set[frozenset[int]] = set()
-        for f in frontier:
-            for g in faces:
-                c = f & g
-                if c and c not in faces and c not in fresh:
-                    fresh.add(c)
-        faces |= fresh
-        frontier = fresh
-    return sorted(faces, key=lambda s: (len(s), sorted(s)))
-
-
-def _project_affine(x: Vec, pts: list[Vec]) -> Vec:
-    """Orthogonal projection of x onto the affine hull of pts."""
-    p0 = pts[0]
-    basis: list[Vec] = []
-    for q in pts[1:]:
-        w = vsub(q, p0)
-        if rank(basis + [w]) > len(basis):
-            basis.append(w)
-    if not basis:
-        return p0
-    k = len(basis)
-    gram = tuple(tuple(dot(basis[i], basis[j]) for j in range(k)) for i in range(k))
-    rhs = tuple(dot(basis[i], vsub(x, p0)) for i in range(k))
-    lam = solve_linear(gram, rhs)
-    assert lam is not None, "Gram matrix of an independent family is invertible"
-    out = list(p0)
-    for coef, w in zip(lam, basis):
-        for i in range(len(out)):
-            out[i] += coef * w[i]
-    return tuple(out)
+    corral = [min(pts, key=lambda w: dot(w, w))]
+    lam = [Fraction(1)]
+    y = corral[0]
+    while True:
+        q = min(pts, key=lambda w: dot(y, w))
+        if dot(y, q) >= dot(y, y):
+            return y
+        corral.append(q)
+        lam.append(Fraction(0))
+        while True:
+            # affine minimiser: the Gram system of the lifted points (w, 1)
+            gram = tuple(tuple(dot(u, w) + 1 for w in corral) for u in corral)
+            z = solve_linear(gram, (Fraction(1),) * len(corral))
+            assert z is not None, "the corral is affinely independent"
+            total = sum(z)
+            alpha = [zi / total for zi in z]
+            if all(a > 0 for a in alpha):
+                break
+            assert all(a > 0 for li, a in zip(lam, alpha) if li == 0), "Wolfe: the point just added gets weight > 0"
+            theta = min(li / (li - a) for li, a in zip(lam, alpha) if a <= 0)
+            lam = [(1 - theta) * li + theta * a for li, a in zip(lam, alpha)]
+            corral = [w for w, li in zip(corral, lam) if li > 0]
+            lam = [li for li in lam if li > 0]
+        lam = alpha
+        y = tuple(sum(li * w[i] for li, w in zip(lam, corral)) for i in range(len(y)))
 
 
 def point_distance_sq(p: Polytope, x: Sequence[Fraction | int]) -> Fraction:
@@ -435,17 +428,8 @@ def point_distance_sq(p: Polytope, x: Sequence[Fraction | int]) -> Fraction:
     v = vec(x)
     if membership(p, v) != "outside":
         return Fraction(0)
-    best: Fraction | None = None
-    for s in face_vertex_sets(p):
-        pts = [p.vertices[i] for i in s]
-        proj = _project_affine(v, pts)
-        if membership(p, proj) == "outside":
-            continue
-        d2 = dot(vsub(v, proj), vsub(v, proj))
-        if best is None or d2 < best:
-            best = d2
-    assert best is not None, "nearest point lies on some face"
-    return best
+    y = _min_norm_point([vsub(w, v) for w in p.vertices])
+    return dot(y, y)
 
 
 def hausdorff_distance_sq(p: Polytope, q: Polytope) -> Fraction:
@@ -564,9 +548,8 @@ def validate(p: Polytope) -> None:
         for a, b in p.facets:
             if dot(a, v) > b:
                 raise ConsistencyError(f"vertex {v} violates a facet")
-    facet_sets = _facet_vertex_sets(p)
-    for (a, b), s in zip(p.facets, facet_sets):
-        if affine_rank([p.vertices[i] for i in s]) != p.dim - 1:
+    for (a, b), m in zip(p.facets, _facet_vertex_masks(p)):
+        if affine_rank([v for i, v in enumerate(p.vertices) if m >> i & 1]) != p.dim - 1:
             raise ConsistencyError(f"facet {a} <= {b} is not supported by a (dim-1)-face")
     for i, v in enumerate(p.vertices):
         tight = [a for a, b in p.facets if dot(a, v) == b]

@@ -66,18 +66,6 @@ def vsub(u: Vec, v: Vec) -> Vec:
     return tuple(a - b for a, b in zip(u, v, strict=True))
 
 
-def vneg(u: Vec) -> Vec:
-    return tuple(-a for a in u)
-
-
-def vscale(s: Fraction, u: Sequence[Fraction]) -> Vec:
-    return tuple(s * a for a in u)
-
-
-def mat_vec(m: Mat, v: Vec) -> Vec:
-    return tuple(dot(row, v) for row in m)
-
-
 # ---------------------------------------------------------------------------
 # integer kernels
 
@@ -152,10 +140,6 @@ def common_denominator(xs: Iterable[Fraction]) -> int:
     for x in xs:
         d = d * x.denominator // gcd(d, x.denominator)
     return d
-
-
-def scaled_int_vec(v: Sequence[Fraction], scale: int) -> tuple[int, ...]:
-    return tuple(int(x * scale) for x in v)
 
 
 def primitive_int_vec(v: Sequence[int]) -> tuple[int, ...]:

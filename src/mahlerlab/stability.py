@@ -223,9 +223,9 @@ def reconstruct_hanner(
         raise PreconditionError("reconstruction is defined for unconditional bodies")
     kn = normalize_unconditional(k)
     n = kn.dim
-    if n == 1:
-        return StabilityRecord(body_id, empty_graph(1), interval(1), Fraction(0), Fraction(0), "caseI-cube", seed)
     g = graph_from_polytope(kn, fr(band))
+    if n == 1:
+        return StabilityRecord(body_id, g, interval(1), Fraction(0), Fraction(0), "caseI-cube", seed)
     if g == empty_graph(n):
         tag, candidate = "caseI-cube", cube(n)
         if n >= 3:

@@ -1,9 +1,11 @@
 """Brute-force reference implementations the fast code is tested against.
 
 Everything here favors obviousness over speed: cofactor expansion, subset
-enumeration, permutation scans, recursive projection for volume.  The only
-library pieces reused are low-level linear algebra (solve_linear, dot) and
-the canonical facet form, each covered by its own tests.
+enumeration, permutation scans, recursive projection for volume, projection
+onto the affine hull of every small vertex subset for distance.  The only
+library pieces reused are public: low-level linear algebra (solve_linear,
+rank, dot), membership and the canonical facet form, each covered by its own
+tests.
 """
 
 from __future__ import annotations
@@ -11,8 +13,8 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import combinations, permutations, product as iter_product
 
-from mahlerlab.polytope import Polytope, canon_facet, membership, _project_affine
-from mahlerlab.ratlin import dot, rank, solve_linear, vec
+from mahlerlab.polytope import Polytope, canon_facet, membership
+from mahlerlab.ratlin import dot, rank, solve_linear, vec, vsub
 
 
 def cofactor_det(m) -> Fraction:
@@ -190,6 +192,28 @@ def canonical_graph_key(g) -> tuple:
         if best is None or key < best:
             best = key
     return (n, best)
+
+
+def _project_affine(x, pts):
+    """Orthogonal projection of x onto the affine hull of pts."""
+    p0 = pts[0]
+    basis = []
+    for q in pts[1:]:
+        w = vsub(q, p0)
+        if rank(basis + [w]) > len(basis):
+            basis.append(w)
+    if not basis:
+        return p0
+    k = len(basis)
+    gram = tuple(tuple(dot(basis[i], basis[j]) for j in range(k)) for i in range(k))
+    rhs = tuple(dot(basis[i], vsub(x, p0)) for i in range(k))
+    lam = solve_linear(gram, rhs)
+    assert lam is not None, "Gram matrix of an independent family is invertible"
+    out = list(p0)
+    for coef, w in zip(lam, basis):
+        for i in range(len(out)):
+            out[i] += coef * w[i]
+    return tuple(out)
 
 
 def distance_sq_by_subsets(p: Polytope, x) -> Fraction:

@@ -179,6 +179,8 @@ def test_enumeration_resource_guards():
         enumerate_p4_free_labeled(9)
     with pytest.raises(ResourceError):
         enumerate_standard_hanner(8)
+    with pytest.raises(ResourceError, match="dedup"):
+        enumerate_standard_hanner(7)
 
 
 # ---------------------------------------------------------------------------

@@ -79,6 +79,15 @@ def test_enumerate_rejects_bad_dimension(capsys):
     assert code == 2
 
 
+def test_enumerate_refuses_labeled_n7_up_front():
+    # 78416 labeled bodies would run for hours; the refusal must come first
+    proc = subprocess.run(
+        [*CLI, "hanner-enumerate", "--n", "7"], capture_output=True, text=True, timeout=30
+    )
+    assert proc.returncode == 2
+    assert "--dedup" in proc.stderr
+
+
 # ---------------------------------------------------------------------------
 # volprod
 

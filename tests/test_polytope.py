@@ -25,7 +25,6 @@ from mahlerlab.polytope import (
     cross_polytope,
     cube,
     diagonal_image,
-    face_vertex_sets,
     from_halfspaces,
     from_json_dict,
     from_vertices,
@@ -325,15 +324,15 @@ def test_volume_of_simplex_shortcut():
 # metrics
 
 
-def test_face_vertex_sets_of_square():
-    faces = face_vertex_sets(cube(2))
-    sizes = sorted(len(f) for f in faces)
-    assert sizes == [1, 1, 1, 1, 2, 2, 2, 2]  # 4 corners + 4 edges
-
-
-@given(general_body(), st.tuples(coords, coords))
-@settings(max_examples=40, deadline=None)
-def test_point_distance_matches_subset_oracle(p, x):
+@given(
+    st.one_of(
+        st.tuples(general_body(), st.tuples(coords, coords)),
+        st.tuples(general_body(dim=3), st.tuples(coords, coords, coords)),
+    )
+)
+@settings(max_examples=60, deadline=None)
+def test_point_distance_matches_subset_oracle(body_and_point):
+    p, x = body_and_point
     assert point_distance_sq(p, x) == distance_sq_by_subsets(p, x)
 
 
@@ -341,6 +340,12 @@ def test_point_distance_frozen_values():
     assert point_distance_sq(cube(3), (2, 2, 2)) == 3
     assert point_distance_sq(cross_polytope(3), (3, 0, 0)) == 4
     assert point_distance_sq(cube(2), (F(1, 2), F(1, 2))) == 0
+    # the nearest point (-1, 0, 1) lies on an edge that Wolfe's corral
+    # reaches only by dropping a vertex from a triangle
+    assert point_distance_sq(cube(3), (-3, 0, 1)) == 4
+    # here the triangle's affine minimiser is x itself, with a negative
+    # weight; the drop leaves the edge holding the nearest point (0, 0)
+    assert point_distance_sq(from_vertices([(-2, -2), (-1, -2), (2, 2)]), (-1, 1)) == 2
 
 
 def test_hausdorff_frozen_values():

@@ -20,7 +20,6 @@ from mahlerlab.ratlin import (
     parse_fraction,
     primitive_int_vec,
     rank,
-    scaled_int_vec,
     solve_linear,
     vec,
 )
@@ -150,7 +149,7 @@ def test_format_approx_digits():
 def test_common_denominator_and_scaling(xs):
     d = common_denominator(xs)
     assert d >= 1
-    iv = scaled_int_vec(xs, d)
+    iv = tuple(int(x * d) for x in xs)
     assert all(isinstance(x, int) for x in iv)
     assert all(Fraction(num, d) == orig for num, orig in zip(iv, xs))
 

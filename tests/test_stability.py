@@ -229,6 +229,13 @@ def test_band_flags_margins_inside_it():
         reconstruct_hanner(body3, band=F(1, 10))
     # without a band the margin is just a positive number: an edge
     assert reconstruct_hanner(body).nearest_graph == complete_graph(2)
+    # a negative band would move the edge threshold; it is refused
+    with pytest.raises(PreconditionError, match="band"):
+        reconstruct_hanner(body, band=F(-1, 10))
+    with pytest.raises(PreconditionError, match="band"):
+        graph_from_polytope(body, F(-1, 10))
+    with pytest.raises(PreconditionError, match="band"):
+        reconstruct_hanner(interval(2), band=F(-1, 10))  # no pairs to read at n = 1
     # an exact Hanner signature inside the band stays unambiguous
     assert reconstruct_hanner(cube(2), band=F(1, 10)).case_tag == "caseI-cube"
     assert reconstruct_hanner(cross_polytope(2), band=F(1, 10)).case_tag == "caseI-cross"
