@@ -11,11 +11,15 @@ Both directions of the polytope conversion reduce to this cone computation by
 homogenization:
 
 * vertices of ``{y : Ay <= b}``  <-  rays of ``{(y,t) : Ay - tb <= 0, -t <= 0}``
-* facets of ``conv(points)``     <-  vertices of the polar of the centered
-  point set, i.e. rays of the homogenized system ``<p - c, y> <= 1``.
+* facets ``<a, x> <= s`` of ``conv(points)``  <-  rays (a, s) of
+  ``{(a,s) : <p, a> - s <= 0 for every point p}``, a cone that is pointed
+  exactly when the points are full-dimensional.
 
 A ray that survives with homogenizing coordinate t == 0 is a recession
-direction, which is exactly how unbounded input announces itself.
+direction, which is exactly how unbounded input announces itself.  An input
+row supports a facet of the cone iff its set of tight rays is maximal among
+the proper ones, read off the same bitmasks with no rank computation; in the
+hull direction these rows are exactly the points that are vertices.
 """
 
 from __future__ import annotations
@@ -24,18 +28,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from .errors import DimensionError, UnboundedError
-from .ratlin import (
-    Vec,
-    affine_rank,
-    common_denominator,
-    dot,
-    fr,
-    int_rank,
-    primitive_int_vec,
-    solve_linear,
-    unit_vec,
-    vsub,
-)
+from .ratlin import Vec, common_denominator, int_det, int_rank, primitive_int_vec
 
 IntVec = tuple[int, ...]
 
@@ -70,14 +63,15 @@ def extreme_rays(rows: Sequence[IntVec]) -> tuple[list[IntVec], list[int]]:
     if len(basis) < d:
         raise DimensionError("cone is not pointed (rows are rank deficient)")
 
-    # Rays of the initial simplicial subcone: r_j solves  B r_j = -e_j.
-    bmat = tuple(tuple(fr(x) for x in row) for row in basis_rows)
+    # Rays of the initial simplicial subcone solve B r_j = -e_j.  By Cramer's
+    # rule r_j = -adj(B)[:, j] / det B; only the sign of det B matters once
+    # the ray is made primitive.
+    sign = 1 if int_det(basis_rows) > 0 else -1
     rays: list[IntVec] = []
     for j in range(d):
-        sol = solve_linear(bmat, unit_vec(d, j, Fraction(-1)))
-        assert sol is not None  # basis rows are independent
-        den = common_denominator(sol)
-        rays.append(primitive_int_vec(tuple(int(x * den) for x in sol)))
+        minor = basis_rows[:j] + basis_rows[j + 1 :]
+        col = [(-1) ** (i + j) * int_det([r[:i] + r[i + 1 :] for r in minor]) for i in range(d)]
+        rays.append(primitive_int_vec(tuple(-sign * c for c in col)))
 
     basis_set = set(basis)
     tight: list[int] = []
@@ -150,106 +144,73 @@ def extreme_rays(rows: Sequence[IntVec]) -> tuple[list[IntVec], list[int]]:
     return rays, tight
 
 
-def _dedupe_rows(rows: list[IntVec]) -> tuple[list[IntVec], list[int]]:
-    """Primitive-reduce rows and merge duplicates; returns (unique, orig->unique)."""
-    uniq: list[IntVec] = []
+def _convert(rows: Sequence[IntVec]) -> tuple[list[IntVec], list[bool]]:
+    """Extreme rays of ``{x : <row, x> <= 0}`` and a facet flag per input row.
+
+    Rows are primitive-reduced and merged before the cone run.  A row supports
+    a facet iff its set of tight rays is maximal among the proper sets: every
+    face lies in a facet, and distinct facets have incomparable ray sets.  The
+    zero row is tight on every ray and is neither a facet nor a witness
+    against one; any other row tight on every ray means the cone is flat.
+    """
     index: dict[IntVec, int] = {}
-    mapping: list[int] = []
-    for r in rows:
-        p = primitive_int_vec(r)
-        k = index.get(p)
-        if k is None:
-            k = len(uniq)
-            index[p] = k
-            uniq.append(p)
-        mapping.append(k)
-    return uniq, mapping
+    mapping = [index.setdefault(primitive_int_vec(r), len(index)) for r in rows]
+    uniq = list(index)
+    rays, tight = extreme_rays(uniq)
 
-
-def _facet_flags(rays: list[IntVec], tight: list[int], n_rows: int, cone_dim: int) -> list[bool]:
-    """Row i supports a facet iff its tight rays span a (cone_dim - 1)-face."""
-    flags = []
-    for i in range(n_rows):
-        bit = 1 << i
-        members = [rays[k] for k in range(len(rays)) if tight[k] & bit]
-        flags.append(len(members) >= cone_dim - 1 and int_rank(members) == cone_dim - 1)
-    return flags
+    sets = [0] * len(uniq)
+    for k, m in enumerate(tight):
+        while m:
+            low = m & -m
+            sets[low.bit_length() - 1] |= 1 << k
+            m ^= low
+    full = (1 << len(rays)) - 1
+    if any(s == full and any(r) for s, r in zip(sets, uniq)):
+        raise DimensionError("cone is not full-dimensional")
+    proper = {s for s in sets if s != full}
+    maximal = {s for s in proper if not any(s != o and s & o == s for o in proper)}
+    return rays, [sets[k] in maximal for k in mapping]
 
 
 def polyhedron_vertices(
     ineqs: Sequence[tuple[Vec, Fraction]], dim: int
-) -> tuple[list[Vec], list[bool], list[list[int]]]:
+) -> tuple[list[Vec], list[bool]]:
     """Vertices of ``{y : <a,y> <= b}`` for the given (a, b) inequalities.
 
-    Returns (vertices, facet_flag per inequality, tight vertex indices per
-    inequality).  Raises UnboundedError if a recession direction survives and
-    DimensionError when the feasible set is empty or not full-dimensional.
+    Returns (vertices, facet_flag per inequality).  Raises UnboundedError if
+    a recession direction survives and DimensionError when the feasible set
+    is empty or not full-dimensional.
     """
     rows: list[IntVec] = []
     for a, b in ineqs:
         den = common_denominator(list(a) + [b])
         rows.append(tuple(int(x * den) for x in a) + (-int(b * den),))
     rows.append((0,) * dim + (-1,))  # t >= 0
-    uniq, mapping = _dedupe_rows(rows)
-    rays, tight = extreme_rays(uniq)
+    rays, flags = _convert(rows)
 
     verts: list[Vec] = []
-    vert_tight: list[int] = []
-    for r, m in zip(rays, tight):
+    for r in rays:
         t = r[-1]
         if t == 0:
             raise UnboundedError("halfspace intersection is unbounded")
         verts.append(tuple(Fraction(c, t) for c in r[:-1]))
-        vert_tight.append(m)
-
-    if len(verts) < dim + 1:
-        raise DimensionError("halfspace intersection is not full-dimensional")
-
-    flags_u = _facet_flags(rays, tight, len(uniq), dim + 1)
-    facet_flags = [flags_u[mapping[i]] for i in range(len(ineqs))]
-    incidence = []
-    for i in range(len(ineqs)):
-        bit = 1 << mapping[i]
-        incidence.append([k for k in range(len(verts)) if vert_tight[k] & bit])
-    return verts, facet_flags, incidence
+    return verts, flags[:-1]
 
 
-def hull_facets(points: Sequence[Vec], dim: int) -> tuple[list[tuple[Vec, Fraction]], list[bool]]:
-    """Facets of ``conv(points)`` plus a flag marking which points are vertices.
+def hull_facets(points: Sequence[Vec]) -> tuple[list[tuple[Vec, Fraction]], list[bool]]:
+    """Facets of ``conv(points)`` plus a flag per point marking the vertices.
 
-    The points are centered on their centroid, the polar of the centered set
-    is computed by double description, and each polar vertex u is unfolded to
-    the facet ``<u, x> <= 1 + <u, c>`` of the original hull.  A point is a
-    vertex exactly when its constraint supports a facet of the polar.
+    Each facet ``<a, x> <= s`` is an extreme ray (a, s) of the cone of valid
+    inequalities ``{(a, s) : <p, a> <= s for every point p}``.  A point is a
+    vertex exactly when its constraint supports a facet of that cone.
     """
-    pts = list(dict.fromkeys(points))
-    if affine_rank(pts) != dim:
-        raise DimensionError("point set is not full-dimensional")
-    k = len(pts)
-    c = tuple(sum(p[i] for p in pts) / k for i in range(dim))
-
     rows: list[IntVec] = []
-    for p in pts:
-        w = vsub(p, c)
-        den = common_denominator(w)
-        rows.append(tuple(int(x * den) for x in w) + (-den,))
-    rows.append((0,) * dim + (-1,))
-    uniq, mapping = _dedupe_rows(rows)
-    rays, tight = extreme_rays(uniq)
-
-    facets: list[tuple[Vec, Fraction]] = []
-    for r in rays:
-        t = r[-1]
-        assert t > 0, "polar of a centered full-dimensional hull is bounded"
-        normal = tuple(Fraction(x, t) for x in r[:-1])
-        facets.append((normal, 1 + dot(normal, c)))
-
-    flags_u = _facet_flags(rays, tight, len(uniq), dim + 1)
-    vertex_flags = [flags_u[mapping[i]] for i in range(len(pts))]
-
-    # report per original input point (duplicates collapse onto the unique set)
-    out_flags = []
-    seen: dict[Vec, bool] = {p: f for p, f in zip(pts, vertex_flags)}
     for p in points:
-        out_flags.append(seen[p])
-    return facets, out_flags
+        den = common_denominator(p)
+        rows.append(tuple(int(x * den) for x in p) + (-den,))
+    try:
+        rays, flags = _convert(rows)
+    except DimensionError:
+        raise DimensionError("point set is not full-dimensional") from None
+    facets = [(tuple(Fraction(x) for x in r[:-1]), Fraction(r[-1])) for r in rays]
+    return facets, flags

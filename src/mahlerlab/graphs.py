@@ -33,6 +33,7 @@ from .polytope import (
     linf_sum,
     permute_coordinates,
     polar,
+    sign_orbit,
 )
 from .ratlin import format_exact, unit_vec, vadd
 
@@ -208,12 +209,7 @@ def polytope_from_graph(g: Graph) -> Polytope:
         warnings.warn("graph is not perfect; the ball is not a dual 0-1 polytope", stacklevel=2)
     pts: set[tuple[Fraction, ...]] = set()
     for m in maximal_independent_sets(g):
-        support = [i for i in range(g.n) if m >> i & 1]
-        for signs in range(1 << len(support)):
-            v = [Fraction(0)] * g.n
-            for k, i in enumerate(support):
-                v[i] = Fraction(1 if signs >> k & 1 else -1)
-            pts.add(tuple(v))
+        pts.update(sign_orbit([Fraction(m >> i & 1) for i in range(g.n)]))
     return from_vertices(sorted(pts))
 
 

@@ -111,7 +111,9 @@ def from_vertices(points: Sequence[Sequence[Fraction | int]]) -> Polytope:
     if not pts:
         raise DimensionError("empty point set")
     dim = len(pts[0])
-    facets, flags = dd.hull_facets(pts, dim)
+    if any(len(p) != dim for p in pts):
+        raise DimensionError("points have different dimensions")
+    facets, flags = dd.hull_facets(pts)
     verts = [p for p, f in zip(pts, flags) if f]
     return _make(dim, verts, facets)
 
@@ -119,7 +121,9 @@ def from_vertices(points: Sequence[Sequence[Fraction | int]]) -> Polytope:
 def from_halfspaces(ineqs: Sequence[tuple[Sequence[Fraction | int], Fraction | int]], dim: int) -> Polytope:
     """Bounded intersection of halfspaces ``<a, x> <= b``; drops redundant ones."""
     rows = [(vec(a), fr(b)) for a, b in ineqs]
-    verts, flags, _ = dd.polyhedron_vertices(rows, dim)
+    if any(len(a) != dim for a, _ in rows):
+        raise DimensionError(f"every halfspace normal needs dimension {dim}")
+    verts, flags = dd.polyhedron_vertices(rows, dim)
     facets = [row for row, f in zip(rows, flags) if f]
     return _make(dim, verts, facets)
 
@@ -199,6 +203,23 @@ def polar(p: Polytope) -> Polytope:
     verts = [a for a, _ in p.facets]
     facets = [(v, Fraction(1)) for v in p.vertices]
     return _make(p.dim, verts, facets)
+
+
+def sign_orbit(v: Sequence[Fraction]) -> list[Vec]:
+    """Every vector obtained from v by flipping the signs of its nonzero coordinates.
+
+    Bit k of the pattern index flips the k-th nonzero coordinate, so the
+    first entry is v itself.
+    """
+    support = [i for i, x in enumerate(v) if x]
+    out = []
+    for signs in range(1 << len(support)):
+        w = list(v)
+        for k, i in enumerate(support):
+            if signs >> k & 1:
+                w[i] = -w[i]
+        out.append(tuple(w))
+    return out
 
 
 def is_unconditional(p: Polytope) -> bool:

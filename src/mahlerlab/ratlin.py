@@ -39,19 +39,12 @@ def vec(xs: Iterable) -> Vec:
     return tuple(fr(x) for x in xs)
 
 
-def mat(rows: Iterable[Iterable]) -> Mat:
-    m = tuple(vec(r) for r in rows)
-    if m and any(len(r) != len(m[0]) for r in m):
-        raise ValueError("ragged matrix")
-    return m
-
-
 def zero_vec(n: int) -> Vec:
     return (ZERO,) * n
 
 
-def unit_vec(n: int, i: int, s: Fraction = ONE) -> Vec:
-    return tuple(s if j == i else ZERO for j in range(n))
+def unit_vec(n: int, i: int) -> Vec:
+    return tuple(ONE if j == i else ZERO for j in range(n))
 
 
 def dot(u: Sequence[Fraction], v: Sequence[Fraction]) -> Fraction:

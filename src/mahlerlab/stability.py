@@ -57,6 +57,7 @@ from .polytope import (
     is_unconditional,
     normalize_unconditional,
     polar,
+    sign_orbit,
     volume,
 )
 from .ratlin import format_approx, format_exact, fr, unit_vec, vec
@@ -294,13 +295,7 @@ def perturb_unconditional(h: Polytope, delta, seed: int) -> Polytope:
     pts = []
     for r in reps:
         factor = 1 - delta * Fraction(rng.randrange(2**16 + 1), 2**16)
-        support = [i for i, x in enumerate(r) if x]
-        for signs in range(1 << len(support)):
-            v = [x * factor for x in r]
-            for bpos, i in enumerate(support):
-                if signs >> bpos & 1:
-                    v[i] = -v[i]
-            pts.append(vec(v))
+        pts.extend(sign_orbit([x * factor for x in r]))
     return normalize_unconditional(from_vertices(pts))
 
 
@@ -315,14 +310,7 @@ def random_unconditional_polytope(n: int, seed: int) -> Polytope:
         pts.append(e)
         pts.append(vec(-x for x in e))
     for _ in range(rng.randint(1, 3)):
-        r = [Fraction(rng.randint(12, 48), 48) for _ in range(n)]
-        support = [i for i, x in enumerate(r) if x]
-        for signs in range(1 << len(support)):
-            v = list(r)
-            for bpos, i in enumerate(support):
-                if signs >> bpos & 1:
-                    v[i] = -v[i]
-            pts.append(vec(v))
+        pts.extend(sign_orbit([Fraction(rng.randint(12, 48), 48) for _ in range(n)]))
     return from_vertices(pts)
 
 

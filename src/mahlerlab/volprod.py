@@ -129,10 +129,6 @@ def _section_volume(k: Polytope, j: int) -> Fraction:
     return volume(coordinate_section(k, j))
 
 
-def section_volumes(k: Polytope) -> list[Fraction]:
-    return [_section_volume(k, j) for j in range(k.dim)]
-
-
 def section_products(k: Polytope) -> list[Fraction]:
     """Volume product of each coordinate section of an unconditional body."""
     if not is_unconditional(k):

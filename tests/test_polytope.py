@@ -4,7 +4,7 @@ from fractions import Fraction
 from itertools import product as iter_product
 
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from mahlerlab.errors import (
     ConsistencyError,
@@ -45,6 +45,7 @@ from mahlerlab.polytope import (
     volume,
 )
 from mahlerlab.ratlin import vec
+from mahlerlab.stability import random_unconditional_polytope
 from oracles import brute_volume, distance_sq_by_subsets, subset_facets, subset_vertices
 
 F = Fraction
@@ -108,8 +109,14 @@ def test_hull_drops_non_extreme_points():
 
 
 def test_halfspaces_drop_redundant_rows():
-    rows = list(cube(2).facets) + [((F(1), F(0)), F(7)), ((F(1), F(1)), F(5))]
+    square = list(cube(2).facets)
+    rows = square + [((F(1), F(0)), F(7)), ((F(1), F(1)), F(5))]
     assert from_halfspaces(rows, 2) == cube(2)
+    # tight only on a lower-dimensional face, a scaled duplicate, the vacuous row
+    assert from_halfspaces(square + [((1, 1), 2)], 2) == cube(2)
+    assert from_halfspaces(list(cube(3).facets) + [((1, 1, 1), 3), ((1, 1, 0), 2)], 3) == cube(3)
+    assert from_halfspaces(square + [((2, 0), 2)], 2) == cube(2)
+    assert from_halfspaces(square + [((0, 0), 0)], 2) == cube(2)
 
 
 def test_degenerate_inputs_raise():
@@ -121,6 +128,19 @@ def test_degenerate_inputs_raise():
         from_halfspaces([((F(1), F(0)), F(1))], 2)  # rank-deficient rows
     with pytest.raises(UnboundedError):
         from_halfspaces([((F(1), F(0)), F(1)), ((F(0), F(1)), F(1))], 2)  # open corner
+    with pytest.raises(DimensionError):
+        from_halfspaces(list(cube(2).facets) + [((-1, 0), -1)], 2)  # a segment
+    with pytest.raises(DimensionError):
+        from_halfspaces(list(cube(3).facets) + [((-1, 0, 0), -1)], 3)  # a square in 3-space
+    # rows of the wrong length
+    with pytest.raises(DimensionError):
+        from_vertices([(0, 0), (1, 0), (0, 1, 7)])
+    with pytest.raises(DimensionError):
+        from_vertices([(0, 0), (2, 0), (0, 2), (1,)])
+    with pytest.raises(DimensionError):
+        from_halfspaces(list(cube(2).facets) + [((0,), 1)], 2)
+    with pytest.raises(DimensionError):
+        from_halfspaces(list(cube(2).facets), 3)
 
 
 @given(general_body())
@@ -130,12 +150,14 @@ def test_enumeration_matches_subset_oracles_dim2(p):
     assert subset_vertices(p.facets, 2) == set(p.vertices)
 
 
-def test_enumeration_matches_subset_oracles_dim3():
-    from mahlerlab.stability import random_unconditional_polytope
-
-    for body in (cube(3), cross_polytope(3), random_unconditional_polytope(3, 5)):
-        assert subset_facets(body.vertices, 3) == set(body.facets)
-        assert subset_vertices(body.facets, 3) == set(body.vertices)
+@given(general_body(dim=3))
+@example(cube(3))
+@example(cross_polytope(3))
+@example(random_unconditional_polytope(3, 5))
+@settings(max_examples=30, deadline=None)
+def test_enumeration_matches_subset_oracles_dim3(body):
+    assert subset_facets(body.vertices, 3) == set(body.facets)
+    assert subset_vertices(body.facets, 3) == set(body.vertices)
 
 
 # ---------------------------------------------------------------------------
@@ -302,8 +324,6 @@ def test_volume_matches_brute_force_dim2(p):
 
 
 def test_volume_matches_brute_force_dim3():
-    from mahlerlab.stability import random_unconditional_polytope
-
     body = random_unconditional_polytope(3, 11)
     assert volume(body) == brute_volume(body.vertices, 3)
 

@@ -16,7 +16,6 @@ from mahlerlab.ratlin import (
     frac_to_int_rows,
     int_det,
     int_rank,
-    mat,
     parse_fraction,
     primitive_int_vec,
     rank,
@@ -46,13 +45,13 @@ def test_int_det_matches_cofactor_expansion(rows):
 @given(st.integers(min_value=1, max_value=3).flatmap(frac_matrix))
 @settings(max_examples=100)
 def test_determinant_matches_cofactor_expansion(rows):
-    assert determinant(mat(rows)) == cofactor_det(rows)
+    assert determinant(tuple(vec(r) for r in rows)) == cofactor_det(rows)
 
 
 @given(int_matrix(3), int_matrix(3))
 @settings(max_examples=60)
 def test_det_is_multiplicative(a, b):
-    ma, mb = mat(a), mat(b)
+    ma, mb = tuple(vec(r) for r in a), tuple(vec(r) for r in b)
     prod = tuple(tuple(dot(row, col) for col in zip(*mb)) for row in ma)
     assert determinant(prod) == determinant(ma) * determinant(mb)
 
@@ -63,7 +62,7 @@ def test_rank_full_iff_det_nonzero(rows):
     n = len(rows)
     full = int_det(rows) != 0
     assert (int_rank(rows) == n) == full
-    assert (rank(mat(rows)) == n) == full
+    assert (rank([vec(r) for r in rows]) == n) == full
 
 
 @given(st.lists(ints, min_size=1, max_size=5), ints, ints)
@@ -100,7 +99,7 @@ def test_primitive_int_vec_scale_invariant(v, s):
 @given(int_matrix(3), st.lists(ints, min_size=3, max_size=3))
 @settings(max_examples=80)
 def test_solve_linear_solves_or_reports_singular(rows, b):
-    m = mat(rows)
+    m = tuple(vec(r) for r in rows)
     bb = vec(b)
     x = solve_linear(m, bb)
     if int_det(rows) != 0:

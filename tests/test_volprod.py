@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 from mahlerlab.errors import PreconditionError
 from mahlerlab.graphs import path_graph, polytope_from_graph
 from mahlerlab.polytope import (
+    coordinate_section,
     cross_polytope,
     cube,
     from_vertices,
@@ -29,7 +30,6 @@ from mahlerlab.volprod import (
     santalo_upper_check,
     section_membership_vector,
     section_products,
-    section_volumes,
     truncated_cube,
     verify_truncated_cube_bound,
     volume_product,
@@ -104,10 +104,10 @@ def test_volume_product_json_shape():
 
 
 def test_section_volumes_and_products():
-    assert section_volumes(cube(3)) == [F(4)] * 3
+    assert [volume(coordinate_section(cube(3), j)) for j in range(3)] == [F(4)] * 3
     assert section_products(cube(3)) == [F(8)] * 3
     assert section_products(cross_polytope(3)) == [F(8)] * 3
-    assert section_volumes(interval()) == [F(1)]  # counting measure in dim 1
+    assert section_products(interval()) == [F(1)]  # counting measure in dim 1
     tilted = from_vertices([(1, 0), (0, 1), (-1, 0), (0, -1), (1, 1)])
     with pytest.raises(PreconditionError):
         section_products(tilted)
