@@ -32,7 +32,6 @@ from .polytope import (
     l1_sum,
     linf_sum,
     permute_coordinates,
-    polar,
     sign_orbit,
 )
 from .ratlin import format_exact, unit_vec, vadd
@@ -458,18 +457,6 @@ def enumerate_standard_hanner(n: int, dedup: bool = False) -> list[tuple[Graph, 
         raise ResourceError("n = 7 without dedup means 78416 labeled bodies; pass dedup=True (--dedup)")
     gs = enumerate_p4_free_classes(n) if dedup else enumerate_p4_free_labeled(n)
     return [(g, polytope_from_graph(g)) for g in gs]
-
-
-def is_dual_01(p: Polytope) -> bool:
-    """True when all vertex coordinates of p and its polar lie in {-1, 0, 1}."""
-    if not is_unconditional(p):
-        raise PreconditionError("dual 0-1 test is defined for unconditional polytopes")
-    ok = {Fraction(-1), Fraction(0), Fraction(1)}
-    for q in (p, polar(p)):
-        for v in q.vertices:
-            if any(x not in ok for x in v):
-                return False
-    return True
 
 
 # ---------------------------------------------------------------------------

@@ -18,7 +18,11 @@ Volume uses a pulling triangulation: cone from the first vertex over the
 recursively triangulated facets that miss it.  The subfaces of a face are its
 maximal proper intersections with facet vertex sets (bitmasks, no rank
 work), shared across the recursion through a memo, so the triangulation
-stays near linear in the number of faces actually touched.  The distance
+stays near linear in the number of faces actually touched.  It runs on one
+integer scale: the vertices are multiplied once by their common denominator
+D, a facet cleared to an integer row ``<A, x> <= B`` holds a scaled vertex V
+exactly when ``<A, V> == B*D``, and the simplices' ``int_det`` values are
+summed as one Python int and divided once, by ``D^d * d!``.  The distance
 from a point to a polytope is the norm of the min-norm point of the
 translated vertices, found exactly by Wolfe's algorithm.
 """
@@ -29,6 +33,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from operator import mul
 from typing import Iterable, Sequence
 
 from . import dd
@@ -42,14 +47,12 @@ from .errors import (
 )
 from .ratlin import (
     Vec,
-    affine_rank,
     common_denominator,
-    determinant,
     dot,
     fr,
+    int_det,
     parse_fraction,
     primitive_int_vec,
-    rank,
     solve_linear,
     unit_vec,
     vec,
@@ -313,17 +316,6 @@ def coordinate_section(p: Polytope, j: int) -> Polytope:
     return from_halfspaces(rows, p.dim - 1)
 
 
-def coordinate_projection(p: Polytope, j: int) -> Polytope:
-    """Orthogonal projection onto the hyperplane x_j = 0, re-indexed likewise."""
-    if not 0 <= j < p.dim:
-        raise DimensionError(f"coordinate {j} out of range for dimension {p.dim}")
-    if p.dim < 2:
-        raise DimensionError("projections need ambient dimension at least 2")
-    keep = [i for i in range(p.dim) if i != j]
-    pts = {tuple(v[i] for i in keep) for v in p.vertices}
-    return from_vertices(sorted(pts))
-
-
 def permute_coordinates(p: Polytope, perm: Sequence[int]) -> Polytope:
     """Relabel coordinates: output coordinate i carries input coordinate perm[i]."""
     pi = list(perm)
@@ -336,17 +328,6 @@ def permute_coordinates(p: Polytope, perm: Sequence[int]) -> Polytope:
 
 # ---------------------------------------------------------------------------
 # volume
-
-
-def _facet_vertex_masks(p: Polytope) -> list[int]:
-    masks = []
-    for a, b in p.facets:
-        m = 0
-        for i, v in enumerate(p.vertices):
-            if dot(a, v) == b:
-                m |= 1 << i
-        masks.append(m)
-    return masks
 
 
 def _pull_triangulation(s: int, facet_masks: list[int], memo: dict[int, list[tuple[int, ...]]]) -> list[tuple[int, ...]]:
@@ -384,22 +365,22 @@ def _pull_triangulation(s: int, facet_masks: list[int], memo: dict[int, list[tup
 
 @lru_cache(maxsize=4096)
 def volume(p: Polytope) -> Fraction:
-    """Exact volume by a pulling triangulation from the first vertex."""
+    """Exact volume by a pulling triangulation, summed on one integer scale."""
     d = p.dim
-    verts = p.vertices
-    if len(verts) == d + 1:
-        rows = [vsub(verts[i], verts[0]) for i in range(1, d + 1)]
-        return abs(determinant(rows)) / math.factorial(d)
-    facet_masks = _facet_vertex_masks(p)
-    memo: dict[int, list[tuple[int, ...]]] = {}
-    total = Fraction(0)
-    for fm in facet_masks:
-        if fm & 1:  # facet contains the apex vertex 0, cone degenerates
-            continue
-        for t in _pull_triangulation(fm, facet_masks, memo):
-            rows = [vsub(verts[i], verts[0]) for i in t]
-            total += abs(determinant(rows))
-    return total / math.factorial(d)
+    den = common_denominator(x for v in p.vertices for x in v)
+    verts = [tuple(x.numerator * (den // x.denominator) for x in v) for v in p.vertices]
+    facet_masks = []
+    for a, b in p.facets:
+        da = common_denominator(a)
+        row = [x.numerator * (da // x.denominator) for x in a]
+        rhs = int(b) * da * den  # <a, v> == b  iff  <row, den * v> == rhs
+        facet_masks.append(sum(1 << i for i, v in enumerate(verts) if sum(map(mul, row, v)) == rhs))
+    apex = verts[0]
+    edges = [tuple(x - y for x, y in zip(v, apex)) for v in verts]
+    total = 0
+    for t in _pull_triangulation((1 << len(verts)) - 1, facet_masks, {}):
+        total += abs(int_det([edges[i] for i in t[:-1]]))  # t ends with the apex, vertex 0
+    return Fraction(total, den**d * math.factorial(d))
 
 
 # ---------------------------------------------------------------------------
@@ -467,52 +448,6 @@ def hausdorff_distance_sq(p: Polytope, q: Polytope) -> Fraction:
     return best
 
 
-def banach_mazur_diag_upper(a: Polytope, b: Polytope, tol: Fraction = Fraction(1, 1000)) -> Fraction:
-    """Upper bound on the Banach-Mazur distance restricted to diagonal maps.
-
-    Minimizes ``lambda(t) * mu(t)`` over positive diagonal maps diag(t) by
-    multiplicative coordinate descent with a halving step, where lambda is
-    the smallest blowup with diag(t) a inside lambda b and mu the smallest
-    with b inside mu diag(t) a.  The returned value is exact for the best
-    grid point visited; it is an upper bound for the true diagonal optimum.
-    """
-    if a.dim != b.dim:
-        raise DimensionError("polytopes live in different dimensions")
-    if fr(tol) <= 0:
-        raise PreconditionError("tol must be positive")
-    a = normalize_unconditional(a)
-    b = normalize_unconditional(b)
-    if a == b:
-        return Fraction(1)
-    n = a.dim
-    fa = [f for f, _ in a.facets]
-    fb = [f for f, _ in b.facets]
-
-    def cost(t: list[Fraction]) -> Fraction:
-        lam = max(max(sum(bi * ti * vi for bi, ti, vi in zip(beta, t, v)) for beta in fb) for v in a.vertices)
-        mu = max(max(sum(ai * wi / ti for ai, ti, wi in zip(alpha, t, w)) for alpha in fa) for w in b.vertices)
-        return lam * mu
-
-    t = [Fraction(1)] * n
-    best = cost(t)
-    step = Fraction(1, 2)
-    floor = fr(tol) / 8
-    while step >= floor and best > 1:
-        improved = True
-        while improved:
-            improved = False
-            for i in range(n):
-                for f in (1 + step, 1 / (1 + step)):
-                    cand = list(t)
-                    cand[i] = t[i] * f
-                    c = cost(cand)
-                    if c < best:
-                        best, t = c, cand
-                        improved = True
-        step /= 2
-    return best
-
-
 # ---------------------------------------------------------------------------
 # serialization and checking
 
@@ -562,17 +497,3 @@ def from_json_dict(data: dict) -> Polytope:
             raise FormatError("halfspaces do not match the hull of the vertices")
     return p
 
-
-def validate(p: Polytope) -> None:
-    """Internal consistency: every vertex feasible, every facet honest."""
-    for v in p.vertices:
-        for a, b in p.facets:
-            if dot(a, v) > b:
-                raise ConsistencyError(f"vertex {v} violates a facet")
-    for (a, b), m in zip(p.facets, _facet_vertex_masks(p)):
-        if affine_rank([v for i, v in enumerate(p.vertices) if m >> i & 1]) != p.dim - 1:
-            raise ConsistencyError(f"facet {a} <= {b} is not supported by a (dim-1)-face")
-    for i, v in enumerate(p.vertices):
-        tight = [a for a, b in p.facets if dot(a, v) == b]
-        if rank(tight) != p.dim:
-            raise ConsistencyError(f"vertex {v} is not an extreme point")

@@ -6,9 +6,12 @@ and nothing ever rounds.  Vectors are tuples of Fractions, matrices tuples of
 row tuples; both are immutable and hashable so geometric objects built from
 them can be cached and compared exactly.
 
-Hot loops (determinants, rank tests, the conversion engine) first clear
-denominators and run on plain Python integers, which is several times faster
-than Fraction arithmetic and just as exact.
+Hot loops (volume determinants, the conversion engine) clear denominators
+once and run on plain Python integers through ``int_det``, ``int_rank`` and
+``primitive_int_vec``, which is several times faster than Fraction arithmetic
+and just as exact.  Two Fraction entry points remain: ``solve_linear``, the
+small Gram systems of Wolfe's min-norm point, and ``determinant``, which no
+package code calls any more but the benchmark's tracer still binds by name.
 """
 
 from __future__ import annotations
@@ -16,8 +19,6 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd
 from typing import Iterable, Sequence
-
-from .errors import DimensionError
 
 Vec = tuple[Fraction, ...]
 Mat = tuple[Vec, ...]
@@ -145,15 +146,6 @@ def primitive_int_vec(v: Sequence[int]) -> tuple[int, ...]:
     return tuple(x // g for x in v) if g > 1 else tuple(v)
 
 
-def frac_to_int_rows(rows: Sequence[Sequence[Fraction]]) -> list[tuple[int, ...]]:
-    """Clear denominators row by row (each row scaled independently)."""
-    out = []
-    for r in rows:
-        d = common_denominator(r)
-        out.append(tuple(int(x * d) for x in r))
-    return out
-
-
 # ---------------------------------------------------------------------------
 # rational interface
 
@@ -174,19 +166,6 @@ def determinant(m: Mat) -> Fraction:
     for d in scales:
         out /= d
     return out
-
-
-def rank(rows: Sequence[Sequence[Fraction]]) -> int:
-    return int_rank(frac_to_int_rows(rows))
-
-
-def affine_rank(points: Sequence[Sequence[Fraction]]) -> int:
-    """Dimension of the affine hull of the given points (0 for a single point)."""
-    if not points:
-        raise DimensionError("affine_rank of an empty point set")
-    p0 = points[0]
-    diffs = [tuple(a - b for a, b in zip(p, p0, strict=True)) for p in points[1:]]
-    return rank(diffs) if diffs else 0
 
 
 def solve_linear(m: Mat, b: Vec) -> Vec | None:

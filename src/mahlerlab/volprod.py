@@ -1,7 +1,8 @@
 """Volume products, section inequalities, and the truncated-cube bound.
 
-Everything here is exact rational arithmetic.  The one float-valued helper,
-the Euclidean-ball sanity check at the bottom, says so loudly in its name.
+Everything here is exact rational arithmetic; the decimal columns of the
+reports (``format_approx``) are printed approximations, never inputs to a
+verdict.
 
 Conventions used throughout: bodies are polytopes with the origin interior;
 "section" means a coordinate-hyperplane section; for unconditional bodies the
@@ -130,11 +131,17 @@ def _section_volume(k: Polytope, j: int) -> Fraction:
 
 
 def section_products(k: Polytope) -> list[Fraction]:
-    """Volume product of each coordinate section of an unconditional body."""
+    """Volume product of each coordinate section of an unconditional body.
+
+    The polar of a section of an unconditional body is the section of its
+    polar, so each section is built once and its polar read off directly.
+    """
     if not is_unconditional(k):
         raise PreconditionError("section products need an unconditional body")
-    kp = polar(k)
-    return [_section_volume(k, j) * _section_volume(kp, j) for j in range(k.dim)]
+    if k.dim == 1:
+        return [Fraction(1)]  # {0} under counting measure, and its polar
+    sections = [coordinate_section(k, j) for j in range(k.dim)]
+    return [volume(s) * volume(polar(s)) for s in sections]
 
 
 def section_membership_vector(k: Polytope) -> tuple[Fraction, ...]:
@@ -462,7 +469,7 @@ def verify_truncated_cube_bound(n: int, t, q: Optional[Sequence] = None) -> Trun
 
 
 # ---------------------------------------------------------------------------
-# constant algebra and the float sanity bound
+# constant algebra
 
 
 def combine_stability_constants(alpha, beta, gamma, n: int) -> tuple[Fraction, Fraction]:
@@ -474,19 +481,3 @@ def combine_stability_constants(alpha, beta, gamma, n: int) -> tuple[Fraction, F
     tau = min(a, Fraction(n))
     return eps, tau
 
-
-def euclidean_ball_product_float(n: int) -> float:
-    """Float volume product of the Euclidean ball, kappa_n squared."""
-    kappa = math.pi ** (n / 2) / math.gamma(n / 2 + 1)
-    return kappa * kappa
-
-
-def santalo_upper_check(k: Polytope, body_id: str = "") -> tuple[float, float, bool]:
-    """Float-only sanity bound: P(K) must not exceed the ball's product.
-
-    Returns (product_float, ball_float, ok) with a 1e-9 relative slack; this
-    is the one deliberately non-exact check in the module.
-    """
-    prod = float(volume(k) * volume(polar(k)))
-    ball = euclidean_ball_product_float(k.dim)
-    return prod, ball, prod <= ball * (1 + 1e-9)

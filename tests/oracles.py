@@ -1,11 +1,11 @@
 """Brute-force reference implementations the fast code is tested against.
 
 Everything here favors obviousness over speed: cofactor expansion, subset
-enumeration, permutation scans, recursive projection for volume, projection
-onto the affine hull of every small vertex subset for distance.  The only
-library pieces reused are public: low-level linear algebra (solve_linear,
-rank, dot), membership and the canonical facet form, each covered by its own
-tests.
+enumeration, permutation scans, Gaussian elimination over the rationals for
+rank, recursive projection for volume, projection onto the affine hull of
+every small vertex subset for distance.  The only library pieces reused are
+public: low-level linear algebra (solve_linear, dot), membership and the
+canonical facet form, each covered by its own tests.
 """
 
 from __future__ import annotations
@@ -13,8 +13,9 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import combinations, permutations, product as iter_product
 
+from mahlerlab.errors import ConsistencyError
 from mahlerlab.polytope import Polytope, canon_facet, membership
-from mahlerlab.ratlin import dot, rank, solve_linear, vec, vsub
+from mahlerlab.ratlin import dot, solve_linear, vec, vsub
 
 
 def cofactor_det(m) -> Fraction:
@@ -28,6 +29,43 @@ def cofactor_det(m) -> Fraction:
         minor = [[row[k] for k in range(n) if k != j] for row in m[1:]]
         total += (-1) ** j * Fraction(m[0][j]) * cofactor_det(minor)
     return total
+
+
+def rank(rows) -> int:
+    """Rank by Gaussian elimination over the rationals."""
+    m = [[Fraction(x) for x in r] for r in rows]
+    r = 0
+    for c in range(len(m[0]) if m else 0):
+        piv = next((i for i in range(r, len(m)) if m[i][c] != 0), None)
+        if piv is None:
+            continue
+        m[r], m[piv] = m[piv], m[r]
+        for i in range(r + 1, len(m)):
+            f = m[i][c] / m[r][c]
+            m[i] = [x - f * y for x, y in zip(m[i], m[r])]
+        r += 1
+    return r
+
+
+def affine_rank(points) -> int:
+    """Dimension of the affine hull: 0 for one point, -1 for none."""
+    if not points:
+        return -1
+    return rank([vsub(vec(p), vec(points[0])) for p in points[1:]])
+
+
+def validate(p: Polytope) -> None:
+    """Internal consistency: every vertex feasible, every facet honest, every vertex extreme."""
+    for v in p.vertices:
+        for a, b in p.facets:
+            if dot(a, v) > b:
+                raise ConsistencyError(f"vertex {v} violates a facet")
+    for a, b in p.facets:
+        if affine_rank([v for v in p.vertices if dot(a, v) == b]) != p.dim - 1:
+            raise ConsistencyError(f"facet {a} <= {b} is not supported by a (dim-1)-face")
+    for v in p.vertices:
+        if rank([a for a, b in p.facets if dot(a, v) == b]) != p.dim:
+            raise ConsistencyError(f"vertex {v} is not an extreme point")
 
 
 def subset_vertices(ineqs, dim) -> set:

@@ -28,7 +28,6 @@ from mahlerlab.graphs import (
     graph_to_json_dict,
     hanner_from_tree,
     induced_subgraph,
-    is_dual_01,
     is_p4_free,
     is_perfect_slow,
     label_shape,
@@ -265,11 +264,16 @@ def test_graph_from_polytope_preconditions():
         graph_from_polytope(tilted)  # not unconditional
 
 
+def dual_01(p):
+    """True when every vertex coordinate of p and of its polar lies in {-1, 0, 1}."""
+    return all(x in (-1, 0, 1) for q in (p, polar(p)) for v in q.vertices for x in v)
+
+
 def test_imperfect_graph_warns():
     c5 = from_edges(5, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 0)])
     with pytest.warns(UserWarning):
         p = polytope_from_graph(c5)
-    assert not is_dual_01(p)
+    assert not dual_01(p)
 
 
 def test_standard_hanner_enumeration():
@@ -279,21 +283,8 @@ def test_standard_hanner_enumeration():
     assert len(by_class) == 4
     for g, p in with_labels:
         assert graph_from_polytope(p) == g
-        assert is_dual_01(p)
+        assert dual_01(p)
         assert gauge(p, [1 if i == 0 else 0 for i in range(3)]) == 1
-
-
-def test_is_dual_01():
-    assert is_dual_01(cube(4))
-    assert is_dual_01(cross_polytope(4))
-    from mahlerlab.volprod import truncated_cube
-
-    assert not is_dual_01(truncated_cube(3, F(9, 10)))
-    from mahlerlab.polytope import from_vertices
-
-    tilted = from_vertices([(1, 0), (0, 1), (-1, 0), (0, -1), (1, 1)])
-    with pytest.raises(PreconditionError):
-        is_dual_01(tilted)
 
 
 # ---------------------------------------------------------------------------

@@ -6,23 +6,20 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from mahlerlab.ratlin import (
-    affine_rank,
     common_denominator,
     determinant,
     dot,
     format_approx,
     format_exact,
     fr,
-    frac_to_int_rows,
     int_det,
     int_rank,
     parse_fraction,
     primitive_int_vec,
-    rank,
     solve_linear,
     vec,
 )
-from oracles import cofactor_det
+from oracles import affine_rank, cofactor_det, rank
 
 ints = st.integers(min_value=-30, max_value=30)
 fracs = st.fractions(min_value=-20, max_value=20, max_denominator=12)
@@ -85,7 +82,7 @@ def test_primitive_int_vec_properties(v):
     first_p = next(x for x in p if x != 0)
     first_v = next(x for x in v if x != 0)
     assert (first_p > 0) == (first_v > 0)
-    assert rank((vec(v), vec(p))) == 1
+    assert int_rank((tuple(v), p)) == 1
 
 
 @given(st.lists(ints, min_size=1, max_size=6).filter(lambda v: any(v)), st.integers(min_value=1, max_value=9))
@@ -116,6 +113,10 @@ def test_affine_rank_translation_invariant(pts):
     shift = vec([Fraction(7, 3), Fraction(-2), Fraction(1, 5)])
     moved = [vec(p[i] + shift[i] for i in range(3)) for p in pts]
     assert affine_rank(tuple(vec(p) for p in pts)) == affine_rank(tuple(moved))
+    # one common denominator turns the difference rows into integer rows of the same rank
+    d = common_denominator(x for p in pts for x in p)
+    diffs = [tuple(int((x - y) * d) for x, y in zip(p, pts[0])) for p in pts[1:]]
+    assert int_rank(diffs) == affine_rank(tuple(vec(p) for p in pts))
 
 
 def test_affine_rank_examples():
@@ -123,6 +124,9 @@ def test_affine_rank_examples():
     assert affine_rank((vec([0, 0]),)) == 0
     assert affine_rank((vec([0, 0]), vec([1, 1]), vec([2, 2]))) == 1
     assert affine_rank((vec([0, 0]), vec([1, 0]), vec([0, 1]))) == 2
+    assert int_rank([(1, 1), (2, 2)]) == 1
+    assert int_rank([(1, 0), (0, 1)]) == 2
+    assert int_rank([]) == 0
 
 
 @given(fracs)
@@ -151,18 +155,6 @@ def test_common_denominator_and_scaling(xs):
     iv = tuple(int(x * d) for x in xs)
     assert all(isinstance(x, int) for x in iv)
     assert all(Fraction(num, d) == orig for num, orig in zip(iv, xs))
-
-
-@given(st.lists(st.lists(fracs, min_size=3, max_size=3), min_size=1, max_size=4))
-@settings(max_examples=60)
-def test_frac_to_int_rows_preserves_row_spans(rows):
-    m = [vec(r) for r in rows]
-    ints_rows = frac_to_int_rows(m)
-    for orig, conv in zip(m, ints_rows):
-        if all(x == 0 for x in orig):
-            assert all(x == 0 for x in conv)
-        else:
-            assert rank((orig, vec(conv))) == 1
 
 
 def test_fr_accepts_common_inputs():

@@ -23,11 +23,9 @@ from mahlerlab.volprod import (
     combine_stability_constants,
     corner_bound_factor,
     corner_bound_instance,
-    euclidean_ball_product_float,
     mahler_bound,
     meyer_inequality_check,
     near_minimal_sections_check,
-    santalo_upper_check,
     section_membership_vector,
     section_products,
     truncated_cube,
@@ -263,13 +261,3 @@ def test_combine_stability_constants_rejects_nonpositive():
     with pytest.raises(PreconditionError):
         combine_stability_constants(1, 1, 1, 0)
 
-
-def test_euclidean_ball_product_float():
-    assert euclidean_ball_product_float(1) == pytest.approx(4.0)
-    assert euclidean_ball_product_float(2) == pytest.approx(9.869604401089358)
-
-
-def test_santalo_upper_check():
-    prod, ball, ok = santalo_upper_check(cube(3))
-    assert ok and prod == pytest.approx(32 / 3) and prod < ball
-    assert santalo_upper_check(truncated_cube(4, F(7, 8)))[2]
