@@ -35,7 +35,6 @@ from .polytope import cross_polytope, cube, from_json_dict, is_unconditional, po
 from .ratlin import format_exact, parse_fraction
 from .stability import ExperimentConfig, probe_csv, stability_experiment, symmetric_probe
 from .volprod import (
-    corner_bound_instance,
     mahler_bound,
     meyer_inequality_check,
     near_minimal_sections_check,
@@ -173,7 +172,6 @@ def _suite_truncation() -> list[str]:
         lo = Fraction(n - 1, n)
         for k in range(9):
             t = lo + Fraction(k, 8) * (1 - lo)
-            corner_bound_instance(n, t)
             rep = verify_truncated_cube_bound(n, t)
             lines.append(
                 f"truncation n={n} t={format_exact(t)}: product {format_exact(rep.product)} "

@@ -255,15 +255,6 @@ CotreeShape = Union[str, tuple]
 # unlabeled canonical form used for enumeration: "leaf" or (op, (shapes...))
 
 
-def tree_support(t: HannerTree) -> set[int]:
-    if t[0] == "leaf":
-        return {t[1]}
-    out: set[int] = set()
-    for c in t[1]:
-        out |= tree_support(c)
-    return out
-
-
 def _validate_tree(t: HannerTree) -> list[int]:
     """Returns the leaf coordinates in traversal order; raises on bad shape."""
     if not isinstance(t, tuple) or len(t) != 2:

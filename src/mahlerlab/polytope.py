@@ -248,10 +248,6 @@ def diagonal_image(p: Polytope, scales: Sequence[Fraction | int]) -> Polytope:
     return _make(p.dim, verts, facets)
 
 
-def scale(p: Polytope, factor: Fraction | int) -> Polytope:
-    return diagonal_image(p, [fr(factor)] * p.dim)
-
-
 def normalize_unconditional(p: Polytope) -> Polytope:
     """Diagonal rescale putting every +-e_i on the boundary.
 

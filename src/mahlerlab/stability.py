@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import math
 import random
-import warnings
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
@@ -46,7 +45,6 @@ from .graphs import (
 )
 from .polytope import (
     Polytope,
-    coordinate_section,
     cross_polytope,
     cube,
     from_halfspaces,
@@ -140,56 +138,41 @@ def glue_graphs(sections: Sequence[Graph]) -> Graph:
 # diagonal refinement (empty graph: compare against the cube)
 
 
-def diagonal_boundary_point(k: Polytope) -> Fraction:
-    """The exact t with (t, ..., t) on the boundary of a normalized body.
-
-    When every coordinate section is the full subcube, t >= (n-1)/n is a
-    theorem and is asserted; if that hypothesis fails the value is still
-    returned, with a warning instead of an assertion.
-    """
-    n = k.dim
-    if n < 2:
-        raise PreconditionError("diagonal point needs dimension at least 2")
-    if not is_unconditional(k):
-        raise PreconditionError("diagonal point is defined for unconditional bodies")
-    for i in range(n):
-        if gauge(k, unit_vec(n, i)) != 1:
-            raise PreconditionError("body is not normalized")
-    t = 1 / gauge(k, vec([1] * n))
-    sub = cube(n - 1)
-    if all(coordinate_section(k, j) == sub for j in range(n)):
-        if t < Fraction(n - 1, n):
-            raise FalsificationError(
-                f"diagonal point t = {format_exact(t)} below (n-1)/n with full cube sections"
-            )
-    else:
-        warnings.warn("coordinate sections are not full subcubes; t lower bound not asserted", stacklevel=2)
-    return t
-
-
 def diagonal_truncation_check(k: Polytope) -> tuple[Fraction, Fraction, Fraction]:
-    """Lower-bound check for a normalized body whose sections nearly fill the cube.
+    """Lower-bound check for an unconditional body whose sections nearly fill the cube.
 
     Inflates the body just enough that every coordinate section contains the
-    full subcube, caps it by the cube, and verifies the inflated body's
-    volume product against the truncated-cube factor at its diagonal point.
-    Returns (t, product, bound); a product below the bound is a falsification.
+    full subcube, caps it by the cube, and verifies the capped body's volume
+    product against the truncated-cube factor at its diagonal point t, where
+    (t, ..., t) is on its boundary.  Returns (t, product, bound); a t below
+    (n-1)/n or a product below the bound is a falsification.
+
+    No section is built.  A coordinate section keeps the gauge of every point
+    inside it, so section j is read through the all-ones vector with a 0 at
+    coordinate j; and a section of an unconditional body inside the cube is
+    the full subcube exactly when it holds that corner.  The one DD run is
+    the capped body's.
     """
     n = k.dim
     if n < 3:
         raise PreconditionError("the truncation bound needs dimension at least 3")
-    corner = vec([1] * (n - 1))
-    blow = max(gauge(coordinate_section(k, j), corner) for j in range(n))
+    if not is_unconditional(k):
+        raise PreconditionError("the truncation bound is stated for unconditional bodies")
+    corners = [vec(int(i != j) for i in range(n)) for j in range(n)]
+    blow = max(gauge(k, c) for c in corners)
     rows = [(a, b * blow) for a, b in k.facets]
     for i in range(n):
         rows.append((unit_vec(n, i), Fraction(1)))
         rows.append((vec(-x for x in unit_vec(n, i)), Fraction(1)))
     capped = from_halfspaces(rows, n)
-    sub = cube(n - 1)
-    for j in range(n):
-        if coordinate_section(capped, j) != sub:
+    for j, c in enumerate(corners):
+        if gauge(capped, c) != 1:
             raise ConsistencyError(f"inflated body's section {j} is not the full subcube")
-    t = diagonal_boundary_point(capped)
+    t = 1 / gauge(capped, vec([1] * n))
+    if t < Fraction(n - 1, n):
+        raise FalsificationError(
+            f"diagonal point t = {format_exact(t)} below (n-1)/n with full cube sections"
+        )
     product = volume(capped) * volume(polar(capped))
     bound = corner_bound_factor(n, t) * mahler_bound(n)
     if product < bound:

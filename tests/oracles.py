@@ -3,9 +3,11 @@
 Everything here favors obviousness over speed: cofactor expansion, subset
 enumeration, permutation scans, Gaussian elimination over the rationals for
 rank, recursive projection for volume, projection onto the affine hull of
-every small vertex subset for distance.  The only library pieces reused are
-public: low-level linear algebra (solve_linear, dot), membership and the
-canonical facet form, each covered by its own tests.
+every small vertex subset for distance, built sections for the truncation
+check.  The only library pieces reused are public: low-level linear algebra
+(solve_linear, dot), membership and the canonical facet form, each covered
+by its own tests, and for the truncation check the constructors, sections,
+gauge, polar, volume and the bound factors it is compared through.
 """
 
 from __future__ import annotations
@@ -13,9 +15,21 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import combinations, permutations, product as iter_product
 
-from mahlerlab.errors import ConsistencyError
-from mahlerlab.polytope import Polytope, canon_facet, membership
-from mahlerlab.ratlin import dot, solve_linear, vec, vsub
+from mahlerlab.errors import ConsistencyError, FalsificationError, PreconditionError
+from mahlerlab.polytope import (
+    Polytope,
+    canon_facet,
+    coordinate_section,
+    cube,
+    from_halfspaces,
+    gauge,
+    is_unconditional,
+    membership,
+    polar,
+    volume,
+)
+from mahlerlab.ratlin import dot, solve_linear, unit_vec, vec, vsub
+from mahlerlab.volprod import corner_bound_factor, mahler_bound
 
 
 def cofactor_det(m) -> Fraction:
@@ -275,3 +289,40 @@ def distance_sq_by_subsets(p: Polytope, x) -> Fraction:
                 best = d
     assert best is not None
     return best
+
+
+def diagonal_truncation_by_sections(k: Polytope) -> tuple[Fraction, Fraction, Fraction]:
+    """The diagonal truncation check with every coordinate section built.
+
+    The inflation is the largest gauge of the all-ones corner in a section of
+    the body; the capped body's sections are compared with the subcube; the
+    capped body must be unconditional and normalized before its diagonal
+    point t is read.  Returns (t, product, bound) and raises what the check
+    raises on a falsification.
+    """
+    n = k.dim
+    if n < 3:
+        raise PreconditionError("the truncation bound needs dimension at least 3")
+    corner = vec([1] * (n - 1))
+    blow = max(gauge(coordinate_section(k, j), corner) for j in range(n))
+    rows = [(a, b * blow) for a, b in k.facets]
+    for i in range(n):
+        rows.append((unit_vec(n, i), Fraction(1)))
+        rows.append((vec(-x for x in unit_vec(n, i)), Fraction(1)))
+    capped = from_halfspaces(rows, n)
+    sub = cube(n - 1)
+    for j in range(n):
+        if coordinate_section(capped, j) != sub:
+            raise ConsistencyError(f"inflated body's section {j} is not the full subcube")
+    if not is_unconditional(capped):
+        raise PreconditionError("diagonal point is defined for unconditional bodies")
+    if any(gauge(capped, unit_vec(n, i)) != 1 for i in range(n)):
+        raise PreconditionError("body is not normalized")
+    t = 1 / gauge(capped, vec([1] * n))
+    if t < Fraction(n - 1, n):
+        raise FalsificationError("diagonal point below (n-1)/n with full cube sections")
+    product = volume(capped) * volume(polar(capped))
+    bound = corner_bound_factor(n, t) * mahler_bound(n)
+    if product < bound:
+        raise FalsificationError("diagonal truncation bound failed")
+    return t, product, bound

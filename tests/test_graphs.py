@@ -37,7 +37,6 @@ from mahlerlab.graphs import (
     tree_from_json_dict,
     tree_graph,
     tree_to_json_dict,
-    tree_support,
 )
 from mahlerlab.polytope import (
     cross_polytope,
@@ -188,7 +187,7 @@ def test_enumeration_resource_guards():
 
 def test_tree_support_and_validation():
     t = ("l1", (("leaf", 0), ("linf", (("leaf", 1), ("leaf", 2)))))
-    assert tree_support(t) == {0, 1, 2}
+    assert tree_graph(t).n == 3
     with pytest.raises(PreconditionError):
         hanner_from_tree(("l1", (("leaf", 0), ("leaf", 0))))
     with pytest.raises(PreconditionError):
@@ -228,7 +227,7 @@ def test_cotree_shapes_align_with_class_counts():
         assert len(cotree_shapes(n)) == len(enumerate_p4_free_classes(n))
     for shape in cotree_shapes(4):
         t = label_shape(shape)
-        assert tree_support(t) == {0, 1, 2, 3}
+        assert tree_graph(t).n == 4
         body = hanner_from_tree(t)
         assert volume(body) * volume(polar(body)) == F(4**4) / 24
 

@@ -4,6 +4,7 @@ import re
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
 
 from mahlerlab.errors import (
     AmbiguousSectionError,
@@ -34,7 +35,6 @@ from mahlerlab.polytope import (
     is_unconditional,
     normalize_unconditional,
     polar,
-    scale,
     volume,
 )
 from mahlerlab.stability import (
@@ -42,7 +42,6 @@ from mahlerlab.stability import (
     EXPERIMENT_CSV_HEADER,
     PROBE_CSV_HEADER,
     ExperimentConfig,
-    diagonal_boundary_point,
     diagonal_truncation_check,
     exact_median,
     glue_graphs,
@@ -55,7 +54,9 @@ from mahlerlab.stability import (
     symmetric_probe,
     trial_base_graphs,
 )
-from mahlerlab.volprod import mahler_bound
+from mahlerlab.volprod import mahler_bound, truncated_cube
+from oracles import diagonal_truncation_by_sections
+from test_polytope import symmetric_body
 
 F = Fraction
 
@@ -103,40 +104,69 @@ def test_glue_preconditions():
 # diagonal refinement
 
 
-def test_diagonal_boundary_point_values():
-    assert diagonal_boundary_point(cube(3)) == 1
-    from mahlerlab.volprod import truncated_cube
-
-    assert diagonal_boundary_point(truncated_cube(3, F(2, 3))) == F(2, 3)
-    assert diagonal_boundary_point(truncated_cube(4, F(9, 10))) == F(9, 10)
-
-
-def test_diagonal_boundary_point_warns_without_cube_sections():
-    with pytest.warns(UserWarning):
-        t = diagonal_boundary_point(cross_polytope(3))
-    assert t == F(1, 3)
-
-
-def test_diagonal_boundary_point_preconditions():
-    with pytest.raises(PreconditionError):
-        diagonal_boundary_point(scale(cube(3), 2))  # not normalized
-    with pytest.raises(PreconditionError):
-        diagonal_boundary_point(interval())
-    tilted = from_vertices([(1, 0), (0, 1), (-1, 0), (0, -1), (1, 1)])
-    with pytest.raises(PreconditionError):
-        diagonal_boundary_point(tilted)
+def test_diagonal_truncation_check_values():
+    # t is the diagonal point of the capped body; a body whose sections are
+    # full subcubes is its own capped body
+    assert diagonal_truncation_check(cube(3))[0] == 1
+    assert diagonal_truncation_check(truncated_cube(3, F(2, 3)))[0] == F(2, 3)
+    assert diagonal_truncation_check(truncated_cube(4, F(9, 10)))[0] == F(9, 10)
 
 
 def test_diagonal_truncation_check_on_cube_and_truncation():
     t, product, bound = diagonal_truncation_check(cube(3))
     assert (t, product, bound) == (1, F(32, 3), F(32, 3))
-    from mahlerlab.volprod import truncated_cube
-
     t, product, bound = diagonal_truncation_check(truncated_cube(3, F(9, 10)))
     assert t == F(9, 10)
     assert product > bound > mahler_bound(3)
+
+
+def test_diagonal_truncation_check_preconditions():
     with pytest.raises(PreconditionError):
         diagonal_truncation_check(cube(2))
+    with pytest.raises(PreconditionError):
+        diagonal_truncation_check(interval())
+    tilted = from_vertices([(1, 0, 0), (0, 1, 0), (0, 0, 1), (-1, 0, 0), (0, -1, 0), (0, 0, -1), (1, 1, 1)])
+    with pytest.raises(PreconditionError, match="unconditional"):
+        diagonal_truncation_check(tilted)
+    # centrally symmetric but not unconditional: one antipodal pair of cube
+    # corners moved off the sign orbit of the others
+    jittered = from_vertices(
+        [
+            (s * x, s * y, s * z)
+            for x, y, z in [(1, 1, 1), (1, 1, -1), (1, -1, 1), (F(11, 10), F(-9, 10), -1)]
+            for s in (1, -1)
+        ]
+    )
+    assert not is_unconditional(jittered)
+    with pytest.raises(PreconditionError, match="unconditional"):
+        diagonal_truncation_check(jittered)
+
+
+@given(symmetric_body(dim=3))
+@settings(max_examples=25, deadline=None)
+def test_diagonal_truncation_check_matches_sections_oracle(p):
+    kn = normalize_unconditional(p)
+    for body in (kn, polar(kn)):
+        assert diagonal_truncation_check(body) == diagonal_truncation_by_sections(body)
+
+
+def test_diagonal_truncation_check_matches_sections_oracle_on_fixed_bodies():
+    bodies = [truncated_cube(4, F(7, 8))]
+    for n in (3, 4):
+        for g in enumerate_p4_free_labeled(n):
+            h = polytope_from_graph(g)
+            bodies += [h, polar(h)]
+    for body in bodies:
+        assert diagonal_truncation_check(body) == diagonal_truncation_by_sections(body)
+
+
+def test_diagonal_truncation_check_runs_one_dd_conversion(dd_runs):
+    # the capped body is the one conversion; its sections are read from the gauge
+    bodies = [cube(3), cube(4), truncated_cube(3, F(5, 6)), truncated_cube(4, F(7, 8))]
+    for body in bodies:
+        dd_runs.clear()
+        diagonal_truncation_check(body)
+        assert len(dd_runs) == 1
 
 
 # ---------------------------------------------------------------------------
@@ -179,8 +209,6 @@ def test_reconstruct_path_ball_is_case_two():
 
 
 def test_reconstruct_truncated_cube_lands_on_cube_case():
-    from mahlerlab.volprod import truncated_cube
-
     body = truncated_cube(3, F(9, 10))
     rec = reconstruct_hanner(body)
     assert rec.case_tag == "caseI-cube"
@@ -242,8 +270,6 @@ def test_band_flags_margins_inside_it():
 
 
 def test_bruteforce_nearest_frozen_and_consistency():
-    from mahlerlab.volprod import truncated_cube
-
     g, d = nearest_hanner_bruteforce(truncated_cube(3, F(5, 6)))
     assert g == empty_graph(3)
     assert d == F(1, 12)

@@ -174,6 +174,10 @@ def test_truncated_cube_construction():
     k = truncated_cube(3, F(2, 3))
     assert volume(k) == F(20, 3)
     assert k.n_vertices == 12 and k.n_facets == 14
+    # the sections asserted from the gauge are the full subcube when built
+    for n, t in ((3, F(2, 3)), (4, F(7, 8))):
+        k = truncated_cube(n, t)
+        assert all(coordinate_section(k, j) == cube(n - 1) for j in range(n))
     assert truncated_cube(3, 1) == cube(3)
     with pytest.raises(PreconditionError):
         truncated_cube(3, F(1, 2))
@@ -225,6 +229,12 @@ def test_truncated_cube_bound_interior_point():
     rep = verify_truncated_cube_bound(4, F(7, 8))
     assert rep.slack_factor > 0 and rep.slack_quadrant > 0
     assert rep.factor == corner_bound_factor(4, F(7, 8))
+
+
+def test_truncated_cube_bound_runs_three_dd_conversions(dd_runs):
+    # the truncated cube and the two corner pieces; no section is built
+    verify_truncated_cube_bound(4, F(7, 8))
+    assert len(dd_runs) == 3
 
 
 # ---------------------------------------------------------------------------
