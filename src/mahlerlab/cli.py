@@ -17,7 +17,7 @@ import sys
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .errors import FalsificationError, FormatError, GeometryError, ResourceError
+from .errors import FalsificationError, FormatError, ResourceError
 from .graphs import (
     complement,
     cotree_shapes,
@@ -325,9 +325,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except (FormatError, ResourceError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except GeometryError as exc:
-        print(f"internal error: {exc}", file=sys.stderr)
-        return 4
     except Exception as exc:  # noqa: BLE001 - last-resort exit-code mapping
         print(f"internal error: {exc}", file=sys.stderr)
         return 4

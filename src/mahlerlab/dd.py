@@ -28,7 +28,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from .errors import DimensionError, UnboundedError
-from .ratlin import Vec, common_denominator, int_det, int_rank, primitive_int_vec
+from .ratlin import Vec, common_denominator, int_det, primitive_int_vec
 
 IntVec = tuple[int, ...]
 
@@ -52,12 +52,22 @@ def extreme_rays(rows: Sequence[IntVec]) -> tuple[list[IntVec], list[int]]:
         raise DimensionError("no rows")
     d = len(rows[0])
 
+    # The first d independent rows form the basis.  Each row is reduced
+    # against the echelon pivots found so far; it is independent exactly when
+    # something is left, and what is left becomes the next pivot.
     basis: list[int] = []
     basis_rows: list[IntVec] = []
+    pivots: list[tuple[int, IntVec]] = []
     for i, r in enumerate(rows):
-        if int_rank(basis_rows + [r]) > len(basis):
+        for c, p in pivots:
+            a, b = r[c], p[c]
+            if a:
+                r = primitive_int_vec(tuple(b * x - a * y for x, y in zip(r, p)))
+        lead = next((c for c, x in enumerate(r) if x), None)
+        if lead is not None:
+            pivots.append((lead, r))
             basis.append(i)
-            basis_rows.append(r)
+            basis_rows.append(rows[i])
             if len(basis) == d:
                 break
     if len(basis) < d:

@@ -4,6 +4,11 @@ Graphs live on vertices 0..n-1 with adjacency stored as bitmasks, which keeps
 every hot operation (complement, induced subgraph, independent-set search) a
 couple of integer instructions.  The JSON interchange format is 1-based.
 
+P4-free graphs (cographs) are generated only from cotrees: the canonical
+unlabeled cotrees give one representative per isomorphism class, and the
+labeled graphs are the orbits of those representatives under swaps of
+neighbouring labels.
+
 The bridge to geometry: a graph yields the polytope whose vertices are all
 sign vectors supported on its maximal independent sets.  For P4-free graphs
 this is exactly the Hanner polytope built by nesting l1 and linf sums along
@@ -61,9 +66,6 @@ class Graph:
             for j in range(i + 1, self.n):
                 if (self.adj[i] >> j & 1) != (self.adj[j] >> i & 1):
                     raise ConsistencyError(f"adjacency not symmetric at ({i}, {j})")
-
-    def degree(self, i: int) -> int:
-        return self.adj[i].bit_count()
 
 
 def from_edges(n: int, edges: Iterable[tuple[int, int]]) -> Graph:
@@ -381,57 +383,38 @@ def enumerate_p4_free_classes(n: int) -> list[Graph]:
     return [tree_graph(label_shape(s)) for s in cotree_shapes(n)]
 
 
-def enumerate_p4_free_labeled(n: int) -> list[Graph]:
-    """Every labeled P4-free graph on vertices 0..n-1.
+def _swap_labels(adj: tuple[int, ...], i: int) -> tuple[int, ...]:
+    """The same graph with labels i and i+1 exchanged."""
+    out = list(adj)
+    out[i], out[i + 1] = out[i + 1], out[i]
+    pair = 3 << i
+    for k, m in enumerate(out):
+        if (m >> i ^ m >> (i + 1)) & 1:
+            out[k] = m ^ pair
+    return tuple(out)
 
-    Recursive component decomposition: a disconnected cograph is a connected
-    cograph on the part holding the smallest label plus any cograph on the
-    rest, and the connected ones on >= 2 vertices are exactly the complements
-    of the disconnected ones.
+
+def enumerate_p4_free_labeled(n: int) -> list[Graph]:
+    """Every labeled P4-free graph on vertices 0..n-1, sorted by adjacency.
+
+    Each labeled graph is a relabeling of exactly one class representative,
+    and swaps of neighbouring labels generate every relabeling, so closing
+    the representatives under those swaps lists each graph once.
     """
     if not 1 <= n <= 8:
         raise ResourceError("labeled enumeration is intended for n <= 8")
-
-    def comp_edges(labels: tuple[int, ...], es: frozenset) -> frozenset:
-        return frozenset(pq for pq in combinations(labels, 2) if pq not in es)
-
-    memo_all: dict[tuple[int, ...], list[frozenset]] = {}
-    memo_conn: dict[tuple[int, ...], list[frozenset]] = {}
-    memo_disc: dict[tuple[int, ...], list[frozenset]] = {}
-
-    def disc(labels: tuple[int, ...]) -> list[frozenset]:
-        if labels in memo_disc:
-            return memo_disc[labels]
-        rest_pool = labels[1:]
-        found: list[frozenset] = []
-        for mask in range((1 << len(rest_pool)) - 1):  # proper subsets of the rest
-            s = (labels[0],) + tuple(v for k, v in enumerate(rest_pool) if mask >> k & 1)
-            rest = tuple(v for k, v in enumerate(rest_pool) if not mask >> k & 1)
-            for c in conn(s):
-                for g in allg(rest):
-                    found.append(c | g)
-        memo_disc[labels] = found
-        return found
-
-    def conn(labels: tuple[int, ...]) -> list[frozenset]:
-        if labels not in memo_conn:
-            if len(labels) == 1:
-                memo_conn[labels] = [frozenset()]
-            else:
-                memo_conn[labels] = [comp_edges(labels, d) for d in disc(labels)]
-        return memo_conn[labels]
-
-    def allg(labels: tuple[int, ...]) -> list[frozenset]:
-        if labels not in memo_all:
-            if len(labels) == 1:
-                memo_all[labels] = [frozenset()]
-            else:
-                memo_all[labels] = disc(labels) + conn(labels)
-        return memo_all[labels]
-
-    result = [from_edges(n, sorted(es)) for es in allg(tuple(range(n)))]
-    result.sort(key=lambda g: g.adj)
-    return result
+    seen: set[tuple[int, ...]] = set()
+    for g in enumerate_p4_free_classes(n):
+        seen.add(g.adj)
+        todo = [g.adj]
+        while todo:
+            adj = todo.pop()
+            for i in range(n - 1):
+                nxt = _swap_labels(adj, i)
+                if nxt not in seen:
+                    seen.add(nxt)
+                    todo.append(nxt)
+    return [Graph(n, adj) for adj in sorted(seen)]
 
 
 def enumerate_standard_hanner(n: int, dedup: bool = False) -> list[tuple[Graph, Polytope]]:

@@ -133,29 +133,14 @@ def from_halfspaces(ineqs: Sequence[tuple[Sequence[Fraction | int], Fraction | i
 
 def cube(n: int) -> Polytope:
     """[-1, 1]^n, built directly."""
-    verts = []
-    for m in range(1 << n):
-        verts.append(tuple(Fraction(1 if m >> i & 1 else -1) for i in range(n)))
-    facets = []
-    for i in range(n):
-        e = unit_vec(n, i)
-        facets.append((e, Fraction(1)))
-        facets.append((tuple(-x for x in e), Fraction(1)))
-    return _make(n, verts, facets)
+    facets = [(e, Fraction(1)) for i in range(n) for e in sign_orbit(unit_vec(n, i))]
+    return _make(n, sign_orbit((Fraction(1),) * n), facets)
 
 
 def cross_polytope(n: int) -> Polytope:
     """conv(+-e_i), the unit l1 ball, built directly."""
-    verts = []
-    for i in range(n):
-        e = unit_vec(n, i)
-        verts.append(e)
-        verts.append(tuple(-x for x in e))
-    facets = []
-    for m in range(1 << n):
-        s = tuple(Fraction(1 if m >> i & 1 else -1) for i in range(n))
-        facets.append((s, Fraction(1)))
-    return _make(n, verts, facets)
+    verts = [e for i in range(n) for e in sign_orbit(unit_vec(n, i))]
+    return _make(n, verts, [(s, Fraction(1)) for s in sign_orbit((Fraction(1),) * n)])
 
 
 def interval(radius: Fraction | int = 1) -> Polytope:
@@ -203,9 +188,9 @@ def polar(p: Polytope) -> Polytope:
     """Polar dual.  Exact and free: vertices and facet normals swap roles."""
     if not contains_origin_interior(p):
         raise PolarityDomainError("polar needs the origin in the interior")
-    verts = [a for a, _ in p.facets]
-    facets = [(v, Fraction(1)) for v in p.vertices]
-    return _make(p.dim, verts, facets)
+    # every offset is 1, so the sorted facets list their normals in sorted
+    # order, and each sorted vertex v gives the canonical facet (v, 1)
+    return Polytope(p.dim, tuple(a for a, _ in p.facets), tuple((v, Fraction(1)) for v in p.vertices))
 
 
 def sign_orbit(v: Sequence[Fraction]) -> list[Vec]:

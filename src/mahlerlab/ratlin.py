@@ -7,11 +7,12 @@ row tuples; both are immutable and hashable so geometric objects built from
 them can be cached and compared exactly.
 
 Hot loops (volume determinants, the conversion engine) clear denominators
-once and run on plain Python integers through ``int_det``, ``int_rank`` and
+once and run on plain Python integers through ``int_det`` and
 ``primitive_int_vec``, which is several times faster than Fraction arithmetic
-and just as exact.  Two Fraction entry points remain: ``solve_linear``, the
-small Gram systems of Wolfe's min-norm point, and ``determinant``, which no
-package code calls any more but the benchmark's tracer still binds by name.
+and just as exact.  One Fraction entry point serves the package:
+``solve_linear``, the small Gram systems of Wolfe's min-norm point.
+``int_rank`` and ``determinant`` have no package caller any more; they stay
+only because the benchmark's tracer still binds them by name.
 """
 
 from __future__ import annotations

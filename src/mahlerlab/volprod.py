@@ -17,7 +17,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product as iter_product
-from typing import Optional, Sequence
 
 from .errors import FalsificationError, PreconditionError
 from .polytope import (
@@ -31,9 +30,10 @@ from .polytope import (
     is_unconditional,
     membership,
     polar,
+    sign_orbit,
     volume,
 )
-from .ratlin import dot, format_approx, format_exact, fr, vec
+from .ratlin import dot, format_approx, format_exact, fr, unit_vec, vec
 
 
 def _rat_json(x: Fraction) -> dict:
@@ -175,17 +175,6 @@ class MeyerReport:
     verdict: bool
     is_equality: bool
 
-    def to_json_dict(self) -> dict:
-        return {
-            "body_id": self.body_id,
-            "n": self.n,
-            "product": _rat_json(self.product),
-            "section_sum": _rat_json(self.section_sum),
-            "per_section": [_rat_json(x) for x in self.per_section],
-            "verdict": self.verdict,
-            "is_equality": self.is_equality,
-        }
-
 
 def meyer_inequality_check(k: Polytope, body_id: str = "") -> MeyerReport:
     """P(K) >= (4/n^2) * sum_j P(K cap e_j-perp), exactly.
@@ -235,20 +224,6 @@ class SectionBoundReport:
     per_section: tuple[Fraction, ...]
     margins: tuple[Fraction, ...]
     conclusion_holds: bool
-
-    def to_json_dict(self) -> dict:
-        return {
-            "body_id": self.body_id,
-            "n": self.n,
-            "eps": _rat_json(self.eps),
-            "product": _rat_json(self.product),
-            "hypothesis_bound": _rat_json(self.hypothesis_bound),
-            "hypothesis_holds": self.hypothesis_holds,
-            "conclusion_bound": _rat_json(self.conclusion_bound),
-            "per_section": [_rat_json(x) for x in self.per_section],
-            "margins": [_rat_json(x) for x in self.margins],
-            "conclusion_holds": self.conclusion_holds,
-        }
 
 
 def near_minimal_sections_check(k: Polytope, eps, body_id: str = "") -> SectionBoundReport:
@@ -307,14 +282,8 @@ def truncated_cube(n: int, t) -> Polytope:
         raise PreconditionError("truncated cubes need dimension at least 2")
     if not Fraction(n - 1, n) <= t <= 1:
         raise PreconditionError(f"t = {format_exact(t)} outside [(n-1)/n, 1]")
-    rows: list[tuple] = []
-    for i in range(n):
-        e = [Fraction(0)] * n
-        e[i] = Fraction(1)
-        rows.append((vec(e), Fraction(1)))
-        rows.append((vec(-x for x in e), Fraction(1)))
-    for signs in iter_product((1, -1), repeat=n):
-        rows.append((vec(signs), n * t))
+    rows = [(e, Fraction(1)) for i in range(n) for e in sign_orbit(unit_vec(n, i))]
+    rows += [(s, n * t) for s in sign_orbit((Fraction(1),) * n)]
     k = from_halfspaces(rows, n)
     assert all(gauge(k, vec(int(i != j) for i in range(n))) == 1 for j in range(n))
     assert gauge(k, vec([t] * n)) == 1
@@ -343,12 +312,7 @@ def _corner_pieces(n: int, t: Fraction, q: tuple[Fraction, ...]) -> tuple[Polyto
         raise FalsificationError(
             f"corner piece volume {format_exact(got_p)} != closed form {format_exact(want_p)}"
         )
-    qts = [vec([Fraction(0)] * n)]
-    for i in range(n):
-        e = [Fraction(0)] * n
-        e[i] = Fraction(1)
-        qts.append(vec(e))
-    qts.append(vec(q))
+    qts = [vec([0] * n)] + [unit_vec(n, i) for i in range(n)] + [q]
     polar_piece = from_vertices(qts)
     want_q = Fraction(1, math.factorial(n)) / t
     got_q = volume(polar_piece)
@@ -364,7 +328,7 @@ class CornerBoundInstance:
     """One truncated-cube corner configuration.
 
     boundary_point is the diagonal point (t, ..., t) on the body's boundary;
-    polar_point is a positive vector with coordinate sum 1/t, so the two have
+    polar_point is the diagonal point (1/(nt), ..., 1/(nt)), so the two have
     inner product exactly 1.  The two pieces live in the positive orthant and
     their volumes were asserted against the closed forms at construction.
     """
@@ -378,24 +342,13 @@ class CornerBoundInstance:
     corner_constant: Fraction  # 1 - 1/(n-1)!
 
 
-def corner_bound_instance(n: int, t, q: Optional[Sequence] = None) -> CornerBoundInstance:
+def corner_bound_instance(n: int, t) -> CornerBoundInstance:
     t = fr(t)
     if n < 3:
         raise PreconditionError("corner instances need dimension at least 3")
     if not Fraction(n - 1, n) <= t <= 1:
         raise PreconditionError(f"t = {format_exact(t)} outside [(n-1)/n, 1]")
-    if q is None:
-        qv = vec([Fraction(1, n) / t] * n)
-    else:
-        qv = vec([fr(x) for x in q])
-        if len(qv) != n:
-            raise PreconditionError("q must have one coordinate per dimension")
-        if any(x <= 0 for x in qv):
-            raise PreconditionError("q must lie in the open positive orthant")
-        if sum(qv) != Fraction(1) / t:
-            raise PreconditionError(
-                f"q coordinates must sum to 1/t = {format_exact(Fraction(1) / t)}"
-            )
+    qv = vec([1 / (n * t)] * n)
     p = vec([t] * n)
     assert dot(p, qv) == 1
     body_piece, polar_piece = _corner_pieces(n, t, qv)
@@ -422,21 +375,8 @@ class TruncatedCubeReport:
     slack_quadrant: Fraction
     verdict: bool
 
-    def to_json_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "t": _rat_json(self.t),
-            "product": _rat_json(self.product),
-            "factor": _rat_json(self.factor),
-            "factor_bound": _rat_json(self.factor_bound),
-            "quadrant_bound": _rat_json(self.quadrant_bound),
-            "slack_factor": _rat_json(self.slack_factor),
-            "slack_quadrant": _rat_json(self.slack_quadrant),
-            "verdict": self.verdict,
-        }
 
-
-def verify_truncated_cube_bound(n: int, t, q: Optional[Sequence] = None) -> TruncatedCubeReport:
+def verify_truncated_cube_bound(n: int, t) -> TruncatedCubeReport:
     """Check |K||K polar| against both corner-derived lower bounds, exactly.
 
     The quadrant bound 4^n |P| |Q| uses the symmetric case where all sign
@@ -444,7 +384,7 @@ def verify_truncated_cube_bound(n: int, t, q: Optional[Sequence] = None) -> Trun
     cube's product by corner_bound_factor.  Either failing raises, since both
     are proven inequalities for this family.
     """
-    inst = corner_bound_instance(n, t, q)
+    inst = corner_bound_instance(n, t)
     k = truncated_cube(n, inst.t)
     rep = volume_product(k, body_id=f"truncated_cube({n}, {format_exact(inst.t)})")
     factor = corner_bound_factor(n, inst.t)

@@ -4,10 +4,12 @@ Everything here favors obviousness over speed: cofactor expansion, subset
 enumeration, permutation scans, Gaussian elimination over the rationals for
 rank, recursive projection for volume, projection onto the affine hull of
 every small vertex subset for distance, built sections for the truncation
-check.  The only library pieces reused are public: low-level linear algebra
-(solve_linear, dot), membership and the canonical facet form, each covered
-by its own tests, and for the truncation check the constructors, sections,
-gauge, polar, volume and the bound factors it is compared through.
+check, component recursion for the labeled P4-free graphs.  The only library
+pieces reused are public: low-level linear algebra (solve_linear, dot),
+membership and the canonical facet form, each covered by its own tests, for
+the truncation check the constructors, sections, gauge, polar, volume and
+the bound factors it is compared through, and the graph constructor
+``from_edges``.
 """
 
 from __future__ import annotations
@@ -16,6 +18,7 @@ from fractions import Fraction
 from itertools import combinations, permutations, product as iter_product
 
 from mahlerlab.errors import ConsistencyError, FalsificationError, PreconditionError
+from mahlerlab.graphs import from_edges
 from mahlerlab.polytope import (
     Polytope,
     canon_facet,
@@ -227,6 +230,40 @@ def independent_sets_exhaustive(g) -> list[int]:
         if ok:
             indep.append(mask)
     return sorted(m for m in indep if not any(m != o and m & o == m for o in indep))
+
+
+def p4_free_labeled_by_components(n: int) -> list:
+    """Every labeled P4-free graph on 0..n-1, sorted by adjacency.
+
+    A disconnected cograph is a connected cograph on the part holding the
+    smallest label plus any cograph on the rest, and the connected ones on
+    >= 2 vertices are exactly the complements of the disconnected ones.
+    Graphs are frozensets of edges (i, j) with i < j.
+    """
+    memo_disc: dict = {}
+
+    def disc(labels):
+        if labels not in memo_disc:
+            first, pool = labels[0], labels[1:]
+            found = []
+            for mask in range((1 << len(pool)) - 1):  # proper subsets of the rest
+                part = (first,) + tuple(v for k, v in enumerate(pool) if mask >> k & 1)
+                rest = tuple(v for k, v in enumerate(pool) if not mask >> k & 1)
+                cs, gs = conn(part), every(rest)
+                found.extend(c | g for c in cs for g in gs)
+            memo_disc[labels] = found
+        return memo_disc[labels]
+
+    def conn(labels):
+        if len(labels) == 1:
+            return [frozenset()]
+        pairs = frozenset(combinations(labels, 2))
+        return [pairs - d for d in disc(labels)]
+
+    def every(labels):
+        return [frozenset()] if len(labels) == 1 else disc(labels) + conn(labels)
+
+    return sorted((from_edges(n, es) for es in every(tuple(range(n)))), key=lambda g: g.adj)
 
 
 def canonical_graph_key(g) -> tuple:

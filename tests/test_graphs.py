@@ -51,6 +51,7 @@ from oracles import (
     canonical_graph_key,
     has_induced_p4_by_orderings,
     independent_sets_exhaustive,
+    p4_free_labeled_by_components,
 )
 
 F = Fraction
@@ -161,6 +162,11 @@ def test_labeled_enumeration_matches_brute_filter(n):
     got = {g.adj for g in enumerate_p4_free_labeled(n)}
     want = {g.adj for g in all_graphs(n) if not has_induced_p4_by_orderings(g)}
     assert got == want
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+def test_labeled_enumeration_matches_component_recursion(n):
+    assert enumerate_p4_free_labeled(n) == p4_free_labeled_by_components(n)
 
 
 def test_class_enumeration_matches_brute_dedup():

@@ -106,6 +106,14 @@ def test_hull_drops_non_extreme_points():
     assert from_vertices(list(reversed(fat))) == base
 
 
+def test_dd_basis_skips_dependent_rows():
+    # in both inputs the third homogenized row depends on the first two
+    rows = [((1, 0), 1), ((0, 1), 1), ((1, 1), 2), ((-1, 0), 1), ((0, -1), 1)]
+    assert from_halfspaces(rows, 2) == cube(2)
+    square = [(1, 1), (1, -1), (-1, 1), (-1, -1)]
+    assert from_vertices([(1, 0), (-1, 0), (0, 0)] + square) == cube(2)
+
+
 def test_halfspaces_drop_redundant_rows():
     square = list(cube(2).facets)
     rows = square + [((F(1), F(0)), F(7)), ((F(1), F(1)), F(5))]
@@ -193,6 +201,24 @@ def test_polar_involution_and_count_swap(p):
     assert polar(q) == p
     assert (q.n_vertices, q.n_facets) == (p.n_facets, p.n_vertices)
     validate(q)
+
+
+@st.composite
+def body_around_origin(draw):
+    """A 3-body with the origin interior: a symmetric body or a general hull."""
+    if draw(st.booleans()):
+        return draw(symmetric_body(dim=3))
+    p = draw(general_body(dim=3))
+    assume(contains_origin_interior(p))
+    return p
+
+
+@given(body_around_origin())
+@settings(max_examples=60, deadline=None)
+def test_polar_matches_hull_of_facet_normals(p):
+    q = polar(p)
+    assert q == from_vertices([a for a, _ in p.facets])
+    assert polar(q) == p
 
 
 @given(symmetric_body(), st.tuples(coords, coords), st.tuples(coords, coords))

@@ -203,19 +203,6 @@ def test_corner_instance_piece_volumes():
     assert inst.corner_constant == F(1, 2)
 
 
-def test_corner_instance_custom_polar_point():
-    q = (F(1, 2), F(1, 2), F(1, 3))
-    inst = corner_bound_instance(3, F(3, 4), q=q)
-    assert inst.polar_point == q
-    assert volume(inst.polar_piece) == F(1, 6) / F(3, 4) / 1  # 1/(3! t)
-    with pytest.raises(PreconditionError):
-        corner_bound_instance(3, F(3, 4), q=(F(2), F(-1), F(1, 3)))
-    with pytest.raises(PreconditionError):
-        corner_bound_instance(3, F(3, 4), q=(F(1), F(1), F(1)))  # wrong sum
-    with pytest.raises(PreconditionError):
-        corner_bound_instance(3, F(3, 4), q=(F(1), F(1, 3)))  # wrong length
-
-
 def test_truncated_cube_bound_equality_at_left_endpoint():
     # at t = (n-1)/n the quadrant bound is attained exactly
     rep = verify_truncated_cube_bound(3, F(2, 3))
