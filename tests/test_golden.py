@@ -1,11 +1,13 @@
 """Golden outputs: the exact stdout bytes of fixed command-line runs.
 
-Each file under ``tests/golden/`` is the stdout of one ``cli.main`` call.
-Any change to the arithmetic, the reconstruction or the printed format that
+Each ``.txt`` file under ``tests/golden/`` is the stdout of one
+``cli.main`` call, run from that directory so that an input file committed
+there (``rational_body.json``) prints as a relative path.  Any change to the arithmetic, the reconstruction or the printed format that
 moves a single byte fails here.  After an intended output change, rewrite
 the files with ``PYTHONPATH=src python tests/test_golden.py``.
 """
 
+import os
 import sys
 from pathlib import Path
 
@@ -21,11 +23,14 @@ CASES = {
     "stability_delta_1-40": ["stability", "--n", "3", "--trials", "100", "--seed", "0", "--delta", "1/40"],
     "stability_probe_symmetric": ["stability", "--probe", "symmetric", "--n", "3", "--trials", "20", "--seed", "0"],
     **{f"verify_{suite}": ["verify", suite] for suite in cli.SUITES},
+    "hanner_enumerate_n3_dedup": ["hanner-enumerate", "--n", "3", "--dedup"],
+    "volprod_rational_body": ["volprod", "rational_body.json"],
 }
 
 
 @pytest.mark.parametrize("name", sorted(CASES))
-def test_golden_stdout(name, capsys):
+def test_golden_stdout(name, capsys, monkeypatch):
+    monkeypatch.chdir(GOLDEN)
     code = cli.main(CASES[name])
     out = capsys.readouterr().out
     assert code == 0
@@ -36,7 +41,7 @@ if __name__ == "__main__":
     import contextlib
     import io
 
-    GOLDEN.mkdir(exist_ok=True)
+    os.chdir(GOLDEN)
     for name, argv in sorted(CASES.items()):
         buf = io.StringIO()
         with contextlib.redirect_stdout(buf):
