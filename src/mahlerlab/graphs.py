@@ -441,11 +441,18 @@ def graph_to_json_dict(g: Graph) -> dict:
     return {"n": g.n, "edges": [[i + 1, j + 1] for i, j in edges(g)]}
 
 
+def _wire_int(x) -> int:
+    """An integer read from JSON; a bool or non-integral number is refused, not truncated."""
+    if isinstance(x, bool) or (isinstance(x, float) and not x.is_integer()):
+        raise ValueError(f"not an integer: {x!r}")
+    return int(x)
+
+
 def graph_from_json_dict(data: dict) -> Graph:
     """Parse 1-based {"n": ..., "edges": [[i, j], ...]}; strict about form."""
     try:
-        n = int(data["n"])
-        raw = [(int(i), int(j)) for i, j in data["edges"]]
+        n = _wire_int(data["n"])
+        raw = [(_wire_int(i), _wire_int(j)) for i, j in data["edges"]]
     except (KeyError, TypeError, ValueError) as exc:
         raise FormatError(f"bad graph payload: {exc}") from exc
     if not 1 <= n <= MAX_VERTICES:
@@ -472,7 +479,7 @@ def tree_from_json_dict(data: dict) -> HannerTree:
         raise FormatError(f"tree node must be an object, got {type(data).__name__}")
     if "leaf" in data:
         try:
-            i = int(data["leaf"])
+            i = _wire_int(data["leaf"])
         except (TypeError, ValueError) as exc:
             raise FormatError(f"bad leaf index: {data['leaf']!r}") from exc
         if i < 1:

@@ -210,6 +210,9 @@ def format_approx(x: Fraction) -> str:
 
 
 def parse_fraction(s: str) -> Fraction:
+    """Exact rational from a string or int; a float (already rounded) or bool is refused."""
+    if isinstance(s, (bool, float)):
+        raise ValueError(f"not an exact rational: {s!r}")
     try:
         return Fraction(s)
     except (ValueError, ZeroDivisionError) as e:

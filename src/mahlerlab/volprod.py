@@ -7,7 +7,10 @@ verdict.
 Conventions used throughout: bodies are polytopes with the origin interior;
 "section" means a coordinate-hyperplane section; for unconditional bodies the
 polar of a section equals the section of the polar, which is what makes the
-per-coordinate products on the right-hand sides below well defined.
+per-coordinate products on the right-hand sides below well defined.  The
+four section checks read one memoised table per body, ``_section_volumes``:
+it alone refuses a body that is not unconditional, applies counting measure
+to the one-point section of an interval, and builds each section once.
 """
 
 from __future__ import annotations
@@ -21,7 +24,6 @@ from itertools import product as iter_product
 from .errors import FalsificationError, PreconditionError
 from .polytope import (
     Polytope,
-    contains_origin_interior,
     coordinate_section,
     cube,
     from_halfspaces,
@@ -123,25 +125,20 @@ def volume_product(k: Polytope, body_id: str = "") -> VolumeProductReport:
 # coordinate sections
 
 
-def _section_volume(k: Polytope, j: int) -> Fraction:
-    # 0-dimensional sections ({0} of an interval) carry counting measure 1
+@lru_cache(maxsize=4096)
+def _section_volumes(k: Polytope) -> tuple[tuple[Fraction, Fraction], ...]:
+    """(|K cap e_j-perp|, |its polar|) for each coordinate j, memoised like ``volume``."""
+    if not is_unconditional(k):
+        raise PreconditionError("coordinate sections are read only for unconditional bodies")
     if k.dim == 1:
-        return Fraction(1)
-    return volume(coordinate_section(k, j))
+        return ((Fraction(1), Fraction(1)),)  # {0} under counting measure, and its polar
+    sections = (coordinate_section(k, j) for j in range(k.dim))
+    return tuple((volume(s), volume(polar(s))) for s in sections)
 
 
 def section_products(k: Polytope) -> list[Fraction]:
-    """Volume product of each coordinate section of an unconditional body.
-
-    The polar of a section of an unconditional body is the section of its
-    polar, so each section is built once and its polar read off directly.
-    """
-    if not is_unconditional(k):
-        raise PreconditionError("section products need an unconditional body")
-    if k.dim == 1:
-        return [Fraction(1)]  # {0} under counting measure, and its polar
-    sections = [coordinate_section(k, j) for j in range(k.dim)]
-    return [volume(s) * volume(polar(s)) for s in sections]
+    """Volume product of each coordinate section of an unconditional body."""
+    return [v * w for v, w in _section_volumes(k)]
 
 
 def section_membership_vector(k: Polytope) -> tuple[Fraction, ...]:
@@ -151,13 +148,8 @@ def section_membership_vector(k: Polytope) -> tuple[Fraction, ...]:
     membership is asserted exactly and its failure raises, since it would
     contradict a proven inequality rather than indicate bad input.
     """
-    if not is_unconditional(k):
-        raise PreconditionError("membership vector needs an unconditional body")
-    if not contains_origin_interior(k):
-        raise PreconditionError("membership vector needs the origin interior")
-    n = k.dim
-    vol_k = volume(k)
-    m = vec([2 * _section_volume(k, j) / (n * vol_k) for j in range(n)])
+    scale = 2 / (k.dim * volume(k))
+    m = vec([scale * v for v, _ in _section_volumes(k)])
     if membership(polar(k), m) == "outside":
         raise FalsificationError(
             f"section membership vector {tuple(map(format_exact, m))} fell outside the polar body"
@@ -182,11 +174,9 @@ def meyer_inequality_check(k: Polytope, body_id: str = "") -> MeyerReport:
     Proven for unconditional bodies, so a violation raises FalsificationError
     instead of returning a false verdict; equality is flagged when exact.
     """
-    if not is_unconditional(k):
-        raise PreconditionError("the section inequality is stated for unconditional bodies")
+    per = tuple(section_products(k))
     n = k.dim
     lhs = volume(k) * volume(polar(k))
-    per = tuple(section_products(k))
     rhs = Fraction(4, n * n) * sum(per)
     if lhs < rhs:
         raise FalsificationError(
@@ -231,16 +221,14 @@ def near_minimal_sections_check(k: Polytope, eps, body_id: str = "") -> SectionB
     eps = fr(eps)
     if eps < 0:
         raise PreconditionError("eps must be nonnegative")
-    if not is_unconditional(k):
-        raise PreconditionError("the section bound is stated for unconditional bodies")
     if k.dim < 2:
         raise PreconditionError("sections need dimension at least 2")
+    per = tuple(section_products(k))
     n = k.dim
     product = volume(k) * volume(polar(k))
     hyp_bound = (1 + eps) * mahler_bound(n)
     hyp = product <= hyp_bound
     con_bound = (1 + n * eps) * mahler_bound(n - 1)
-    per = tuple(section_products(k))
     margins = tuple(con_bound - x for x in per)
     con = all(m >= 0 for m in margins)
     if hyp and not con:

@@ -4,12 +4,13 @@ Everything here favors obviousness over speed: cofactor expansion, subset
 enumeration, permutation scans, Gaussian elimination over the rationals for
 rank, recursive projection for volume, projection onto the affine hull of
 every small vertex subset for distance, built sections for the truncation
-check, component recursion for the labeled P4-free graphs.  The only library
+check and for the section volumes of the section inequalities, component
+recursion for the labeled P4-free graphs.  The only library
 pieces reused are public: low-level linear algebra (solve_linear, dot),
 membership and the canonical facet form, each covered by its own tests, for
 the truncation check the constructors, sections, gauge, polar, volume and
-the bound factors it is compared through, and the graph constructor
-``from_edges``.
+the bound factors it is compared through, for the section volumes the
+sections, polar and volume, and the graph constructor ``from_edges``.
 """
 
 from __future__ import annotations
@@ -363,3 +364,30 @@ def diagonal_truncation_by_sections(k: Polytope) -> tuple[Fraction, Fraction, Fr
     if product < bound:
         raise FalsificationError("diagonal truncation bound failed")
     return t, product, bound
+
+
+def _section_volumes_by_rebuild(k: Polytope) -> list[Fraction]:
+    if not is_unconditional(k):
+        raise PreconditionError("coordinate sections are read only for unconditional bodies")
+    if k.dim == 1:
+        return [Fraction(1)]  # counting measure on the one-point section
+    return [volume(coordinate_section(k, j)) for j in range(k.dim)]
+
+
+def section_products_by_rebuild(k: Polytope) -> list[Fraction]:
+    """|K cap e_j-perp| * |K-polar cap e_j-perp|, every section built on the call.
+
+    Uses the section of the polar, not the polar of the section, so the two
+    sides of the unconditional duality are built independently.
+    """
+    vols = _section_volumes_by_rebuild(k)
+    if k.dim == 1:
+        return vols
+    pk = polar(k)
+    return [v * volume(coordinate_section(pk, j)) for j, v in enumerate(vols)]
+
+
+def section_membership_vector_by_rebuild(k: Polytope) -> tuple[Fraction, ...]:
+    """The vector 2|K cap e_j-perp| / (n |K|), every section built on the call."""
+    n = k.dim
+    return vec(2 * v / (n * volume(k)) for v in _section_volumes_by_rebuild(k))

@@ -313,6 +313,15 @@ def test_graph_json_validation():
         graph_from_json_dict({"n": 3, "edges": [[2, 1]]})  # wants i < j
     with pytest.raises(FormatError):
         graph_from_json_dict({"n": 3, "edges": [[1, 2], [1, 2]]})
+    # numbers are not truncated: 1.9 is not the vertex 1, and true is not 1
+    with pytest.raises(FormatError):
+        graph_from_json_dict({"n": 3, "edges": [[1.9, 3]]})
+    with pytest.raises(FormatError):
+        graph_from_json_dict({"n": 3, "edges": [[True, 3]]})
+    with pytest.raises(FormatError):
+        graph_from_json_dict({"n": 3.5, "edges": []})
+    with pytest.raises(FormatError):
+        graph_from_json_dict({"n": True, "edges": []})
 
 
 def test_tree_json_roundtrip_and_validation():
@@ -328,6 +337,12 @@ def test_tree_json_roundtrip_and_validation():
         tree_from_json_dict(["l1"])
     with pytest.raises(FormatError):
         tree_from_json_dict({"children": [{"leaf": 1}, {"leaf": 2}]})
+    with pytest.raises(FormatError):
+        tree_from_json_dict({"leaf": 2.7})
+    with pytest.raises(FormatError):
+        tree_from_json_dict({"leaf": True})
+    with pytest.raises(FormatError):
+        tree_from_json_dict({"op": "l1", "children": [{"leaf": 1}, {"leaf": 2.5}]})
 
 
 def test_tree_json_dicts_for_all_small_shapes():

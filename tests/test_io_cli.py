@@ -140,6 +140,32 @@ def test_volprod_inconsistent_payload(tmp_path, capsys):
     assert "not a vertex" in err
 
 
+def _float_vertex(doc):
+    doc["vertices"] = [[0.1, 0], ["-1", "0"], ["0", "1"], ["0", "-1"]]
+
+
+def _bool_vertex(doc):
+    doc["vertices"][3] = [True, True]  # the corner (1, 1)
+
+
+def _bool_offset(doc):
+    doc["halfspaces"][0]["offset"] = True
+
+
+@pytest.mark.parametrize("corrupt", [_float_vertex, _bool_vertex, _bool_offset])
+def test_volprod_refuses_json_floats_and_bools(tmp_path, capsys, corrupt):
+    # a JSON 0.1 is a binary double and true is not a number: reading either
+    # as a rational would give the exact answer for another body
+    doc = to_json_dict(cube(2))
+    corrupt(doc)
+    path = tmp_path / "inexact.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    code, out, err = run_main(capsys, ["volprod", str(path)])
+    assert code == 2
+    assert "not an exact rational" in err
+    assert out.count("\n") == 1  # only the config line
+
+
 def test_volprod_falsification_exit(tmp_path, capsys, monkeypatch):
     # a verdict-false report for an unconditional body cannot be produced by
     # honest arithmetic, so fake the report to exercise the exit path

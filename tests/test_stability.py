@@ -185,6 +185,23 @@ def test_reconstruct_cube_and_cross():
     assert rec.distance_sq == 0 and rec.product_excess == 0
 
 
+def test_reconstruct_hanner_ball_runs_no_dd_conversion(dd_runs):
+    # the graph is read from the built ball and the candidate is the same
+    # cached ball; only the cube and the cross polytope build a capped body
+    balls = [
+        polytope_from_graph(g)
+        for n in (3, 4)
+        for g in enumerate_p4_free_labeled(n)
+        if g not in (empty_graph(n), complete_graph(n))
+    ]
+    assert len(balls) == 56
+    for ball in balls:
+        dd_runs.clear()
+        rec = reconstruct_hanner(ball)
+        assert rec.distance_sq == 0 and rec.product_excess == 0
+        assert dd_runs == []
+
+
 def test_reconstruct_normalizes_first():
     rec = reconstruct_hanner(diagonal_image(cube(3), (F(1, 2), F(3), F(7))))
     assert rec.case_tag == "caseI-cube" and rec.distance_sq == 0

@@ -5,8 +5,9 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from mahlerlab import dd, volprod
 from mahlerlab.errors import PreconditionError
-from mahlerlab.graphs import path_graph, polytope_from_graph
+from mahlerlab.graphs import enumerate_p4_free_labeled, path_graph, polytope_from_graph
 from mahlerlab.polytope import (
     coordinate_section,
     cross_polytope,
@@ -33,6 +34,7 @@ from mahlerlab.volprod import (
     volume_product,
     volume_product_csv_row,
 )
+from oracles import section_membership_vector_by_rebuild, section_products_by_rebuild
 
 F = Fraction
 
@@ -124,6 +126,62 @@ def test_section_membership_vector_random_bodies(seed):
     m = section_membership_vector(body)
     # the defining membership: m pairs to at most 1 against every vertex
     assert all(sum(a * b for a, b in zip(m, v)) <= 1 for v in body.vertices)
+
+
+@given(st.integers(min_value=1, max_value=4), st.integers(min_value=0, max_value=10**6))
+@settings(max_examples=25, deadline=None)
+def test_section_table_matches_rebuild_on_random_bodies(n, seed):
+    body = random_unconditional_polytope(n, seed)
+    assert section_products(body) == section_products_by_rebuild(body)
+    assert section_membership_vector(body) == section_membership_vector_by_rebuild(body)
+
+
+def test_section_table_matches_rebuild_on_hanner_balls():
+    for n in range(1, 5):
+        for g in enumerate_p4_free_labeled(n):
+            body = polytope_from_graph(g)
+            assert section_products(body) == section_products_by_rebuild(body)
+            assert section_membership_vector(body) == section_membership_vector_by_rebuild(body)
+
+
+def test_section_checks_refuse_bodies_that_are_not_unconditional():
+    tilted = from_vertices([(1, 0), (0, 1), (-1, 0), (0, -1), (1, 1)])
+    # centrally symmetric, but one pair of corners is off the sign orbit
+    jittered = from_vertices(
+        [
+            (s * x, s * y, s * z)
+            for x, y, z in [(1, 1, 1), (1, 1, -1), (1, -1, 1), (F(11, 10), F(-9, 10), -1)]
+            for s in (1, -1)
+        ]
+    )
+    checks = [
+        section_products,
+        section_membership_vector,
+        meyer_inequality_check,
+        lambda k: near_minimal_sections_check(k, 0),
+    ]
+    for body in (tilted, jittered):
+        for check in checks:
+            with pytest.raises(PreconditionError, match="unconditional"):
+                check(body)
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_section_checks_build_each_section_once(n, monkeypatch):
+    # the three section checks on one body share its n sections: n builds
+    # and n DD runs, not one set per check
+    body = random_unconditional_polytope(n, 77)
+    mahler_bound(n - 1), mahler_bound(n)  # the bounds' cubes, built before counting
+    volprod._section_volumes.cache_clear()
+    built, runs = [], []
+    real_section, real_rays = volprod.coordinate_section, dd.extreme_rays
+    monkeypatch.setattr(volprod, "coordinate_section", lambda k, j: built.append(j) or real_section(k, j))
+    monkeypatch.setattr(dd, "extreme_rays", lambda rows: runs.append(len(rows)) or real_rays(rows))
+    section_membership_vector(body)
+    meyer_inequality_check(body)
+    near_minimal_sections_check(body, 0)
+    assert sorted(built) == list(range(n))
+    assert len(runs) == n
 
 
 def test_meyer_inequality_equality_cases():
