@@ -5,8 +5,9 @@ its full effective configuration as a rerunnable invocation line, and all
 output is deterministic for a fixed seed: no timestamps, sorted JSON keys,
 exact rationals as "p/q" strings next to decimal approximations.
 
-Exit codes: 0 success, 2 usage/parse/IO errors and requests refused as too
-large, 3 mathematical falsification events, 4 internal errors.
+Exit codes: 0 success, 2 usage/parse/IO errors, flags out of range and
+requests refused as too large, 3 mathematical falsification events, 4
+internal errors.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ import sys
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .errors import FalsificationError, FormatError, ResourceError
+from .errors import FalsificationError, FormatError, PreconditionError, ResourceError
 from .graphs import (
     complement,
     cotree_shapes,
@@ -33,7 +34,13 @@ from .graphs import (
 )
 from .polytope import cross_polytope, cube, from_json_dict, is_unconditional, polar, to_json_dict
 from .ratlin import format_exact, parse_fraction
-from .stability import ExperimentConfig, probe_csv, stability_experiment, symmetric_probe
+from .stability import (
+    PROBE_MAX_DELTA,
+    ExperimentConfig,
+    probe_csv,
+    stability_experiment,
+    symmetric_probe,
+)
 from .volprod import (
     mahler_bound,
     meyer_inequality_check,
@@ -229,6 +236,13 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 def cmd_stability(args: argparse.Namespace) -> int:
     delta = _parse_delta(args.delta)
+    # flags out of range are input errors; a precondition failing later is not
+    try:
+        cfg = ExperimentConfig(n=args.n, trials=args.trials, delta=delta, seed=args.seed)
+    except PreconditionError as exc:
+        raise FormatError(str(exc)) from exc
+    if args.probe == "symmetric" and delta > PROBE_MAX_DELTA:
+        raise FormatError(f"probe delta must satisfy 0 <= delta <= {PROBE_MAX_DELTA}")
     parts = [
         "stability",
         "--n",
@@ -246,10 +260,9 @@ def cmd_stability(args: argparse.Namespace) -> int:
         parts.extend(["--out", args.out])
     _print_config(parts)
     if args.probe == "unconditional":
-        cfg = ExperimentConfig(n=args.n, trials=args.trials, delta=delta, seed=args.seed)
         _records, csv_text, summary = stability_experiment(cfg)
     else:
-        report = symmetric_probe(cube(args.n), delta, args.trials, args.seed)
+        report = symmetric_probe(cube(cfg.n), cfg.delta, cfg.trials, cfg.seed)
         csv_text = probe_csv(report)
         summary = {
             "n": report.n,

@@ -34,10 +34,6 @@ class ConsistencyError(GeometryError):
     """Data that must agree does not (glued graphs, file cross-checks, ...)."""
 
 
-class AmbiguousSectionError(ConsistencyError):
-    """A tolerance-band membership test fell inside the ambiguous band."""
-
-
 class FalsificationError(GeometryError):
     """An exact computation contradicted a proved statement.
 

@@ -27,7 +27,7 @@ from functools import lru_cache
 from itertools import combinations
 from typing import Iterable, Sequence, Union
 
-from .errors import AmbiguousSectionError, ConsistencyError, FormatError, PreconditionError, ResourceError
+from .errors import ConsistencyError, FormatError, PreconditionError, ResourceError
 from .polytope import (
     Polytope,
     from_vertices,
@@ -39,7 +39,7 @@ from .polytope import (
     permute_coordinates,
     sign_orbit,
 )
-from .ratlin import format_exact, unit_vec, vadd
+from .ratlin import parse_int, unit_vec, vec
 
 MAX_VERTICES = 32
 
@@ -214,35 +214,25 @@ def polytope_from_graph(g: Graph) -> Polytope:
     return from_vertices(sorted(pts))
 
 
-def graph_from_polytope(p: Polytope, band: Fraction = Fraction(0)) -> Graph:
-    """Edge (i, j) iff e_i + e_j lies outside the polytope.
+def graph_from_polytope(p: Polytope) -> Graph:
+    """Edge (i, j) iff gauge(p, e_i + e_j) > 1, that is, e_i + e_j lies outside p.
 
     Defined for unconditional bodies in standard position (every +-e_i on the
-    boundary); inverse of polytope_from_graph on standard Hanner balls.  Each
-    pair is read from its gauge margin m = gauge(p, e_i + e_j) - 1: m = 0 (the
-    Hanner signature) or m < -band/2 is no edge, m > band/2 is an edge, and
-    any other margin raises AmbiguousSectionError.  With band 0 every margin
-    is decided; a negative band is refused.
+    boundary); inverse of polytope_from_graph on standard Hanner balls.  On a
+    perturbed body any margin gauge - 1 above 0, however small, is an edge.
     """
-    if band < 0:
-        raise PreconditionError(f"band must be nonnegative, got {format_exact(band)}")
     n = p.dim
     if not is_unconditional(p):
         raise PreconditionError("graph extraction needs an unconditional polytope")
     for i in range(n):
         if gauge(p, unit_vec(n, i)) != 1:
             raise PreconditionError("polytope is not normalized: e_%d is not on the boundary" % i)
-    es = []
-    for i in range(n):
-        for j in range(i + 1, n):
-            m = gauge(p, vadd(unit_vec(n, i), unit_vec(n, j))) - 1
-            if m == 0 or m < -band / 2:
-                continue
-            if m <= band / 2:
-                raise AmbiguousSectionError(
-                    f"gauge margin {format_exact(m)} at pair ({i}, {j}) is inside the +-{format_exact(band)}/2 band"
-                )
-            es.append((i, j))
+    es = [
+        (i, j)
+        for i in range(n)
+        for j in range(i + 1, n)
+        if gauge(p, vec(int(k in (i, j)) for k in range(n))) > 1
+    ]
     return from_edges(n, es)
 
 
@@ -441,18 +431,11 @@ def graph_to_json_dict(g: Graph) -> dict:
     return {"n": g.n, "edges": [[i + 1, j + 1] for i, j in edges(g)]}
 
 
-def _wire_int(x) -> int:
-    """An integer read from JSON; a bool or non-integral number is refused, not truncated."""
-    if isinstance(x, bool) or (isinstance(x, float) and not x.is_integer()):
-        raise ValueError(f"not an integer: {x!r}")
-    return int(x)
-
-
 def graph_from_json_dict(data: dict) -> Graph:
     """Parse 1-based {"n": ..., "edges": [[i, j], ...]}; strict about form."""
     try:
-        n = _wire_int(data["n"])
-        raw = [(_wire_int(i), _wire_int(j)) for i, j in data["edges"]]
+        n = parse_int(data["n"])
+        raw = [(parse_int(i), parse_int(j)) for i, j in data["edges"]]
     except (KeyError, TypeError, ValueError) as exc:
         raise FormatError(f"bad graph payload: {exc}") from exc
     if not 1 <= n <= MAX_VERTICES:
@@ -479,7 +462,7 @@ def tree_from_json_dict(data: dict) -> HannerTree:
         raise FormatError(f"tree node must be an object, got {type(data).__name__}")
     if "leaf" in data:
         try:
-            i = _wire_int(data["leaf"])
+            i = parse_int(data["leaf"])
         except (TypeError, ValueError) as exc:
             raise FormatError(f"bad leaf index: {data['leaf']!r}") from exc
         if i < 1:

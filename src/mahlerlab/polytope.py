@@ -52,6 +52,7 @@ from .ratlin import (
     fr,
     int_det,
     parse_fraction,
+    parse_int,
     primitive_int_vec,
     solve_linear,
     unit_vec,
@@ -452,7 +453,7 @@ def from_json_dict(data: dict) -> Polytope:
     be silently repaired.
     """
     try:
-        dim = int(data["dim"])
+        dim = parse_int(data["dim"])
         raw = data["vertices"]
         verts = [tuple(parse_fraction(s) for s in row) for row in raw]
     except (KeyError, TypeError, ValueError) as exc:

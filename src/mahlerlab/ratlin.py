@@ -53,10 +53,6 @@ def dot(u: Sequence[Fraction], v: Sequence[Fraction]) -> Fraction:
     return sum(a * b for a, b in zip(u, v, strict=True))
 
 
-def vadd(u: Vec, v: Vec) -> Vec:
-    return tuple(a + b for a, b in zip(u, v, strict=True))
-
-
 def vsub(u: Vec, v: Vec) -> Vec:
     return tuple(a - b for a, b in zip(u, v, strict=True))
 
@@ -217,3 +213,10 @@ def parse_fraction(s: str) -> Fraction:
         return Fraction(s)
     except (ValueError, ZeroDivisionError) as e:
         raise ValueError(f"not a rational: {s!r}") from e
+
+
+def parse_int(x) -> int:
+    """An integer read from a file; a bool or non-integral number is refused, not truncated."""
+    if isinstance(x, bool) or (isinstance(x, float) and not x.is_integer()):
+        raise ValueError(f"not an integer: {x!r}")
+    return int(x)

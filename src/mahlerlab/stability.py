@@ -9,9 +9,9 @@ that this makes consistent, as a standalone combinatorial fact.  For an
 exact Hanner ball the bits give its generator graph on the nose; for
 perturbed bodies they give the candidate the distance is measured against.
 
-With a nonzero `band`, a bit is read only when it is clear: a margin
-m = gauge(K, e_i + e_j) - 1 of 0 or below -band/2 is no edge, one above
-band/2 is an edge, and any other margin raises AmbiguousSectionError.
+A bit is set when the margin gauge(K, e_i + e_j) - 1 is above 0, however
+small; that one rule decides every pair.  Entry points that normalize leave
+the unconditional precondition to `normalize_unconditional`, which checks it.
 
 Everything random is driven by explicit integer seeds and exact rational
 scales, so experiment outputs are reproducible byte for byte.
@@ -51,7 +51,6 @@ from .polytope import (
     from_vertices,
     gauge,
     hausdorff_distance_sq,
-    interval,
     is_unconditional,
     normalize_unconditional,
     polar,
@@ -187,29 +186,23 @@ def diagonal_truncation_check(k: Polytope) -> tuple[Fraction, Fraction, Fraction
 # reconstruction
 
 
-def reconstruct_hanner(
-    k: Polytope, body_id: str = "", seed: int = 0, band: Fraction = Fraction(0)
-) -> StabilityRecord:
+def reconstruct_hanner(k: Polytope, body_id: str = "", seed: int = 0) -> StabilityRecord:
     """Normalize, read the pair graph, and measure the distance.
 
-    The graph is `graph_from_polytope` of the normalized body with the given
-    band.  Case tags: an empty graph means the candidate is the cube and a
-    complete one the cross polytope (both rechecked through the diagonal
-    truncation bound); a 4-path on four coordinates is its own tag since its
-    ball is the one non-Hanner candidate the pair bits can produce there; all
-    other graphs go through the plain independent-set ball.
+    The graph is `graph_from_polytope` of the normalized body.  Case tags:
+    an empty graph means the candidate is the cube and a complete one the
+    cross polytope (both rechecked through the diagonal truncation bound
+    from n = 3 on); a 4-path on four coordinates is its own tag since its
+    ball is the one non-Hanner candidate the pair bits can produce there;
+    all other graphs go through the plain independent-set ball.
 
     Two uniqueness facts are enforced exactly: for a Hanner candidate,
     distance zero and excess zero happen together; for a non-Hanner graph
     the excess must be strictly positive.
     """
-    if not is_unconditional(k):
-        raise PreconditionError("reconstruction is defined for unconditional bodies")
     kn = normalize_unconditional(k)
     n = kn.dim
-    g = graph_from_polytope(kn, fr(band))
-    if n == 1:
-        return StabilityRecord(body_id, g, interval(1), Fraction(0), Fraction(0), "caseI-cube", seed)
+    g = graph_from_polytope(kn)
     if g == empty_graph(n):
         tag, candidate = "caseI-cube", cube(n)
         if n >= 3:
@@ -270,8 +263,6 @@ def perturb_unconditional(h: Polytope, delta, seed: int) -> Polytope:
     delta = fr(delta)
     if not 0 <= delta < 1:
         raise PreconditionError("delta must satisfy 0 <= delta < 1")
-    if not is_unconditional(h):
-        raise PreconditionError("perturbation is defined for unconditional bodies")
     hn = normalize_unconditional(h)
     reps = sorted({tuple(abs(x) for x in v) for v in hn.vertices})
     rng = random.Random(seed)
@@ -404,6 +395,7 @@ class SymmetricProbeReport:
 
 
 PROBE_CSV_HEADER = "trial,distance_sq,distance_float,excess,excess_float"
+PROBE_MAX_DELTA = Fraction(1, 2)
 
 
 def symmetric_probe(h: Polytope, delta, trials: int, seed: int) -> SymmetricProbeReport:
@@ -414,12 +406,10 @@ def symmetric_probe(h: Polytope, delta, trials: int, seed: int) -> SymmetricProb
     falsification event and raises immediately.
     """
     delta = fr(delta)
-    if not 0 <= delta <= Fraction(1, 2):
-        raise PreconditionError("probe delta must satisfy 0 <= delta <= 1/2")
+    if not 0 <= delta <= PROBE_MAX_DELTA:
+        raise PreconditionError(f"probe delta must satisfy 0 <= delta <= {PROBE_MAX_DELTA}")
     if trials < 0:
         raise PreconditionError("trial count must be nonnegative")
-    if not is_unconditional(h):
-        raise PreconditionError("the probe perturbs an unconditional base body")
     hn = normalize_unconditional(h)
     reps = [v for v in hn.vertices if next(x for x in v if x) > 0]
     records = []

@@ -42,6 +42,7 @@ from mahlerlab.polytope import (
     cross_polytope,
     cube,
     diagonal_image,
+    from_vertices,
     gauge,
     permute_coordinates,
     polar,
@@ -262,11 +263,25 @@ def test_graph_polytope_inversion_all_labeled(n):
 def test_graph_from_polytope_preconditions():
     with pytest.raises(PreconditionError):
         graph_from_polytope(diagonal_image(cube(2), (2, 1)))  # not normalized
-    from mahlerlab.polytope import from_vertices
-
     tilted = from_vertices([(1, 0), (0, 1), (-1, 0), (0, -1), (1, 1)])
     with pytest.raises(PreconditionError):
         graph_from_polytope(tilted)  # not unconditional
+
+
+def test_graph_from_polytope_reads_any_positive_margin_as_an_edge():
+    # octagon with gauge(e0 + e1) = 41/40: a margin of 1/40 is an edge
+    a = F(40, 41)
+    octagon = from_vertices([(1, 0), (-1, 0), (0, 1), (0, -1), (a, a), (a, -a), (-a, a), (-a, -a)])
+    assert gauge(octagon, (1, 1)) == F(41, 40)
+    assert graph_from_polytope(octagon) == complete_graph(2)
+    # the same margin at pair (1, 2) in 3-D; pairs (0, 1) and (0, 2) have margin 1
+    body = from_vertices(
+        [(1, 0, 0), (-1, 0, 0), (0, 1, 0), (0, -1, 0), (0, 0, 1), (0, 0, -1)]
+        + [(0, s * a, t * a) for s in (1, -1) for t in (1, -1)]
+    )
+    assert graph_from_polytope(body) == complete_graph(3)
+    # margin 0 is no edge
+    assert graph_from_polytope(cube(2)) == empty_graph(2)
 
 
 def dual_01(p):

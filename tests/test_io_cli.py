@@ -11,8 +11,10 @@ from pathlib import Path
 
 import pytest
 
+import mahlerlab
 from mahlerlab import cli
-from mahlerlab.polytope import cube, to_json_dict
+from mahlerlab.errors import PreconditionError
+from mahlerlab.polytope import cube, interval, to_json_dict
 from mahlerlab.stability import EXPERIMENT_CSV_HEADER
 from mahlerlab.volprod import VolumeProductReport
 
@@ -152,17 +154,35 @@ def _bool_offset(doc):
     doc["halfspaces"][0]["offset"] = True
 
 
-@pytest.mark.parametrize("corrupt", [_float_vertex, _bool_vertex, _bool_offset])
-def test_volprod_refuses_json_floats_and_bools(tmp_path, capsys, corrupt):
+def _float_dim(doc):
+    doc["dim"] = 2.9
+
+
+def _bool_dim(doc):
+    doc.update(to_json_dict(interval()), dim=True)
+
+
+@pytest.mark.parametrize(
+    "corrupt, message",
+    [
+        pytest.param(_float_vertex, "not an exact rational", id="_float_vertex"),
+        pytest.param(_bool_vertex, "not an exact rational", id="_bool_vertex"),
+        pytest.param(_bool_offset, "not an exact rational", id="_bool_offset"),
+        pytest.param(_float_dim, "not an integer", id="_float_dim"),
+        pytest.param(_bool_dim, "not an integer", id="_bool_dim"),
+    ],
+)
+def test_volprod_refuses_json_floats_and_bools(tmp_path, capsys, corrupt, message):
     # a JSON 0.1 is a binary double and true is not a number: reading either
-    # as a rational would give the exact answer for another body
+    # as a rational would give the exact answer for another body, and a dim
+    # of 2.9 or true would be truncated to the length of the rows
     doc = to_json_dict(cube(2))
     corrupt(doc)
     path = tmp_path / "inexact.json"
     path.write_text(json.dumps(doc), encoding="utf-8")
     code, out, err = run_main(capsys, ["volprod", str(path)])
     assert code == 2
-    assert "not an exact rational" in err
+    assert message in err
     assert out.count("\n") == 1  # only the config line
 
 
@@ -259,11 +279,25 @@ def test_stability_bad_delta(capsys):
     assert "--delta" in err
 
 
-def test_stability_invalid_config_is_internal_geometry_error(capsys):
-    # delta = 1 passes parsing but violates the experiment's precondition
-    code, _, err = run_main(capsys, ["stability", "--delta", "1", "--trials", "1"])
+def test_stability_flag_exit_codes(capsys, monkeypatch):
+    # flags out of range are input errors, refused before the config line
+    for argv in (
+        ["--n", "0"],
+        ["--trials", "-1"],
+        ["--delta", "1"],
+        ["--probe", "symmetric", "--delta", "3/4"],
+    ):
+        code, out, err = run_main(capsys, ["stability", "--trials", "1", *argv])
+        assert code == 2, argv
+        assert err.startswith("error: ") and out == ""
+    # a precondition that fails in the middle of a run is still an internal error
+    def fail_midway(cfg):
+        raise PreconditionError("trial body is not unconditional")
+
+    monkeypatch.setattr(cli, "stability_experiment", fail_midway)
+    code, _, err = run_main(capsys, ["stability", "--trials", "1"])
     assert code == 4
-    assert "internal error" in err
+    assert err.startswith("internal error: ")
 
 
 # ---------------------------------------------------------------------------
@@ -273,6 +307,15 @@ def test_stability_invalid_config_is_internal_geometry_error(capsys):
 def test_usage_errors(capsys):
     assert run_main(capsys, [])[0] == 2
     assert run_main(capsys, ["no-such-command"])[0] == 2
+
+
+def test_package_exports_resolve():
+    # an export that outlives its definition breaks `import *` for every user
+    namespace: dict = {}
+    exec("from mahlerlab import *", namespace)
+    assert len(set(mahlerlab.__all__)) == len(mahlerlab.__all__)
+    for name in mahlerlab.__all__:
+        assert getattr(mahlerlab, name) is namespace[name]
 
 
 def test_installed_console_script():

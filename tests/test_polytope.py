@@ -476,6 +476,11 @@ def test_json_rejects_bad_payloads():
         from_json_dict({"dim": 2, "vertices": [["1", "x"], ["0", "0"], ["0", "1"]]})
     with pytest.raises(FormatError):
         from_json_dict({"dim": 2, "vertices": [["0", "0"], ["1", "1"], ["2", "2"]]})
+    # a dim that is not an integer is refused, not truncated to the row length
+    with pytest.raises(FormatError, match="not an integer"):
+        from_json_dict({**good, "dim": 2.9})
+    with pytest.raises(FormatError, match="not an integer"):
+        from_json_dict({**to_json_dict(interval()), "dim": True})
 
 
 def test_validate_catches_handmade_corruption():

@@ -7,7 +7,6 @@ import pytest
 from hypothesis import given, settings
 
 from mahlerlab.errors import (
-    AmbiguousSectionError,
     ConsistencyError,
     PreconditionError,
     ResourceError,
@@ -42,6 +41,7 @@ from mahlerlab.stability import (
     EXPERIMENT_CSV_HEADER,
     PROBE_CSV_HEADER,
     ExperimentConfig,
+    StabilityRecord,
     diagonal_truncation_check,
     exact_median,
     glue_graphs,
@@ -120,6 +120,20 @@ def test_diagonal_truncation_check_on_cube_and_truncation():
     assert product > bound > mahler_bound(3)
 
 
+def jittered_symmetric_body():
+    """Centrally symmetric but not unconditional: one antipodal pair of cube
+    corners moved off the sign orbit of the others."""
+    body = from_vertices(
+        [
+            (s * x, s * y, s * z)
+            for x, y, z in [(1, 1, 1), (1, 1, -1), (1, -1, 1), (F(11, 10), F(-9, 10), -1)]
+            for s in (1, -1)
+        ]
+    )
+    assert not is_unconditional(body)
+    return body
+
+
 def test_diagonal_truncation_check_preconditions():
     with pytest.raises(PreconditionError):
         diagonal_truncation_check(cube(2))
@@ -128,18 +142,8 @@ def test_diagonal_truncation_check_preconditions():
     tilted = from_vertices([(1, 0, 0), (0, 1, 0), (0, 0, 1), (-1, 0, 0), (0, -1, 0), (0, 0, -1), (1, 1, 1)])
     with pytest.raises(PreconditionError, match="unconditional"):
         diagonal_truncation_check(tilted)
-    # centrally symmetric but not unconditional: one antipodal pair of cube
-    # corners moved off the sign orbit of the others
-    jittered = from_vertices(
-        [
-            (s * x, s * y, s * z)
-            for x, y, z in [(1, 1, 1), (1, 1, -1), (1, -1, 1), (F(11, 10), F(-9, 10), -1)]
-            for s in (1, -1)
-        ]
-    )
-    assert not is_unconditional(jittered)
     with pytest.raises(PreconditionError, match="unconditional"):
-        diagonal_truncation_check(jittered)
+        diagonal_truncation_check(jittered_symmetric_body())
 
 
 @given(symmetric_body(dim=3))
@@ -244,6 +248,12 @@ def test_reconstruct_self_recovery_all_labeled_graphs():
             assert rec.case_tag in CASE_TAGS
 
 
+def test_reconstruct_interval_is_the_cube_case():
+    # n = 1 takes the general path: no pairs to read, so the cube candidate
+    rec = reconstruct_hanner(interval(3), body_id="segment", seed=2)
+    assert rec == StabilityRecord("segment", empty_graph(1), interval(1), F(0), F(0), "caseI-cube", 2)
+
+
 def test_reconstruct_perturbed_body_is_generic_with_positive_gap():
     base = polytope_from_graph(from_edges(3, [(0, 1)]))
     body = perturb_unconditional(base, F(1, 10), seed=4)
@@ -255,35 +265,9 @@ def test_reconstruct_perturbed_body_is_generic_with_positive_gap():
 
 def test_reconstruct_rejects_non_unconditional():
     tilted = from_vertices([(1, 0), (0, 1), (-1, 0), (0, -1), (1, 1)])
-    with pytest.raises(PreconditionError):
-        reconstruct_hanner(tilted)
-
-
-def test_band_flags_margins_inside_it():
-    # octagon with gauge(e0 + e1) = 41/40: margin 1/40 sits inside a 1/10 band
-    a = F(40, 41)
-    body = from_vertices([(1, 0), (-1, 0), (0, 1), (0, -1), (a, a), (a, -a), (-a, a), (-a, -a)])
-    with pytest.raises(AmbiguousSectionError):
-        reconstruct_hanner(body, band=F(1, 10))
-    # in 3-D the ambiguous margin 1/40 sits at pair (1, 2) and is named there
-    body3 = from_vertices(
-        [(1, 0, 0), (-1, 0, 0), (0, 1, 0), (0, -1, 0), (0, 0, 1), (0, 0, -1)]
-        + [(0, s * a, t * a) for s in (1, -1) for t in (1, -1)]
-    )
-    with pytest.raises(AmbiguousSectionError, match=r"pair \(1, 2\)"):
-        reconstruct_hanner(body3, band=F(1, 10))
-    # without a band the margin is just a positive number: an edge
-    assert reconstruct_hanner(body).nearest_graph == complete_graph(2)
-    # a negative band would move the edge threshold; it is refused
-    with pytest.raises(PreconditionError, match="band"):
-        reconstruct_hanner(body, band=F(-1, 10))
-    with pytest.raises(PreconditionError, match="band"):
-        graph_from_polytope(body, F(-1, 10))
-    with pytest.raises(PreconditionError, match="band"):
-        reconstruct_hanner(interval(2), band=F(-1, 10))  # no pairs to read at n = 1
-    # an exact Hanner signature inside the band stays unambiguous
-    assert reconstruct_hanner(cube(2), band=F(1, 10)).case_tag == "caseI-cube"
-    assert reconstruct_hanner(cross_polytope(2), band=F(1, 10)).case_tag == "caseI-cross"
+    for body in (tilted, jittered_symmetric_body()):
+        with pytest.raises(PreconditionError, match="unconditional"):
+            reconstruct_hanner(body)
 
 
 def test_bruteforce_nearest_frozen_and_consistency():
@@ -345,8 +329,9 @@ def test_perturb_preconditions():
     with pytest.raises(PreconditionError):
         perturb_unconditional(cube(2), F(-1, 10), seed=0)
     tilted = from_vertices([(1, 0), (0, 1), (-1, 0), (0, -1), (1, 1)])
-    with pytest.raises(PreconditionError):
-        perturb_unconditional(tilted, F(1, 10), seed=0)
+    for body in (tilted, jittered_symmetric_body()):
+        with pytest.raises(PreconditionError, match="unconditional"):
+            perturb_unconditional(body, F(1, 10), seed=0)
 
 
 def test_random_unconditional_polytope():
@@ -452,5 +437,6 @@ def test_symmetric_probe_preconditions():
     with pytest.raises(PreconditionError):
         symmetric_probe(cube(2), F(-1, 20), trials=1, seed=0)
     tilted = from_vertices([(1, 0), (0, 1), (-1, 0), (0, -1), (1, 1)])
-    with pytest.raises(PreconditionError):
-        symmetric_probe(tilted, F(1, 20), trials=1, seed=0)
+    for body in (tilted, jittered_symmetric_body()):
+        with pytest.raises(PreconditionError, match="unconditional"):
+            symmetric_probe(body, F(1, 20), trials=1, seed=0)
