@@ -22,6 +22,8 @@ CASES = {
     "stability_delta_1-20": ["stability", "--n", "3", "--trials", "100", "--seed", "0", "--delta", "1/20"],
     "stability_delta_1-40": ["stability", "--n", "3", "--trials", "100", "--seed", "0", "--delta", "1/40"],
     "stability_probe_symmetric": ["stability", "--probe", "symmetric", "--n", "3", "--trials", "20", "--seed", "0"],
+    "stability_n4_delta_1-10": ["stability", "--n", "4", "--trials", "20", "--seed", "0", "--delta", "1/10"],
+    "stability_probe_symmetric_n4": ["stability", "--probe", "symmetric", "--n", "4", "--trials", "3", "--seed", "0"],
     **{f"verify_{suite}": ["verify", suite] for suite in cli.SUITES},
     "hanner_enumerate_n3_dedup": ["hanner-enumerate", "--n", "3", "--dedup"],
     "volprod_rational_body": ["volprod", "rational_body.json"],
