@@ -227,6 +227,13 @@ def graph_from_polytope(p: Polytope) -> Graph:
     for i in range(n):
         if gauge(p, unit_vec(n, i)) != 1:
             raise PreconditionError("polytope is not normalized: e_%d is not on the boundary" % i)
+    return _pair_graph(p)
+
+
+def _pair_graph(p: Polytope) -> Graph:
+    """The edge rule of `graph_from_polytope`, on a body already known to be
+    unconditional and normalized (such as the output of normalize_unconditional)."""
+    n = p.dim
     es = [
         (i, j)
         for i in range(n)

@@ -2,7 +2,8 @@
 
 A Hanner ball in standard position is fixed by one bit per coordinate pair:
 whether e_i + e_j lies outside it.  Reconstruction normalizes the body and
-reads every bit from the full body through `graphs.graph_from_polytope`.  A
+reads every bit from the full body by the edge rule of
+`graphs.graph_from_polytope`.  A
 coordinate section leaves the gauge of any point inside it unchanged, so
 each section would read the same bits; `glue_graphs` keeps the gluing lemma
 that this makes consistent, as a standalone combinatorial fact.  For an
@@ -33,11 +34,11 @@ from .errors import (
 )
 from .graphs import (
     Graph,
+    _pair_graph,
     complete_graph,
     empty_graph,
     enumerate_p4_free_labeled,
     from_edges,
-    graph_from_polytope,
     induced_subgraph,
     is_p4_free,
     maximal_independent_sets,
@@ -202,7 +203,7 @@ def reconstruct_hanner(k: Polytope, body_id: str = "", seed: int = 0) -> Stabili
     """
     kn = normalize_unconditional(k)
     n = kn.dim
-    g = graph_from_polytope(kn)
+    g = _pair_graph(kn)  # kn is unconditional, with unit axis gauges by construction
     if g == empty_graph(n):
         tag, candidate = "caseI-cube", cube(n)
         if n >= 3:

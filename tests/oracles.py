@@ -3,14 +3,17 @@
 Everything here favors obviousness over speed: cofactor expansion, subset
 enumeration, permutation scans, Gaussian elimination over the rationals for
 rank, recursive projection for volume, projection onto the affine hull of
-every small vertex subset for distance, built sections for the truncation
+every small vertex subset for distance, a scan of every vertex of both bodies
+for the Hausdorff distance, built sections for the truncation
 check and for the section volumes of the section inequalities, component
 recursion for the labeled P4-free graphs.  The only library
 pieces reused are public: low-level linear algebra (solve_linear, dot),
 membership and the canonical facet form, each covered by its own tests, for
 the truncation check the constructors, sections, gauge, polar, volume and
 the bound factors it is compared through, for the section volumes the
-sections, polar and volume, and the graph constructor ``from_edges``.
+sections, polar and volume, for the Hausdorff scan ``point_distance_sq``
+(itself checked against the subset oracle), and the graph constructor
+``from_edges``.
 """
 
 from __future__ import annotations
@@ -29,6 +32,7 @@ from mahlerlab.polytope import (
     gauge,
     is_unconditional,
     membership,
+    point_distance_sq,
     polar,
     volume,
 )
@@ -326,6 +330,17 @@ def distance_sq_by_subsets(p: Polytope, x) -> Fraction:
             if best is None or d < best:
                 best = d
     assert best is not None
+    return best
+
+
+def hausdorff_by_full_scan(p: Polytope, q: Polytope) -> Fraction:
+    """Squared Hausdorff distance as the largest distance from every vertex
+    of each body to the other, with no symmetry used."""
+    best = Fraction(0)
+    for v in p.vertices:
+        best = max(best, point_distance_sq(q, v))
+    for w in q.vertices:
+        best = max(best, point_distance_sq(p, w))
     return best
 
 

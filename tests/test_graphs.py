@@ -261,11 +261,13 @@ def test_graph_polytope_inversion_all_labeled(n):
 
 
 def test_graph_from_polytope_preconditions():
-    with pytest.raises(PreconditionError):
-        graph_from_polytope(diagonal_image(cube(2), (2, 1)))  # not normalized
+    with pytest.raises(PreconditionError, match="not normalized: e_0"):
+        graph_from_polytope(diagonal_image(cube(2), (2, 1)))
+    with pytest.raises(PreconditionError, match="not normalized: e_1"):
+        graph_from_polytope(diagonal_image(cross_polytope(3), (1, F(1, 2), 1)))
     tilted = from_vertices([(1, 0), (0, 1), (-1, 0), (0, -1), (1, 1)])
-    with pytest.raises(PreconditionError):
-        graph_from_polytope(tilted)  # not unconditional
+    with pytest.raises(PreconditionError, match="unconditional"):
+        graph_from_polytope(tilted)
 
 
 def test_graph_from_polytope_reads_any_positive_margin_as_an_edge():

@@ -43,7 +43,14 @@ from mahlerlab.polytope import (
 from mahlerlab import polytope
 from mahlerlab.ratlin import int_det
 from mahlerlab.stability import random_unconditional_polytope
-from oracles import brute_volume, distance_sq_by_subsets, subset_facets, subset_vertices, validate
+from oracles import (
+    brute_volume,
+    distance_sq_by_subsets,
+    hausdorff_by_full_scan,
+    subset_facets,
+    subset_vertices,
+    validate,
+)
 
 F = Fraction
 
@@ -65,6 +72,18 @@ def symmetric_body(draw, dim=2):
         out.append(tuple(e))
         out.append(tuple(-x for x in e))
     return from_vertices(out)
+
+
+@st.composite
+def central_body(draw, dim=2):
+    """Centrally symmetric body that is not unconditional: hull of +-x for a few integer points."""
+    pts = draw(st.lists(st.tuples(*[coords] * dim), min_size=dim, max_size=dim + 1))
+    try:
+        p = from_vertices(pts + [tuple(-x for x in v) for v in pts])
+    except DimensionError:
+        assume(False)
+    assume(not is_unconditional(p))
+    return p
 
 
 @st.composite
@@ -441,6 +460,60 @@ def test_hausdorff_frozen_values():
 @settings(max_examples=30, deadline=None)
 def test_hausdorff_symmetry(p, q):
     assert hausdorff_distance_sq(p, q) == hausdorff_distance_sq(q, p)
+
+
+def _pairs(left, right):
+    return st.one_of(st.tuples(left(), right()), st.tuples(left(dim=3), right(dim=3)))
+
+
+HAUSDORFF_PAIRS = {
+    # both unconditional: the positive-orthant rule
+    "unconditional": _pairs(symmetric_body, symmetric_body),
+    # both centrally symmetric, neither unconditional: the +- rule
+    "central": _pairs(central_body, central_body),
+    # one unconditional, one only centrally symmetric: the +- rule
+    "unconditional-central": _pairs(symmetric_body, central_body),
+    # a general body on at least one side: mostly no shared reflection, so every vertex
+    "general": st.one_of(
+        _pairs(general_body, general_body),
+        _pairs(general_body, symmetric_body),
+        _pairs(central_body, general_body),
+    ),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(HAUSDORFF_PAIRS))
+@given(data=st.data())
+@settings(max_examples=25, deadline=None)
+def test_hausdorff_matches_full_scan(kind, data):
+    p, q = data.draw(HAUSDORFF_PAIRS[kind])
+    assert hausdorff_distance_sq(p, q) == hausdorff_by_full_scan(p, q)
+
+
+def test_hausdorff_scans_one_vertex_per_shared_orbit(monkeypatch):
+    calls = []
+    real = point_distance_sq
+
+    def counting(p, x):
+        calls.append(x)
+        return real(p, x)
+
+    monkeypatch.setattr(polytope, "point_distance_sq", counting)
+    hexagon = from_vertices([(1, 0), (1, 1), (0, 1), (-1, 0), (-1, -1), (0, -1)])
+    skew = from_vertices([(2, 1), (-1, 1), (-2, -1), (1, -1)])
+    triangle = from_vertices([(-1, -1), (2, 0), (0, 2)])
+    pairs = [
+        (cube(3), cross_polytope(3), 1 + 3),  # positive orthant: (1, 1, 1) and e_1, e_2, e_3
+        (hexagon, cube(2), (6 + 4) // 2),  # one vertex per +- pair
+        (hexagon, skew, (6 + 4) // 2),
+        (triangle, cube(2), 3 + 4),  # no shared reflection
+        (triangle, hexagon, 3 + 6),
+    ]
+    for p, q, count in pairs:
+        calls.clear()
+        got = hausdorff_distance_sq(p, q)
+        assert len(calls) == count
+        assert got == hausdorff_by_full_scan(p, q)
 
 
 # ---------------------------------------------------------------------------

@@ -11,6 +11,7 @@ from mahlerlab.errors import (
     PreconditionError,
     ResourceError,
 )
+from mahlerlab import graphs
 from mahlerlab.graphs import (
     complete_graph,
     edges,
@@ -261,6 +262,27 @@ def test_reconstruct_perturbed_body_is_generic_with_positive_gap():
     assert rec.case_tag == "generic"
     assert rec.distance_sq > 0
     assert rec.product_excess > 0
+
+
+def test_reconstruct_reads_pairs_without_rechecking(monkeypatch):
+    # normalize_unconditional has checked the body and set its axis gauges to
+    # 1, so the graph costs one gauge per pair and no second check
+    pair_gauges = []
+
+    def counting(p, x):
+        pair_gauges.append(tuple(x))
+        return gauge(p, x)
+
+    def forbidden(p):
+        raise AssertionError("graphs.is_unconditional called")
+
+    body = perturb_unconditional(polytope_from_graph(from_edges(3, [(0, 1)])), F(1, 10), seed=4)
+    monkeypatch.setattr(graphs, "gauge", counting)
+    monkeypatch.setattr(graphs, "is_unconditional", forbidden)
+    rec = reconstruct_hanner(diagonal_image(body, (2, 3, F(1, 2))))
+    assert sorted(pair_gauges) == [(0, 1, 1), (1, 0, 1), (1, 1, 0)]
+    monkeypatch.undo()
+    assert rec.nearest_graph == graph_from_polytope(normalize_unconditional(body))
 
 
 def test_reconstruct_rejects_non_unconditional():
