@@ -14,14 +14,22 @@ vector (only positive scalings preserve an inequality, so the sign of the
 normal is kept as is).  For a bounded polytope with the origin interior every
 offset canonicalizes to +1, which is what the polar swap requires.
 
+Pointwise queries read each facet as an integer row: ``_facet_rows``, built
+on first read and kept off the dataclass fields (so equality, hashing and
+JSON never see it), holds ``(A, c, b)`` with integer A, c > 0, ``a = A/c`` and
+int b.  A point is cleared once to ``X/dx``; ``membership`` compares the ints
+``<A, X>`` and ``b*c*dx``, and ``gauge`` takes the largest ``<A, X>/c`` by
+cross-multiplication (``s*c' > s'*c``, both c positive), starting from 0/1,
+and builds one Fraction at the end.
+
 Volume uses a pulling triangulation: cone from the first vertex over the
 recursively triangulated facets that miss it.  The subfaces of a face are its
 maximal proper intersections with facet vertex sets (bitmasks, no rank
 work), shared across the recursion through a memo, so the triangulation
 stays near linear in the number of faces actually touched.  It runs on one
 integer scale: the vertices are multiplied once by their common denominator
-D, a facet cleared to an integer row ``<A, x> <= B`` holds a scaled vertex V
-exactly when ``<A, V> == B*D``, and the simplices' ``int_det`` values are
+D, a facet row ``(A, c, b)`` holds a scaled vertex V exactly when
+``<A, V> == b*c*D``, and the simplices' ``int_det`` values are
 summed as one Python int and divided once, by ``D^d * d!``.
 
 The distance from a point to a polytope is the norm of the min-norm point of
@@ -39,7 +47,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from operator import mul
 from typing import Iterable, Sequence
 
@@ -71,6 +79,12 @@ from .ratlin import (
 Facet = tuple[Vec, Fraction]
 
 
+def _int_row(v: Vec) -> tuple[tuple[int, ...], int]:
+    """Clear v to ``(V, d)`` with integer V, d > 0 the least common denominator and v = V/d."""
+    d = common_denominator(v)
+    return tuple(x.numerator * (d // x.denominator) for x in v), d
+
+
 def canon_facet(normal: Vec, offset: Fraction) -> Facet:
     """Scale ``<normal, x> <= offset`` to offset in {+1, -1, 0}."""
     if all(x == 0 for x in normal):
@@ -79,8 +93,7 @@ def canon_facet(normal: Vec, offset: Fraction) -> Facet:
         return tuple(x / offset for x in normal), Fraction(1)
     if offset < 0:
         return tuple(x / -offset for x in normal), Fraction(-1)
-    den = common_denominator(normal)
-    prim = primitive_int_vec(tuple(int(x * den) for x in normal))
+    prim = primitive_int_vec(_int_row(normal)[0])
     return tuple(Fraction(x) for x in prim), Fraction(0)
 
 
@@ -97,6 +110,15 @@ class Polytope:
             raise DimensionError("dimension must be positive")
         if len(self.vertices) < self.dim + 1 or not self.facets:
             raise ConsistencyError("polytope needs at least dim+1 vertices and one facet")
+
+    @cached_property
+    def _facet_rows(self) -> tuple[tuple[tuple[int, ...], int, int], ...]:
+        """Each facet ``<a, x> <= b`` as ``(A, c, b)``: integer A, c > 0, a = A/c, int b.
+
+        Built on first read and kept in the instance ``__dict__``; not a
+        dataclass field, so equality, hashing and ordering never see it.
+        """
+        return tuple((*_int_row(a), int(b)) for a, b in self.facets)
 
     @property
     def n_vertices(self) -> int:
@@ -167,12 +189,14 @@ def membership(p: Polytope, x: Sequence[Fraction | int]) -> str:
     v = vec(x)
     if len(v) != p.dim:
         raise DimensionError(f"point has dimension {len(v)}, polytope {p.dim}")
+    x_row, dx = _int_row(v)
     on_boundary = False
-    for a, b in p.facets:
-        s = dot(a, v)
-        if s > b:
+    for row, c, b in p._facet_rows:
+        s = sum(map(mul, row, x_row))  # <a, v> = s / (c * dx)
+        rhs = b * c * dx
+        if s > rhs:
             return "outside"
-        if s == b:
+        if s == rhs:
             on_boundary = True
     return "boundary" if on_boundary else "interior"
 
@@ -188,8 +212,13 @@ def gauge(p: Polytope, x: Sequence[Fraction | int]) -> Fraction:
     v = vec(x)
     if len(v) != p.dim:
         raise DimensionError(f"point has dimension {len(v)}, polytope {p.dim}")
-    g = max(dot(a, v) for a, _ in p.facets)
-    return g if g > 0 else Fraction(0)
+    x_row, dx = _int_row(v)
+    best, over = 0, 1  # the largest <a, v> * dx so far, as best / over
+    for row, c, _ in p._facet_rows:
+        s = sum(map(mul, row, x_row))
+        if s * over > best * c:
+            best, over = s, c
+    return Fraction(best, over * dx)
 
 
 def polar(p: Polytope) -> Polytope:
@@ -246,11 +275,13 @@ def normalize_unconditional(p: Polytope) -> Polytope:
 
     For an unconditional body this lands it between the cross polytope and
     the cube, which is the reference position used by the reconstruction and
-    stability code.
+    stability code.  A body already in that position is returned itself.
     """
     if not is_unconditional(p):
         raise PreconditionError("normalization is defined for unconditional polytopes")
     gs = [gauge(p, unit_vec(p.dim, i)) for i in range(p.dim)]
+    if all(g == 1 for g in gs):
+        return p  # diag(1, ..., 1) p equals p, so skip the rebuild
     return diagonal_image(p, gs)
 
 
@@ -359,10 +390,8 @@ def volume(p: Polytope) -> Fraction:
     den = common_denominator(x for v in p.vertices for x in v)
     verts = [tuple(x.numerator * (den // x.denominator) for x in v) for v in p.vertices]
     facet_masks = []
-    for a, b in p.facets:
-        da = common_denominator(a)
-        row = [x.numerator * (da // x.denominator) for x in a]
-        rhs = int(b) * da * den  # <a, v> == b  iff  <row, den * v> == rhs
+    for row, c, b in p._facet_rows:
+        rhs = b * c * den  # <a, v> == b  iff  <row, den * v> == rhs
         facet_masks.append(sum(1 << i for i, v in enumerate(verts) if sum(map(mul, row, v)) == rhs))
     apex = verts[0]
     edges = [tuple(x - y for x, y in zip(v, apex)) for v in verts]

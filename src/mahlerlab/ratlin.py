@@ -6,7 +6,8 @@ and nothing ever rounds.  Vectors are tuples of Fractions, matrices tuples of
 row tuples; both are immutable and hashable so geometric objects built from
 them can be cached and compared exactly.
 
-Hot loops (volume determinants, the conversion engine) clear denominators
+Hot loops (volume determinants, the conversion engine, ``gauge`` and
+``membership`` on a polytope's facet rows) clear denominators
 once and run on plain Python integers through ``int_det`` and
 ``primitive_int_vec``, which is several times faster than Fraction arithmetic
 and just as exact.  One Fraction entry point serves the package:

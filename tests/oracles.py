@@ -2,7 +2,8 @@
 
 Everything here favors obviousness over speed: cofactor expansion, subset
 enumeration, permutation scans, Gaussian elimination over the rationals for
-rank, recursive projection for volume, projection onto the affine hull of
+rank, Fraction dot products over every facet for the gauge and membership,
+recursive projection for volume, projection onto the affine hull of
 every small vertex subset for distance, a scan of every vertex of both bodies
 for the Hausdorff distance, built sections for the truncation
 check and for the section volumes of the section inequalities, component
@@ -88,6 +89,22 @@ def validate(p: Polytope) -> None:
     for v in p.vertices:
         if rank([a for a, b in p.facets if dot(a, v) == b]) != p.dim:
             raise ConsistencyError(f"vertex {v} is not an extreme point")
+
+
+def gauge_by_fractions(p: Polytope, x) -> Fraction:
+    """Minkowski gauge as the largest <a, x> over the facets, floored at 0."""
+    v = vec(x)
+    g = max(dot(a, v) for a, _ in p.facets)
+    return g if g > 0 else Fraction(0)
+
+
+def membership_by_fractions(p: Polytope, x) -> str:
+    """'outside' if some facet is violated, else 'boundary' if some facet is tight."""
+    v = vec(x)
+    sides = [dot(a, v) - b for a, b in p.facets]
+    if any(s > 0 for s in sides):
+        return "outside"
+    return "boundary" if 0 in sides else "interior"
 
 
 def subset_vertices(ineqs, dim) -> set:

@@ -1,5 +1,6 @@
 """Tests for exact polytope geometry: hulls, duality, sums, metrics."""
 
+import dataclasses
 from fractions import Fraction
 from itertools import product as iter_product
 
@@ -41,12 +42,15 @@ from mahlerlab.polytope import (
     volume,
 )
 from mahlerlab import polytope
+from mahlerlab.graphs import enumerate_standard_hanner
 from mahlerlab.ratlin import int_det
-from mahlerlab.stability import random_unconditional_polytope
+from mahlerlab.stability import perturb_unconditional, random_unconditional_polytope
 from oracles import (
     brute_volume,
     distance_sq_by_subsets,
+    gauge_by_fractions,
     hausdorff_by_full_scan,
+    membership_by_fractions,
     subset_facets,
     subset_vertices,
     validate,
@@ -200,6 +204,52 @@ def test_membership_agrees_with_gauge(p, x):
         assert m == "boundary"
     else:
         assert m == "outside"
+
+
+HANNER_BALLS = [h for n in (2, 3, 4) for _, h in enumerate_standard_hanner(n)]
+# facets with offset 0 (through the origin) and -1 (the origin strictly outside)
+OFFSET_BODIES = [
+    from_vertices([(0, 0), (1, 0), (0, 1)]),
+    from_vertices([(1, 1), (3, 1), (1, F(5, 2))]),
+    from_vertices([(0, 0, 0), (F(1, 2), 0, 0), (0, F(1, 3), 0), (0, 0, 2)]),
+]
+# mixed denominators, so the point and the facet rows clear differently
+mixed = st.builds(F, st.integers(min_value=-30, max_value=30), st.sampled_from([1, 2, 3, 5, 7, 12]))
+ROW_BODIES = {
+    "general": st.one_of(
+        st.sampled_from(OFFSET_BODIES),
+        general_body(coord=rationals),
+        general_body(dim=3, coord=rationals),
+    ),
+    "hanner": st.sampled_from(HANNER_BALLS),
+    "perturbed": st.builds(
+        perturb_unconditional,
+        st.sampled_from(HANNER_BALLS),
+        st.sampled_from([F(1, 10), F(1, 3)]),
+        st.integers(min_value=0, max_value=10**6),
+    ),
+}
+
+
+def test_offset_bodies_have_offsets_zero_and_minus_one():
+    assert {b for body in OFFSET_BODIES for _, b in body.facets} == {-1, 0, 1}
+
+
+@pytest.mark.parametrize("kind", sorted(ROW_BODIES))
+@given(data=st.data())
+@settings(max_examples=25, deadline=None)
+def test_integer_rows_match_fraction_formulas(kind, data):
+    p = data.draw(ROW_BODIES[kind])
+    origin = (F(0),) * p.dim
+    points = data.draw(st.lists(st.tuples(*[mixed] * p.dim), max_size=6))
+    for x in points + list(p.vertices) + [origin]:
+        assert membership(p, x) == membership_by_fractions(p, x)
+        if contains_origin_interior(p):
+            assert gauge(p, x) == gauge_by_fractions(p, x)
+    assert all(membership(p, v) == "boundary" for v in p.vertices)
+    if contains_origin_interior(p):
+        assert all(gauge(p, v) == 1 for v in p.vertices)
+        assert gauge(p, origin) == 0 and membership(p, origin) == "interior"
 
 
 @given(symmetric_body(), st.tuples(coords, coords), st.tuples(coords, coords))
@@ -364,6 +414,27 @@ def test_normalize_unconditional_sets_unit_axis_gauges():
     assert r == cross_polytope(2)
 
 
+def test_normalize_skips_the_rebuild_of_a_normalized_body(monkeypatch):
+    calls = []
+    real = polytope.diagonal_image
+
+    def counting(p, scales):
+        calls.append(scales)
+        return real(p, scales)
+
+    monkeypatch.setattr(polytope, "diagonal_image", counting)
+    for h in HANNER_BALLS:
+        assert normalize_unconditional(h) is h
+    assert calls == []
+    perturbed = perturb_unconditional(HANNER_BALLS[-1], F(1, 10), 0)  # returns a normalized body
+    calls.clear()
+    assert normalize_unconditional(perturbed) is perturbed
+    assert calls == []
+    for scales in [(2, 3, 5), (1, 1, F(1, 2))]:  # the second is off only at e_3
+        assert normalize_unconditional(diagonal_image(cube(3), scales)) == cube(3)
+    assert len(calls) == 2
+
+
 def test_is_unconditional():
     assert is_unconditional(cube(3))
     assert is_unconditional(cross_polytope(4))
@@ -386,6 +457,34 @@ def test_volume_matches_brute_force_dim2(p):
 @settings(max_examples=15, deadline=None)
 def test_volume_matches_brute_force_dim3(body):
     assert volume(body) == brute_volume(body.vertices, 3)
+
+
+PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23)
+
+
+@st.composite
+def prime_denominator_body(draw, dim):
+    """Hull of points whose denominators are distinct primes, one per point.
+
+    Every hull vertex keeps its own prime, so the common denominator D of
+    the vertices is the product of at least dim + 1 of them.
+    """
+    dens = draw(st.permutations(PRIMES))[: draw(st.integers(min_value=dim + 1, max_value=dim + 3))]
+    pts = []
+    for q in dens:
+        first = draw(st.integers(min_value=-3 * q, max_value=3 * q).filter(lambda k: k % q))
+        rest = draw(st.lists(st.integers(min_value=-3 * q, max_value=3 * q), min_size=dim - 1, max_size=dim - 1))
+        pts.append(tuple(F(k, q) for k in [first] + rest))
+    try:
+        return from_vertices(pts)
+    except DimensionError:
+        assume(False)
+
+
+@given(st.one_of(prime_denominator_body(2), prime_denominator_body(3)))
+@settings(max_examples=25, deadline=None)
+def test_volume_on_distinct_prime_denominators(p):
+    assert volume(p) == brute_volume(p.vertices, p.dim)
 
 
 @given(symmetric_body(dim=2), st.integers(min_value=1, max_value=4))
@@ -565,6 +664,18 @@ def test_validate_catches_handmade_corruption():
         validate(Polytope(2, doubled, c.facets))  # vertices poke out
     validate(c)
     validate(cross_polytope(3))
+
+
+def test_facet_rows_stay_out_of_identity():
+    assert [f.name for f in dataclasses.fields(Polytope)] == ["dim", "vertices", "facets"]
+    for body in (random_unconditional_polytope(3, 5), OFFSET_BODIES[1]):
+        before = to_json_dict(body)
+        membership(body, (F(1, 3),) * body.dim)
+        assert "_facet_rows" in vars(body)
+        fresh = from_vertices(body.vertices)
+        assert "_facet_rows" not in vars(fresh)
+        assert fresh == body and hash(fresh) == hash(body)
+        assert to_json_dict(body) == before == to_json_dict(fresh)
 
 
 def test_polytope_class_invariants():
