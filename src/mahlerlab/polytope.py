@@ -33,7 +33,21 @@ D, a facet row ``(A, c, b)`` holds a scaled vertex V exactly when
 summed as one Python int and divided once, by ``D^d * d!``.
 
 The distance from a point to a polytope is the norm of the min-norm point of
-the translated vertices, found exactly by Wolfe's algorithm.  The Hausdorff
+the translated vertices, found exactly by Wolfe's algorithm on integer rows.
+``_vertex_rows`` (built and kept like ``_facet_rows``) holds ``(V, D)``, the
+vertices times their common denominator D; a point cleared to ``X/dx`` and
+``L = lcm(D, dx)`` give the translated rows ``W_i = V_i*(L/D) - X*(L/dx)``,
+and the squared distance is the squared min-norm of the W divided by L^2.
+Wolfe keeps its iterate as ``y = Y/s`` (integer Y, s > 0, reduced by their
+gcd after each major step), so its stop test ``<y, q> >= <y, y>`` becomes the
+integer ``<Y, q>*s >= <Y, Y>``.  The affine minimiser of a corral comes from
+the integer Gram system of the lifted points (w, 1), ``(G + J) u = det * 1``,
+as ``alpha = u / sum(u)``.  The lift needs no rescaling: for every c > 0,
+``(G + cJ) z = 1`` gives ``G z = (1 - c*sum(z)) * 1``, which with
+``alpha = z / sum(z)`` is the optimality condition ``G alpha = mu * 1``,
+``sum(alpha) = 1`` of the unique affine minimiser.  The answers are the ones
+a Fraction run gives, step for step, since every comparison is the same
+comparison cleared of positive denominators.  The Hausdorff
 distance is the largest distance from a vertex of either body to the other,
 and an isometry g fixing both bodies gives d(g v, q) = d(v, q), so one vertex
 per orbit of such reflections gives the same maximum: the closed positive
@@ -63,16 +77,14 @@ from .errors import (
 from .ratlin import (
     Vec,
     common_denominator,
-    dot,
     fr,
     int_det,
+    int_solve,
     parse_fraction,
     parse_int,
     primitive_int_vec,
-    solve_linear,
     unit_vec,
     vec,
-    vsub,
     zero_vec,
 )
 
@@ -119,6 +131,15 @@ class Polytope:
         dataclass field, so equality, hashing and ordering never see it.
         """
         return tuple((*_int_row(a), int(b)) for a, b in self.facets)
+
+    @cached_property
+    def _vertex_rows(self) -> tuple[tuple[tuple[int, ...], ...], int]:
+        """``(V, D)``: D > 0 the common denominator of every vertex coordinate, V_i = D * vertex i.
+
+        Built and kept like ``_facet_rows``, outside the dataclass fields.
+        """
+        d = common_denominator(x for v in self.vertices for x in v)
+        return tuple(tuple(x.numerator * (d // x.denominator) for x in v) for v in self.vertices), d
 
     @property
     def n_vertices(self) -> int:
@@ -248,9 +269,14 @@ def sign_orbit(v: Sequence[Fraction]) -> list[Vec]:
 
 
 def is_unconditional(p: Polytope) -> bool:
-    """True when the vertex set is closed under coordinate sign flips."""
-    vset = set(p.vertices)
-    for v in p.vertices:
+    """True when the vertex set is closed under coordinate sign flips.
+
+    Read on the integer vertex rows: the positive scale D commutes with
+    every sign flip, and int tuples hash far faster than Fraction tuples.
+    """
+    rows, _ = p._vertex_rows
+    vset = set(rows)
+    for v in rows:
         for i in range(p.dim):
             w = v[:i] + (-v[i],) + v[i + 1 :]
             if w not in vset:
@@ -405,8 +431,8 @@ def volume(p: Polytope) -> Fraction:
 # distances
 
 
-def _min_norm_point(pts: list[Vec]) -> Vec:
-    """The point of least norm in conv(pts), by Wolfe's algorithm.
+def _min_norm_sq(pts: list[tuple[int, ...]]) -> Fraction:
+    """The squared norm of the point of least norm in conv(pts), by Wolfe's algorithm.
 
     The corral, affinely independent points holding y with positive weights,
     starts as the first point of least norm.  Each major step adds the first
@@ -415,32 +441,42 @@ def _min_norm_point(pts: list[Vec]) -> Vec:
     while the weights stay nonnegative, dropping the points whose weight
     reaches zero.  The norm falls strictly, so no corral repeats (P. Wolfe,
     Finding the nearest point in a polytope, Math. Programming 11, 1976).
+
+    The points are integer rows and y = Y/s with integer Y and s > 0, so the
+    stop test is ``<Y, q> * s >= <Y, Y>``.  The affine minimiser solves the
+    integer Gram system ``(G + J) u = det * 1`` of the lifted points (w, 1)
+    and is ``u / sum(u)``: G + J is positive definite, so det > 0 and
+    ``sum(u) = det * <1, (G + J)^-1 1> > 0``.
     """
-    corral = [min(pts, key=lambda w: dot(w, w))]
+    corral = [min(pts, key=lambda w: sum(map(mul, w, w)))]
     lam = [Fraction(1)]
-    y = corral[0]
+    y_row, s = corral[0], 1
     while True:
-        q = min(pts, key=lambda w: dot(y, w))
-        if dot(y, q) >= dot(y, y):
-            return y
+        q = min(pts, key=lambda w: sum(map(mul, y_row, w)))
+        yy = sum(map(mul, y_row, y_row))
+        if sum(map(mul, y_row, q)) * s >= yy:
+            return Fraction(yy, s * s)
         corral.append(q)
         lam.append(Fraction(0))
         while True:
-            # affine minimiser: the Gram system of the lifted points (w, 1)
-            gram = tuple(tuple(dot(u, w) + 1 for w in corral) for u in corral)
-            z = solve_linear(gram, (Fraction(1),) * len(corral))
-            assert z is not None, "the corral is affinely independent"
-            total = sum(z)
-            alpha = [zi / total for zi in z]
-            if all(a > 0 for a in alpha):
+            gram = [[sum(map(mul, a, b)) + 1 for b in corral] for a in corral]
+            solved = int_solve(gram, [1] * len(corral))
+            assert solved is not None, "the corral is affinely independent"
+            u = solved[0]
+            total = sum(u)
+            assert total > 0, "the lifted Gram matrix is positive definite"
+            if all(ui > 0 for ui in u):
                 break
+            alpha = [Fraction(ui, total) for ui in u]
             assert all(a > 0 for li, a in zip(lam, alpha) if li == 0), "Wolfe: the point just added gets weight > 0"
             theta = min(li / (li - a) for li, a in zip(lam, alpha) if a <= 0)
             lam = [(1 - theta) * li + theta * a for li, a in zip(lam, alpha)]
             corral = [w for w, li in zip(corral, lam) if li > 0]
             lam = [li for li in lam if li > 0]
-        lam = alpha
-        y = tuple(sum(li * w[i] for li, w in zip(lam, corral)) for i in range(len(y)))
+        lam = [Fraction(ui, total) for ui in u]
+        y_row = [sum(ui * w[i] for ui, w in zip(u, corral)) for i in range(len(y_row))]
+        g = math.gcd(total, *y_row)
+        y_row, s = [c // g for c in y_row], total // g
 
 
 def point_distance_sq(p: Polytope, x: Sequence[Fraction | int]) -> Fraction:
@@ -448,13 +484,18 @@ def point_distance_sq(p: Polytope, x: Sequence[Fraction | int]) -> Fraction:
     v = vec(x)
     if membership(p, v) != "outside":
         return Fraction(0)
-    y = _min_norm_point([vsub(w, v) for w in p.vertices])
-    return dot(y, y)
+    x_row, dx = _int_row(v)
+    rows, d = p._vertex_rows
+    scale = d * dx // math.gcd(d, dx)  # L: both the vertices and x are integer on 1/L
+    sv, sx = scale // d, scale // dx
+    return _min_norm_sq([tuple(a * sv - b * sx for a, b in zip(row, x_row)) for row in rows]) / scale**2
 
 
 def _is_centrally_symmetric(p: Polytope) -> bool:
-    vset = set(p.vertices)
-    return all(tuple(-x for x in v) in vset for v in p.vertices)
+    """Closure under negation, read on the integer vertex rows like ``is_unconditional``."""
+    rows, _ = p._vertex_rows
+    vset = set(rows)
+    return all(tuple(-x for x in v) in vset for v in rows)
 
 
 def hausdorff_distance_sq(p: Polytope, q: Polytope) -> Fraction:

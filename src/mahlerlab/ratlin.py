@@ -7,13 +7,13 @@ row tuples; both are immutable and hashable so geometric objects built from
 them can be cached and compared exactly.
 
 Hot loops (volume determinants, the conversion engine, ``gauge`` and
-``membership`` on a polytope's facet rows) clear denominators
-once and run on plain Python integers through ``int_det`` and
-``primitive_int_vec``, which is several times faster than Fraction arithmetic
-and just as exact.  One Fraction entry point serves the package:
-``solve_linear``, the small Gram systems of Wolfe's min-norm point.
+``membership`` on a polytope's facet rows, Wolfe's min-norm point on its
+vertex rows) clear denominators once and run on plain Python integers through
+``int_det``, ``int_solve`` and ``primitive_int_vec``, which is several times
+faster than Fraction arithmetic and just as exact.  ``solve_linear``,
 ``int_rank`` and ``determinant`` have no package caller any more; they stay
-only because the benchmark's tracer still binds them by name.
+because the benchmark's tracer still binds them by name, and ``solve_linear``
+also serves the reference implementations in ``tests/oracles.py``.
 """
 
 from __future__ import annotations
@@ -91,6 +91,43 @@ def int_det(rows: Sequence[Sequence[int]]) -> int:
             row_i[k] = 0
         prev = pivot
     return sign * a[n - 1][n - 1]
+
+
+def int_solve(rows: Sequence[Sequence[int]], b: Sequence[int]) -> tuple[list[int], int] | None:
+    """Solve an integer system as ``(u, det)`` with ``rows @ u == det * b``; None when singular.
+
+    Fraction-free (Bareiss) Gauss-Jordan elimination on the augmented rows:
+    after pivot k every entry is a (k+1)-minor, so each division by the
+    previous pivot is exact, and the last pivot is the determinant up to the
+    sign of the row swaps.  The solution is ``u / det``.
+    """
+    n = len(rows)
+    if any(len(r) != n for r in rows) or len(b) != n:
+        raise ValueError("int_solve needs square rows and matching b")
+    a = [list(r) + [bi] for r, bi in zip(rows, b)]
+    sign = 1
+    prev = 1
+    for k in range(n):
+        if a[k][k] == 0:
+            for i in range(k + 1, n):
+                if a[i][k] != 0:
+                    a[k], a[i] = a[i], a[k]
+                    sign = -sign
+                    break
+            else:
+                return None
+        row_k = a[k]
+        pivot = row_k[k]
+        for i in range(n):
+            if i == k:
+                continue
+            row_i = a[i]
+            aik = row_i[k]
+            for j in range(k + 1, n + 1):
+                row_i[j] = (row_i[j] * pivot - aik * row_k[j]) // prev
+            row_i[k] = 0
+        prev = pivot
+    return [sign * r[n] for r in a], sign * prev
 
 
 def int_rank(rows: Sequence[Sequence[int]]) -> int:

@@ -3,8 +3,10 @@
 Everything here favors obviousness over speed: cofactor expansion, subset
 enumeration, permutation scans, Gaussian elimination over the rationals for
 rank, Fraction dot products over every facet for the gauge and membership,
+Fraction vertex sets for the sign-flip and negation checks,
 recursive projection for volume, projection onto the affine hull of
-every small vertex subset for distance, a scan of every vertex of both bodies
+every small vertex subset for distance, Wolfe's algorithm on Fraction
+vectors for distance, a scan of every vertex of both bodies
 for the Hausdorff distance, built sections for the truncation
 check and for the section volumes of the section inequalities, component
 recursion for the labeled P4-free graphs.  The only library
@@ -105,6 +107,18 @@ def membership_by_fractions(p: Polytope, x) -> str:
     if any(s > 0 for s in sides):
         return "outside"
     return "boundary" if 0 in sides else "interior"
+
+
+def is_unconditional_by_fractions(p: Polytope) -> bool:
+    """Closure of the Fraction vertex set under every single coordinate sign flip."""
+    vset = set(p.vertices)
+    return all(v[:i] + (-v[i],) + v[i + 1 :] in vset for v in p.vertices for i in range(p.dim))
+
+
+def is_centrally_symmetric_by_fractions(p: Polytope) -> bool:
+    """Closure of the Fraction vertex set under negation."""
+    vset = set(p.vertices)
+    return all(tuple(-x for x in v) in vset for v in p.vertices)
 
 
 def subset_vertices(ineqs, dim) -> set:
@@ -348,6 +362,43 @@ def distance_sq_by_subsets(p: Polytope, x) -> Fraction:
                 best = d
     assert best is not None
     return best
+
+
+def distance_sq_by_fractions(p: Polytope, x) -> Fraction:
+    """Squared distance from x to p by Wolfe's algorithm on Fraction vectors.
+
+    The same corral steps as the package's integer version, written on the
+    translated vertices w - x with Fraction dot products and the Gram system
+    of the lifted points (w, 1) solved by ``solve_linear``.
+    """
+    xx = vec(x)
+    if membership(p, xx) != "outside":
+        return Fraction(0)
+    pts = [vsub(w, xx) for w in p.vertices]
+    corral = [min(pts, key=lambda w: dot(w, w))]
+    lam = [Fraction(1)]
+    y = corral[0]
+    while True:
+        q = min(pts, key=lambda w: dot(y, w))
+        if dot(y, q) >= dot(y, y):
+            return dot(y, y)
+        corral.append(q)
+        lam.append(Fraction(0))
+        while True:
+            gram = tuple(tuple(dot(u, w) + 1 for w in corral) for u in corral)
+            z = solve_linear(gram, (Fraction(1),) * len(corral))
+            assert z is not None, "the corral is affinely independent"
+            total = sum(z)
+            alpha = [zi / total for zi in z]
+            if all(a > 0 for a in alpha):
+                break
+            assert all(a > 0 for li, a in zip(lam, alpha) if li == 0), "Wolfe: the point just added gets weight > 0"
+            theta = min(li / (li - a) for li, a in zip(lam, alpha) if a <= 0)
+            lam = [(1 - theta) * li + theta * a for li, a in zip(lam, alpha)]
+            corral = [w for w, li in zip(corral, lam) if li > 0]
+            lam = [li for li in lam if li > 0]
+        lam = alpha
+        y = tuple(sum(li * w[i] for li, w in zip(lam, corral)) for i in range(len(y)))
 
 
 def hausdorff_by_full_scan(p: Polytope, q: Polytope) -> Fraction:

@@ -41,15 +41,18 @@ from mahlerlab.polytope import (
     to_json_dict,
     volume,
 )
-from mahlerlab import polytope
+from mahlerlab import polytope, ratlin
 from mahlerlab.graphs import enumerate_standard_hanner
 from mahlerlab.ratlin import int_det
-from mahlerlab.stability import perturb_unconditional, random_unconditional_polytope
+from mahlerlab.stability import perturb_unconditional, random_unconditional_polytope, symmetric_probe
 from oracles import (
     brute_volume,
+    distance_sq_by_fractions,
     distance_sq_by_subsets,
     gauge_by_fractions,
     hausdorff_by_full_scan,
+    is_centrally_symmetric_by_fractions,
+    is_unconditional_by_fractions,
     membership_by_fractions,
     subset_facets,
     subset_vertices,
@@ -63,9 +66,9 @@ rationals = st.builds(F, st.integers(min_value=-12, max_value=12), st.integers(m
 
 
 @st.composite
-def symmetric_body(draw, dim=2):
-    """Unconditional body: sign orbits of a few integer points, plus the cross."""
-    pts = draw(st.lists(st.tuples(*[coords] * dim), min_size=1, max_size=3))
+def symmetric_body(draw, dim=2, coord=coords):
+    """Unconditional body: sign orbits of a few points, plus the cross."""
+    pts = draw(st.lists(st.tuples(*[coord] * dim), min_size=1, max_size=3))
     out = []
     for p in pts:
         for signs in iter_product((1, -1), repeat=dim):
@@ -79,9 +82,9 @@ def symmetric_body(draw, dim=2):
 
 
 @st.composite
-def central_body(draw, dim=2):
-    """Centrally symmetric body that is not unconditional: hull of +-x for a few integer points."""
-    pts = draw(st.lists(st.tuples(*[coords] * dim), min_size=dim, max_size=dim + 1))
+def central_body(draw, dim=2, coord=coords):
+    """Centrally symmetric body that is not unconditional: hull of +-x for a few points."""
+    pts = draw(st.lists(st.tuples(*[coord] * dim), min_size=dim, max_size=dim + 1))
     try:
         p = from_vertices(pts + [tuple(-x for x in v) for v in pts])
     except DimensionError:
@@ -442,6 +445,17 @@ def test_is_unconditional():
     assert not is_unconditional(tilted)
 
 
+@given(
+    st.sampled_from([symmetric_body, central_body, general_body]).flatmap(
+        lambda body: st.one_of(body(coord=rationals), body(dim=3, coord=rationals))
+    )
+)
+@settings(max_examples=60, deadline=None)
+def test_symmetry_checks_match_fraction_vertex_sets(p):
+    assert is_unconditional(p) == is_unconditional_by_fractions(p)
+    assert polytope._is_centrally_symmetric(p) == is_centrally_symmetric_by_fractions(p)
+
+
 # ---------------------------------------------------------------------------
 # volume
 
@@ -535,6 +549,22 @@ def test_point_distance_matches_subset_oracle(body_and_point):
     assert point_distance_sq(p, x) == distance_sq_by_subsets(p, x)
 
 
+@st.composite
+def coprime_point(draw, dim):
+    """A point with denominator a prime above PRIMES, so coprime to the vertex D of prime_denominator_body."""
+    q = draw(st.sampled_from([29, 31, 37]))
+    first = draw(st.integers(min_value=-5 * q, max_value=5 * q).filter(lambda k: k % q))
+    rest = draw(st.lists(st.integers(min_value=-5 * q, max_value=5 * q), min_size=dim - 1, max_size=dim - 1))
+    return tuple(F(k, q) for k in [first] + rest)
+
+
+@given(st.one_of(*(st.tuples(prime_denominator_body(d), coprime_point(d)) for d in (2, 3))))
+@settings(max_examples=40, deadline=None)
+def test_point_distance_matches_fraction_wolfe_on_coprime_denominators(body_and_point):
+    p, x = body_and_point
+    assert point_distance_sq(p, x) == distance_sq_by_fractions(p, x) == distance_sq_by_subsets(p, x)
+
+
 def test_point_distance_frozen_values():
     assert point_distance_sq(cube(3), (2, 2, 2)) == 3
     assert point_distance_sq(cross_polytope(3), (3, 0, 0)) == 4
@@ -559,6 +589,27 @@ def test_hausdorff_frozen_values():
 @settings(max_examples=30, deadline=None)
 def test_hausdorff_symmetry(p, q):
     assert hausdorff_distance_sq(p, q) == hausdorff_distance_sq(q, p)
+
+
+def test_hausdorff_solves_the_gram_systems_on_integers(monkeypatch):
+    calls = {"int_solve": 0, "solve_linear": 0}
+    real_int, real_fraction = polytope.int_solve, ratlin.solve_linear
+
+    def counting_int(rows, b):
+        calls["int_solve"] += 1
+        return real_int(rows, b)
+
+    def counting_fraction(m, b):
+        calls["solve_linear"] += 1
+        return real_fraction(m, b)
+
+    monkeypatch.setattr(polytope, "int_solve", counting_int)
+    monkeypatch.setattr(ratlin, "solve_linear", counting_fraction)
+    # symmetric_probe measures each trial body against the cube by hausdorff_distance_sq
+    report = symmetric_probe(cube(3), F(1, 20), trials=2, seed=0)
+    assert all(dist > 0 for _, dist, _ in report.records)
+    assert calls["int_solve"] >= 1
+    assert calls["solve_linear"] == 0
 
 
 def _pairs(left, right):
@@ -671,9 +722,10 @@ def test_facet_rows_stay_out_of_identity():
     for body in (random_unconditional_polytope(3, 5), OFFSET_BODIES[1]):
         before = to_json_dict(body)
         membership(body, (F(1, 3),) * body.dim)
-        assert "_facet_rows" in vars(body)
+        point_distance_sq(body, (F(7, 2),) * body.dim)  # outside, so it reads the vertex rows
+        assert "_facet_rows" in vars(body) and "_vertex_rows" in vars(body)
         fresh = from_vertices(body.vertices)
-        assert "_facet_rows" not in vars(fresh)
+        assert "_facet_rows" not in vars(fresh) and "_vertex_rows" not in vars(fresh)
         assert fresh == body and hash(fresh) == hash(body)
         assert to_json_dict(body) == before == to_json_dict(fresh)
 

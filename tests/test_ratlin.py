@@ -14,6 +14,7 @@ from mahlerlab.ratlin import (
     fr,
     int_det,
     int_rank,
+    int_solve,
     parse_fraction,
     primitive_int_vec,
     solve_linear,
@@ -105,6 +106,31 @@ def test_solve_linear_solves_or_reports_singular(rows, b):
             assert dot(row, x) == rhs
     else:
         assert x is None
+
+
+@st.composite
+def int_system(draw):
+    """A square integer system of size 1..5; half of them singular."""
+    n = draw(st.integers(min_value=1, max_value=5))
+    rows = draw(int_matrix(n))
+    if draw(st.booleans()):  # the last row a combination of the others (the zero row when n = 1)
+        coefs = draw(st.lists(ints, min_size=n - 1, max_size=n - 1))
+        rows[-1] = [sum(c * r[j] for c, r in zip(coefs, rows)) for j in range(n)]
+    return rows, draw(st.lists(ints, min_size=n, max_size=n))
+
+
+@given(int_system())
+@settings(max_examples=150)
+def test_int_solve_matches_solve_linear(system):
+    rows, b = system
+    want = solve_linear(tuple(vec(r) for r in rows), vec(b))
+    got = int_solve(rows, b)
+    if want is None:
+        assert got is None and int_det(rows) == 0
+    else:
+        u, det = got
+        assert det == int_det(rows)
+        assert tuple(Fraction(x, det) for x in u) == want
 
 
 @given(st.lists(st.lists(fracs, min_size=3, max_size=3), min_size=1, max_size=5))
