@@ -25,19 +25,13 @@ hull direction these rows are exactly the points that are vertices.
 from __future__ import annotations
 
 from fractions import Fraction
+from operator import mul
 from typing import Sequence
 
 from .errors import DimensionError, UnboundedError
-from .ratlin import Vec, common_denominator, int_det, primitive_int_vec
+from .ratlin import Vec, int_row, int_solve, primitive_int_vec
 
 IntVec = tuple[int, ...]
-
-
-def _idot(u: IntVec, v: IntVec) -> int:
-    s = 0
-    for a, b in zip(u, v):
-        s += a * b
-    return s
 
 
 def extreme_rays(rows: Sequence[IntVec]) -> tuple[list[IntVec], list[int]]:
@@ -73,22 +67,20 @@ def extreme_rays(rows: Sequence[IntVec]) -> tuple[list[IntVec], list[int]]:
     if len(basis) < d:
         raise DimensionError("cone is not pointed (rows are rank deficient)")
 
-    # Rays of the initial simplicial subcone solve B r_j = -e_j.  By Cramer's
-    # rule r_j = -adj(B)[:, j] / det B; only the sign of det B matters once
-    # the ray is made primitive.
-    sign = 1 if int_det(basis_rows) > 0 else -1
+    # Rays of the initial simplicial subcone solve B r_j = -e_j.  int_solve
+    # returns (u, det) with B u = det * (-e_j), so r_j = u / det; only the
+    # sign of det matters once the ray is made primitive.
     rays: list[IntVec] = []
     for j in range(d):
-        minor = basis_rows[:j] + basis_rows[j + 1 :]
-        col = [(-1) ** (i + j) * int_det([r[:i] + r[i + 1 :] for r in minor]) for i in range(d)]
-        rays.append(primitive_int_vec(tuple(-sign * c for c in col)))
+        u, det = int_solve(basis_rows, [-int(i == j) for i in range(d)])
+        rays.append(primitive_int_vec(u if det > 0 else [-x for x in u]))
 
     basis_set = set(basis)
     tight: list[int] = []
     for r in rays:
         m = 0
         for i in basis:
-            if _idot(rows[i], r) == 0:
+            if sum(map(mul, rows[i], r)) == 0:
                 m |= 1 << i
         tight.append(m)
 
@@ -96,7 +88,7 @@ def extreme_rays(rows: Sequence[IntVec]) -> tuple[list[IntVec], list[int]]:
     for i, row in enumerate(rows):
         if i in basis_set:
             continue
-        scores = [_idot(row, r) for r in rays]
+        scores = [sum(map(mul, row, r)) for r in rays]
         if all(s <= 0 for s in scores):
             bit = 1 << i
             for k, s in enumerate(scores):
@@ -191,10 +183,7 @@ def polyhedron_vertices(
     a recession direction survives and DimensionError when the feasible set
     is empty or not full-dimensional.
     """
-    rows: list[IntVec] = []
-    for a, b in ineqs:
-        den = common_denominator(list(a) + [b])
-        rows.append(tuple(int(x * den) for x in a) + (-int(b * den),))
+    rows = [int_row((*a, -b))[0] for a, b in ineqs]
     rows.append((0,) * dim + (-1,))  # t >= 0
     rays, flags = _convert(rows)
 
@@ -214,10 +203,7 @@ def hull_facets(points: Sequence[Vec]) -> tuple[list[tuple[Vec, Fraction]], list
     inequalities ``{(a, s) : <p, a> <= s for every point p}``.  A point is a
     vertex exactly when its constraint supports a facet of that cone.
     """
-    rows: list[IntVec] = []
-    for p in points:
-        den = common_denominator(p)
-        rows.append(tuple(int(x * den) for x in p) + (-den,))
+    rows = [row + (-den,) for row, den in map(int_row, points)]
     try:
         rays, flags = _convert(rows)
     except DimensionError:

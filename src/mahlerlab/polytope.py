@@ -27,15 +27,15 @@ recursively triangulated facets that miss it.  The subfaces of a face are its
 maximal proper intersections with facet vertex sets (bitmasks, no rank
 work), shared across the recursion through a memo, so the triangulation
 stays near linear in the number of faces actually touched.  It runs on one
-integer scale: the vertices are multiplied once by their common denominator
-D, a facet row ``(A, c, b)`` holds a scaled vertex V exactly when
-``<A, V> == b*c*D``, and the simplices' ``int_det`` values are
-summed as one Python int and divided once, by ``D^d * d!``.
+integer scale, the vertex rows: ``_vertex_rows`` (built and kept like
+``_facet_rows``) holds ``(V, D)``, the vertices times their common
+denominator D.  A facet row ``(A, c, b)`` holds a vertex row V exactly when
+``<A, V> == b*c*D``, and the simplices' ``int_det`` values are summed as one
+Python int and divided once, by ``D^d * d!``.
 
 The distance from a point to a polytope is the norm of the min-norm point of
-the translated vertices, found exactly by Wolfe's algorithm on integer rows.
-``_vertex_rows`` (built and kept like ``_facet_rows``) holds ``(V, D)``, the
-vertices times their common denominator D; a point cleared to ``X/dx`` and
+the translated vertices, found exactly by Wolfe's algorithm on the same
+vertex rows ``(V, D)``: a point cleared to ``X/dx`` and
 ``L = lcm(D, dx)`` give the translated rows ``W_i = V_i*(L/D) - X*(L/dx)``,
 and the squared distance is the squared min-norm of the W divided by L^2.
 Wolfe keeps its iterate as ``y = Y/s`` (integer Y, s > 0, reduced by their
@@ -76,9 +76,9 @@ from .errors import (
 )
 from .ratlin import (
     Vec,
-    common_denominator,
     fr,
     int_det,
+    int_row,
     int_solve,
     parse_fraction,
     parse_int,
@@ -91,12 +91,6 @@ from .ratlin import (
 Facet = tuple[Vec, Fraction]
 
 
-def _int_row(v: Vec) -> tuple[tuple[int, ...], int]:
-    """Clear v to ``(V, d)`` with integer V, d > 0 the least common denominator and v = V/d."""
-    d = common_denominator(v)
-    return tuple(x.numerator * (d // x.denominator) for x in v), d
-
-
 def canon_facet(normal: Vec, offset: Fraction) -> Facet:
     """Scale ``<normal, x> <= offset`` to offset in {+1, -1, 0}."""
     if all(x == 0 for x in normal):
@@ -105,7 +99,7 @@ def canon_facet(normal: Vec, offset: Fraction) -> Facet:
         return tuple(x / offset for x in normal), Fraction(1)
     if offset < 0:
         return tuple(x / -offset for x in normal), Fraction(-1)
-    prim = primitive_int_vec(_int_row(normal)[0])
+    prim = primitive_int_vec(int_row(normal)[0])
     return tuple(Fraction(x) for x in prim), Fraction(0)
 
 
@@ -130,7 +124,7 @@ class Polytope:
         Built on first read and kept in the instance ``__dict__``; not a
         dataclass field, so equality, hashing and ordering never see it.
         """
-        return tuple((*_int_row(a), int(b)) for a, b in self.facets)
+        return tuple((*int_row(a), int(b)) for a, b in self.facets)
 
     @cached_property
     def _vertex_rows(self) -> tuple[tuple[tuple[int, ...], ...], int]:
@@ -138,8 +132,9 @@ class Polytope:
 
         Built and kept like ``_facet_rows``, outside the dataclass fields.
         """
-        d = common_denominator(x for v in self.vertices for x in v)
-        return tuple(tuple(x.numerator * (d // x.denominator) for x in v) for v in self.vertices), d
+        flat, d = int_row([x for v in self.vertices for x in v])
+        n = self.dim
+        return tuple(flat[i : i + n] for i in range(0, len(flat), n)), d
 
     @property
     def n_vertices(self) -> int:
@@ -210,7 +205,7 @@ def membership(p: Polytope, x: Sequence[Fraction | int]) -> str:
     v = vec(x)
     if len(v) != p.dim:
         raise DimensionError(f"point has dimension {len(v)}, polytope {p.dim}")
-    x_row, dx = _int_row(v)
+    x_row, dx = int_row(v)
     on_boundary = False
     for row, c, b in p._facet_rows:
         s = sum(map(mul, row, x_row))  # <a, v> = s / (c * dx)
@@ -233,7 +228,7 @@ def gauge(p: Polytope, x: Sequence[Fraction | int]) -> Fraction:
     v = vec(x)
     if len(v) != p.dim:
         raise DimensionError(f"point has dimension {len(v)}, polytope {p.dim}")
-    x_row, dx = _int_row(v)
+    x_row, dx = int_row(v)
     best, over = 0, 1  # the largest <a, v> * dx so far, as best / over
     for row, c, _ in p._facet_rows:
         s = sum(map(mul, row, x_row))
@@ -413,8 +408,7 @@ def _pull_triangulation(s: int, facet_masks: list[int], memo: dict[int, list[tup
 def volume(p: Polytope) -> Fraction:
     """Exact volume by a pulling triangulation, summed on one integer scale."""
     d = p.dim
-    den = common_denominator(x for v in p.vertices for x in v)
-    verts = [tuple(x.numerator * (den // x.denominator) for x in v) for v in p.vertices]
+    verts, den = p._vertex_rows
     facet_masks = []
     for row, c, b in p._facet_rows:
         rhs = b * c * den  # <a, v> == b  iff  <row, den * v> == rhs
@@ -484,7 +478,7 @@ def point_distance_sq(p: Polytope, x: Sequence[Fraction | int]) -> Fraction:
     v = vec(x)
     if membership(p, v) != "outside":
         return Fraction(0)
-    x_row, dx = _int_row(v)
+    x_row, dx = int_row(v)
     rows, d = p._vertex_rows
     scale = d * dx // math.gcd(d, dx)  # L: both the vertices and x are integer on 1/L
     sv, sx = scale // d, scale // dx

@@ -10,16 +10,18 @@ Hot loops (volume determinants, the conversion engine, ``gauge`` and
 ``membership`` on a polytope's facet rows, Wolfe's min-norm point on its
 vertex rows) clear denominators once and run on plain Python integers through
 ``int_det``, ``int_solve`` and ``primitive_int_vec``, which is several times
-faster than Fraction arithmetic and just as exact.  ``solve_linear``,
-``int_rank`` and ``determinant`` have no package caller any more; they stay
-because the benchmark's tracer still binds them by name, and ``solve_linear``
-also serves the reference implementations in ``tests/oracles.py``.
+faster than Fraction arithmetic and just as exact.  ``int_row`` is the one
+rule that clears a Fraction vector to an integer row; every module calls it
+rather than scaling by hand.  ``solve_linear``, ``int_rank`` and
+``determinant`` have no package caller any more; they stay because the
+benchmark's tracer still binds them by name, and ``solve_linear`` also serves
+the reference implementations in ``tests/oracles.py``.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
+from math import gcd, prod
 from typing import Iterable, Sequence
 
 Vec = tuple[Fraction, ...]
@@ -52,10 +54,6 @@ def unit_vec(n: int, i: int) -> Vec:
 
 def dot(u: Sequence[Fraction], v: Sequence[Fraction]) -> Fraction:
     return sum(a * b for a, b in zip(u, v, strict=True))
-
-
-def vsub(u: Vec, v: Vec) -> Vec:
-    return tuple(a - b for a, b in zip(u, v, strict=True))
 
 
 # ---------------------------------------------------------------------------
@@ -171,13 +169,15 @@ def common_denominator(xs: Iterable[Fraction]) -> int:
     return d
 
 
+def int_row(v: Sequence[Fraction]) -> tuple[tuple[int, ...], int]:
+    """Clear v to ``(V, d)`` with integer V, d > 0 the least common denominator and v = V/d."""
+    d = common_denominator(v)
+    return tuple(x.numerator * (d // x.denominator) for x in v), d
+
+
 def primitive_int_vec(v: Sequence[int]) -> tuple[int, ...]:
     """Divide out the gcd (sign preserved; the zero vector is unchanged)."""
-    g = 0
-    for x in v:
-        g = gcd(g, x)
-        if g == 1:
-            return tuple(v)
+    g = gcd(*v)
     return tuple(x // g for x in v) if g > 1 else tuple(v)
 
 
@@ -187,20 +187,8 @@ def primitive_int_vec(v: Sequence[int]) -> tuple[int, ...]:
 
 def determinant(m: Mat) -> Fraction:
     """Exact determinant; fraction-free elimination after clearing denominators."""
-    n = len(m)
-    if n == 0:
-        return ONE
-    scales = []
-    int_rows = []
-    for r in m:
-        d = common_denominator(r)
-        scales.append(d)
-        int_rows.append([int(x * d) for x in r])
-    det = int_det(int_rows)
-    out = Fraction(det)
-    for d in scales:
-        out /= d
-    return out
+    rows = [int_row(r) for r in m]
+    return Fraction(int_det([r for r, _ in rows]), prod(d for _, d in rows))
 
 
 def solve_linear(m: Mat, b: Vec) -> Vec | None:

@@ -255,6 +255,11 @@ def near_minimal_sections_check(k: Polytope, eps, body_id: str = "") -> SectionB
 # truncated cubes and the corner bound
 
 
+def _check_truncation_level(n: int, t: Fraction) -> None:
+    if not Fraction(n - 1, n) <= t <= 1:
+        raise PreconditionError(f"t = {format_exact(t)} outside [(n-1)/n, 1]")
+
+
 def truncated_cube(n: int, t) -> Polytope:
     """B-inf^n cut by sum |x_i| <= n*t, for (n-1)/n <= t <= 1.
 
@@ -268,8 +273,7 @@ def truncated_cube(n: int, t) -> Polytope:
     t = fr(t)
     if n < 2:
         raise PreconditionError("truncated cubes need dimension at least 2")
-    if not Fraction(n - 1, n) <= t <= 1:
-        raise PreconditionError(f"t = {format_exact(t)} outside [(n-1)/n, 1]")
+    _check_truncation_level(n, t)
     rows = [(e, Fraction(1)) for i in range(n) for e in sign_orbit(unit_vec(n, i))]
     rows += [(s, n * t) for s in sign_orbit((Fraction(1),) * n)]
     k = from_halfspaces(rows, n)
@@ -283,8 +287,7 @@ def corner_bound_factor(n: int, t) -> Fraction:
     t = fr(t)
     if n < 3:
         raise PreconditionError("the corner bound is positive only from dimension 3 on")
-    if not Fraction(n - 1, n) <= t <= 1:
-        raise PreconditionError(f"t = {format_exact(t)} outside [(n-1)/n, 1]")
+    _check_truncation_level(n, t)
     c = 1 - Fraction(1, math.factorial(n - 1))
     return 1 + Fraction(1, 2 ** (n + 1)) * c * (1 - t)
 
@@ -334,8 +337,7 @@ def corner_bound_instance(n: int, t) -> CornerBoundInstance:
     t = fr(t)
     if n < 3:
         raise PreconditionError("corner instances need dimension at least 3")
-    if not Fraction(n - 1, n) <= t <= 1:
-        raise PreconditionError(f"t = {format_exact(t)} outside [(n-1)/n, 1]")
+    _check_truncation_level(n, t)
     qv = vec([1 / (n * t)] * n)
     p = vec([t] * n)
     assert dot(p, qv) == 1

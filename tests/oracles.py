@@ -39,8 +39,12 @@ from mahlerlab.polytope import (
     polar,
     volume,
 )
-from mahlerlab.ratlin import dot, solve_linear, unit_vec, vec, vsub
+from mahlerlab.ratlin import dot, solve_linear, unit_vec, vec
 from mahlerlab.volprod import corner_bound_factor, mahler_bound
+
+
+def vsub(u, v) -> tuple[Fraction, ...]:
+    return tuple(a - b for a, b in zip(u, v, strict=True))
 
 
 def cofactor_det(m) -> Fraction:

@@ -728,6 +728,12 @@ def test_facet_rows_stay_out_of_identity():
         assert "_facet_rows" not in vars(fresh) and "_vertex_rows" not in vars(fresh)
         assert fresh == body and hash(fresh) == hash(body)
         assert to_json_dict(body) == before == to_json_dict(fresh)
+        volume.cache_clear()  # a cached equal body would answer without reading this one
+        volume(fresh)
+        assert "_vertex_rows" in vars(fresh)
+        again = from_vertices(body.vertices)
+        assert fresh == again and hash(fresh) == hash(again)
+        assert to_json_dict(fresh) == before
 
 
 def test_polytope_class_invariants():

@@ -14,6 +14,7 @@ from mahlerlab.ratlin import (
     fr,
     int_det,
     int_rank,
+    int_row,
     int_solve,
     parse_fraction,
     primitive_int_vec,
@@ -181,6 +182,7 @@ def test_common_denominator_and_scaling(xs):
     iv = tuple(int(x * d) for x in xs)
     assert all(isinstance(x, int) for x in iv)
     assert all(Fraction(num, d) == orig for num, orig in zip(iv, xs))
+    assert int_row(xs) == (iv, d)
 
 
 def test_fr_accepts_common_inputs():
