@@ -26,18 +26,19 @@ Volume uses a pulling triangulation: cone from the first vertex over the
 recursively triangulated facets that miss it.  The subfaces of a face are its
 maximal proper intersections with facet vertex sets (bitmasks, no rank
 work), shared across the recursion through a memo, so the triangulation
-stays near linear in the number of faces actually touched.  It runs on one
-integer scale, the vertex rows: ``_vertex_rows`` (built and kept like
-``_facet_rows``) holds ``(V, D)``, the vertices times their common
-denominator D.  A facet row ``(A, c, b)`` holds a vertex row V exactly when
-``<A, V> == b*c*D``, and the simplices' ``int_det`` values are summed as one
-Python int and divided once, by ``D^d * d!``.
+stays near linear in the number of faces actually touched.  It reads
+``_vertex_rows`` (built and kept like ``_facet_rows``): one ``(V, t)`` per
+vertex, t > 0 its own least common denominator.  Facet ``(A, c, b)`` holds
+vertex i iff ``<A, V_i> == b*c*t_i``.  A cell ends with the apex, vertex 0,
+so its edge rows ``E_i = t_0*V_i - t_i*V_0`` give it volume
+``|int_det(E)| / (prod t_i * t_0^d * d!)``; the ints are summed per
+``prod t_i`` and divided once, over their lcm.
 
 The distance from a point to a polytope is the norm of the min-norm point of
 the translated vertices, found exactly by Wolfe's algorithm on the same
-vertex rows ``(V, D)``: a point cleared to ``X/dx`` and
-``L = lcm(D, dx)`` give the translated rows ``W_i = V_i*(L/D) - X*(L/dx)``,
-and the squared distance is the squared min-norm of the W divided by L^2.
+vertex rows: a point cleared to ``X/dx`` and ``L = lcm(dx, t_1, t_2, ...)``
+give the translated rows ``W_i = V_i*(L/t_i) - X*(L/dx)``, and the squared
+distance is the squared min-norm of the W divided by L^2.
 Wolfe keeps its iterate as ``y = Y/s`` (integer Y, s > 0, reduced by their
 gcd after each major step), so its stop test ``<y, q> >= <y, y>`` becomes the
 integer ``<Y, q>*s >= <Y, Y>``.  The affine minimiser of a corral comes from
@@ -127,14 +128,12 @@ class Polytope:
         return tuple((*int_row(a), int(b)) for a, b in self.facets)
 
     @cached_property
-    def _vertex_rows(self) -> tuple[tuple[tuple[int, ...], ...], int]:
-        """``(V, D)``: D > 0 the common denominator of every vertex coordinate, V_i = D * vertex i.
+    def _vertex_rows(self) -> tuple[tuple[tuple[int, ...], int], ...]:
+        """Each vertex v as ``(V, t)``: integer V, t > 0 its least common denominator, v = V/t.
 
         Built and kept like ``_facet_rows``, outside the dataclass fields.
         """
-        flat, d = int_row([x for v in self.vertices for x in v])
-        n = self.dim
-        return tuple(flat[i : i + n] for i in range(0, len(flat), n)), d
+        return tuple(map(int_row, self.vertices))
 
     @property
     def n_vertices(self) -> int:
@@ -266,15 +265,14 @@ def sign_orbit(v: Sequence[Fraction]) -> list[Vec]:
 def is_unconditional(p: Polytope) -> bool:
     """True when the vertex set is closed under coordinate sign flips.
 
-    Read on the integer vertex rows: the positive scale D commutes with
-    every sign flip, and int tuples hash far faster than Fraction tuples.
+    Read on the integer vertex rows ``(V, t)``: a sign flip keeps t, and
+    int tuples hash far faster than Fraction tuples.
     """
-    rows, _ = p._vertex_rows
+    rows = p._vertex_rows
     vset = set(rows)
-    for v in rows:
+    for v, t in rows:
         for i in range(p.dim):
-            w = v[:i] + (-v[i],) + v[i + 1 :]
-            if w not in vset:
+            if (v[:i] + (-v[i],) + v[i + 1 :], t) not in vset:
                 return False
     return True
 
@@ -406,19 +404,22 @@ def _pull_triangulation(s: int, facet_masks: list[int], memo: dict[int, list[tup
 
 @lru_cache(maxsize=4096)
 def volume(p: Polytope) -> Fraction:
-    """Exact volume by a pulling triangulation, summed on one integer scale."""
+    """Exact volume by a pulling triangulation on the per-vertex integer rows."""
     d = p.dim
-    verts, den = p._vertex_rows
+    verts = p._vertex_rows
     facet_masks = []
     for row, c, b in p._facet_rows:
-        rhs = b * c * den  # <a, v> == b  iff  <row, den * v> == rhs
-        facet_masks.append(sum(1 << i for i, v in enumerate(verts) if sum(map(mul, row, v)) == rhs))
-    apex = verts[0]
-    edges = [tuple(x - y for x, y in zip(v, apex)) for v in verts]
-    total = 0
-    for t in _pull_triangulation((1 << len(verts)) - 1, facet_masks, {}):
-        total += abs(int_det([edges[i] for i in t[:-1]]))  # t ends with the apex, vertex 0
-    return Fraction(total, den**d * math.factorial(d))
+        bc = b * c  # <a, V/t> == b  iff  <row, V> == b*c*t
+        facet_masks.append(sum(1 << i for i, (v, t) in enumerate(verts) if sum(map(mul, row, v)) == bc * t))
+    apex, t0 = verts[0]
+    edges = [tuple(t0 * x - t * y for x, y in zip(v, apex)) for v, t in verts]
+    by_den: dict[int, int] = {}  # prod t_i over a cell's other vertices -> sum of |det|
+    for cell in _pull_triangulation((1 << len(verts)) - 1, facet_masks, {}):
+        others = cell[:-1]  # every cell ends with the apex, vertex 0
+        q = math.prod([verts[i][1] for i in others])
+        by_den[q] = by_den.get(q, 0) + abs(int_det([edges[i] for i in others]))
+    lcm = math.lcm(*by_den)
+    return Fraction(sum(n * (lcm // q) for q, n in by_den.items()), lcm * t0**d * math.factorial(d))
 
 
 # ---------------------------------------------------------------------------
@@ -479,17 +480,17 @@ def point_distance_sq(p: Polytope, x: Sequence[Fraction | int]) -> Fraction:
     if membership(p, v) != "outside":
         return Fraction(0)
     x_row, dx = int_row(v)
-    rows, d = p._vertex_rows
-    scale = d * dx // math.gcd(d, dx)  # L: both the vertices and x are integer on 1/L
-    sv, sx = scale // d, scale // dx
-    return _min_norm_sq([tuple(a * sv - b * sx for a, b in zip(row, x_row)) for row in rows]) / scale**2
+    rows = p._vertex_rows
+    scale = math.lcm(dx, *(t for _, t in rows))  # L: every vertex and x are integer on 1/L
+    sx = scale // dx
+    return _min_norm_sq([tuple(a * (scale // t) - b * sx for a, b in zip(row, x_row)) for row, t in rows]) / scale**2
 
 
 def _is_centrally_symmetric(p: Polytope) -> bool:
     """Closure under negation, read on the integer vertex rows like ``is_unconditional``."""
-    rows, _ = p._vertex_rows
+    rows = p._vertex_rows
     vset = set(rows)
-    return all(tuple(-x for x in v) in vset for v in rows)
+    return all((tuple(-x for x in v), t) in vset for v, t in rows)
 
 
 def hausdorff_distance_sq(p: Polytope, q: Polytope) -> Fraction:

@@ -20,8 +20,9 @@ the reference implementations in ``tests/oracles.py``.
 
 from __future__ import annotations
 
+from decimal import Decimal
 from fractions import Fraction
-from math import gcd, prod
+from math import gcd, lcm, prod
 from typing import Iterable, Sequence
 
 Vec = tuple[Fraction, ...]
@@ -162,16 +163,9 @@ def int_rank(rows: Sequence[Sequence[int]]) -> int:
     return r
 
 
-def common_denominator(xs: Iterable[Fraction]) -> int:
-    d = 1
-    for x in xs:
-        d = d * x.denominator // gcd(d, x.denominator)
-    return d
-
-
 def int_row(v: Sequence[Fraction]) -> tuple[tuple[int, ...], int]:
     """Clear v to ``(V, d)`` with integer V, d > 0 the least common denominator and v = V/d."""
-    d = common_denominator(v)
+    d = lcm(*(x.denominator for x in v))
     return tuple(x.numerator * (d // x.denominator) for x in v), d
 
 
@@ -222,8 +216,9 @@ def solve_linear(m: Mat, b: Vec) -> Vec | None:
 
 
 def format_exact(x: Fraction) -> str:
-    """Canonical exact string: ``p/q`` or ``p`` when q == 1."""
-    return str(x)
+    """``str(x)``: ``p/q``, or ``p`` when q == 1, with digits through Decimal (no length limit)."""
+    num = str(Decimal(x.numerator))
+    return num if x.denominator == 1 else f"{num}/{Decimal(x.denominator)}"
 
 
 def format_approx(x: Fraction) -> str:

@@ -406,6 +406,8 @@ def symmetric_probe(h: Polytope, delta, trials: int, seed: int) -> SymmetricProb
     probes minimality outside the proven regime: any negative excess is a
     falsification event and raises immediately.
     """
+    if h.dim > 5:
+        raise ResourceError("the symmetric probe is limited to n <= 5")
     delta = fr(delta)
     if not 0 <= delta <= PROBE_MAX_DELTA:
         raise PreconditionError(f"probe delta must satisfy 0 <= delta <= {PROBE_MAX_DELTA}")

@@ -273,6 +273,28 @@ def test_stability_symmetric_probe(capsys):
     assert F(summary["min_excess"]) >= 0
 
 
+def test_stability_symmetric_probe_n5_finishes():
+    # the polar of this trial's body has 436 vertices whose denominators have a
+    # 16 452-bit lcm, and its excess has 4 971 digits over 4 971
+    proc = subprocess.run(
+        [*CLI, "stability", "--probe", "symmetric", "--n", "5", "--trials", "1", "--seed", "0"],
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    assert len(lines) == 4 and lines[2].startswith("0,")
+    excess = json.loads(lines[-1][len("summary: ") :])["min_excess"]
+    assert excess == lines[2].split(",")[3] and len(excess) == 4_971 * 2 + 1 and excess[0] != "-"
+
+
+def test_stability_symmetric_probe_refuses_n6(capsys):
+    code, _, err = run_main(capsys, ["stability", "--probe", "symmetric", "--n", "6", "--trials", "1"])
+    assert code == 2
+    assert err == "error: the symmetric probe is limited to n <= 5\n"
+
+
 def test_stability_bad_delta(capsys):
     code, _, err = run_main(capsys, ["stability", "--delta", "lots"])
     assert code == 2

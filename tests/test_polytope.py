@@ -1,6 +1,8 @@
 """Tests for exact polytope geometry: hulls, duality, sums, metrics."""
 
 import dataclasses
+import math
+import random
 from fractions import Fraction
 from itertools import product as iter_product
 
@@ -480,8 +482,8 @@ PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23)
 def prime_denominator_body(draw, dim):
     """Hull of points whose denominators are distinct primes, one per point.
 
-    Every hull vertex keeps its own prime, so the common denominator D of
-    the vertices is the product of at least dim + 1 of them.
+    Every hull vertex keeps its own prime, so the lcm of the vertex
+    denominators is the product of at least dim + 1 of them.
     """
     dens = draw(st.permutations(PRIMES))[: draw(st.integers(min_value=dim + 1, max_value=dim + 3))]
     pts = []
@@ -499,6 +501,23 @@ def prime_denominator_body(draw, dim):
 @settings(max_examples=25, deadline=None)
 def test_volume_on_distinct_prime_denominators(p):
     assert volume(p) == brute_volume(p.vertices, p.dim)
+
+
+def test_volume_of_n5_probe_polar_is_reflection_invariant():
+    # the body of trial 0 of symmetric_probe(cube(5), 1/10, trials, seed=0):
+    # its polar's vertex denominators stay under 100 bits, their lcm does not
+    rng = random.Random(0)
+    pts = []
+    for v in cube(5).vertices:
+        if v[0] > 0:
+            w = tuple(x + F(1, 10) * F(rng.randint(-(2**12), 2**12), 2**13) for x in v)
+            pts += [w, tuple(-x for x in w)]
+    q = polar(from_vertices(pts))
+    dens = [x.denominator for v in q.vertices for x in v]
+    assert q.n_vertices == 436 and max(dens).bit_length() < 100 < 16_000 < math.lcm(*dens).bit_length()
+    moved = diagonal_image(q, (1, -1, 1, 1, 1))
+    assert moved.vertices[0] != q.vertices[0]  # the pulling apex moves
+    assert volume(moved) == volume(q) > 0
 
 
 @given(symmetric_body(dim=2), st.integers(min_value=1, max_value=4))

@@ -1,12 +1,12 @@
 """Property tests for the exact linear algebra layer."""
 
+import sys
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from mahlerlab.ratlin import (
-    common_denominator,
     determinant,
     dot,
     format_approx,
@@ -141,7 +141,7 @@ def test_affine_rank_translation_invariant(pts):
     moved = [vec(p[i] + shift[i] for i in range(3)) for p in pts]
     assert affine_rank(tuple(vec(p) for p in pts)) == affine_rank(tuple(moved))
     # one common denominator turns the difference rows into integer rows of the same rank
-    d = common_denominator(x for p in pts for x in p)
+    d = int_row([x for p in pts for x in p])[1]
     diffs = [tuple(int((x - y) * d) for x, y in zip(p, pts[0])) for p in pts[1:]]
     assert int_rank(diffs) == affine_rank(tuple(vec(p) for p in pts))
 
@@ -159,6 +159,19 @@ def test_affine_rank_examples():
 @given(fracs)
 def test_format_parse_roundtrip(x):
     assert parse_fraction(format_exact(x)) == x
+    assert format_exact(x) == str(x)
+
+
+def test_format_exact_past_the_int_digit_limit():
+    x = -Fraction(7**5916 + 1, 3**10479)  # 5 000 digits over 5 000, in lowest terms
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        want = str(x)
+    finally:
+        sys.set_int_max_str_digits(limit)
+    assert len(want) == 10_002 and format_exact(x) == want
+    assert format_exact(Fraction(-(10**5000))) == "-1" + "0" * 5000
 
 
 def test_parse_fraction_forms():
@@ -177,7 +190,7 @@ def test_format_approx_digits():
 
 @given(st.lists(fracs, min_size=1, max_size=5))
 def test_common_denominator_and_scaling(xs):
-    d = common_denominator(xs)
+    d = int_row(xs)[1]
     assert d >= 1
     iv = tuple(int(x * d) for x in xs)
     assert all(isinstance(x, int) for x in iv)

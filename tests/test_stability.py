@@ -11,7 +11,7 @@ from mahlerlab.errors import (
     PreconditionError,
     ResourceError,
 )
-from mahlerlab import graphs
+from mahlerlab import graphs, stability
 from mahlerlab.graphs import (
     complete_graph,
     edges,
@@ -462,3 +462,10 @@ def test_symmetric_probe_preconditions():
     for body in (tilted, jittered_symmetric_body()):
         with pytest.raises(PreconditionError, match="unconditional"):
             symmetric_probe(body, F(1, 20), trials=1, seed=0)
+
+
+def test_symmetric_probe_refuses_n6_up_front(monkeypatch):
+    # one n = 6 trial runs for minutes; the refusal comes before any body is built
+    monkeypatch.setattr(stability, "from_vertices", None)
+    with pytest.raises(ResourceError, match="n <= 5"):
+        symmetric_probe(cube(6), F(1, 10), trials=1, seed=0)
