@@ -22,16 +22,25 @@ int b.  A point is cleared once to ``X/dx``; ``membership`` compares the ints
 cross-multiplication (``s*c' > s'*c``, both c positive), starting from 0/1,
 and builds one Fraction at the end.
 
-Volume uses a pulling triangulation: cone from the first vertex over the
-recursively triangulated facets that miss it.  The subfaces of a face are its
-maximal proper intersections with facet vertex sets (bitmasks, no rank
-work), shared across the recursion through a memo, so the triangulation
-stays near linear in the number of faces actually touched.  It reads
-``_vertex_rows`` (built and kept like ``_facet_rows``): one ``(V, t)`` per
-vertex, t > 0 its own least common denominator.  Facet ``(A, c, b)`` holds
-vertex i iff ``<A, V_i> == b*c*t_i``.  A cell ends with the apex, vertex 0,
-so its edge rows ``E_i = t_0*V_i - t_i*V_0`` give it volume
-``|int_det(E)| / (prod t_i * t_0^d * d!)``; the ints are summed per
+Volume is a sum of cones from one apex over the facets that miss it, one
+facet per orbit of the reflections that fix the body (``_symmetry``), each
+cone weighted by the size of its orbit (``_orbit_weight``).  An unconditional
+body cones from the origin over the facets whose normals have no negative
+coordinate, each of weight 2^(number of nonzero coordinates); a centrally
+symmetric one over the facets whose first nonzero normal coordinate is
+positive, each of weight 2; any other body cones from vertex 0 over every
+facet that misses it, with weight 1.  This is exact: a reflection g fixing
+the body maps conv(0, F) onto conv(0, gF), which has the same volume.  Each
+facet is triangulated by pulling: cone from its first vertex over its own
+facets that miss it, recursively.  The facets of a face are its maximal
+proper intersections with its parent's facets (bitmasks, no rank work); they
+depend on the face alone, so the triangulations are shared through a memo
+keyed by the mask.  It reads ``_vertex_rows`` (built and kept like
+``_facet_rows``): one ``(V, t)`` per vertex, t > 0 its own least common
+denominator.  Facet ``(A, c, b)`` holds vertex i iff ``<A, V_i> == b*c*t_i``.
+Against the apex ``(V_z, t_z)``, which is ``(0, 1)`` for the origin, a
+cell's edge rows ``E_i = t_z*V_i - t_i*V_z`` give it volume
+``|int_det(E)| / (prod t_i * t_z^d * d!)``; the weighted ints are summed per
 ``prod t_i`` and divided once, over their lcm.
 
 The distance from a point to a polytope is the norm of the min-norm point of
@@ -51,10 +60,11 @@ a Fraction run gives, step for step, since every comparison is the same
 comparison cleared of positive denominators.  The Hausdorff
 distance is the largest distance from a vertex of either body to the other,
 and an isometry g fixing both bodies gives d(g v, q) = d(v, q), so one vertex
-per orbit of such reflections gives the same maximum: the closed positive
-orthant when both bodies are unconditional (test first, since an
-unconditional body is also centrally symmetric), one vertex of each +- pair
-when both are centrally symmetric.
+per orbit of such reflections gives the same maximum.  The reflections are
+those of the weaker symmetry of the two bodies, and the vertices scanned are
+the orbit representatives ``volume`` picks among facet normals: the closed
+positive orthant when both bodies are unconditional, one vertex of each +-
+pair when both are centrally symmetric.
 """
 
 from __future__ import annotations
@@ -134,6 +144,17 @@ class Polytope:
         Built and kept like ``_facet_rows``, outside the dataclass fields.
         """
         return tuple(map(int_row, self.vertices))
+
+    @cached_property
+    def _hash(self) -> int:
+        """The dataclass hash, computed once and kept like ``_facet_rows``.
+
+        Cache lookups on a body then skip re-hashing every Fraction of it.
+        """
+        return hash((self.dim, self.vertices, self.facets))
+
+    def __hash__(self) -> int:
+        return self._hash
 
     @property
     def n_vertices(self) -> int:
@@ -369,13 +390,15 @@ def permute_coordinates(p: Polytope, perm: Sequence[int]) -> Polytope:
 # volume
 
 
-def _pull_triangulation(s: int, facet_masks: list[int], memo: dict[int, list[tuple[int, ...]]]) -> list[tuple[int, ...]]:
+def _pull_triangulation(s: int, parent_facets: list[int], memo: dict[int, list[tuple[int, ...]]]) -> list[tuple[int, ...]]:
     """Simplices (as vertex-id tuples) of the pulling triangulation of face s.
 
-    Children of a face are the maximal proper intersections with facet vertex
-    sets: every intersection is a face, all codimension-1 subfaces occur, and
-    anything lower-dimensional is swallowed by one of them, so maximality
-    alone identifies the codimension-1 children with no rank computations.
+    ``parent_facets`` are the facets (vertex masks) of a face that has s as a
+    facet.  The facets of s are its maximal proper intersections with them:
+    every face of s is an intersection of the parent's facets, all
+    codimension-1 faces of s occur, and anything lower-dimensional is
+    swallowed by one of them, so maximality alone identifies them with no
+    rank computations.  They depend on s alone, so the memo is keyed by s.
     """
     got = memo.get(s)
     if got is not None:
@@ -385,18 +408,13 @@ def _pull_triangulation(s: int, facet_masks: list[int], memo: dict[int, list[tup
         memo[s] = out
         return out
     apex = (s & -s).bit_length() - 1
-    cands: set[int] = set()
-    for f in facet_masks:
-        c = s & f
-        if c and c != s:
-            cands.add(c)
+    cands = {s & o for o in parent_facets} - {0, s}
+    facets = [c for c in cands if not any(c != o and c & o == c for o in cands)]
     out = []
-    for c in cands:
-        if any(c != o and c & o == c for o in cands):
-            continue  # not maximal, hence lower-dimensional
+    for c in facets:
         if c >> apex & 1:
             continue
-        for t in _pull_triangulation(c, facet_masks, memo):
+        for t in _pull_triangulation(c, facets, memo):
             out.append(t + (apex,))
     memo[s] = out
     return out
@@ -404,22 +422,29 @@ def _pull_triangulation(s: int, facet_masks: list[int], memo: dict[int, list[tup
 
 @lru_cache(maxsize=4096)
 def volume(p: Polytope) -> Fraction:
-    """Exact volume by a pulling triangulation on the per-vertex integer rows."""
+    """Exact volume: cones from one apex over one facet per symmetry orbit (see the module docstring)."""
     d = p.dim
     verts = p._vertex_rows
     facet_masks = []
     for row, c, b in p._facet_rows:
         bc = b * c  # <a, V/t> == b  iff  <row, V> == b*c*t
         facet_masks.append(sum(1 << i for i, (v, t) in enumerate(verts) if sum(map(mul, row, v)) == bc * t))
-    apex, t0 = verts[0]
-    edges = [tuple(t0 * x - t * y for x, y in zip(v, apex)) for v, t in verts]
-    by_den: dict[int, int] = {}  # prod t_i over a cell's other vertices -> sum of |det|
-    for cell in _pull_triangulation((1 << len(verts)) - 1, facet_masks, {}):
-        others = cell[:-1]  # every cell ends with the apex, vertex 0
-        q = math.prod([verts[i][1] for i in others])
-        by_den[q] = by_den.get(q, 0) + abs(int_det([edges[i] for i in others]))
+    symmetry = _symmetry(p)
+    if symmetry:
+        apex, tz = (0,) * d, 1  # the origin
+        cones = [(f, w) for f, (row, _, _) in zip(facet_masks, p._facet_rows) if (w := _orbit_weight(row, symmetry))]
+    else:
+        apex, tz = verts[0]
+        cones = [(f, 1) for f in facet_masks if not f & 1]
+    edges = [tuple(tz * x - t * y for x, y in zip(v, apex)) for v, t in verts]
+    by_den: dict[int, int] = {}  # prod t_i over a cell's vertices -> weighted sum of |det|
+    memo: dict[int, list[tuple[int, ...]]] = {}
+    for f, w in cones:
+        for cell in _pull_triangulation(f, facet_masks, memo):
+            q = math.prod([verts[i][1] for i in cell])
+            by_den[q] = by_den.get(q, 0) + w * abs(int_det([edges[i] for i in cell]))
     lcm = math.lcm(*by_den)
-    return Fraction(sum(n * (lcm // q) for q, n in by_den.items()), lcm * t0**d * math.factorial(d))
+    return Fraction(sum(n * (lcm // q) for q, n in by_den.items()), lcm * tz**d * math.factorial(d))
 
 
 # ---------------------------------------------------------------------------
@@ -486,11 +511,31 @@ def point_distance_sq(p: Polytope, x: Sequence[Fraction | int]) -> Fraction:
     return _min_norm_sq([tuple(a * (scale // t) - b * sx for a, b in zip(row, x_row)) for row, t in rows]) / scale**2
 
 
-def _is_centrally_symmetric(p: Polytope) -> bool:
-    """Closure under negation, read on the integer vertex rows like ``is_unconditional``."""
+def _symmetry(p: Polytope) -> int:
+    """The reflections that fix p: 2 for every sign flip, 1 for the negation alone, 0 for neither.
+
+    Unconditional is tested first, since an unconditional body is also
+    centrally symmetric; negation is read on the vertex rows, like sign flips.
+    """
+    if is_unconditional(p):
+        return 2
     rows = p._vertex_rows
     vset = set(rows)
-    return all((tuple(-x for x in v), t) in vset for v, t in rows)
+    return int(all((tuple(-x for x in v), t) in vset for v, t in rows))
+
+
+def _orbit_weight(v: Sequence[Fraction | int], symmetry: int) -> int:
+    """The size of v's orbit under the reflections of class ``symmetry`` if v represents it, else 0.
+
+    Class 2: v with no negative coordinate stands for its 2^(nonzero count)
+    sign flips.  Class 1: v != 0 with its first nonzero coordinate positive
+    stands for {v, -v}.  Class 0: every v stands for itself.
+    """
+    if symmetry == 2:
+        return 1 << sum(1 for x in v if x) if min(v) >= 0 else 0
+    if symmetry == 1:
+        return 2 if next(x for x in v if x) > 0 else 0
+    return 1
 
 
 def hausdorff_distance_sq(p: Polytope, q: Polytope) -> Fraction:
@@ -503,12 +548,8 @@ def hausdorff_distance_sq(p: Polytope, q: Polytope) -> Fraction:
         raise DimensionError("polytopes live in different dimensions")
     if p == q:
         return Fraction(0)
-    if is_unconditional(p) and is_unconditional(q):
-        scanned = [[v for v in b.vertices if min(v) >= 0] for b in (p, q)]
-    elif _is_centrally_symmetric(p) and _is_centrally_symmetric(q):
-        scanned = [[v for v in b.vertices if next(x for x in v if x) > 0] for b in (p, q)]
-    else:
-        scanned = [p.vertices, q.vertices]
+    symmetry = min(_symmetry(p), _symmetry(q))
+    scanned = [[v for v in b.vertices if _orbit_weight(v, symmetry)] for b in (p, q)]
     best = Fraction(0)
     for vs, other in zip(scanned, (q, p)):
         for v in vs:

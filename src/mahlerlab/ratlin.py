@@ -20,7 +20,7 @@ the reference implementations in ``tests/oracles.py``.
 
 from __future__ import annotations
 
-from decimal import Decimal
+from decimal import Decimal, InvalidOperation
 from fractions import Fraction
 from math import gcd, lcm, prod
 from typing import Iterable, Sequence
@@ -226,14 +226,38 @@ def format_approx(x: Fraction) -> str:
     return f"{float(x):.12g}"
 
 
+PARSE_MAX_DIGITS = 20_000
+"""The most digits ``parse_fraction`` reads in a numerator or a denominator.
+
+Python's ``int(str)`` stops at 4 300 digits, as a guard against its
+quadratic time, but ``format_exact`` writes more: the n = 5 symmetric probe
+prints 4 971 digits over 4 971.  Decimal has no such limit, so reading
+through it needs this bound instead; a read at the bound takes tens of ms.
+"""
+
+
 def parse_fraction(s: str) -> Fraction:
-    """Exact rational from a string or int; a float (already rounded) or bool is refused."""
+    """Exact rational from a string or int; a float (already rounded) or bool is refused.
+
+    A string is ``p/q`` with integers p and q > 0, or one decimal such as
+    ``-7``, ``0.125`` or ``1e-3``, each part read as a Decimal of at most
+    ``PARSE_MAX_DIGITS`` digits, its exponent counted in.
+    """
     if isinstance(s, (bool, float)):
         raise ValueError(f"not an exact rational: {s!r}")
-    try:
+    if not isinstance(s, str):
         return Fraction(s)
-    except (ValueError, ZeroDivisionError) as e:
+    num, slash, den = s.partition("/")
+    try:
+        p, q = Decimal(num), Decimal(den if slash else 1)
+    except InvalidOperation as e:
         raise ValueError(f"not a rational: {s!r}") from e
+    fractional = slash and min(p.as_tuple().exponent, q.as_tuple().exponent) < 0
+    if not (p.is_finite() and q.is_finite() and q > 0) or fractional:
+        raise ValueError(f"not a rational: {s!r}")
+    if any(len(d.as_tuple().digits) + abs(d.as_tuple().exponent) > PARSE_MAX_DIGITS for d in (p, q)):
+        raise ValueError(f"a rational with more than {PARSE_MAX_DIGITS} digits is refused")
+    return Fraction(p) / Fraction(q)
 
 
 def parse_int(x) -> int:

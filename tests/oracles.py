@@ -4,7 +4,8 @@ Everything here favors obviousness over speed: cofactor expansion, subset
 enumeration, permutation scans, Gaussian elimination over the rationals for
 rank, Fraction dot products over every facet for the gauge and membership,
 Fraction vertex sets for the sign-flip and negation checks,
-recursive projection for volume, projection onto the affine hull of
+recursive projection and the pulling triangulation of the whole
+body from vertex 0 for volume, projection onto the affine hull of
 every small vertex subset for distance, Wolfe's algorithm on Fraction
 vectors for distance, a scan of every vertex of both bodies
 for the Hausdorff distance, built sections for the truncation
@@ -23,6 +24,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import combinations, permutations, product as iter_product
+from math import factorial
 
 from mahlerlab.errors import ConsistencyError, FalsificationError, PreconditionError
 from mahlerlab.graphs import from_edges
@@ -213,6 +215,38 @@ def brute_volume(points, dim) -> Fraction:
         proj = [tuple(c for i, c in enumerate(p) if i != k) for p in face]
         total += abs(height) * brute_volume(proj, dim - 1) / (dim * abs(normal[k]))
     return total
+
+
+def volume_by_pulling(p: Polytope) -> Fraction:
+    """Exact volume by the pulling triangulation of the whole body from vertex 0.
+
+    Faces are vertex bitmasks.  The children of a face are its maximal proper
+    intersections with the facets' vertex sets, and a face is coned from its
+    lowest vertex over the children that miss it, so every cell ends with the
+    apex it was last coned from; a cell adds ``|det(v_i - v_apex)| / d!``.
+    This is the triangulation ``volume`` keeps for bodies with no symmetry,
+    applied to every body, with Fraction incidence and cofactor determinants.
+    """
+    verts = p.vertices
+    masks = [sum(1 << i for i, v in enumerate(verts) if dot(a, v) == b) for a, b in p.facets]
+    memo: dict[int, list[tuple[int, ...]]] = {}
+
+    def pull(s: int) -> list[tuple[int, ...]]:
+        if s not in memo:
+            if s & (s - 1) == 0:
+                memo[s] = [(s.bit_length() - 1,)]
+            else:
+                apex = (s & -s).bit_length() - 1
+                cands = {s & f for f in masks} - {0, s}
+                children = [c for c in cands if not any(c != o and c & o == c for o in cands)]
+                memo[s] = [t + (apex,) for c in children if not c >> apex & 1 for t in pull(c)]
+        return memo[s]
+
+    total = Fraction(0)
+    for cell in pull((1 << len(verts)) - 1):
+        apex = verts[cell[-1]]
+        total += abs(cofactor_det([vsub(verts[i], apex) for i in cell[:-1]]))
+    return total / factorial(p.dim)
 
 
 def orthant_volume(p: Polytope, unused=None) -> Fraction:

@@ -15,6 +15,7 @@ import mahlerlab
 from mahlerlab import cli
 from mahlerlab.errors import PreconditionError
 from mahlerlab.polytope import cube, interval, to_json_dict
+from mahlerlab.ratlin import PARSE_MAX_DIGITS, format_exact, parse_fraction
 from mahlerlab.stability import EXPERIMENT_CSV_HEADER
 from mahlerlab.volprod import VolumeProductReport
 
@@ -287,6 +288,13 @@ def test_stability_symmetric_probe_n5_finishes():
     assert len(lines) == 4 and lines[2].startswith("0,")
     excess = json.loads(lines[-1][len("summary: ") :])["min_excess"]
     assert excess == lines[2].split(",")[3] and len(excess) == 4_971 * 2 + 1 and excess[0] != "-"
+    assert parse_fraction(excess) > 0 and format_exact(parse_fraction(excess)) == excess  # reads back
+
+
+def test_stability_refuses_a_delta_past_the_digit_bound(capsys):
+    code, out, err = run_main(capsys, ["stability", "--delta", "1/" + "3" * (PARSE_MAX_DIGITS + 1)])
+    assert code == 2 and out == ""
+    assert err.startswith("error: bad --delta value") and f"more than {PARSE_MAX_DIGITS} digits" in err
 
 
 def test_stability_symmetric_probe_refuses_n6(capsys):

@@ -59,6 +59,7 @@ from oracles import (
     subset_facets,
     subset_vertices,
     validate,
+    volume_by_pulling,
 )
 
 F = Fraction
@@ -455,7 +456,7 @@ def test_is_unconditional():
 @settings(max_examples=60, deadline=None)
 def test_symmetry_checks_match_fraction_vertex_sets(p):
     assert is_unconditional(p) == is_unconditional_by_fractions(p)
-    assert polytope._is_centrally_symmetric(p) == is_centrally_symmetric_by_fractions(p)
+    assert (polytope._symmetry(p) > 0) == is_centrally_symmetric_by_fractions(p)
 
 
 # ---------------------------------------------------------------------------
@@ -503,6 +504,27 @@ def test_volume_on_distinct_prime_denominators(p):
     assert volume(p) == brute_volume(p.vertices, p.dim)
 
 
+@given(
+    st.one_of(
+        st.sampled_from([symmetric_body, central_body, general_body]).flatmap(
+            lambda body: st.one_of(body(coord=rationals), body(dim=3, coord=rationals))
+        ),
+        prime_denominator_body(2),
+        prime_denominator_body(3),
+    ),
+)
+@example(cube(3))
+@example(from_vertices([(1, 0), (1, 1), (0, 1), (-1, 0), (-1, -1), (0, -1)]))
+@settings(max_examples=60, deadline=None)
+def test_orbit_cones_match_pulling_from_vertex_0(p):
+    # symmetric bodies cone from the origin, the rest from vertex 0; every
+    # polar of a symmetric body is symmetric the same way
+    assert volume(p) == volume_by_pulling(p)
+    if contains_origin_interior(p):
+        q = polar(p)
+        assert volume(q) == volume_by_pulling(q)
+
+
 def test_volume_of_n5_probe_polar_is_reflection_invariant():
     # the body of trial 0 of symmetric_probe(cube(5), 1/10, trials, seed=0):
     # its polar's vertex denominators stay under 100 bits, their lcm does not
@@ -535,16 +557,21 @@ def test_volume_sums_one_determinant_per_cell(monkeypatch):
         return dets[-1]
 
     monkeypatch.setattr(polytope, "int_det", counting)
-    # a simplex is its own triangulation; pulling from a cube vertex gives n!
-    # cells, from a cross-polytope vertex one cell per facet that misses it
+    # a body with no symmetry is pulled from vertex 0, so a simplex is one cell
+    # (the second has the origin inside); a symmetric body cones from the
+    # origin over one facet per orbit: the cube's e_n facet is an (n-1)-cube
+    # of (n-1)! cells in each of n orbits, the cross polytope's (1, ..., 1)
+    # facet one simplex, and the hexagon's facets are 3 pairs of edges
     bodies = [
         (from_vertices([(0, 0), (1, 0), (0, 1)]), F(1, 2), 1),
         (from_vertices([(F(1, 2), 0), (0, F(1, 3)), (F(-1, 4), F(-1, 5))]), F(7, 40), 1),
         (from_vertices([(0, 0, 0), (F(1, 2), 0, 0), (0, F(1, 3), 0), (0, 0, F(1, 5))]), F(1, 180), 1),
         (cube(3), 8, 6),
         (cube(4), 16, 24),
-        (cross_polytope(3), F(4, 3), 4),
-        (cross_polytope(4), F(2, 3), 8),
+        (cross_polytope(3), F(4, 3), 1),
+        (cross_polytope(4), F(2, 3), 1),
+        (from_vertices([(1, 0), (1, 1), (0, 1), (-1, 0), (-1, -1), (0, -1)]), 3, 3),
+        (from_vertices([(-1, -1), (2, -1), (2, 1), (0, 2), (-1, 1)]), F(15, 2), 3),
     ]
     for body, vol, cells in bodies:
         dets.clear()
@@ -744,9 +771,11 @@ def test_facet_rows_stay_out_of_identity():
         point_distance_sq(body, (F(7, 2),) * body.dim)  # outside, so it reads the vertex rows
         assert "_facet_rows" in vars(body) and "_vertex_rows" in vars(body)
         fresh = from_vertices(body.vertices)
-        assert "_facet_rows" not in vars(fresh) and "_vertex_rows" not in vars(fresh)
+        assert not {"_facet_rows", "_vertex_rows", "_hash"} & set(vars(fresh))
+        assert hash(body) == hash((body.dim, body.vertices, body.facets)) == body._hash
+        assert "_hash" in vars(body) and "_hash" not in vars(fresh)
         assert fresh == body and hash(fresh) == hash(body)
-        assert to_json_dict(body) == before == to_json_dict(fresh)
+        assert "_hash" in vars(fresh) and to_json_dict(body) == before == to_json_dict(fresh)
         volume.cache_clear()  # a cached equal body would answer without reading this one
         volume(fresh)
         assert "_vertex_rows" in vars(fresh)

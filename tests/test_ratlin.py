@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from mahlerlab.ratlin import (
+    PARSE_MAX_DIGITS,
     determinant,
     dot,
     format_approx,
@@ -178,8 +179,21 @@ def test_parse_fraction_forms():
     assert parse_fraction("3/4") == Fraction(3, 4)
     assert parse_fraction("-7") == -7
     assert parse_fraction("0.125") == Fraction(1, 8)
-    with pytest.raises(Exception):
-        parse_fraction("three")
+    assert parse_fraction("1e-3") == Fraction(1, 1000)
+    for bad in ("three", "inf", "nan", "1/0", "3/-4", "1.5/2", "3/", "3/4/5", True, 0.5):
+        with pytest.raises(ValueError):
+            parse_fraction(bad)
+
+
+def test_parse_fraction_past_the_int_digit_limit():
+    x = -Fraction(7**5916 + 1, 3**10479)  # 5 000 digits over 5 000, past int(str)'s 4 300
+    assert parse_fraction(format_exact(x)) == x
+    at_bound = Fraction(10**PARSE_MAX_DIGITS - 1, 7)
+    assert parse_fraction(format_exact(at_bound)) == at_bound
+    over_bound = ("9" * (PARSE_MAX_DIGITS + 1), "1/" + "3" * (PARSE_MAX_DIGITS + 1), f"1e{PARSE_MAX_DIGITS}", "1e-99999999")
+    for over in over_bound:
+        with pytest.raises(ValueError, match="digits"):
+            parse_fraction(over)
 
 
 def test_format_approx_digits():
