@@ -10,6 +10,7 @@ actually tracks the perturbation size.
 """
 
 from fractions import Fraction
+from statistics import median
 
 from mahlerlab import (
     ExperimentConfig,
@@ -23,7 +24,7 @@ from mahlerlab import (
 )
 from mahlerlab.graphs import edges
 from mahlerlab.ratlin import format_approx, format_exact
-from mahlerlab.stability import exact_median, nearest_hanner_bruteforce
+from mahlerlab.stability import nearest_hanner_bruteforce
 
 
 def single_trial() -> None:
@@ -52,7 +53,7 @@ def shrinking_medians() -> None:
         records, _, summary = stability_experiment(cfg)
         assert all(r.product_excess >= 0 for r in records)
         assert summary["min_excess"] == format_exact(min(r.product_excess for r in records))
-        me = exact_median([r.product_excess for r in records])
+        me = median([r.product_excess for r in records])
         meds.append(me)
         lo = format_approx(min(r.product_excess for r in records))
         print(f"{format_exact(delta):>6}  {lo:>14}  {format_approx(me):>16}")

@@ -18,7 +18,7 @@ import sys
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .errors import FalsificationError, FormatError, PreconditionError, ResourceError
+from .errors import FalsificationError, FormatError, PolarityDomainError, PreconditionError, ResourceError
 from .graphs import (
     complement,
     cotree_shapes,
@@ -33,7 +33,7 @@ from .graphs import (
     tree_to_json_dict,
 )
 from .polytope import cross_polytope, cube, from_json_dict, is_unconditional, polar, to_json_dict
-from .ratlin import format_exact, parse_fraction
+from .ratlin import _clip, format_exact, parse_fraction
 from .stability import (
     PROBE_MAX_DELTA,
     ExperimentConfig,
@@ -67,7 +67,7 @@ def _parse_delta(text: str) -> Fraction:
     try:
         return parse_fraction(text)
     except ValueError as exc:
-        raise FormatError(f"bad --delta value {text!r}: {exc}") from exc
+        raise FormatError(f"bad --delta value {_clip(text)}: {exc}") from exc
 
 
 # ---------------------------------------------------------------------------
@@ -126,7 +126,10 @@ def cmd_volprod(args: argparse.Namespace) -> int:
     except json.JSONDecodeError as exc:
         raise FormatError(f"{args.polytope}:{exc.lineno}:{exc.colno}: {exc.msg}") from exc
     body = from_json_dict(data)
-    rep = volume_product(body, body_id=args.polytope)
+    try:
+        rep = volume_product(body, body_id=args.polytope)
+    except PolarityDomainError as exc:  # a valid body, but no polar to measure
+        raise FormatError(f"{args.polytope}: the volume product needs the origin in the interior") from exc
     text = _json(rep.to_json_dict())
     if args.out:
         _write_out(args.out, text + "\n")

@@ -89,13 +89,6 @@ def extreme_rays(rows: Sequence[IntVec]) -> tuple[list[IntVec], list[int]]:
         if i in basis_set:
             continue
         scores = [sum(map(mul, row, r)) for r in rays]
-        if all(s <= 0 for s in scores):
-            bit = 1 << i
-            for k, s in enumerate(scores):
-                if s == 0:
-                    tight[k] |= bit
-            continue
-
         keep_rays: list[IntVec] = []
         keep_tight: list[int] = []
         ins: list[int] = []
@@ -169,9 +162,17 @@ def _convert(rows: Sequence[IntVec]) -> tuple[list[IntVec], list[bool]]:
     full = (1 << len(rays)) - 1
     if any(s == full and any(r) for s, r in zip(sets, uniq)):
         raise DimensionError("cone is not full-dimensional")
-    proper = {s for s in sets if s != full}
-    maximal = {s for s in proper if not any(s != o and s & o == s for o in proper)}
+    maximal = maximal_sets({s for s in sets if s != full})
     return rays, [sets[k] in maximal for k in mapping]
+
+
+def maximal_sets(sets: set[int]) -> set[int]:
+    """The bitmasks in ``sets`` that no other one contains.
+
+    This is the one face rule (Fukuda-Prodon): the facets of a face are the
+    maximal proper sets among its tight sets.
+    """
+    return {s for s in sets if not any(s != o and s & o == s for o in sets)}
 
 
 def polyhedron_vertices(

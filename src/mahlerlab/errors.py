@@ -27,7 +27,7 @@ class PreconditionError(GeometryError):
 
 
 class InvalidSumError(GeometryError):
-    """Direct-sum operands do not occupy complementary coordinate blocks."""
+    """A summand of a direct sum (l1 or l-infinity) lacks the origin in its interior."""
 
 
 class ConsistencyError(GeometryError):

@@ -23,8 +23,11 @@ cross-multiplication (``s*c' > s'*c``, both c positive), starting from 0/1,
 and builds one Fraction at the end.
 
 Volume is a sum of cones from one apex over the facets that miss it, one
-facet per orbit of the reflections that fix the body (``_symmetry``), each
-cone weighted by the size of its orbit (``_orbit_weight``).  An unconditional
+facet per orbit of the reflections that fix the body, each cone weighted by
+the size of its orbit (``_orbit_weight``).  Which reflections fix the body is
+read once into ``_symmetry``, a lazy field built and kept like
+``_facet_rows``: 2 when every coordinate sign flip does, 1 when only the
+negation does, 0 otherwise; ``is_unconditional`` reads it.  An unconditional
 body cones from the origin over the facets whose normals have no negative
 coordinate, each of weight 2^(number of nonzero coordinates); a centrally
 symmetric one over the facets whose first nonzero normal coordinate is
@@ -146,6 +149,19 @@ class Polytope:
         return tuple(map(int_row, self.vertices))
 
     @cached_property
+    def _symmetry(self) -> int:
+        """2 if every coordinate sign flip fixes the body, else 1 if the negation does, else 0.
+
+        Read on the vertex rows ``(V, t)``, which a reflection maps to rows of
+        the same t, and kept like ``_facet_rows``.
+        """
+        rows = self._vertex_rows
+        vset = set(rows)
+        if all((v[:i] + (-v[i],) + v[i + 1 :], t) in vset for v, t in rows for i in range(self.dim)):
+            return 2
+        return int(all((tuple(-x for x in v), t) in vset for v, t in rows))
+
+    @cached_property
     def _hash(self) -> int:
         """The dataclass hash, computed once and kept like ``_facet_rows``.
 
@@ -204,9 +220,8 @@ def cube(n: int) -> Polytope:
 
 
 def cross_polytope(n: int) -> Polytope:
-    """conv(+-e_i), the unit l1 ball, built directly."""
-    verts = [e for i in range(n) for e in sign_orbit(unit_vec(n, i))]
-    return _make(n, verts, [(s, Fraction(1)) for s in sign_orbit((Fraction(1),) * n)])
+    """conv(+-e_i), the unit l1 ball: the polar of the cube."""
+    return polar(cube(n))
 
 
 def interval(radius: Fraction | int = 1) -> Polytope:
@@ -220,12 +235,17 @@ def interval(radius: Fraction | int = 1) -> Polytope:
 # pointwise queries
 
 
-def membership(p: Polytope, x: Sequence[Fraction | int]) -> str:
-    """'interior', 'boundary' or 'outside', decided exactly."""
+def _point_row(p: Polytope, x: Sequence[Fraction | int]) -> tuple[tuple[int, ...], int]:
+    """The point x of p's space cleared to ``(X, dx)``: integer X, dx > 0, x = X/dx."""
     v = vec(x)
     if len(v) != p.dim:
         raise DimensionError(f"point has dimension {len(v)}, polytope {p.dim}")
-    x_row, dx = int_row(v)
+    return int_row(v)
+
+
+def membership(p: Polytope, x: Sequence[Fraction | int]) -> str:
+    """'interior', 'boundary' or 'outside', decided exactly."""
+    x_row, dx = _point_row(p, x)
     on_boundary = False
     for row, c, b in p._facet_rows:
         s = sum(map(mul, row, x_row))  # <a, v> = s / (c * dx)
@@ -245,10 +265,7 @@ def gauge(p: Polytope, x: Sequence[Fraction | int]) -> Fraction:
     """Minkowski gauge: least t >= 0 with x in t*p.  Needs 0 interior."""
     if not contains_origin_interior(p):
         raise PreconditionError("gauge needs the origin in the interior")
-    v = vec(x)
-    if len(v) != p.dim:
-        raise DimensionError(f"point has dimension {len(v)}, polytope {p.dim}")
-    x_row, dx = int_row(v)
+    x_row, dx = _point_row(p, x)
     best, over = 0, 1  # the largest <a, v> * dx so far, as best / over
     for row, c, _ in p._facet_rows:
         s = sum(map(mul, row, x_row))
@@ -284,18 +301,8 @@ def sign_orbit(v: Sequence[Fraction]) -> list[Vec]:
 
 
 def is_unconditional(p: Polytope) -> bool:
-    """True when the vertex set is closed under coordinate sign flips.
-
-    Read on the integer vertex rows ``(V, t)``: a sign flip keeps t, and
-    int tuples hash far faster than Fraction tuples.
-    """
-    rows = p._vertex_rows
-    vset = set(rows)
-    for v, t in rows:
-        for i in range(p.dim):
-            if (v[:i] + (-v[i],) + v[i + 1 :], t) not in vset:
-                return False
-    return True
+    """True when the vertex set is closed under coordinate sign flips."""
+    return p._symmetry == 2
 
 
 def diagonal_image(p: Polytope, scales: Sequence[Fraction | int]) -> Polytope:
@@ -390,15 +397,16 @@ def permute_coordinates(p: Polytope, perm: Sequence[int]) -> Polytope:
 # volume
 
 
-def _pull_triangulation(s: int, parent_facets: list[int], memo: dict[int, list[tuple[int, ...]]]) -> list[tuple[int, ...]]:
+def _pull_triangulation(s: int, parent_facets: Iterable[int], memo: dict[int, list[tuple[int, ...]]]) -> list[tuple[int, ...]]:
     """Simplices (as vertex-id tuples) of the pulling triangulation of face s.
 
     ``parent_facets`` are the facets (vertex masks) of a face that has s as a
     facet.  The facets of s are its maximal proper intersections with them:
     every face of s is an intersection of the parent's facets, all
     codimension-1 faces of s occur, and anything lower-dimensional is
-    swallowed by one of them, so maximality alone identifies them with no
-    rank computations.  They depend on s alone, so the memo is keyed by s.
+    swallowed by one of them, so maximality alone (``dd.maximal_sets``)
+    identifies them with no rank computations.  They depend on s alone, so
+    the memo is keyed by s.
     """
     got = memo.get(s)
     if got is not None:
@@ -408,8 +416,7 @@ def _pull_triangulation(s: int, parent_facets: list[int], memo: dict[int, list[t
         memo[s] = out
         return out
     apex = (s & -s).bit_length() - 1
-    cands = {s & o for o in parent_facets} - {0, s}
-    facets = [c for c in cands if not any(c != o and c & o == c for o in cands)]
+    facets = dd.maximal_sets({s & o for o in parent_facets} - {0, s})
     out = []
     for c in facets:
         if c >> apex & 1:
@@ -429,7 +436,7 @@ def volume(p: Polytope) -> Fraction:
     for row, c, b in p._facet_rows:
         bc = b * c  # <a, V/t> == b  iff  <row, V> == b*c*t
         facet_masks.append(sum(1 << i for i, (v, t) in enumerate(verts) if sum(map(mul, row, v)) == bc * t))
-    symmetry = _symmetry(p)
+    symmetry = p._symmetry
     if symmetry:
         apex, tz = (0,) * d, 1  # the origin
         cones = [(f, w) for f, (row, _, _) in zip(facet_masks, p._facet_rows) if (w := _orbit_weight(row, symmetry))]
@@ -501,27 +508,13 @@ def _min_norm_sq(pts: list[tuple[int, ...]]) -> Fraction:
 
 def point_distance_sq(p: Polytope, x: Sequence[Fraction | int]) -> Fraction:
     """Exact squared Euclidean distance from x to the polytope."""
-    v = vec(x)
-    if membership(p, v) != "outside":
+    if membership(p, x) != "outside":
         return Fraction(0)
-    x_row, dx = int_row(v)
+    x_row, dx = _point_row(p, x)
     rows = p._vertex_rows
     scale = math.lcm(dx, *(t for _, t in rows))  # L: every vertex and x are integer on 1/L
     sx = scale // dx
     return _min_norm_sq([tuple(a * (scale // t) - b * sx for a, b in zip(row, x_row)) for row, t in rows]) / scale**2
-
-
-def _symmetry(p: Polytope) -> int:
-    """The reflections that fix p: 2 for every sign flip, 1 for the negation alone, 0 for neither.
-
-    Unconditional is tested first, since an unconditional body is also
-    centrally symmetric; negation is read on the vertex rows, like sign flips.
-    """
-    if is_unconditional(p):
-        return 2
-    rows = p._vertex_rows
-    vset = set(rows)
-    return int(all((tuple(-x for x in v), t) in vset for v, t in rows))
 
 
 def _orbit_weight(v: Sequence[Fraction | int], symmetry: int) -> int:
@@ -548,7 +541,7 @@ def hausdorff_distance_sq(p: Polytope, q: Polytope) -> Fraction:
         raise DimensionError("polytopes live in different dimensions")
     if p == q:
         return Fraction(0)
-    symmetry = min(_symmetry(p), _symmetry(q))
+    symmetry = min(p._symmetry, q._symmetry)
     scanned = [[v for v in b.vertices if _orbit_weight(v, symmetry)] for b in (p, q)]
     best = Fraction(0)
     for vs, other in zip(scanned, (q, p)):

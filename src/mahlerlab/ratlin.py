@@ -236,6 +236,11 @@ through it needs this bound instead; a read at the bound takes tens of ms.
 """
 
 
+def _clip(s: str) -> str:
+    """``repr(s)`` for an error message, cut to 40 characters and the length past that."""
+    return repr(s) if len(s) <= 40 else f"{s[:40]!r}... ({len(s)} characters)"
+
+
 def parse_fraction(s: str) -> Fraction:
     """Exact rational from a string or int; a float (already rounded) or bool is refused.
 
@@ -251,10 +256,10 @@ def parse_fraction(s: str) -> Fraction:
     try:
         p, q = Decimal(num), Decimal(den if slash else 1)
     except InvalidOperation as e:
-        raise ValueError(f"not a rational: {s!r}") from e
+        raise ValueError(f"not a rational: {_clip(s)}") from e
     fractional = slash and min(p.as_tuple().exponent, q.as_tuple().exponent) < 0
     if not (p.is_finite() and q.is_finite() and q > 0) or fractional:
-        raise ValueError(f"not a rational: {s!r}")
+        raise ValueError(f"not a rational: {_clip(s)}")
     if any(len(d.as_tuple().digits) + abs(d.as_tuple().exponent) > PARSE_MAX_DIGITS for d in (p, q)):
         raise ValueError(f"a rational with more than {PARSE_MAX_DIGITS} digits is refused")
     return Fraction(p) / Fraction(q)

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import math
 import random
+import statistics
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
@@ -46,6 +47,7 @@ from .graphs import (
 )
 from .polytope import (
     Polytope,
+    _orbit_weight,
     cross_polytope,
     cube,
     from_halfspaces,
@@ -58,7 +60,7 @@ from .polytope import (
     sign_orbit,
     volume,
 )
-from .ratlin import format_approx, format_exact, fr, unit_vec, vec
+from .ratlin import format_approx, format_exact, fr, vec
 from .volprod import corner_bound_factor, mahler_bound, volume_product
 
 CASE_TAGS = ("generic", "caseI-cube", "caseI-cross", "caseII-path")
@@ -160,11 +162,7 @@ def diagonal_truncation_check(k: Polytope) -> tuple[Fraction, Fraction, Fraction
         raise PreconditionError("the truncation bound is stated for unconditional bodies")
     corners = [vec(int(i != j) for i in range(n)) for j in range(n)]
     blow = max(gauge(k, c) for c in corners)
-    rows = [(a, b * blow) for a, b in k.facets]
-    for i in range(n):
-        rows.append((unit_vec(n, i), Fraction(1)))
-        rows.append((vec(-x for x in unit_vec(n, i)), Fraction(1)))
-    capped = from_halfspaces(rows, n)
+    capped = from_halfspaces([(a, b * blow) for a, b in k.facets] + list(cube(n).facets), n)
     for j, c in enumerate(corners):
         if gauge(capped, c) != 1:
             raise ConsistencyError(f"inflated body's section {j} is not the full subcube")
@@ -265,7 +263,7 @@ def perturb_unconditional(h: Polytope, delta, seed: int) -> Polytope:
     if not 0 <= delta < 1:
         raise PreconditionError("delta must satisfy 0 <= delta < 1")
     hn = normalize_unconditional(h)
-    reps = sorted({tuple(abs(x) for x in v) for v in hn.vertices})
+    reps = [v for v in hn.vertices if _orbit_weight(v, 2)]  # the closed positive orthant
     rng = random.Random(seed)
     pts = []
     for r in reps:
@@ -279,11 +277,7 @@ def random_unconditional_polytope(n: int, seed: int) -> Polytope:
     if n < 1:
         raise PreconditionError("dimension must be at least 1")
     rng = random.Random(seed)
-    pts = []
-    for i in range(n):
-        e = unit_vec(n, i)
-        pts.append(e)
-        pts.append(vec(-x for x in e))
+    pts = list(cross_polytope(n).vertices)
     for _ in range(rng.randint(1, 3)):
         pts.extend(sign_orbit([Fraction(rng.randint(12, 48), 48) for _ in range(n)]))
     return from_vertices(pts)
@@ -309,16 +303,6 @@ def trial_base_graphs(n: int) -> list[Graph]:
     gs = enumerate_p4_free_labeled(n)
     rich = [g for g in gs if not _mis_pairwise_disjoint(g)]
     return rich or gs
-
-
-def exact_median(values: Sequence[Fraction]) -> Fraction:
-    if not values:
-        raise PreconditionError("median of an empty sequence")
-    s = sorted(values)
-    m = len(s) // 2
-    if len(s) % 2:
-        return s[m]
-    return (s[m - 1] + s[m]) / 2
 
 
 EXPERIMENT_CSV_HEADER = "trial,n,delta,distance_sq,distance_float,excess,excess_float,case_tag,seed"
@@ -372,8 +356,8 @@ def stability_experiment(cfg: ExperimentConfig) -> tuple[list[StabilityRecord], 
         "delta": format_exact(cfg.delta),
         "seed": cfg.seed,
         "min_excess": format_exact(min(excesses)) if excesses else None,
-        "median_excess": format_exact(exact_median(excesses)) if excesses else None,
-        "median_excess_approx": format_approx(exact_median(excesses)) if excesses else None,
+        "median_excess": format_exact(statistics.median(excesses)) if excesses else None,
+        "median_excess_approx": format_approx(statistics.median(excesses)) if excesses else None,
         "min_ratio": min_ratio,
         "zero_distance_trials": sum(1 for r in records if r.distance_sq == 0),
         "case_counts": case_counts,
@@ -414,7 +398,7 @@ def symmetric_probe(h: Polytope, delta, trials: int, seed: int) -> SymmetricProb
     if trials < 0:
         raise PreconditionError("trial count must be nonnegative")
     hn = normalize_unconditional(h)
-    reps = [v for v in hn.vertices if next(x for x in v if x) > 0]
+    reps = [v for v in hn.vertices if _orbit_weight(v, 1)]  # one vertex of each +- pair
     records = []
     min_excess: Optional[Fraction] = None
     for t in range(trials):

@@ -25,6 +25,7 @@ from .errors import FalsificationError, PreconditionError
 from .polytope import (
     Polytope,
     coordinate_section,
+    cross_polytope,
     cube,
     from_halfspaces,
     from_vertices,
@@ -32,7 +33,6 @@ from .polytope import (
     is_unconditional,
     membership,
     polar,
-    sign_orbit,
     volume,
 )
 from .ratlin import dot, format_approx, format_exact, fr, unit_vec, vec
@@ -274,9 +274,7 @@ def truncated_cube(n: int, t) -> Polytope:
     if n < 2:
         raise PreconditionError("truncated cubes need dimension at least 2")
     _check_truncation_level(n, t)
-    rows = [(e, Fraction(1)) for i in range(n) for e in sign_orbit(unit_vec(n, i))]
-    rows += [(s, n * t) for s in sign_orbit((Fraction(1),) * n)]
-    k = from_halfspaces(rows, n)
+    k = from_halfspaces(list(cube(n).facets) + [(a, n * t) for a, _ in cross_polytope(n).facets], n)
     assert all(gauge(k, vec(int(i != j) for i in range(n))) == 1 for j in range(n))
     assert gauge(k, vec([t] * n)) == 1
     return k

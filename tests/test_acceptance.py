@@ -6,6 +6,7 @@ All comparisons are exact unless a line says otherwise.
 """
 
 import math
+import statistics
 import time
 from fractions import Fraction
 from itertools import product as iter_product
@@ -31,7 +32,6 @@ from mahlerlab.polytope import (
 )
 from mahlerlab.stability import (
     ExperimentConfig,
-    exact_median,
     random_unconditional_polytope,
     reconstruct_hanner,
     stability_experiment,
@@ -188,7 +188,7 @@ def test_criterion_7_perturbation_trend_and_determinism(capsys):
             for rec in records:
                 assert rec.product_excess >= 0
                 assert (rec.product_excess == 0) == (rec.distance_sq == 0)
-            medians.append(exact_median([r.product_excess for r in records]))
+            medians.append(statistics.median([r.product_excess for r in records]))
         assert medians[0] > medians[1] > medians[2] > 0
 
 

@@ -119,6 +119,16 @@ def test_volprod_out_file(tmp_path, capsys):
     assert json.loads(report.read_text(encoding="utf-8")) == json_after_config(out)
 
 
+def test_volprod_refuses_a_body_without_the_origin_inside(tmp_path, capsys):
+    # a valid body, but its polar is unbounded: an input error, not an internal one
+    path = tmp_path / "simplex.json"
+    path.write_text(json.dumps({"dim": 2, "vertices": [["0", "0"], ["1", "0"], ["0", "1"]]}), encoding="utf-8")
+    code, out, err = run_main(capsys, ["volprod", str(path)])
+    assert code == 2
+    assert out == f"config: mahlerlab volprod {path}\n"
+    assert err == f"error: {path}: the volume product needs the origin in the interior\n"
+
+
 def test_volprod_missing_file(tmp_path, capsys):
     code, _, err = run_main(capsys, ["volprod", str(tmp_path / "nope.json")])
     assert code == 2
@@ -292,9 +302,14 @@ def test_stability_symmetric_probe_n5_finishes():
 
 
 def test_stability_refuses_a_delta_past_the_digit_bound(capsys):
-    code, out, err = run_main(capsys, ["stability", "--delta", "1/" + "3" * (PARSE_MAX_DIGITS + 1)])
+    text = "1/" + "3" * (PARSE_MAX_DIGITS + 1)
+    code, out, err = run_main(capsys, ["stability", "--delta", text])
     assert code == 2 and out == ""
     assert err.startswith("error: bad --delta value") and f"more than {PARSE_MAX_DIGITS} digits" in err
+    # the echo is a short prefix and the length, not the whole text
+    assert f"({len(text)} characters)" in err and len(err) < 200 and err.count("\n") == 1
+    code, out, err = run_main(capsys, ["stability", "--delta", "x" * 30_000])
+    assert code == 2 and out == "" and err.startswith("error: bad --delta value") and len(err) < 200
 
 
 def test_stability_symmetric_probe_refuses_n6(capsys):

@@ -43,7 +43,7 @@ from mahlerlab.polytope import (
     to_json_dict,
     volume,
 )
-from mahlerlab import polytope, ratlin
+from mahlerlab import dd, polytope, ratlin
 from mahlerlab.graphs import enumerate_standard_hanner
 from mahlerlab.ratlin import int_det
 from mahlerlab.stability import perturb_unconditional, random_unconditional_polytope, symmetric_probe
@@ -118,6 +118,9 @@ def test_standard_bodies_counts_and_volumes():
     assert (i.n_vertices, i.n_facets, volume(i)) == (2, 2, F(2))
     assert volume(cube(1)) == volume(cross_polytope(1)) == 2
     assert cube(1) == cross_polytope(1) == interval()
+    for n in range(1, 6):  # the polar of the cube is the hull of the signed unit vectors
+        axes = [tuple(F(s * (i == k)) for k in range(n)) for i in range(n) for s in (1, -1)]
+        assert cross_polytope(n) == from_vertices(axes)
 
 
 def test_canon_facet_scaling():
@@ -141,6 +144,15 @@ def test_dd_basis_skips_dependent_rows():
     assert from_halfspaces(rows, 2) == cube(2)
     square = [(1, 1), (1, -1), (-1, 1), (-1, -1)]
     assert from_vertices([(1, 0), (-1, 0), (0, 0)] + square) == cube(2)
+
+
+@given(st.sets(st.integers(min_value=0, max_value=2**6 - 1), max_size=12))
+@settings(max_examples=100, deadline=None)
+def test_maximal_sets_match_the_definition(sets):
+    def members(mask):
+        return {i for i in range(6) if mask >> i & 1}
+
+    assert dd.maximal_sets(sets) == {s for s in sets if not any(members(s) < members(o) for o in sets)}
 
 
 def test_halfspaces_drop_redundant_rows():
@@ -456,7 +468,37 @@ def test_is_unconditional():
 @settings(max_examples=60, deadline=None)
 def test_symmetry_checks_match_fraction_vertex_sets(p):
     assert is_unconditional(p) == is_unconditional_by_fractions(p)
-    assert (polytope._symmetry(p) > 0) == is_centrally_symmetric_by_fractions(p)
+    assert (p._symmetry > 0) == is_centrally_symmetric_by_fractions(p)
+
+
+def _probe_bodies() -> list[Polytope]:
+    """Trial bodies built the way symmetric_probe builds them: antipodal pairs moved together."""
+    out = []
+    for seed, h in enumerate((cube(3), cube(3), cross_polytope(3), HANNER_BALLS[-1])):
+        rng = random.Random(seed)
+        pts = []
+        for v in h.vertices:
+            if next(x for x in v if x) > 0:
+                w = tuple(x + F(1, 10) * F(rng.randint(-(2**12), 2**12), 2**13) for x in v)
+                pts += [w, tuple(-x for x in w)]
+        out.append(from_vertices(pts))
+    return out
+
+
+def test_orbit_weight_picks_the_representatives_of_the_rules_it_replaced():
+    # perturb_unconditional took the sorted set of |v| over the vertices, and
+    # symmetric_probe the vertices whose first nonzero coordinate is positive
+    hanner = [h for n in (1, 2, 3, 4) for _, h in enumerate_standard_hanner(n)]
+    perturbed = [perturb_unconditional(h, F(1, 10), seed) for seed, h in enumerate(hanner[::5])]
+    probes = _probe_bodies()
+    for body in hanner + perturbed:
+        assert body._symmetry == 2
+        reps = [v for v in body.vertices if polytope._orbit_weight(v, 2)]
+        assert reps == sorted({tuple(abs(x) for x in v) for v in body.vertices})
+    assert [body._symmetry for body in probes] == [1] * len(probes)
+    for body in hanner + perturbed + probes:
+        reps = [v for v in body.vertices if polytope._orbit_weight(v, 1)]
+        assert reps == [v for v in body.vertices if next(x for x in v if x) > 0]
 
 
 # ---------------------------------------------------------------------------
@@ -764,21 +806,23 @@ def test_validate_catches_handmade_corruption():
 
 
 def test_facet_rows_stay_out_of_identity():
+    # no lazy field (_facet_rows, _vertex_rows, _symmetry, _hash) is a dataclass field
     assert [f.name for f in dataclasses.fields(Polytope)] == ["dim", "vertices", "facets"]
     for body in (random_unconditional_polytope(3, 5), OFFSET_BODIES[1]):
         before = to_json_dict(body)
         membership(body, (F(1, 3),) * body.dim)
         point_distance_sq(body, (F(7, 2),) * body.dim)  # outside, so it reads the vertex rows
-        assert "_facet_rows" in vars(body) and "_vertex_rows" in vars(body)
+        is_unconditional(body)  # reads _symmetry
+        assert {"_facet_rows", "_vertex_rows", "_symmetry"} <= set(vars(body))
         fresh = from_vertices(body.vertices)
-        assert not {"_facet_rows", "_vertex_rows", "_hash"} & set(vars(fresh))
+        assert not {"_facet_rows", "_vertex_rows", "_hash", "_symmetry"} & set(vars(fresh))
         assert hash(body) == hash((body.dim, body.vertices, body.facets)) == body._hash
         assert "_hash" in vars(body) and "_hash" not in vars(fresh)
         assert fresh == body and hash(fresh) == hash(body)
         assert "_hash" in vars(fresh) and to_json_dict(body) == before == to_json_dict(fresh)
         volume.cache_clear()  # a cached equal body would answer without reading this one
         volume(fresh)
-        assert "_vertex_rows" in vars(fresh)
+        assert {"_vertex_rows", "_symmetry"} <= set(vars(fresh))  # volume reads both
         again = from_vertices(body.vertices)
         assert fresh == again and hash(fresh) == hash(again)
         assert to_json_dict(fresh) == before

@@ -44,7 +44,6 @@ from mahlerlab.stability import (
     ExperimentConfig,
     StabilityRecord,
     diagonal_truncation_check,
-    exact_median,
     glue_graphs,
     nearest_hanner_bruteforce,
     perturb_unconditional,
@@ -382,13 +381,6 @@ def test_trial_base_graphs_drop_rescaling_absorbed_bases():
     for g in trial_base_graphs(4):
         mis = maximal_independent_sets(g)
         assert any(a & b for i, a in enumerate(mis) for b in mis[i + 1 :])
-
-
-def test_exact_median():
-    assert exact_median([F(3), F(1), F(2)]) == 2
-    assert exact_median([F(1), F(2), F(3), F(10)]) == F(5, 2)
-    with pytest.raises(PreconditionError):
-        exact_median([])
 
 
 def test_experiment_config_validation():
