@@ -18,7 +18,7 @@ import sys
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .errors import FalsificationError, FormatError, PolarityDomainError, PreconditionError, ResourceError
+from .errors import ConsistencyError, FalsificationError, FormatError, PolarityDomainError, PreconditionError, ResourceError
 from .graphs import (
     complement,
     cotree_shapes,
@@ -145,30 +145,30 @@ def _suite_meyer() -> list[str]:
     for n in range(2, 5):
         count = 0
         for g in enumerate_p4_free_labeled(n):
-            rep = meyer_inequality_check(polytope_from_graph(g), body_id=f"hanner-n{n}")
-            if not rep.is_equality:
-                raise FalsificationError(
-                    f"expected section-product equality for a Hanner ball at n = {n}"
-                )
+            if not meyer_inequality_check(polytope_from_graph(g), body_id=f"hanner-n{n}").is_equality:
+                raise FalsificationError(f"expected section-product equality for a Hanner ball at n = {n}")
             count += 1
-        cube_rep = meyer_inequality_check(cube(n), body_id=f"cube-n{n}")
-        assert cube_rep.is_equality
+        if not meyer_inequality_check(cube(n), body_id=f"cube-n{n}").is_equality:
+            raise FalsificationError(f"expected section-product equality for the cube at n = {n}")
         lines.append(f"meyer n={n}: {count} Hanner balls exact, cube equality confirmed")
     return lines
+
+
+def _require_sections(rep) -> None:
+    if not (rep.hypothesis_holds and rep.conclusion_holds):
+        raise FalsificationError(f"the near-minimal sections statement fails on {rep.body_id}")
 
 
 def _suite_sections() -> list[str]:
     lines = []
     for n in range(2, 5):
         for g in enumerate_p4_free_labeled(n):
-            rep = near_minimal_sections_check(polytope_from_graph(g), 0, body_id=f"hanner-n{n}")
-            assert rep.hypothesis_holds and rep.conclusion_holds
+            _require_sections(near_minimal_sections_check(polytope_from_graph(g), 0, body_id=f"hanner-n{n}"))
         lines.append(f"sections n={n}: eps=0 margins nonnegative on all Hanner balls")
     k = truncated_cube(3, Fraction(9, 10))
     rep0 = volume_product(k)
     eps = rep0.product / rep0.bound - 1
-    rep = near_minimal_sections_check(k, eps, body_id="truncated-cube-3")
-    assert rep.hypothesis_holds and rep.conclusion_holds
+    _require_sections(near_minimal_sections_check(k, eps, body_id="truncated-cube-3"))
     lines.append(f"sections truncated cube: measured eps {format_exact(eps)}, conclusion holds")
     return lines
 
@@ -201,21 +201,27 @@ def _suite_duality() -> list[str]:
     return lines
 
 
+def _require_inverse(roundtrip: str, back, original) -> None:
+    if back != original:
+        raise ConsistencyError(f"roundtrip {roundtrip} does not invert")
+
+
 def _suite_roundtrip() -> list[str]:
     lines = []
     for n in range(1, 5):
         for g in enumerate_p4_free_labeled(n):
             p = polytope_from_graph(g)
-            assert graph_from_polytope(p) == g
-            assert from_json_dict(to_json_dict(p)) == p
-            assert graph_from_json_dict(graph_to_json_dict(g)) == g
+            _require_inverse(f"graph -> polytope -> graph at n = {n}", graph_from_polytope(p), g)
+            _require_inverse(f"polytope -> json -> polytope at n = {n}", from_json_dict(to_json_dict(p)), p)
+            _require_inverse(f"graph -> json -> graph at n = {n}", graph_from_json_dict(graph_to_json_dict(g)), g)
         lines.append(f"roundtrip n={n}: graph/polytope/json all invert")
     for n in range(1, 6):
         for shape in cotree_shapes(n):
             t = label_shape(shape)
-            assert tree_from_json_dict(tree_to_json_dict(t)) == t
+            _require_inverse(f"tree -> json -> tree at n = {n}", tree_from_json_dict(tree_to_json_dict(t)), t)
         lines.append(f"roundtrip trees n={n}: json inverts")
-    assert from_json_dict(to_json_dict(cross_polytope(3))) == cross_polytope(3)
+    cross = cross_polytope(3)
+    _require_inverse("polytope -> json -> polytope on the 3-cross-polytope", from_json_dict(to_json_dict(cross)), cross)
     return lines
 
 

@@ -29,7 +29,7 @@ from operator import mul
 from typing import Sequence
 
 from .errors import DimensionError, UnboundedError
-from .ratlin import Vec, int_row, int_solve, primitive_int_vec
+from .ratlin import Vec, independent_rows, int_row, int_solve, primitive_int_vec
 
 IntVec = tuple[int, ...]
 
@@ -46,47 +46,25 @@ def extreme_rays(rows: Sequence[IntVec]) -> tuple[list[IntVec], list[int]]:
         raise DimensionError("no rows")
     d = len(rows[0])
 
-    # The first d independent rows form the basis.  Each row is reduced
-    # against the echelon pivots found so far; it is independent exactly when
-    # something is left, and what is left becomes the next pivot.
-    basis: list[int] = []
-    basis_rows: list[IntVec] = []
-    pivots: list[tuple[int, IntVec]] = []
-    for i, r in enumerate(rows):
-        for c, p in pivots:
-            a, b = r[c], p[c]
-            if a:
-                r = primitive_int_vec(tuple(b * x - a * y for x, y in zip(r, p)))
-        lead = next((c for c, x in enumerate(r) if x), None)
-        if lead is not None:
-            pivots.append((lead, r))
-            basis.append(i)
-            basis_rows.append(rows[i])
-            if len(basis) == d:
-                break
+    # The initial simplicial subcone is cut out by the first d independent
+    # rows (ratlin.independent_rows).  Its ray r_j solves B r_j = -e_j:
+    # int_solve returns (u, det) with B u = det * (-e_j), so r_j = u / det,
+    # and only the sign of det matters once the ray is made primitive.  Ray
+    # j is then tight on every basis row but row j, with no dot product.
+    basis = independent_rows(rows)
     if len(basis) < d:
         raise DimensionError("cone is not pointed (rows are rank deficient)")
-
-    # Rays of the initial simplicial subcone solve B r_j = -e_j.  int_solve
-    # returns (u, det) with B u = det * (-e_j), so r_j = u / det; only the
-    # sign of det matters once the ray is made primitive.
+    basis_rows = [rows[i] for i in basis]
+    basis_mask = sum(1 << i for i in basis)
     rays: list[IntVec] = []
     for j in range(d):
         u, det = int_solve(basis_rows, [-int(i == j) for i in range(d)])
         rays.append(primitive_int_vec(u if det > 0 else [-x for x in u]))
-
-    basis_set = set(basis)
-    tight: list[int] = []
-    for r in rays:
-        m = 0
-        for i in basis:
-            if sum(map(mul, rows[i], r)) == 0:
-                m |= 1 << i
-        tight.append(m)
+    tight = [basis_mask ^ (1 << i) for i in basis]
 
     thresh = d - 2
     for i, row in enumerate(rows):
-        if i in basis_set:
+        if basis_mask >> i & 1:
             continue
         scores = [sum(map(mul, row, r)) for r in rays]
         keep_rays: list[IntVec] = []

@@ -245,7 +245,11 @@ def _point_row(p: Polytope, x: Sequence[Fraction | int]) -> tuple[tuple[int, ...
 
 def membership(p: Polytope, x: Sequence[Fraction | int]) -> str:
     """'interior', 'boundary' or 'outside', decided exactly."""
-    x_row, dx = _point_row(p, x)
+    return _row_membership(p, *_point_row(p, x))
+
+
+def _row_membership(p: Polytope, x_row: tuple[int, ...], dx: int) -> str:
+    """``membership`` of the point already cleared to ``(X, dx)`` by ``_point_row``."""
     on_boundary = False
     for row, c, b in p._facet_rows:
         s = sum(map(mul, row, x_row))  # <a, v> = s / (c * dx)
@@ -508,9 +512,9 @@ def _min_norm_sq(pts: list[tuple[int, ...]]) -> Fraction:
 
 def point_distance_sq(p: Polytope, x: Sequence[Fraction | int]) -> Fraction:
     """Exact squared Euclidean distance from x to the polytope."""
-    if membership(p, x) != "outside":
-        return Fraction(0)
     x_row, dx = _point_row(p, x)
+    if _row_membership(p, x_row, dx) != "outside":
+        return Fraction(0)
     rows = p._vertex_rows
     scale = math.lcm(dx, *(t for _, t in rows))  # L: every vertex and x are integer on 1/L
     sx = scale // dx

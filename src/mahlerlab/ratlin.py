@@ -8,14 +8,21 @@ them can be cached and compared exactly.
 
 Hot loops (volume determinants, the conversion engine, ``gauge`` and
 ``membership`` on a polytope's facet rows, Wolfe's min-norm point on its
-vertex rows) clear denominators once and run on plain Python integers through
-``int_det``, ``int_solve`` and ``primitive_int_vec``, which is several times
-faster than Fraction arithmetic and just as exact.  ``int_row`` is the one
-rule that clears a Fraction vector to an integer row; every module calls it
-rather than scaling by hand.  ``solve_linear``, ``int_rank`` and
-``determinant`` have no package caller any more; they stay because the
-benchmark's tracer still binds them by name, and ``solve_linear`` also serves
-the reference implementations in ``tests/oracles.py``.
+vertex rows) clear denominators once and run on plain Python integers, which
+is several times faster than Fraction arithmetic and just as exact.
+``int_row`` is the one rule that clears a Fraction vector to an integer row;
+every module calls it rather than scaling by hand.
+
+There are two integer eliminations.  ``_bareiss`` is one fraction-free
+forward pass over a square system: ``int_det`` reads its last pivot (for
+``volume``), and ``int_solve`` runs it on the augmented rows and
+back-substitutes exactly (for Wolfe's Gram systems and DD's initial rays).
+``independent_rows`` is one incremental gcd-trimmed row reduction:
+``dd.extreme_rays`` takes its basis from it and ``int_rank`` is its length.
+``int_rank``, ``determinant`` and ``solve_linear`` have no caller in the
+package; they keep their names because the benchmark's tracer binds them,
+and ``solve_linear``, a plain Fraction Gaussian elimination, also serves the
+reference implementations in ``tests/oracles.py``.
 """
 
 from __future__ import annotations
@@ -61,14 +68,15 @@ def dot(u: Sequence[Fraction], v: Sequence[Fraction]) -> Fraction:
 # integer kernels
 
 
-def int_det(rows: Sequence[Sequence[int]]) -> int:
-    """Determinant of an integer matrix by fraction-free (Bareiss) elimination."""
-    n = len(rows)
-    if n == 0:
-        return 1
-    a = [list(r) for r in rows]
-    if any(len(r) != n for r in a):
-        raise ValueError("determinant needs a square matrix")
+def _bareiss(a: list[list[int]], n: int) -> int:
+    """Fraction-free (Bareiss) forward elimination of the first n columns of a, in place.
+
+    Every later column rides along.  After pivot k each entry below row k is
+    a (k+1)-minor, so each division by the previous pivot is exact, and
+    ``a[n-1][n-1]`` is the determinant of the square part with its rows
+    swapped.  Returns the sign of the swaps, or 0 when a column has no pivot.
+    """
+    width = len(a[0])
     sign = 1
     prev = 1
     for k in range(n - 1):
@@ -80,87 +88,80 @@ def int_det(rows: Sequence[Sequence[int]]) -> int:
                     break
             else:
                 return 0
-        pivot = a[k][k]
+        row_k = a[k]
+        pivot = row_k[k]
         for i in range(k + 1, n):
-            aik = a[i][k]
             row_i = a[i]
-            row_k = a[k]
-            for j in range(k + 1, n):
+            aik = row_i[k]
+            for j in range(k + 1, width):
                 row_i[j] = (row_i[j] * pivot - aik * row_k[j]) // prev
             row_i[k] = 0
         prev = pivot
-    return sign * a[n - 1][n - 1]
+    return sign
+
+
+def int_det(rows: Sequence[Sequence[int]]) -> int:
+    """Determinant of an integer matrix by fraction-free (Bareiss) elimination."""
+    n = len(rows)
+    if n == 0:
+        return 1
+    a = [list(r) for r in rows]
+    if any(len(r) != n for r in a):
+        raise ValueError("determinant needs a square matrix")
+    return _bareiss(a, n) * a[n - 1][n - 1]
 
 
 def int_solve(rows: Sequence[Sequence[int]], b: Sequence[int]) -> tuple[list[int], int] | None:
     """Solve an integer system as ``(u, det)`` with ``rows @ u == det * b``; None when singular.
 
-    Fraction-free (Bareiss) Gauss-Jordan elimination on the augmented rows:
-    after pivot k every entry is a (k+1)-minor, so each division by the
-    previous pivot is exact, and the last pivot is the determinant up to the
-    sign of the row swaps.  The solution is ``u / det``.
+    The Bareiss pass on the augmented rows leaves an upper triangular U u = c
+    system, solved from the bottom by ``u_i = (det*c_i - sum_{j>i} U_ij u_j) // U_ii``.
+    Each division is exact: by Cramer's rule ``det * x`` is integral.  The
+    solution is ``u / det``.
     """
     n = len(rows)
     if any(len(r) != n for r in rows) or len(b) != n:
         raise ValueError("int_solve needs square rows and matching b")
+    if n == 0:
+        return [], 1
     a = [list(r) + [bi] for r, bi in zip(rows, b)]
-    sign = 1
-    prev = 1
-    for k in range(n):
-        if a[k][k] == 0:
-            for i in range(k + 1, n):
-                if a[i][k] != 0:
-                    a[k], a[i] = a[i], a[k]
-                    sign = -sign
-                    break
-            else:
-                return None
-        row_k = a[k]
-        pivot = row_k[k]
-        for i in range(n):
-            if i == k:
-                continue
-            row_i = a[i]
-            aik = row_i[k]
-            for j in range(k + 1, n + 1):
-                row_i[j] = (row_i[j] * pivot - aik * row_k[j]) // prev
-            row_i[k] = 0
-        prev = pivot
-    return [sign * r[n] for r in a], sign * prev
+    det = _bareiss(a, n) * a[n - 1][n - 1]
+    if det == 0:
+        return None
+    u = [0] * n
+    for i in range(n - 1, -1, -1):
+        row = a[i]
+        u[i] = (det * row[n] - sum(row[j] * u[j] for j in range(i + 1, n))) // row[i]
+    return u, det
+
+
+def independent_rows(rows: Sequence[Sequence[int]]) -> list[int]:
+    """Indices of the rows independent of the rows before them, stopping once they span.
+
+    Each row is reduced against the pivots found so far, primitive after every
+    step; it is independent exactly when something is left, and what is left
+    becomes the next pivot.
+    """
+    picked: list[int] = []
+    pivots: list[tuple[int, tuple[int, ...]]] = []
+    dim = len(rows[0]) if rows else 0
+    for i, r in enumerate(rows):
+        for c, p in pivots:
+            a, b = r[c], p[c]
+            if a:
+                r = primitive_int_vec(tuple(b * x - a * y for x, y in zip(r, p)))
+        lead = next((c for c, x in enumerate(r) if x), None)
+        if lead is not None:
+            pivots.append((lead, r))
+            picked.append(i)
+            if len(picked) == dim:
+                break
+    return picked
 
 
 def int_rank(rows: Sequence[Sequence[int]]) -> int:
-    """Rank of an integer matrix (exact row echelon with gcd trimming)."""
-    m = [list(r) for r in rows if any(r)]
-    if not m:
-        return 0
-    cols = len(m[0])
-    r = 0
-    for c in range(cols):
-        piv = None
-        for i in range(r, len(m)):
-            if m[i][c] != 0:
-                piv = i
-                break
-        if piv is None:
-            continue
-        m[r], m[piv] = m[piv], m[r]
-        prow = m[r]
-        pv = prow[c]
-        for i in range(r + 1, len(m)):
-            f = m[i][c]
-            if f:
-                row = [m[i][j] * pv - f * prow[j] for j in range(cols)]
-                g = 0
-                for x in row:
-                    g = gcd(g, x)
-                    if g == 1:
-                        break
-                m[i] = [x // g for x in row] if g > 1 else row
-        r += 1
-        if r == len(m):
-            break
-    return r
+    """Rank of an integer matrix: the number of ``independent_rows``."""
+    return len(independent_rows(rows))
 
 
 def int_row(v: Sequence[Fraction]) -> tuple[tuple[int, ...], int]:

@@ -145,7 +145,7 @@ def section_membership_vector(k: Polytope) -> tuple[Fraction, ...]:
     """The vector with coordinates 2|K cap e_i-perp| / (n |K|).
 
     For unconditional K this vector always lies in the polar body; that
-    membership is asserted exactly and its failure raises, since it would
+    membership is checked exactly and its failure raises, since it would
     contradict a proven inequality rather than indicate bad input.
     """
     scale = 2 / (k.dim * volume(k))
@@ -264,19 +264,21 @@ def truncated_cube(n: int, t) -> Polytope:
     """B-inf^n cut by sum |x_i| <= n*t, for (n-1)/n <= t <= 1.
 
     In that t range every coordinate section is the full subcube and the
-    diagonal point (t, ..., t) sits on the boundary; both are asserted from
-    the body's gauge, without building a section: a section of this
-    unconditional body is the full subcube exactly when it holds its all-ones
-    corner, and that corner has the same gauge in the section as the point
-    with a 0 inserted has in the body.
+    diagonal point (t, ..., t) sits on the boundary; both are checked on the
+    body's gauge, raising FalsificationError, without building a section: a
+    section of this unconditional body is the full subcube exactly when it
+    holds its all-ones corner, and that corner has the same gauge in the
+    section as the point with a 0 inserted has in the body.
     """
     t = fr(t)
     if n < 2:
         raise PreconditionError("truncated cubes need dimension at least 2")
     _check_truncation_level(n, t)
     k = from_halfspaces(list(cube(n).facets) + [(a, n * t) for a, _ in cross_polytope(n).facets], n)
-    assert all(gauge(k, vec(int(i != j) for i in range(n))) == 1 for j in range(n))
-    assert gauge(k, vec([t] * n)) == 1
+    if any(gauge(k, vec(int(i != j) for i in range(n))) != 1 for j in range(n)):
+        raise FalsificationError(f"a coordinate section of truncated_cube({n}, {format_exact(t)}) is not the subcube")
+    if gauge(k, vec([t] * n)) != 1:
+        raise FalsificationError(f"the diagonal point misses the boundary of truncated_cube({n}, {format_exact(t)})")
     return k
 
 
@@ -291,7 +293,7 @@ def corner_bound_factor(n: int, t) -> Fraction:
 
 
 def _corner_pieces(n: int, t: Fraction, q: tuple[Fraction, ...]) -> tuple[Polytope, Polytope]:
-    """Build both corner pieces and assert their closed-form volumes."""
+    """Build both corner pieces and check their closed-form volumes."""
     pts = [vec(map(Fraction, bits)) for bits in iter_product((0, 1), repeat=n) if sum(bits) < n]
     pts.append(vec([t] * n))
     body_piece = from_vertices(pts)
@@ -319,7 +321,7 @@ class CornerBoundInstance:
     boundary_point is the diagonal point (t, ..., t) on the body's boundary;
     polar_point is the diagonal point (1/(nt), ..., 1/(nt)), so the two have
     inner product exactly 1.  The two pieces live in the positive orthant and
-    their volumes were asserted against the closed forms at construction.
+    their volumes were checked against the closed forms at construction.
     """
 
     n: int
@@ -338,7 +340,8 @@ def corner_bound_instance(n: int, t) -> CornerBoundInstance:
     _check_truncation_level(n, t)
     qv = vec([1 / (n * t)] * n)
     p = vec([t] * n)
-    assert dot(p, qv) == 1
+    if dot(p, qv) != 1:
+        raise FalsificationError(f"the diagonal points at t = {format_exact(t)} are not polar to each other")
     body_piece, polar_piece = _corner_pieces(n, t, qv)
     return CornerBoundInstance(
         n=n,

@@ -8,6 +8,7 @@ import sys
 from fractions import Fraction
 from importlib.metadata import EntryPoint
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
@@ -235,6 +236,51 @@ def test_verify_suites_pass(capsys, suite):
 def test_verify_rejects_unknown_suite(capsys):
     code, _, _ = run_main(capsys, ["verify", "bogus"])
     assert code == 2
+
+
+def _failing_on(body_id, real):
+    """``real``, except that its report fails every check on the body named body_id."""
+
+    def check(k, *args, **kwargs):
+        rep = real(k, *args, **kwargs)
+        if rep.body_id != body_id:
+            return rep
+        return SimpleNamespace(body_id=body_id, is_equality=False, hypothesis_holds=True, conclusion_holds=False)
+
+    return check
+
+
+@pytest.mark.parametrize(
+    "suite, patched, body_id, message",
+    [
+        ("meyer", "meyer_inequality_check", "cube-n3", "equality for the cube at n = 3"),
+        ("sections", "near_minimal_sections_check", "hanner-n3", "fails on hanner-n3"),
+        ("sections", "near_minimal_sections_check", "truncated-cube-3", "fails on truncated-cube-3"),
+    ],
+)
+def test_verify_failed_fact_exits_3(capsys, monkeypatch, suite, patched, body_id, message):
+    monkeypatch.setattr(cli, patched, _failing_on(body_id, getattr(cli, patched)))
+    code, out, err = run_main(capsys, ["verify", suite])
+    assert code == 3
+    assert err.startswith("falsification: ") and message in err
+    assert "PASS" not in out
+
+
+@pytest.mark.parametrize(
+    "patched, roundtrip",
+    [
+        ("graph_from_polytope", "graph -> polytope -> graph at n = 1"),
+        ("from_json_dict", "polytope -> json -> polytope at n = 1"),
+        ("graph_from_json_dict", "graph -> json -> graph at n = 1"),
+        ("tree_from_json_dict", "tree -> json -> tree at n = 1"),
+    ],
+)
+def test_verify_failed_roundtrip_exits_4_naming_it(capsys, monkeypatch, patched, roundtrip):
+    monkeypatch.setattr(cli, patched, lambda data: None)
+    code, out, err = run_main(capsys, ["verify", "roundtrip"])
+    assert code == 4
+    assert err == f"internal error: roundtrip {roundtrip} does not invert\n"
+    assert "PASS" not in out
 
 
 # ---------------------------------------------------------------------------

@@ -665,6 +665,21 @@ def test_point_distance_frozen_values():
     assert point_distance_sq(from_vertices([(-2, -2), (-1, -2), (2, 2)]), (-1, 1)) == 2
 
 
+def test_point_distance_clears_the_point_once(monkeypatch):
+    p = from_vertices([(-2, -2), (-1, -2), (2, 2)])
+    p._facet_rows, p._vertex_rows  # built before counting
+    cleared = []
+    real = polytope.int_row
+
+    def counting(v):
+        cleared.append(tuple(v))
+        return real(v)
+
+    monkeypatch.setattr(polytope, "int_row", counting)
+    assert point_distance_sq(p, (-1, 1)) == 2
+    assert cleared == [(-1, 1)]
+
+
 def test_hausdorff_frozen_values():
     assert hausdorff_distance_sq(cube(3), cross_polytope(3)) == F(4, 3)
     assert hausdorff_distance_sq(cube(2), diagonal_image(cube(2), [F(1, 2)] * 2)) == F(1, 2)

@@ -13,6 +13,7 @@ from mahlerlab.ratlin import (
     format_approx,
     format_exact,
     fr,
+    independent_rows,
     int_det,
     int_rank,
     int_row,
@@ -71,6 +72,53 @@ def test_rank_ignores_row_scaling_and_duplication(row, s1, s2):
     base = [tuple(row)]
     stretched = [tuple(row), tuple(s1 * x for x in row), tuple(s2 * x for x in row)]
     assert int_rank(stretched) == int_rank(base)
+
+
+@st.composite
+def int_rows(draw):
+    """A 1..7 by 1..5 integer matrix, wide, tall or square, often rank deficient.
+
+    Rows are drawn from a few random rows, the zero row, repeats and sums of
+    earlier rows, so dependent rows turn up anywhere in the order.
+    """
+    width = draw(st.integers(min_value=1, max_value=5))
+    row = st.lists(ints, min_size=width, max_size=width)
+    rows = []
+    for _ in range(draw(st.integers(min_value=1, max_value=7))):
+        kind = draw(st.sampled_from(["random", "zero", "repeat", "sum"]) if rows else st.just("random"))
+        if kind == "random":
+            rows.append(draw(row))
+        elif kind == "zero":
+            rows.append([0] * width)
+        elif kind == "repeat":
+            rows.append(list(draw(st.sampled_from(rows))))
+        else:
+            a, b = draw(st.sampled_from(rows)), draw(st.sampled_from(rows))
+            k = draw(ints)
+            rows.append([x + k * y for x, y in zip(a, b)])
+    return [tuple(r) for r in rows]
+
+
+@given(int_rows())
+@settings(max_examples=200)
+def test_independent_rows_picks_each_row_that_raises_the_rank(rows):
+    want = [i for i in range(len(rows)) if rank(rows[: i + 1]) > rank(rows[:i])]
+    assert independent_rows(rows) == want
+    assert int_rank(rows) == rank(rows)
+
+
+def test_int_rank_on_wide_and_tall_matrices():
+    assert int_rank([(1, 2, 3, 4), (2, 4, 6, 8)]) == 1
+    assert int_rank([(1, 2, 3, 4), (0, 0, 0, 1)]) == 2
+    assert int_rank([(1, 0), (0, 0), (2, 0), (3, 1), (5, 5)]) == 2
+    assert int_rank([(0, 0, 0), (0, 0, 0)]) == 0
+    assert independent_rows([(0, 0), (1, 1), (2, 2), (0, 3), (1, 0)]) == [1, 3]
+
+
+def test_empty_systems():
+    assert int_det([]) == 1
+    assert int_solve([], []) == ([], 1)
+    assert independent_rows([]) == [] and int_rank([]) == 0
 
 
 @given(st.lists(ints, min_size=1, max_size=6).filter(lambda v: any(v)))

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from mahlerlab import dd, volprod
-from mahlerlab.errors import PreconditionError
+from mahlerlab.errors import FalsificationError, PreconditionError
 from mahlerlab.graphs import enumerate_p4_free_labeled, path_graph, polytope_from_graph
 from mahlerlab.polytope import (
     coordinate_section,
@@ -232,7 +232,7 @@ def test_truncated_cube_construction():
     k = truncated_cube(3, F(2, 3))
     assert volume(k) == F(20, 3)
     assert k.n_vertices == 12 and k.n_facets == 14
-    # the sections asserted from the gauge are the full subcube when built
+    # the sections checked on the gauge are the full subcube when built
     for n, t in ((3, F(2, 3)), (4, F(7, 8))):
         k = truncated_cube(n, t)
         assert all(coordinate_section(k, j) == cube(n - 1) for j in range(n))
@@ -250,6 +250,20 @@ def test_corner_bound_factor_frozen():
     assert corner_bound_factor(3, 1) == 1
     with pytest.raises(PreconditionError):
         corner_bound_factor(2, 1)
+
+
+@pytest.mark.parametrize("wrong_gauge", [lambda k, x: 2, lambda k, x: F(1) if 0 in x else F(1, 2)])
+def test_truncated_cube_raises_on_a_failed_gauge_fact(monkeypatch, wrong_gauge):
+    # the first misses every section corner, the second only the diagonal point
+    monkeypatch.setattr(volprod, "gauge", wrong_gauge)
+    with pytest.raises(FalsificationError):
+        truncated_cube(3, F(9, 10))
+
+
+def test_corner_instance_raises_when_the_diagonal_points_are_not_polar(monkeypatch):
+    monkeypatch.setattr(volprod, "dot", lambda u, v: 0)
+    with pytest.raises(FalsificationError):
+        corner_bound_instance(3, F(9, 10))
 
 
 def test_corner_instance_piece_volumes():
