@@ -47,19 +47,16 @@ def extreme_rays(rows: Sequence[IntVec]) -> tuple[list[IntVec], list[int]]:
     d = len(rows[0])
 
     # The initial simplicial subcone is cut out by the first d independent
-    # rows (ratlin.independent_rows).  Its ray r_j solves B r_j = -e_j:
-    # int_solve returns (u, det) with B u = det * (-e_j), so r_j = u / det,
-    # and only the sign of det matters once the ray is made primitive.  Ray
-    # j is then tight on every basis row but row j, with no dot product.
+    # rows (ratlin.independent_rows).  Its rays solve B r_j = -e_j: one
+    # int_solve over the d columns returns (us, det), r_j = u_j / det, and
+    # only the sign of det matters once each ray is made primitive.  Ray j
+    # is then tight on every basis row but row j, with no dot product.
     basis = independent_rows(rows)
     if len(basis) < d:
         raise DimensionError("cone is not pointed (rows are rank deficient)")
-    basis_rows = [rows[i] for i in basis]
     basis_mask = sum(1 << i for i in basis)
-    rays: list[IntVec] = []
-    for j in range(d):
-        u, det = int_solve(basis_rows, [-int(i == j) for i in range(d)])
-        rays.append(primitive_int_vec(u if det > 0 else [-x for x in u]))
+    us, det = int_solve([rows[i] for i in basis], [[-int(i == j) for i in range(d)] for j in range(d)])
+    rays = [primitive_int_vec(u if det > 0 else [-x for x in u]) for u in us]
     tight = [basis_mask ^ (1 << i) for i in basis]
 
     thresh = d - 2
@@ -175,17 +172,16 @@ def polyhedron_vertices(
     return verts, flags[:-1]
 
 
-def hull_facets(points: Sequence[Vec]) -> tuple[list[tuple[Vec, Fraction]], list[bool]]:
+def hull_facets(points: Sequence[Vec]) -> tuple[list[tuple[IntVec, int]], list[bool]]:
     """Facets of ``conv(points)`` plus a flag per point marking the vertices.
 
-    Each facet ``<a, x> <= s`` is an extreme ray (a, s) of the cone of valid
-    inequalities ``{(a, s) : <p, a> <= s for every point p}``.  A point is a
-    vertex exactly when its constraint supports a facet of that cone.
+    Each facet ``<A, x> <= B`` is a primitive extreme ray (A, B) of the cone
+    ``{(a, s) : <p, a> <= s for every point p}``, the row ``canon_facet``
+    reads.  A point is a vertex exactly when its constraint supports a facet.
     """
     rows = [row + (-den,) for row, den in map(int_row, points)]
     try:
         rays, flags = _convert(rows)
     except DimensionError:
         raise DimensionError("point set is not full-dimensional") from None
-    facets = [(tuple(Fraction(x) for x in r[:-1]), Fraction(r[-1])) for r in rays]
-    return facets, flags
+    return [(r[:-1], r[-1]) for r in rays], flags

@@ -8,19 +8,19 @@ conversion in :mod:`.dd`, except for operations whose output representation
 is known in closed form (polar, diagonal images, direct sums, products),
 which build the result directly.
 
-Facet canonical form:  a facet ``<a, x> <= b`` is scaled so that the offset
-is +1, -1 or 0; in the 0 case the normal is reduced to a primitive integer
-vector (only positive scalings preserve an inequality, so the sign of the
-normal is kept as is).  For a bounded polytope with the origin interior every
-offset canonicalizes to +1, which is what the polar swap requires.
+Facet form:  a facet ``<a, x> <= b`` has one integer form, its primitive row
+``(A, B)``, the positive multiple of (a, b) with coprime integer entries
+(only positive scalings preserve an inequality); DD's hull direction returns
+it as is.  The canonical facet is ``(A/|B|, sign B)``, ``(A, 0)`` when B = 0.
+For a bounded polytope with the origin interior every offset canonicalizes
+to +1, which is what the polar swap requires.
 
-Pointwise queries read each facet as an integer row: ``_facet_rows``, built
-on first read and kept off the dataclass fields (so equality, hashing and
-JSON never see it), holds ``(A, c, b)`` with integer A, c > 0, ``a = A/c`` and
-int b.  A point is cleared once to ``X/dx``; ``membership`` compares the ints
-``<A, X>`` and ``b*c*dx``, and ``gauge`` takes the largest ``<A, X>/c`` by
-cross-multiplication (``s*c' > s'*c``, both c positive), starting from 0/1,
-and builds one Fraction at the end.
+Pointwise queries read these rows from ``_facet_rows``, built on first read
+and kept off the dataclass fields (so equality, hashing and JSON never see
+it).  A point is cleared once to ``X/dx``; ``membership`` compares the ints
+``<A, X>`` and ``B*dx``, and ``gauge`` takes the largest ``<A, X>/B`` by
+cross-multiplication (every B > 0 when the origin is interior), starting
+from 0/1, and builds one Fraction at the end.
 
 Volume is a sum of cones from one apex over the facets that miss it, one
 facet per orbit of the reflections that fix the body, each cone weighted by
@@ -40,7 +40,7 @@ proper intersections with its parent's facets (bitmasks, no rank work); they
 depend on the face alone, so the triangulations are shared through a memo
 keyed by the mask.  It reads ``_vertex_rows`` (built and kept like
 ``_facet_rows``): one ``(V, t)`` per vertex, t > 0 its own least common
-denominator.  Facet ``(A, c, b)`` holds vertex i iff ``<A, V_i> == b*c*t_i``.
+denominator.  Facet ``(A, B)`` holds vertex i iff ``<A, V_i> == B*t_i``.
 Against the apex ``(V_z, t_z)``, which is ``(0, 1)`` for the origin, a
 cell's edge rows ``E_i = t_z*V_i - t_i*V_z`` give it volume
 ``|int_det(E)| / (prod t_i * t_z^d * d!)``; the weighted ints are summed per
@@ -105,16 +105,18 @@ from .ratlin import (
 Facet = tuple[Vec, Fraction]
 
 
-def canon_facet(normal: Vec, offset: Fraction) -> Facet:
-    """Scale ``<normal, x> <= offset`` to offset in {+1, -1, 0}."""
-    if all(x == 0 for x in normal):
+def _int_facet(normal: Sequence[Fraction | int], offset: Fraction | int) -> tuple[tuple[int, ...], int]:
+    """The primitive integer row ``(A, B)`` of ``<normal, x> <= offset``."""
+    *a, b = primitive_int_vec(int_row((*normal, offset))[0])
+    return tuple(a), b
+
+
+def canon_facet(normal: Sequence[Fraction | int], offset: Fraction | int) -> Facet:
+    """Scale ``<normal, x> <= offset`` to offset in {+1, -1, 0}: ``(A/|B|, sign B)`` of its row (A, B)."""
+    a, b = _int_facet(normal, offset)
+    if not any(a):
         raise PreconditionError("facet normal must be nonzero")
-    if offset > 0:
-        return tuple(x / offset for x in normal), Fraction(1)
-    if offset < 0:
-        return tuple(x / -offset for x in normal), Fraction(-1)
-    prim = primitive_int_vec(int_row(normal)[0])
-    return tuple(Fraction(x) for x in prim), Fraction(0)
+    return tuple(Fraction(x, abs(b) or 1) for x in a), Fraction((b > 0) - (b < 0))
 
 
 @dataclass(frozen=True)
@@ -132,13 +134,13 @@ class Polytope:
             raise ConsistencyError("polytope needs at least dim+1 vertices and one facet")
 
     @cached_property
-    def _facet_rows(self) -> tuple[tuple[tuple[int, ...], int, int], ...]:
-        """Each facet ``<a, x> <= b`` as ``(A, c, b)``: integer A, c > 0, a = A/c, int b.
+    def _facet_rows(self) -> tuple[tuple[tuple[int, ...], int], ...]:
+        """Each facet as its primitive integer row ``(A, B)``, ``<A, x> <= B``, which ``canon_facet`` reads back.
 
         Built on first read and kept in the instance ``__dict__``; not a
         dataclass field, so equality, hashing and ordering never see it.
         """
-        return tuple((*int_row(a), int(b)) for a, b in self.facets)
+        return tuple(_int_facet(a, b) for a, b in self.facets)
 
     @cached_property
     def _vertex_rows(self) -> tuple[tuple[tuple[int, ...], int], ...]:
@@ -184,7 +186,7 @@ class Polytope:
         return f"Polytope(dim={self.dim}, vertices={self.n_vertices}, facets={self.n_facets})"
 
 
-def _make(dim: int, vertices: Iterable[Vec], facets: Iterable[Facet]) -> Polytope:
+def _make(dim: int, vertices: Iterable[Vec], facets: Iterable[tuple[Sequence[Fraction | int], Fraction | int]]) -> Polytope:
     vs = tuple(sorted(set(vertices)))
     fs = tuple(sorted(set(canon_facet(a, b) for a, b in facets)))
     return Polytope(dim, vs, fs)
@@ -196,6 +198,8 @@ def from_vertices(points: Sequence[Sequence[Fraction | int]]) -> Polytope:
     if not pts:
         raise DimensionError("empty point set")
     dim = len(pts[0])
+    if not dim:
+        raise DimensionError("points need at least one coordinate")
     if any(len(p) != dim for p in pts):
         raise DimensionError("points have different dimensions")
     facets, flags = dd.hull_facets(pts)
@@ -251,9 +255,9 @@ def membership(p: Polytope, x: Sequence[Fraction | int]) -> str:
 def _row_membership(p: Polytope, x_row: tuple[int, ...], dx: int) -> str:
     """``membership`` of the point already cleared to ``(X, dx)`` by ``_point_row``."""
     on_boundary = False
-    for row, c, b in p._facet_rows:
-        s = sum(map(mul, row, x_row))  # <a, v> = s / (c * dx)
-        rhs = b * c * dx
+    for row, b in p._facet_rows:
+        s = sum(map(mul, row, x_row))  # <a, x> <= b  iff  s <= B*dx
+        rhs = b * dx
         if s > rhs:
             return "outside"
         if s == rhs:
@@ -270,11 +274,11 @@ def gauge(p: Polytope, x: Sequence[Fraction | int]) -> Fraction:
     if not contains_origin_interior(p):
         raise PreconditionError("gauge needs the origin in the interior")
     x_row, dx = _point_row(p, x)
-    best, over = 0, 1  # the largest <a, v> * dx so far, as best / over
-    for row, c, _ in p._facet_rows:
+    best, over = 0, 1  # the largest <A, X> / B so far, as best / over
+    for row, b in p._facet_rows:
         s = sum(map(mul, row, x_row))
-        if s * over > best * c:
-            best, over = s, c
+        if s * over > best * b:
+            best, over = s, b
     return Fraction(best, over * dx)
 
 
@@ -436,14 +440,12 @@ def volume(p: Polytope) -> Fraction:
     """Exact volume: cones from one apex over one facet per symmetry orbit (see the module docstring)."""
     d = p.dim
     verts = p._vertex_rows
-    facet_masks = []
-    for row, c, b in p._facet_rows:
-        bc = b * c  # <a, V/t> == b  iff  <row, V> == b*c*t
-        facet_masks.append(sum(1 << i for i, (v, t) in enumerate(verts) if sum(map(mul, row, v)) == bc * t))
+    # facet (A, B) holds vertex V/t iff <A, V> == B*t
+    facet_masks = [sum(1 << i for i, (v, t) in enumerate(verts) if sum(map(mul, row, v)) == b * t) for row, b in p._facet_rows]
     symmetry = p._symmetry
     if symmetry:
         apex, tz = (0,) * d, 1  # the origin
-        cones = [(f, w) for f, (row, _, _) in zip(facet_masks, p._facet_rows) if (w := _orbit_weight(row, symmetry))]
+        cones = [(f, w) for f, (row, _) in zip(facet_masks, p._facet_rows) if (w := _orbit_weight(row, symmetry))]
     else:
         apex, tz = verts[0]
         cones = [(f, 1) for f in facet_masks if not f & 1]
@@ -491,15 +493,18 @@ def _min_norm_sq(pts: list[tuple[int, ...]]) -> Fraction:
         lam.append(Fraction(0))
         while True:
             gram = [[sum(map(mul, a, b)) + 1 for b in corral] for a in corral]
-            solved = int_solve(gram, [1] * len(corral))
-            assert solved is not None, "the corral is affinely independent"
-            u = solved[0]
+            solved = int_solve(gram, [[1] * len(corral)])
+            if solved is None:
+                raise ConsistencyError("Wolfe: the corral is affinely dependent")
+            u = solved[0][0]
             total = sum(u)
-            assert total > 0, "the lifted Gram matrix is positive definite"
+            if total <= 0:
+                raise ConsistencyError("Wolfe: the lifted Gram matrix is not positive definite")
             if all(ui > 0 for ui in u):
                 break
             alpha = [Fraction(ui, total) for ui in u]
-            assert all(a > 0 for li, a in zip(lam, alpha) if li == 0), "Wolfe: the point just added gets weight > 0"
+            if any(a <= 0 for li, a in zip(lam, alpha) if li == 0):
+                raise ConsistencyError("Wolfe: the point just added gets weight <= 0")
             theta = min(li / (li - a) for li, a in zip(lam, alpha) if a <= 0)
             lam = [(1 - theta) * li + theta * a for li, a in zip(lam, alpha)]
             corral = [w for w, li in zip(corral, lam) if li > 0]
@@ -597,7 +602,7 @@ def from_json_dict(data: dict) -> Polytope:
                 canon_facet(tuple(parse_fraction(s) for s in h["normal"]), parse_fraction(h["offset"]))
                 for h in data["halfspaces"]
             }
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError, PreconditionError) as exc:
             raise FormatError(f"bad halfspace payload: {exc}") from exc
         if given != set(p.facets):
             raise FormatError("halfspaces do not match the hull of the vertices")

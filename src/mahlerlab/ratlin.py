@@ -15,8 +15,11 @@ every module calls it rather than scaling by hand.
 
 There are two integer eliminations.  ``_bareiss`` is one fraction-free
 forward pass over a square system: ``int_det`` reads its last pivot (for
-``volume``), and ``int_solve`` runs it on the augmented rows and
-back-substitutes exactly (for Wolfe's Gram systems and DD's initial rays).
+``volume``), and ``int_solve`` runs it on the rows augmented by a list of
+right-hand-side columns and back-substitutes each column exactly.  It has two
+callers: ``dd.extreme_rays`` passes the d columns ``-e_j`` of its initial
+rays in one call, and Wolfe's Gram solve in ``polytope`` passes its single
+column of ones.
 ``independent_rows`` is one incremental gcd-trimmed row reduction:
 ``dd.extreme_rays`` takes its basis from it and ``int_rank`` is its length.
 ``int_rank``, ``determinant`` and ``solve_linear`` have no caller in the
@@ -111,28 +114,29 @@ def int_det(rows: Sequence[Sequence[int]]) -> int:
     return _bareiss(a, n) * a[n - 1][n - 1]
 
 
-def int_solve(rows: Sequence[Sequence[int]], b: Sequence[int]) -> tuple[list[int], int] | None:
-    """Solve an integer system as ``(u, det)`` with ``rows @ u == det * b``; None when singular.
+def int_solve(rows: Sequence[Sequence[int]], cols: Sequence[Sequence[int]]) -> tuple[list[list[int]], int] | None:
+    """Solve ``rows @ x == b`` for each column b as ``(us, det)``, ``x = u / det``; None when singular.
 
-    The Bareiss pass on the augmented rows leaves an upper triangular U u = c
-    system, solved from the bottom by ``u_i = (det*c_i - sum_{j>i} U_ij u_j) // U_ii``.
-    Each division is exact: by Cramer's rule ``det * x`` is integral.  The
-    solution is ``u / det``.
+    One Bareiss pass on the rows augmented by every column leaves upper
+    triangular systems U u = c, each solved from the bottom by
+    ``u_i = (det*c_i - sum_{j>i} U_ij u_j) // U_ii``.  Each division is
+    exact: by Cramer's rule ``det * x`` is integral.
     """
     n = len(rows)
-    if any(len(r) != n for r in rows) or len(b) != n:
-        raise ValueError("int_solve needs square rows and matching b")
+    if any(len(r) != n for r in rows) or any(len(b) != n for b in cols):
+        raise ValueError("int_solve needs square rows and matching columns")
     if n == 0:
-        return [], 1
-    a = [list(r) + [bi] for r, bi in zip(rows, b)]
+        return [[] for _ in cols], 1
+    a = [list(r) + [b[i] for b in cols] for i, r in enumerate(rows)]
     det = _bareiss(a, n) * a[n - 1][n - 1]
     if det == 0:
         return None
-    u = [0] * n
-    for i in range(n - 1, -1, -1):
-        row = a[i]
-        u[i] = (det * row[n] - sum(row[j] * u[j] for j in range(i + 1, n))) // row[i]
-    return u, det
+    us = [[0] * n for _ in cols]
+    for col, u in enumerate(us, n):
+        for i in range(n - 1, -1, -1):
+            row = a[i]
+            u[i] = (det * row[col] - sum(row[j] * u[j] for j in range(i + 1, n))) // row[i]
+    return us, det
 
 
 def independent_rows(rows: Sequence[Sequence[int]]) -> list[int]:

@@ -131,8 +131,8 @@ def glue_graphs(sections: Sequence[Graph]) -> Graph:
                 es.append((i, k))
     glued = from_edges(n, es)
     for j, g in enumerate(sections):
-        keep = [v for v in range(n) if v != j]
-        assert induced_subgraph(glued, keep) == g
+        if induced_subgraph(glued, [v for v in range(n) if v != j]) != g:
+            raise ConsistencyError(f"the glued graph does not induce section {j}")
     return glued
 
 
@@ -238,13 +238,8 @@ def nearest_hanner_bruteforce(k: Polytope) -> tuple[Graph, Fraction]:
     if k.dim > 4:
         raise ResourceError("brute-force nearest Hanner is limited to n <= 4")
     kn = normalize_unconditional(k)
-    best: tuple[Graph, Fraction] | None = None
-    for g in enumerate_p4_free_labeled(kn.dim):
-        d = hausdorff_distance_sq(kn, polytope_from_graph(g))
-        if best is None or d < best[1]:
-            best = (g, d)
-    assert best is not None
-    return best
+    scored = ((g, hausdorff_distance_sq(kn, polytope_from_graph(g))) for g in enumerate_p4_free_labeled(kn.dim))
+    return min(scored, key=lambda gd: gd[1])
 
 
 # ---------------------------------------------------------------------------

@@ -2,7 +2,8 @@
 
 Everything here favors obviousness over speed: cofactor expansion, subset
 enumeration, permutation scans, Gaussian elimination over the rationals for
-rank, Fraction dot products over every facet for the gauge and membership,
+rank, cases on the offset's sign for the canonical facet, Fraction dot
+products over every facet for the gauge and membership,
 Fraction vertex sets for the sign-flip and negation checks,
 recursive projection and the pulling triangulation of the whole
 body from vertex 0 for volume, projection onto the affine hull of
@@ -24,7 +25,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import combinations, permutations, product as iter_product
-from math import factorial
+from math import factorial, gcd, lcm
 
 from mahlerlab.errors import ConsistencyError, FalsificationError, PreconditionError
 from mahlerlab.graphs import from_edges
@@ -97,6 +98,26 @@ def validate(p: Polytope) -> None:
     for v in p.vertices:
         if rank([a for a, b in p.facets if dot(a, v) == b]) != p.dim:
             raise ConsistencyError(f"vertex {v} is not an extreme point")
+
+
+def canon_facet_by_offset_sign(normal, offset) -> tuple[tuple[Fraction, ...], Fraction]:
+    """The canonical facet by cases on the offset's sign.
+
+    A positive or negative offset is divided out of the inequality; with
+    offset 0 the normal becomes its primitive integer multiple, scaled up by
+    the lcm of its denominators and down by the gcd of the resulting ints.
+    """
+    a = vec(normal)
+    b = Fraction(offset)
+    if all(x == 0 for x in a):
+        raise PreconditionError("facet normal must be nonzero")
+    if b > 0:
+        return tuple(x / b for x in a), Fraction(1)
+    if b < 0:
+        return tuple(x / -b for x in a), Fraction(-1)
+    scaled = [x * lcm(*(y.denominator for y in a)) for x in a]
+    g = gcd(*(int(x) for x in scaled))
+    return tuple(x / g for x in scaled), Fraction(0)
 
 
 def gauge_by_fractions(p: Polytope, x) -> Fraction:

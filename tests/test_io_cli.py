@@ -154,6 +154,32 @@ def test_volprod_inconsistent_payload(tmp_path, capsys):
     assert "not a vertex" in err
 
 
+def _zero_length_points():
+    return {"dim": 0, "vertices": [[]]}
+
+
+def _zero_halfspace_normal():
+    square = to_json_dict(cube(2))
+    return {**square, "halfspaces": [{"normal": ["0", "0"], "offset": "1"}]}
+
+
+@pytest.mark.parametrize(
+    "payload, message",
+    [
+        pytest.param(_zero_length_points, "at least one coordinate", id="dim0"),
+        pytest.param(_zero_halfspace_normal, "bad halfspace payload: facet normal must be nonzero", id="zero_normal"),
+    ],
+)
+def test_volprod_malformed_file_is_an_input_error(tmp_path, capsys, payload, message):
+    # both once reached canon_facet and left as an internal error (exit 4)
+    path = tmp_path / "malformed.json"
+    path.write_text(json.dumps(payload()), encoding="utf-8")
+    code, out, err = run_main(capsys, ["volprod", str(path)])
+    assert code == 2
+    assert err.startswith("error: ") and message in err
+    assert out.count("\n") == 1  # only the config line
+
+
 def _float_vertex(doc):
     doc["vertices"] = [[0.1, 0], ["-1", "0"], ["0", "1"], ["0", "-1"]]
 

@@ -49,6 +49,7 @@ from mahlerlab.ratlin import int_det
 from mahlerlab.stability import perturb_unconditional, random_unconditional_polytope, symmetric_probe
 from oracles import (
     brute_volume,
+    canon_facet_by_offset_sign,
     distance_sq_by_fractions,
     distance_sq_by_subsets,
     gauge_by_fractions,
@@ -131,6 +132,58 @@ def test_canon_facet_scaling():
         canon_facet((F(0), F(0)), F(1))
 
 
+facet_coords = st.one_of(st.integers(min_value=-20, max_value=20), rationals)
+
+
+@given(
+    st.lists(facet_coords, min_size=1, max_size=5),
+    st.integers(min_value=1, max_value=6),
+    st.one_of(st.just(0), st.integers(min_value=-9, max_value=9), rationals),
+)
+@example([0, 0], 1, 1)  # the zero normal is refused
+@example([F(4, 3), F(-2, 3)], 3, 0)  # a non-primitive normal through the origin
+@example([2, 4], 5, -10)  # integers, as DD's hull rows arrive
+@settings(max_examples=300)
+def test_canon_facet_matches_the_offset_sign_rule(normal, k, offset):
+    normal = [k * x for x in normal]  # k > 1 makes an integer normal non-primitive
+    try:
+        want = canon_facet_by_offset_sign(normal, offset)
+    except PreconditionError:
+        with pytest.raises(PreconditionError):
+            canon_facet(normal, offset)
+        return
+    got = canon_facet(normal, offset)
+    assert got == want
+    assert all(type(x) is F for x in got[0]) and type(got[1]) is F
+
+
+def _offset_sign_bodies():
+    """Bodies whose facet offsets take every sign: 0 and +-1 through shifted hulls."""
+    simplex = from_vertices([(0, 0), (1, 0), (0, 1)])  # two facets through the origin
+    shifted = from_vertices([(x + 2, y) for x, y in cube(2).vertices])  # -x <= -1
+    half = [(F(1, 3), F(2, 5), 1), (2, 0, F(1, 7)), (0, 3, 0)]
+    central = from_vertices(half + [tuple(-x for x in v) for v in half])  # rational, not unconditional
+    return [cube(3), cross_polytope(3), simplex, shifted, central, random_unconditional_polytope(3, 1)]
+
+
+def test_facet_rows_are_primitive_and_read_back_to_the_facets():
+    for p in _offset_sign_bodies():
+        assert len(p._facet_rows) == len(p.facets)
+        for (row, b), facet in zip(p._facet_rows, p.facets):
+            assert math.gcd(*row, b) == 1
+            assert canon_facet(row, b) == facet
+    offsets = {b for p in _offset_sign_bodies() for _, b in p.facets}
+    assert offsets == {F(-1), F(0), F(1)}
+
+
+def test_facet_rows_are_the_hull_rays():
+    for p in _offset_sign_bodies():
+        rays, flags = dd.hull_facets(p.vertices)
+        assert all(flags)
+        assert set(p._facet_rows) == set(rays)
+        assert all(type(x) is int for row, b in rays for x in (*row, b))
+
+
 def test_hull_drops_non_extreme_points():
     base = cube(2)
     fat = list(base.vertices) + [(F(0), F(0)), (F(1), F(0)), (F(1, 2), F(1, 2))]
@@ -144,6 +197,37 @@ def test_dd_basis_skips_dependent_rows():
     assert from_halfspaces(rows, 2) == cube(2)
     square = [(1, 1), (1, -1), (-1, 1), (-1, -1)]
     assert from_vertices([(1, 0), (-1, 0), (0, 0)] + square) == cube(2)
+
+
+def _count_dd_solves(build) -> tuple[list[int], list[int]]:
+    """The column count of each ``dd.int_solve`` call and the width of each DD run made by ``build()``."""
+    solves, runs = [], []
+    real_solve, real_rays = dd.int_solve, dd.extreme_rays
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(dd, "int_solve", lambda rows, cols: solves.append(len(cols)) or real_solve(rows, cols))
+        mp.setattr(dd, "extreme_rays", lambda rows: runs.append(len(rows[0])) or real_rays(rows))
+        build()
+    return solves, runs
+
+
+def test_dd_solves_its_initial_rays_in_one_elimination_on_the_cube():
+    # the d initial rays are the d columns of one int_solve call, not d calls
+    for build in (lambda: from_vertices(cube(4).vertices), lambda: from_halfspaces(cube(4).facets, 4)):
+        solves, runs = _count_dd_solves(build)
+        assert solves == runs == [5]
+
+
+@given(st.lists(st.tuples(rationals, rationals, rationals), min_size=4, max_size=9))
+@settings(max_examples=40, deadline=None)
+def test_dd_solves_its_initial_rays_in_one_elimination(pts):
+    def build():
+        try:
+            from_vertices(pts)
+        except DimensionError:
+            pass  # refused after the one run, or by the basis before any solve
+
+    solves, runs = _count_dd_solves(build)
+    assert solves == runs[: len(solves)] and len(runs) == 1 and len(solves) <= 1
 
 
 @given(st.sets(st.integers(min_value=0, max_value=2**6 - 1), max_size=12))

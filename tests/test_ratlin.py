@@ -117,7 +117,8 @@ def test_int_rank_on_wide_and_tall_matrices():
 
 def test_empty_systems():
     assert int_det([]) == 1
-    assert int_solve([], []) == ([], 1)
+    assert int_solve([], []) == ([], 1)  # no rows, no columns
+    assert int_solve([], [[]]) == ([[]], 1)  # no rows, one empty column
     assert independent_rows([]) == [] and int_rank([]) == 0
 
 
@@ -160,27 +161,29 @@ def test_solve_linear_solves_or_reports_singular(rows, b):
 
 @st.composite
 def int_system(draw):
-    """A square integer system of size 1..5; half of them singular."""
+    """A square integer system of size 1..5 with 0..4 right-hand-side columns; half of them singular."""
     n = draw(st.integers(min_value=1, max_value=5))
     rows = draw(int_matrix(n))
     if draw(st.booleans()):  # the last row a combination of the others (the zero row when n = 1)
         coefs = draw(st.lists(ints, min_size=n - 1, max_size=n - 1))
         rows[-1] = [sum(c * r[j] for c, r in zip(coefs, rows)) for j in range(n)]
-    return rows, draw(st.lists(ints, min_size=n, max_size=n))
+    cols = draw(st.lists(st.lists(ints, min_size=n, max_size=n), max_size=4))
+    return rows, cols
 
 
 @given(int_system())
 @settings(max_examples=150)
 def test_int_solve_matches_solve_linear(system):
-    rows, b = system
-    want = solve_linear(tuple(vec(r) for r in rows), vec(b))
-    got = int_solve(rows, b)
-    if want is None:
-        assert got is None and int_det(rows) == 0
-    else:
-        u, det = got
-        assert det == int_det(rows)
-        assert tuple(Fraction(x, det) for x in u) == want
+    rows, cols = system
+    got = int_solve(rows, cols)
+    if int_det(rows) == 0:
+        assert got is None
+        assert all(solve_linear(tuple(vec(r) for r in rows), vec(b)) is None for b in cols)
+        return
+    us, det = got
+    assert det == int_det(rows) and len(us) == len(cols)
+    for u, b in zip(us, cols):  # each column as if solved alone
+        assert tuple(Fraction(x, det) for x in u) == solve_linear(tuple(vec(r) for r in rows), vec(b))
 
 
 @given(st.lists(st.lists(fracs, min_size=3, max_size=3), min_size=1, max_size=5))
