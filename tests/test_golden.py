@@ -26,6 +26,7 @@ CASES = {
     "stability_probe_symmetric_n4": ["stability", "--probe", "symmetric", "--n", "4", "--trials", "3", "--seed", "0"],
     **{f"verify_{suite}": ["verify", suite] for suite in cli.SUITES},
     "hanner_enumerate_n3_dedup": ["hanner-enumerate", "--n", "3", "--dedup"],
+    "hanner_enumerate_n4": ["hanner-enumerate", "--n", "4"],
     "volprod_rational_body": ["volprod", "rational_body.json"],
 }
 
