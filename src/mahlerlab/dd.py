@@ -16,7 +16,9 @@ homogenization:
   exactly when the points are full-dimensional.
 
 A ray that survives with homogenizing coordinate t == 0 is a recession
-direction, which is exactly how unbounded input announces itself.  An input
+direction, which is exactly how unbounded input announces itself.  Both
+directions take and return the polytope's own integer rows, with no Fraction:
+a point V/t as (V, t), a halfspace ``<A, x> <= B`` as (A, B).  An input
 row supports a facet of the cone iff its set of tight rays is maximal among
 the proper ones, read off the same bitmasks with no rank computation; in the
 hull direction these rows are exactly the points that are vertices.
@@ -24,12 +26,11 @@ hull direction these rows are exactly the points that are vertices.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from operator import mul
 from typing import Sequence
 
 from .errors import DimensionError, UnboundedError
-from .ratlin import Vec, independent_rows, int_row, int_solve, primitive_int_vec
+from .ratlin import independent_rows, int_solve, primitive_int_vec
 
 IntVec = tuple[int, ...]
 
@@ -150,36 +151,33 @@ def maximal_sets(sets: set[int]) -> set[int]:
     return {s for s in sets if not any(s != o and s & o == s for o in sets)}
 
 
-def polyhedron_vertices(
-    ineqs: Sequence[tuple[Vec, Fraction]], dim: int
-) -> tuple[list[Vec], list[bool]]:
-    """Vertices of ``{y : <a,y> <= b}`` for the given (a, b) inequalities.
+def polyhedron_vertices(ineqs: Sequence[tuple[IntVec, int]], dim: int) -> tuple[list[tuple[IntVec, int]], list[bool]]:
+    """Vertices of ``{y : <A, y> <= B}`` for the given integer rows (A, B).
 
-    Returns (vertices, facet_flag per inequality).  Raises UnboundedError if
-    a recession direction survives and DimensionError when the feasible set
+    Returns (vertices, facet_flag per inequality).  Each vertex is a
+    primitive ray (R, t) of the homogenized cone with t > 0, so it is V/t
+    with t its least common denominator.  Raises UnboundedError if a
+    recession direction survives and DimensionError when the feasible set
     is empty or not full-dimensional.
     """
-    rows = [int_row((*a, -b))[0] for a, b in ineqs]
+    rows = [a + (-b,) for a, b in ineqs]
     rows.append((0,) * dim + (-1,))  # t >= 0
     rays, flags = _convert(rows)
-
-    verts: list[Vec] = []
-    for r in rays:
-        t = r[-1]
-        if t == 0:
-            raise UnboundedError("halfspace intersection is unbounded")
-        verts.append(tuple(Fraction(c, t) for c in r[:-1]))
-    return verts, flags[:-1]
+    if any(r[-1] == 0 for r in rays):
+        raise UnboundedError("halfspace intersection is unbounded")
+    return [(r[:-1], r[-1]) for r in rays], flags[:-1]
 
 
-def hull_facets(points: Sequence[Vec]) -> tuple[list[tuple[IntVec, int]], list[bool]]:
+def hull_facets(points: Sequence[tuple[IntVec, int]]) -> tuple[list[tuple[IntVec, int]], list[bool]]:
     """Facets of ``conv(points)`` plus a flag per point marking the vertices.
 
-    Each facet ``<A, x> <= B`` is a primitive extreme ray (A, B) of the cone
-    ``{(a, s) : <p, a> <= s for every point p}``, the row ``canon_facet``
-    reads.  A point is a vertex exactly when its constraint supports a facet.
+    Each point is an integer row (V, t), t > 0, standing for V/t.  Each facet
+    ``<A, x> <= B`` is a primitive extreme ray (A, B) of the cone
+    ``{(a, s) : <p, a> <= s for every point p}``, the polytope's facet row as
+    it stands.  A point is a vertex exactly when its constraint supports a
+    facet.
     """
-    rows = [row + (-den,) for row, den in map(int_row, points)]
+    rows = [v + (-t,) for v, t in points]
     try:
         rays, flags = _convert(rows)
     except DimensionError:

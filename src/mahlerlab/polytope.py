@@ -1,23 +1,20 @@
 """Exact convex polytopes with both vertex and facet descriptions.
 
-A Polytope is a frozen pair of representations: the lexicographically sorted
-vertex tuple and the canonically scaled facet tuple.  Both are exact, so two
-polytopes are equal iff they are the same set of points, and instances can be
-hashed and cached.  All constructors go through the double description
-conversion in :mod:`.dd`, except for operations whose output representation
-is known in closed form (polar, diagonal images, direct sums, products),
-which build the result directly.
+A Polytope holds integer rows only: one ``(V, t)`` per vertex V/t, t > 0 its
+least common denominator, and one primitive ``(A, B)`` per facet
+``<A, x> <= B`` (coprime entries; only positive scalings keep an inequality).
+Both are canonical, so equal polytopes have equal rows, and a polytope hashes
+its int tuples.  Vertices are sorted lexicographically on V/t and facets on
+``(A/|B|, sign B)`` (A/1 when B = 0), both by ``_sorted_rows`` on integer
+keys.  ``vertices`` and ``facets`` are the Fraction views of the rows, built
+on first read for JSON and for callers outside the hot loops.
 
-Facet form:  a facet ``<a, x> <= b`` has one integer form, its primitive row
-``(A, B)``, the positive multiple of (a, b) with coprime integer entries
-(only positive scalings preserve an inequality); DD's hull direction returns
-it as is.  The canonical facet is ``(A/|B|, sign B)``, ``(A, 0)`` when B = 0.
-For a bounded polytope with the origin interior every offset canonicalizes
-to +1, which is what the polar swap requires.
+DD (:mod:`.dd`) takes and returns these rows as they stand; operations known
+in closed form build them directly.  ``polar`` swaps the two row tuples: with
+the origin interior every B > 0, and as ``gcd(A, B) = 1``, ``(A, B)`` is the
+polar's vertex row and ``(V, t)`` its facet row, in the same order.
 
-Pointwise queries read these rows from ``_facet_rows``, built on first read
-and kept off the dataclass fields (so equality, hashing and JSON never see
-it).  A point is cleared once to ``X/dx``; ``membership`` compares the ints
+A point is cleared once to ``X/dx``; ``membership`` compares the ints
 ``<A, X>`` and ``B*dx``, and ``gauge`` takes the largest ``<A, X>/B`` by
 cross-multiplication (every B > 0 when the origin is interior), starting
 from 0/1, and builds one Fraction at the end.
@@ -25,10 +22,9 @@ from 0/1, and builds one Fraction at the end.
 Volume is a sum of cones from one apex over the facets that miss it, one
 facet per orbit of the reflections that fix the body, each cone weighted by
 the size of its orbit (``_orbit_weight``).  Which reflections fix the body is
-read once into ``_symmetry``, a lazy field built and kept like
-``_facet_rows``: 2 when every coordinate sign flip does, 1 when only the
-negation does, 0 otherwise; ``is_unconditional`` reads it.  An unconditional
-body cones from the origin over the facets whose normals have no negative
+read once into the lazy field ``_symmetry``: 2 when every coordinate sign
+flip does, 1 when only the negation does, 0 otherwise; ``is_unconditional``
+reads it.  An unconditional body cones from the origin over the facets whose normals have no negative
 coordinate, each of weight 2^(number of nonzero coordinates); a centrally
 symmetric one over the facets whose first nonzero normal coordinate is
 positive, each of weight 2; any other body cones from vertex 0 over every
@@ -38,9 +34,7 @@ facet is triangulated by pulling: cone from its first vertex over its own
 facets that miss it, recursively.  The facets of a face are its maximal
 proper intersections with its parent's facets (bitmasks, no rank work); they
 depend on the face alone, so the triangulations are shared through a memo
-keyed by the mask.  It reads ``_vertex_rows`` (built and kept like
-``_facet_rows``): one ``(V, t)`` per vertex, t > 0 its own least common
-denominator.  Facet ``(A, B)`` holds vertex i iff ``<A, V_i> == B*t_i``.
+keyed by the mask.  Facet ``(A, B)`` holds vertex i iff ``<A, V_i> == B*t_i``.
 Against the apex ``(V_z, t_z)``, which is ``(0, 1)`` for the origin, a
 cell's edge rows ``E_i = t_z*V_i - t_i*V_z`` give it volume
 ``|int_det(E)| / (prod t_i * t_z^d * d!)``; the weighted ints are summed per
@@ -67,7 +61,8 @@ per orbit of such reflections gives the same maximum.  The reflections are
 those of the weaker symmetry of the two bodies, and the vertices scanned are
 the orbit representatives ``volume`` picks among facet normals: the closed
 positive orthant when both bodies are unconditional, one vertex of each +-
-pair when both are centrally symmetric.
+pair when both are centrally symmetric.  Each scanned vertex row is the
+cleared point ``(X, dx)`` as it stands.
 """
 
 from __future__ import annotations
@@ -99,97 +94,91 @@ from .ratlin import (
     primitive_int_vec,
     unit_vec,
     vec,
-    zero_vec,
 )
 
+Row = tuple[tuple[int, ...], int]
 Facet = tuple[Vec, Fraction]
 
 
-def _int_facet(normal: Sequence[Fraction | int], offset: Fraction | int) -> tuple[tuple[int, ...], int]:
-    """The primitive integer row ``(A, B)`` of ``<normal, x> <= offset``."""
-    *a, b = primitive_int_vec(int_row((*normal, offset))[0])
+def _primitive_row(a: Iterable[int], b: int) -> Row:
+    """``(a, b)`` divided by the gcd of all its entries, signs kept."""
+    *a, b = primitive_int_vec((*a, b))
     return tuple(a), b
 
 
-def canon_facet(normal: Sequence[Fraction | int], offset: Fraction | int) -> Facet:
-    """Scale ``<normal, x> <= offset`` to offset in {+1, -1, 0}: ``(A/|B|, sign B)`` of its row (A, B)."""
-    a, b = _int_facet(normal, offset)
-    if not any(a):
-        raise PreconditionError("facet normal must be nonzero")
-    return tuple(Fraction(x, abs(b) or 1) for x in a), Fraction((b > 0) - (b < 0))
+def _int_facet(normal: Sequence[Fraction | int], offset: Fraction | int) -> Row:
+    """The primitive integer row ``(A, B)`` of ``<normal, x> <= offset``."""
+    *a, b = int_row((*normal, offset))[0]
+    return _primitive_row(a, b)
+
+
+def _sorted_rows(rows: Iterable[Row]) -> tuple[Row, ...]:
+    """The distinct rows ``(R, s)`` sorted on ``(R/|s|, sign s)``, R/1 when s = 0, as integers over one lcm."""
+    rows = set(rows)
+    scale = math.lcm(*(abs(s) or 1 for _, s in rows))
+
+    def key(r: Row) -> tuple[list[int], int]:
+        row, s = r
+        m = scale // (abs(s) or 1)
+        return [x * m for x in row], (s > 0) - (s < 0)
+
+    return tuple(sorted(rows, key=key))
 
 
 @dataclass(frozen=True)
 class Polytope:
-    """Bounded full-dimensional polytope, exact V- and H-representation."""
+    """Bounded full-dimensional polytope, exact V- and H-representation as integer rows."""
 
     dim: int
-    vertices: tuple[Vec, ...]
-    facets: tuple[Facet, ...]
+    vertex_rows: tuple[Row, ...]
+    facet_rows: tuple[Row, ...]
 
     def __post_init__(self) -> None:
         if self.dim < 1:
             raise DimensionError("dimension must be positive")
-        if len(self.vertices) < self.dim + 1 or not self.facets:
+        if len(self.vertex_rows) < self.dim + 1 or not self.facet_rows:
             raise ConsistencyError("polytope needs at least dim+1 vertices and one facet")
 
     @cached_property
-    def _facet_rows(self) -> tuple[tuple[tuple[int, ...], int], ...]:
-        """Each facet as its primitive integer row ``(A, B)``, ``<A, x> <= B``, which ``canon_facet`` reads back.
-
-        Built on first read and kept in the instance ``__dict__``; not a
-        dataclass field, so equality, hashing and ordering never see it.
-        """
-        return tuple(_int_facet(a, b) for a, b in self.facets)
+    def vertices(self) -> tuple[Vec, ...]:
+        """The vertices V/t as Fraction vectors, in row order; built on first read, not a dataclass field."""
+        return tuple(tuple(Fraction(x, t) for x in v) for v, t in self.vertex_rows)
 
     @cached_property
-    def _vertex_rows(self) -> tuple[tuple[tuple[int, ...], int], ...]:
-        """Each vertex v as ``(V, t)``: integer V, t > 0 its least common denominator, v = V/t.
-
-        Built and kept like ``_facet_rows``, outside the dataclass fields.
-        """
-        return tuple(map(int_row, self.vertices))
+    def facets(self) -> tuple[Facet, ...]:
+        """The facets as ``(A/|B|, sign B)``, A/1 when B = 0, in row order; built like ``vertices``."""
+        return tuple(
+            (tuple(Fraction(x, abs(b) or 1) for x in a), Fraction((b > 0) - (b < 0))) for a, b in self.facet_rows
+        )
 
     @cached_property
     def _symmetry(self) -> int:
         """2 if every coordinate sign flip fixes the body, else 1 if the negation does, else 0.
 
         Read on the vertex rows ``(V, t)``, which a reflection maps to rows of
-        the same t, and kept like ``_facet_rows``.
+        the same t, and kept like ``vertices``.
         """
-        rows = self._vertex_rows
+        rows = self.vertex_rows
         vset = set(rows)
         if all((v[:i] + (-v[i],) + v[i + 1 :], t) in vset for v, t in rows for i in range(self.dim)):
             return 2
         return int(all((tuple(-x for x in v), t) in vset for v, t in rows))
 
-    @cached_property
-    def _hash(self) -> int:
-        """The dataclass hash, computed once and kept like ``_facet_rows``.
-
-        Cache lookups on a body then skip re-hashing every Fraction of it.
-        """
-        return hash((self.dim, self.vertices, self.facets))
-
-    def __hash__(self) -> int:
-        return self._hash
-
     @property
     def n_vertices(self) -> int:
-        return len(self.vertices)
+        return len(self.vertex_rows)
 
     @property
     def n_facets(self) -> int:
-        return len(self.facets)
+        return len(self.facet_rows)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging nicety
         return f"Polytope(dim={self.dim}, vertices={self.n_vertices}, facets={self.n_facets})"
 
 
-def _make(dim: int, vertices: Iterable[Vec], facets: Iterable[tuple[Sequence[Fraction | int], Fraction | int]]) -> Polytope:
-    vs = tuple(sorted(set(vertices)))
-    fs = tuple(sorted(set(canon_facet(a, b) for a, b in facets)))
-    return Polytope(dim, vs, fs)
+def _make(dim: int, vertex_rows: Iterable[Row], facet_rows: Iterable[Row]) -> Polytope:
+    """The polytope of canonical vertex rows ``(V, t)`` and primitive facet rows ``(A, B)``, repeats allowed."""
+    return Polytope(dim, _sorted_rows(vertex_rows), _sorted_rows(facet_rows))
 
 
 def from_vertices(points: Sequence[Sequence[Fraction | int]]) -> Polytope:
@@ -202,9 +191,9 @@ def from_vertices(points: Sequence[Sequence[Fraction | int]]) -> Polytope:
         raise DimensionError("points need at least one coordinate")
     if any(len(p) != dim for p in pts):
         raise DimensionError("points have different dimensions")
-    facets, flags = dd.hull_facets(pts)
-    verts = [p for p, f in zip(pts, flags) if f]
-    return _make(dim, verts, facets)
+    rows = [int_row(p) for p in pts]
+    facets, flags = dd.hull_facets(rows)
+    return _make(dim, [r for r, f in zip(rows, flags) if f], facets)
 
 
 def from_halfspaces(ineqs: Sequence[tuple[Sequence[Fraction | int], Fraction | int]], dim: int) -> Polytope:
@@ -212,15 +201,19 @@ def from_halfspaces(ineqs: Sequence[tuple[Sequence[Fraction | int], Fraction | i
     rows = [(vec(a), fr(b)) for a, b in ineqs]
     if any(len(a) != dim for a, _ in rows):
         raise DimensionError(f"every halfspace normal needs dimension {dim}")
+    return _halfspace_body([_int_facet(a, b) for a, b in rows], dim)
+
+
+def _halfspace_body(rows: Sequence[Row], dim: int) -> Polytope:
+    """``from_halfspaces`` on primitive integer rows ``(A, B)`` of length dim."""
     verts, flags = dd.polyhedron_vertices(rows, dim)
-    facets = [row for row, f in zip(rows, flags) if f]
-    return _make(dim, verts, facets)
+    return _make(dim, verts, [r for r, f in zip(rows, flags) if f])
 
 
 def cube(n: int) -> Polytope:
     """[-1, 1]^n, built directly."""
-    facets = [(e, Fraction(1)) for i in range(n) for e in sign_orbit(unit_vec(n, i))]
-    return _make(n, sign_orbit((Fraction(1),) * n), facets)
+    facets = [(e, 1) for i in range(n) for e in sign_orbit(tuple(int(k == i) for k in range(n)))]
+    return _make(n, [(v, 1) for v in sign_orbit((1,) * n)], facets)
 
 
 def cross_polytope(n: int) -> Polytope:
@@ -232,14 +225,15 @@ def interval(radius: Fraction | int = 1) -> Polytope:
     r = fr(radius)
     if r <= 0:
         raise PreconditionError("interval radius must be positive")
-    return _make(1, [(-r,), (r,)], [((Fraction(1),), r), ((Fraction(-1),), r)])
+    p, q = r.numerator, r.denominator
+    return _make(1, [((-p,), q), ((p,), q)], [((q,), p), ((-q,), p)])
 
 
 # ---------------------------------------------------------------------------
 # pointwise queries
 
 
-def _point_row(p: Polytope, x: Sequence[Fraction | int]) -> tuple[tuple[int, ...], int]:
+def _point_row(p: Polytope, x: Sequence[Fraction | int]) -> Row:
     """The point x of p's space cleared to ``(X, dx)``: integer X, dx > 0, x = X/dx."""
     v = vec(x)
     if len(v) != p.dim:
@@ -255,7 +249,7 @@ def membership(p: Polytope, x: Sequence[Fraction | int]) -> str:
 def _row_membership(p: Polytope, x_row: tuple[int, ...], dx: int) -> str:
     """``membership`` of the point already cleared to ``(X, dx)`` by ``_point_row``."""
     on_boundary = False
-    for row, b in p._facet_rows:
+    for row, b in p.facet_rows:
         s = sum(map(mul, row, x_row))  # <a, x> <= b  iff  s <= B*dx
         rhs = b * dx
         if s > rhs:
@@ -266,7 +260,7 @@ def _row_membership(p: Polytope, x_row: tuple[int, ...], dx: int) -> str:
 
 
 def contains_origin_interior(p: Polytope) -> bool:
-    return all(b == 1 for _, b in p.facets)
+    return all(b > 0 for _, b in p.facet_rows)
 
 
 def gauge(p: Polytope, x: Sequence[Fraction | int]) -> Fraction:
@@ -275,7 +269,7 @@ def gauge(p: Polytope, x: Sequence[Fraction | int]) -> Fraction:
         raise PreconditionError("gauge needs the origin in the interior")
     x_row, dx = _point_row(p, x)
     best, over = 0, 1  # the largest <A, X> / B so far, as best / over
-    for row, b in p._facet_rows:
+    for row, b in p.facet_rows:
         s = sum(map(mul, row, x_row))
         if s * over > best * b:
             best, over = s, b
@@ -283,15 +277,13 @@ def gauge(p: Polytope, x: Sequence[Fraction | int]) -> Fraction:
 
 
 def polar(p: Polytope) -> Polytope:
-    """Polar dual.  Exact and free: vertices and facet normals swap roles."""
+    """Polar dual.  Exact and free: the vertex and facet rows swap (see the module docstring)."""
     if not contains_origin_interior(p):
         raise PolarityDomainError("polar needs the origin in the interior")
-    # every offset is 1, so the sorted facets list their normals in sorted
-    # order, and each sorted vertex v gives the canonical facet (v, 1)
-    return Polytope(p.dim, tuple(a for a, _ in p.facets), tuple((v, Fraction(1)) for v in p.vertices))
+    return Polytope(p.dim, p.facet_rows, p.vertex_rows)
 
 
-def sign_orbit(v: Sequence[Fraction]) -> list[Vec]:
+def sign_orbit(v: Sequence[Fraction | int]) -> list[tuple]:
     """Every vector obtained from v by flipping the signs of its nonzero coordinates.
 
     Bit k of the pattern index flips the k-th nonzero coordinate, so the
@@ -314,14 +306,19 @@ def is_unconditional(p: Polytope) -> bool:
 
 
 def diagonal_image(p: Polytope, scales: Sequence[Fraction | int]) -> Polytope:
-    """Image under diag(scales); scales must be nonzero."""
+    """Image under diag(scales); scales must be nonzero.
+
+    With scales S/ds, vertex V/t goes to S*V/(ds*t) and facet (A, B) to (A*ds/S, B).
+    """
     s = vec(scales)
     if len(s) != p.dim:
         raise DimensionError("one scale per coordinate")
     if any(x == 0 for x in s):
         raise PreconditionError("diagonal scales must be nonzero")
-    verts = [tuple(si * vi for si, vi in zip(s, v)) for v in p.vertices]
-    facets = [(tuple(ai / si for si, ai in zip(s, a)), b) for a, b in p.facets]
+    srow, ds = int_row(s)
+    m = math.lcm(*srow)
+    verts = [_primitive_row(map(mul, srow, v), ds * t) for v, t in p.vertex_rows]
+    facets = [_primitive_row([x * ds * (m // si) for si, x in zip(srow, a)], b * m) for a, b in p.facet_rows]
     return _make(p.dim, verts, facets)
 
 
@@ -344,10 +341,6 @@ def normalize_unconditional(p: Polytope) -> Polytope:
 # sums and products
 
 
-def _embed(v: Vec, before: int, after: int) -> Vec:
-    return zero_vec(before) + v + zero_vec(after)
-
-
 def _check_sum_operands(p: Polytope, q: Polytope, what: str) -> None:
     if not (contains_origin_interior(p) and contains_origin_interior(q)):
         raise InvalidSumError(f"{what} needs the origin interior to both summands")
@@ -356,21 +349,20 @@ def _check_sum_operands(p: Polytope, q: Polytope, what: str) -> None:
 def linf_sum(p: Polytope, q: Polytope) -> Polytope:
     """Cartesian product p x q on block coordinates."""
     _check_sum_operands(p, q, "linf_sum")
-    dim = p.dim + q.dim
-    verts = [v + w for v in p.vertices for w in q.vertices]
-    facets = [(_embed(a, 0, q.dim), b) for a, b in p.facets]
-    facets += [(_embed(a, p.dim, 0), b) for a, b in q.facets]
-    return _make(dim, verts, facets)
+    verts = []
+    for v, t in p.vertex_rows:
+        for w, u in q.vertex_rows:
+            lcm = math.lcm(t, u)
+            verts.append((tuple(x * (lcm // t) for x in v) + tuple(y * (lcm // u) for y in w), lcm))
+    facets = [(a + (0,) * q.dim, b) for a, b in p.facet_rows]
+    facets += [((0,) * p.dim + a, b) for a, b in q.facet_rows]
+    return _make(p.dim + q.dim, verts, facets)
 
 
 def l1_sum(p: Polytope, q: Polytope) -> Polytope:
-    """conv(p x {0} union {0} x q) on block coordinates."""
+    """conv(p x {0} union {0} x q) on block coordinates: the polar of polar(p) x polar(q)."""
     _check_sum_operands(p, q, "l1_sum")
-    dim = p.dim + q.dim
-    verts = [_embed(v, 0, q.dim) for v in p.vertices]
-    verts += [_embed(w, p.dim, 0) for w in q.vertices]
-    facets = [(a + c, Fraction(1)) for a, _ in p.facets for c, _ in q.facets]
-    return _make(dim, verts, facets)
+    return polar(linf_sum(polar(p), polar(q)))
 
 
 def coordinate_section(p: Polytope, j: int) -> Polytope:
@@ -379,16 +371,15 @@ def coordinate_section(p: Polytope, j: int) -> Polytope:
         raise DimensionError(f"coordinate {j} out of range for dimension {p.dim}")
     if p.dim < 2:
         raise DimensionError("sections need ambient dimension at least 2")
-    keep = [i for i in range(p.dim) if i != j]
-    rows: list[tuple[Vec, Fraction]] = []
-    for a, b in p.facets:
-        a2 = tuple(a[i] for i in keep)
-        if all(x == 0 for x in a2):
+    rows: list[Row] = []
+    for a, b in p.facet_rows:
+        a2 = a[:j] + a[j + 1 :]
+        if not any(a2):
             if b < 0:
                 raise DimensionError("section is empty")
             continue
-        rows.append((a2, b))
-    return from_halfspaces(rows, p.dim - 1)
+        rows.append(_primitive_row(a2, b))
+    return _halfspace_body(rows, p.dim - 1)
 
 
 def permute_coordinates(p: Polytope, perm: Sequence[int]) -> Polytope:
@@ -396,8 +387,8 @@ def permute_coordinates(p: Polytope, perm: Sequence[int]) -> Polytope:
     pi = list(perm)
     if sorted(pi) != list(range(p.dim)):
         raise DimensionError("perm must be a permutation of 0..dim-1")
-    verts = [tuple(v[k] for k in pi) for v in p.vertices]
-    facets = [(tuple(a[k] for k in pi), b) for a, b in p.facets]
+    verts = [(tuple(v[k] for k in pi), t) for v, t in p.vertex_rows]
+    facets = [(tuple(a[k] for k in pi), b) for a, b in p.facet_rows]
     return _make(p.dim, verts, facets)
 
 
@@ -439,13 +430,13 @@ def _pull_triangulation(s: int, parent_facets: Iterable[int], memo: dict[int, li
 def volume(p: Polytope) -> Fraction:
     """Exact volume: cones from one apex over one facet per symmetry orbit (see the module docstring)."""
     d = p.dim
-    verts = p._vertex_rows
+    verts = p.vertex_rows
     # facet (A, B) holds vertex V/t iff <A, V> == B*t
-    facet_masks = [sum(1 << i for i, (v, t) in enumerate(verts) if sum(map(mul, row, v)) == b * t) for row, b in p._facet_rows]
+    facet_masks = [sum(1 << i for i, (v, t) in enumerate(verts) if sum(map(mul, row, v)) == b * t) for row, b in p.facet_rows]
     symmetry = p._symmetry
     if symmetry:
         apex, tz = (0,) * d, 1  # the origin
-        cones = [(f, w) for f, (row, _) in zip(facet_masks, p._facet_rows) if (w := _orbit_weight(row, symmetry))]
+        cones = [(f, w) for f, (row, _) in zip(facet_masks, p.facet_rows) if (w := _orbit_weight(row, symmetry))]
     else:
         apex, tz = verts[0]
         cones = [(f, 1) for f in facet_masks if not f & 1]
@@ -517,10 +508,14 @@ def _min_norm_sq(pts: list[tuple[int, ...]]) -> Fraction:
 
 def point_distance_sq(p: Polytope, x: Sequence[Fraction | int]) -> Fraction:
     """Exact squared Euclidean distance from x to the polytope."""
-    x_row, dx = _point_row(p, x)
+    return _row_distance_sq(p, *_point_row(p, x))
+
+
+def _row_distance_sq(p: Polytope, x_row: tuple[int, ...], dx: int) -> Fraction:
+    """``point_distance_sq`` of the point already cleared to ``(X, dx)``."""
     if _row_membership(p, x_row, dx) != "outside":
         return Fraction(0)
-    rows = p._vertex_rows
+    rows = p.vertex_rows
     scale = math.lcm(dx, *(t for _, t in rows))  # L: every vertex and x are integer on 1/L
     sx = scale // dx
     return _min_norm_sq([tuple(a * (scale // t) - b * sx for a, b in zip(row, x_row)) for row, t in rows]) / scale**2
@@ -551,11 +546,11 @@ def hausdorff_distance_sq(p: Polytope, q: Polytope) -> Fraction:
     if p == q:
         return Fraction(0)
     symmetry = min(p._symmetry, q._symmetry)
-    scanned = [[v for v in b.vertices if _orbit_weight(v, symmetry)] for b in (p, q)]
     best = Fraction(0)
-    for vs, other in zip(scanned, (q, p)):
-        for v in vs:
-            best = max(best, point_distance_sq(other, v))
+    for body, other in ((p, q), (q, p)):
+        for v, t in body.vertex_rows:
+            if _orbit_weight(v, symmetry):
+                best = max(best, _row_distance_sq(other, v, t))
     return best
 
 
@@ -576,8 +571,9 @@ def to_json_dict(p: Polytope) -> dict:
 def from_json_dict(data: dict) -> Polytope:
     """Parse a polytope; cross-checks the halfspace block when present.
 
-    Every listed point must actually be a vertex, and a listed halfspace
-    block must canonicalize to exactly the derived facet set.  Anything else
+    Every listed point must actually be a vertex, and the primitive integer
+    rows of a listed halfspace block must be exactly the derived facet rows,
+    each halfspace with a nonzero normal.  Anything else
     raises FormatError, since a file that disagrees with itself should never
     be silently repaired.
     """
@@ -593,18 +589,21 @@ def from_json_dict(data: dict) -> Polytope:
         p = from_vertices(verts)
     except DimensionError as exc:
         raise FormatError(str(exc)) from exc
-    if set(verts) != set(p.vertices):
-        extra = sorted(set(verts) - set(p.vertices))[0]
-        raise FormatError(f"listed point {tuple(map(str, extra))} is not a vertex")
+    listed = set(p.vertex_rows)
+    extra = [v for v in verts if int_row(v) not in listed]
+    if extra:
+        raise FormatError(f"listed point {tuple(map(str, min(extra)))} is not a vertex")
     if "halfspaces" in data:
         try:
             given = {
-                canon_facet(tuple(parse_fraction(s) for s in h["normal"]), parse_fraction(h["offset"]))
+                _int_facet(tuple(parse_fraction(s) for s in h["normal"]), parse_fraction(h["offset"]))
                 for h in data["halfspaces"]
             }
-        except (KeyError, TypeError, ValueError, PreconditionError) as exc:
+        except (KeyError, TypeError, ValueError) as exc:
             raise FormatError(f"bad halfspace payload: {exc}") from exc
-        if given != set(p.facets):
+        if not all(any(a) for a, _ in given):
+            raise FormatError("bad halfspace payload: facet normal must be nonzero")
+        if given != set(p.facet_rows):
             raise FormatError("halfspaces do not match the hull of the vertices")
     return p
 

@@ -60,7 +60,7 @@ from .polytope import (
     sign_orbit,
     volume,
 )
-from .ratlin import format_approx, format_exact, fr, vec
+from .ratlin import format_approx, format_exact, fr, unit_vec, vec
 from .volprod import corner_bound_factor, mahler_bound, volume_product
 
 CASE_TAGS = ("generic", "caseI-cube", "caseI-cross", "caseII-path")
@@ -162,7 +162,7 @@ def diagonal_truncation_check(k: Polytope) -> tuple[Fraction, Fraction, Fraction
         raise PreconditionError("the truncation bound is stated for unconditional bodies")
     corners = [vec(int(i != j) for i in range(n)) for j in range(n)]
     blow = max(gauge(k, c) for c in corners)
-    capped = from_halfspaces([(a, b * blow) for a, b in k.facets] + list(cube(n).facets), n)
+    capped = from_halfspaces([(a, b * blow) for a, b in k.facet_rows] + list(cube(n).facet_rows), n)
     for j, c in enumerate(corners):
         if gauge(capped, c) != 1:
             raise ConsistencyError(f"inflated body's section {j} is not the full subcube")
@@ -258,12 +258,12 @@ def perturb_unconditional(h: Polytope, delta, seed: int) -> Polytope:
     if not 0 <= delta < 1:
         raise PreconditionError("delta must satisfy 0 <= delta < 1")
     hn = normalize_unconditional(h)
-    reps = [v for v in hn.vertices if _orbit_weight(v, 2)]  # the closed positive orthant
+    reps = [(v, t) for v, t in hn.vertex_rows if _orbit_weight(v, 2)]  # the closed positive orthant
     rng = random.Random(seed)
     pts = []
-    for r in reps:
-        factor = 1 - delta * Fraction(rng.randrange(2**16 + 1), 2**16)
-        pts.extend(sign_orbit([x * factor for x in r]))
+    for v, t in reps:
+        scale = (1 - delta * Fraction(rng.randrange(2**16 + 1), 2**16)) / t
+        pts.extend(sign_orbit([x * scale for x in v]))
     return normalize_unconditional(from_vertices(pts))
 
 
@@ -272,7 +272,7 @@ def random_unconditional_polytope(n: int, seed: int) -> Polytope:
     if n < 1:
         raise PreconditionError("dimension must be at least 1")
     rng = random.Random(seed)
-    pts = list(cross_polytope(n).vertices)
+    pts = [e for i in range(n) for e in sign_orbit(unit_vec(n, i))]
     for _ in range(rng.randint(1, 3)):
         pts.extend(sign_orbit([Fraction(rng.randint(12, 48), 48) for _ in range(n)]))
     return from_vertices(pts)
@@ -393,15 +393,15 @@ def symmetric_probe(h: Polytope, delta, trials: int, seed: int) -> SymmetricProb
     if trials < 0:
         raise PreconditionError("trial count must be nonnegative")
     hn = normalize_unconditional(h)
-    reps = [v for v in hn.vertices if _orbit_weight(v, 1)]  # one vertex of each +- pair
+    reps = [(v, t) for v, t in hn.vertex_rows if _orbit_weight(v, 1)]  # one vertex of each +- pair
     records = []
     min_excess: Optional[Fraction] = None
     for t in range(trials):
         rng = random.Random(seed * 1_000_003 + t)
         pts = []
-        for v in reps:
+        for v, den in reps:
             w = vec(
-                x + delta * Fraction(rng.randint(-(2**12), 2**12), 2**13) for x in v
+                Fraction(x, den) + delta * Fraction(rng.randint(-(2**12), 2**12), 2**13) for x in v
             )
             pts.append(w)
             pts.append(vec(-x for x in w))

@@ -274,7 +274,7 @@ def truncated_cube(n: int, t) -> Polytope:
     if n < 2:
         raise PreconditionError("truncated cubes need dimension at least 2")
     _check_truncation_level(n, t)
-    k = from_halfspaces(list(cube(n).facets) + [(a, n * t) for a, _ in cross_polytope(n).facets], n)
+    k = from_halfspaces(list(cube(n).facet_rows) + [(a, n * t) for a, _ in cross_polytope(n).facet_rows], n)
     if any(gauge(k, vec(int(i != j) for i in range(n))) != 1 for j in range(n)):
         raise FalsificationError(f"a coordinate section of truncated_cube({n}, {format_exact(t)}) is not the subcube")
     if gauge(k, vec([t] * n)) != 1:

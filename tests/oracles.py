@@ -2,23 +2,23 @@
 
 Everything here favors obviousness over speed: cofactor expansion, subset
 enumeration, permutation scans, Gaussian elimination over the rationals for
-rank, cases on the offset's sign for the canonical facet, Fraction dot
-products over every facet for the gauge and membership,
-Fraction vertex sets for the sign-flip and negation checks,
-recursive projection and the pulling triangulation of the whole
-body from vertex 0 for volume, projection onto the affine hull of
-every small vertex subset for distance, Wolfe's algorithm on Fraction
-vectors for distance, a scan of every vertex of both bodies
-for the Hausdorff distance, built sections for the truncation
-check and for the section volumes of the section inequalities, component
-recursion for the labeled P4-free graphs.  The only library
-pieces reused are public: low-level linear algebra (solve_linear, dot),
-membership and the canonical facet form, each covered by its own tests, for
-the truncation check the constructors, sections, gauge, polar, volume and
-the bound factors it is compared through, for the section volumes the
-sections, polar and volume, for the Hausdorff scan ``point_distance_sq``
-(itself checked against the subset oracle), and the graph constructor
-``from_edges``.
+rank, cases on the offset's sign for the canonical facet, sorted sets of
+Fraction vertices and canonical facets for the order of the integer rows,
+Fraction dot products over every facet for the gauge and membership,
+Fraction vertex sets for the sign-flip and negation checks, recursive
+projection and the pulling triangulation of the whole body from vertex 0 for
+volume, projection onto the affine hull of every small vertex subset for
+distance, Wolfe's algorithm on Fraction vectors for distance, a scan of every
+vertex of both bodies for the Hausdorff distance, built sections for the
+truncation check and for the section volumes of the section inequalities,
+component recursion for the labeled P4-free graphs.  The library pieces
+reused are: low-level linear algebra (solve_linear, dot), membership and the
+primitive facet row ``_int_facet`` that ``canon_facet`` reads, each covered
+by its own tests, for the truncation check the constructors, sections,
+gauge, polar, volume and the bound factors it is compared through, for the
+section volumes the sections, polar and volume, for the Hausdorff scan
+``point_distance_sq`` (itself checked against the subset oracle), and the
+graph constructor ``from_edges``.
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ from mahlerlab.errors import ConsistencyError, FalsificationError, PreconditionE
 from mahlerlab.graphs import from_edges
 from mahlerlab.polytope import (
     Polytope,
-    canon_facet,
+    _int_facet,
     coordinate_section,
     cube,
     from_halfspaces,
@@ -98,6 +98,27 @@ def validate(p: Polytope) -> None:
     for v in p.vertices:
         if rank([a for a, b in p.facets if dot(a, v) == b]) != p.dim:
             raise ConsistencyError(f"vertex {v} is not an extreme point")
+
+
+def canon_facet(normal, offset) -> tuple[tuple[Fraction, ...], Fraction]:
+    """Scale ``<normal, x> <= offset`` to offset in {+1, -1, 0}: ``(A/|B|, sign B)`` of its primitive row (A, B).
+
+    The Fraction canonical facet the package kept before its facets became
+    integer rows; ``Polytope.facets`` reads each row (A, B) back to it.
+    """
+    a, b = _int_facet(normal, offset)
+    if not any(a):
+        raise PreconditionError("facet normal must be nonzero")
+    return tuple(Fraction(x, abs(b) or 1) for x in a), Fraction((b > 0) - (b < 0))
+
+
+def make_by_fractions(vertices, facets) -> tuple[tuple, tuple]:
+    """The Fraction canonical form: the sorted distinct vertices and the sorted distinct canonical facets.
+
+    This is how the package ordered a body's vertices and facets before they
+    became integer rows; the row order must agree with it.
+    """
+    return tuple(sorted({vec(v) for v in vertices})), tuple(sorted({canon_facet(a, b) for a, b in facets}))
 
 
 def canon_facet_by_offset_sign(normal, offset) -> tuple[tuple[Fraction, ...], Fraction]:

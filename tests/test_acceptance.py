@@ -23,7 +23,6 @@ from mahlerlab.graphs import (
     polytope_from_graph,
 )
 from mahlerlab.polytope import (
-    canon_facet,
     cross_polytope,
     cube,
     membership,
@@ -46,7 +45,7 @@ from mahlerlab.volprod import (
     verify_truncated_cube_bound,
     volume_product,
 )
-from oracles import orthant_volume, subset_facets, subset_vertices
+from oracles import canon_facet, orthant_volume, subset_facets, subset_vertices
 
 F = Fraction
 

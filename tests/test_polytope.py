@@ -20,7 +20,6 @@ from mahlerlab.errors import (
 )
 from mahlerlab.polytope import (
     Polytope,
-    canon_facet,
     contains_origin_interior,
     coordinate_section,
     cross_polytope,
@@ -49,6 +48,7 @@ from mahlerlab.ratlin import int_det
 from mahlerlab.stability import perturb_unconditional, random_unconditional_polytope, symmetric_probe
 from oracles import (
     brute_volume,
+    canon_facet,
     canon_facet_by_offset_sign,
     distance_sq_by_fractions,
     distance_sq_by_subsets,
@@ -56,6 +56,7 @@ from oracles import (
     hausdorff_by_full_scan,
     is_centrally_symmetric_by_fractions,
     is_unconditional_by_fractions,
+    make_by_fractions,
     membership_by_fractions,
     subset_facets,
     subset_vertices,
@@ -168,8 +169,8 @@ def _offset_sign_bodies():
 
 def test_facet_rows_are_primitive_and_read_back_to_the_facets():
     for p in _offset_sign_bodies():
-        assert len(p._facet_rows) == len(p.facets)
-        for (row, b), facet in zip(p._facet_rows, p.facets):
+        assert len(p.facet_rows) == len(p.facets)
+        for (row, b), facet in zip(p.facet_rows, p.facets):
             assert math.gcd(*row, b) == 1
             assert canon_facet(row, b) == facet
     offsets = {b for p in _offset_sign_bodies() for _, b in p.facets}
@@ -178,9 +179,9 @@ def test_facet_rows_are_primitive_and_read_back_to_the_facets():
 
 def test_facet_rows_are_the_hull_rays():
     for p in _offset_sign_bodies():
-        rays, flags = dd.hull_facets(p.vertices)
+        rays, flags = dd.hull_facets(p.vertex_rows)
         assert all(flags)
-        assert set(p._facet_rows) == set(rays)
+        assert set(p.facet_rows) == set(rays)
         assert all(type(x) is int for row, b in rays for x in (*row, b))
 
 
@@ -751,7 +752,6 @@ def test_point_distance_frozen_values():
 
 def test_point_distance_clears_the_point_once(monkeypatch):
     p = from_vertices([(-2, -2), (-1, -2), (2, 2)])
-    p._facet_rows, p._vertex_rows  # built before counting
     cleared = []
     real = polytope.int_row
 
@@ -829,13 +829,13 @@ def test_hausdorff_matches_full_scan(kind, data):
 
 def test_hausdorff_scans_one_vertex_per_shared_orbit(monkeypatch):
     calls = []
-    real = point_distance_sq
+    real = polytope._row_distance_sq
 
-    def counting(p, x):
-        calls.append(x)
-        return real(p, x)
+    def counting(p, x_row, dx):
+        calls.append((x_row, dx))
+        return real(p, x_row, dx)
 
-    monkeypatch.setattr(polytope, "point_distance_sq", counting)
+    monkeypatch.setattr(polytope, "_row_distance_sq", counting)
     hexagon = from_vertices([(1, 0), (1, 1), (0, 1), (-1, 0), (-1, -1), (0, -1)])
     skew = from_vertices([(2, 1), (-1, 1), (-2, -1), (1, -1)])
     triangle = from_vertices([(-1, -1), (2, 0), (0, 2)])
@@ -896,32 +896,32 @@ def test_json_rejects_bad_payloads():
 def test_validate_catches_handmade_corruption():
     c = cube(2)
     with pytest.raises(ConsistencyError):
-        validate(Polytope(2, c.vertices, (((F(1), F(0)), F(1)),)))  # lost facets
-    doubled = tuple((F(2) * v[0], F(2) * v[1]) for v in c.vertices)
+        validate(Polytope(2, c.vertex_rows, (((1, 0), 1),)))  # lost facets
+    doubled = tuple((tuple(2 * x for x in v), t) for v, t in c.vertex_rows)
     with pytest.raises(ConsistencyError):
-        validate(Polytope(2, doubled, c.facets))  # vertices poke out
+        validate(Polytope(2, doubled, c.facet_rows))  # vertices poke out
     validate(c)
     validate(cross_polytope(3))
 
 
 def test_facet_rows_stay_out_of_identity():
-    # no lazy field (_facet_rows, _vertex_rows, _symmetry, _hash) is a dataclass field
-    assert [f.name for f in dataclasses.fields(Polytope)] == ["dim", "vertices", "facets"]
+    # the fields are the integer rows; the Fraction views and _symmetry are lazy, not fields
+    assert [f.name for f in dataclasses.fields(Polytope)] == ["dim", "vertex_rows", "facet_rows"]
     for body in (random_unconditional_polytope(3, 5), OFFSET_BODIES[1]):
         before = to_json_dict(body)
         membership(body, (F(1, 3),) * body.dim)
         point_distance_sq(body, (F(7, 2),) * body.dim)  # outside, so it reads the vertex rows
         is_unconditional(body)  # reads _symmetry
-        assert {"_facet_rows", "_vertex_rows", "_symmetry"} <= set(vars(body))
+        assert {"vertices", "facets", "_symmetry"} <= set(vars(body))
         fresh = from_vertices(body.vertices)
-        assert not {"_facet_rows", "_vertex_rows", "_hash", "_symmetry"} & set(vars(fresh))
-        assert hash(body) == hash((body.dim, body.vertices, body.facets)) == body._hash
-        assert "_hash" in vars(body) and "_hash" not in vars(fresh)
+        assert not {"vertices", "facets", "_symmetry"} & set(vars(fresh))
+        assert hash(body) == hash((body.dim, body.vertex_rows, body.facet_rows))
         assert fresh == body and hash(fresh) == hash(body)
-        assert "_hash" in vars(fresh) and to_json_dict(body) == before == to_json_dict(fresh)
+        assert not {"vertices", "facets"} & set(vars(fresh))  # equality and hashing read the rows
+        assert to_json_dict(body) == before == to_json_dict(fresh)
         volume.cache_clear()  # a cached equal body would answer without reading this one
         volume(fresh)
-        assert {"_vertex_rows", "_symmetry"} <= set(vars(fresh))  # volume reads both
+        assert "_symmetry" in vars(fresh)
         again = from_vertices(body.vertices)
         assert fresh == again and hash(fresh) == hash(again)
         assert to_json_dict(fresh) == before
@@ -929,6 +929,97 @@ def test_facet_rows_stay_out_of_identity():
 
 def test_polytope_class_invariants():
     with pytest.raises(DimensionError):
-        Polytope(0, ((),), ())
+        Polytope(0, (((), 1),), ())
     with pytest.raises(ConsistencyError):
-        Polytope(2, ((F(0), F(0)),), (((F(1), F(0)), F(1)),))
+        Polytope(2, (((0, 0), 1),), (((1, 0), 1),))
+
+
+@st.composite
+def halfspace_system(draw, dim):
+    """A box around a random centre, so offsets of every sign, cut by up to three random halfspaces."""
+    centre = draw(st.tuples(*[rationals] * dim))
+    rows = []
+    for i in range(dim):
+        e = tuple(F(int(k == i)) for k in range(dim))
+        width = draw(st.integers(min_value=1, max_value=3))
+        rows += [(e, centre[i] + width), (tuple(-x for x in e), width - centre[i])]
+    return rows + draw(st.lists(st.tuples(st.tuples(*[coords] * dim), rationals), max_size=3))
+
+
+def _fraction_form(kind, data, dim):
+    """A body built by ``kind`` and its vertices and facets in the Fraction canonical form."""
+    if kind == "halfspaces":
+        rows = data.draw(halfspace_system(dim))
+        try:
+            p = from_halfspaces(rows, dim)
+        except (DimensionError, UnboundedError):
+            assume(False)
+        verts = subset_vertices(rows, dim)
+        return p, make_by_fractions(verts, subset_facets(verts, dim))
+    if kind == "points":
+        p = data.draw(general_body(dim=dim, coord=rationals))
+        facets = subset_facets(p.vertices, dim)
+        return p, make_by_fractions(subset_vertices(facets, dim), facets)
+    body = data.draw(st.one_of(symmetric_body(dim=dim, coord=rationals), general_body(dim=dim, coord=rationals)))
+    assume(contains_origin_interior(body))
+    # the polar as it was built on Fractions: facet normals as vertices, each vertex v as the facet <v, x> <= 1
+    return polar(body), make_by_fractions([a for a, _ in body.facets], [(v, 1) for v in body.vertices])
+
+
+@pytest.mark.parametrize("kind", ["halfspaces", "points", "polars"])
+@given(data=st.data())
+@settings(max_examples=30, deadline=None)
+def test_integer_rows_keep_the_fraction_canonical_form(kind, data):
+    dim = data.draw(st.sampled_from([2, 3]))
+    p, want = _fraction_form(kind, data, dim)
+    assert (p.vertices, p.facets) == want  # the same sets, in the same order
+    if kind == "halfspaces":
+        assert any(b <= 0 for _, b in p.facet_rows) or contains_origin_interior(p)
+    rng = random.Random(data.draw(st.integers(min_value=0, max_value=10**6)))
+    vrows, frows = list(p.vertex_rows) * 2, list(p.facet_rows) * 2
+    rng.shuffle(vrows)
+    rng.shuffle(frows)
+    again = polytope._make(p.dim, vrows, frows)
+    assert again.vertex_rows == p.vertex_rows and again.facet_rows == p.facet_rows
+    others = [
+        again,
+        from_halfspaces(p.facets, p.dim),
+        from_vertices(p.vertices + p.vertices[:1]),
+        diagonal_image(p, [2] * p.dim),
+        permute_coordinates(p, range(p.dim)[::-1]),
+    ]
+    if contains_origin_interior(p):
+        others += [polar(polar(p)), polar(p)]
+    for q in others:
+        assert (q == p) == ((q.vertices, q.facets) == (p.vertices, p.facets))
+        if q == p:
+            assert hash(q) == hash(p)
+
+
+def test_hot_paths_build_no_fraction_view():
+    views = {"vertices", "facets"}
+    volume.cache_clear()
+    body = from_vertices([(F(3, 2), 0), (0, F(4, 3)), (-1, -1), (1, -1), (F(1, 5), F(1, 7))])
+    dual = polar(body)
+    hanner = linf_sum(l1_sum(interval(), interval()), interval())  # fresh, unlike the cached catalog balls
+    bodies = [body, dual, cube(2), hanner, perturb_unconditional(hanner, F(1, 10), 3)]
+    bodies += [coordinate_section(hanner, 0), linf_sum(body, interval()), l1_sum(body, interval())]
+    for p in bodies:
+        volume(p)
+        gauge(p, (F(1, 3),) * p.dim)
+        membership(p, (F(1, 3),) * p.dim)
+        hausdorff_distance_sq(p, diagonal_image(p, [F(1, 2)] * p.dim))
+    hausdorff_distance_sq(body, cube(2))
+    assert not any(views & set(vars(p)) for p in bodies)
+    assert to_json_dict(body) == {
+        "dim": 2,
+        "vertices": [["-1", "-1"], ["0", "4/3"], ["1", "-1"], ["3/2", "0"]],
+        "halfspaces": [
+            {"normal": ["-7/4", "3/4"], "offset": "1"},
+            {"normal": ["0", "-1"], "offset": "1"},
+            {"normal": ["2/3", "-1/3"], "offset": "1"},
+            {"normal": ["2/3", "3/4"], "offset": "1"},
+        ],
+    }
+    assert views <= set(vars(body))
+    assert [[str(x) for x in v] for v in dual.vertices] == [["-7/4", "3/4"], ["0", "-1"], ["2/3", "-1/3"], ["2/3", "3/4"]]
