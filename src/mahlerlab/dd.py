@@ -17,8 +17,8 @@ homogenization:
 
 A ray that survives with homogenizing coordinate t == 0 is a recession
 direction, which is exactly how unbounded input announces itself.  Both
-directions take and return the polytope's own integer rows, with no Fraction:
-a point V/t as (V, t), a halfspace ``<A, x> <= B`` as (A, B).  An input
+directions take and return the polytope's integer rows: a point V/t as (V, t),
+a halfspace ``<A, x> <= B`` as (A, B).  An input
 row supports a facet of the cone iff its set of tight rays is maximal among
 the proper ones, read off the same bitmasks with no rank computation; in the
 hull direction these rows are exactly the points that are vertices.
@@ -154,11 +154,10 @@ def maximal_sets(sets: set[int]) -> set[int]:
 def polyhedron_vertices(ineqs: Sequence[tuple[IntVec, int]], dim: int) -> tuple[list[tuple[IntVec, int]], list[bool]]:
     """Vertices of ``{y : <A, y> <= B}`` for the given integer rows (A, B).
 
-    Returns (vertices, facet_flag per inequality).  Each vertex is a
-    primitive ray (R, t) of the homogenized cone with t > 0, so it is V/t
-    with t its least common denominator.  Raises UnboundedError if a
-    recession direction survives and DimensionError when the feasible set
-    is empty or not full-dimensional.
+    Returns (vertices, facet_flag per inequality), each vertex a primitive
+    ray (V, t), t > 0.  Raises UnboundedError if a recession direction
+    survives and DimensionError when the feasible set is empty or not
+    full-dimensional.
     """
     rows = [a + (-b,) for a, b in ineqs]
     rows.append((0,) * dim + (-1,))  # t >= 0
@@ -171,11 +170,10 @@ def polyhedron_vertices(ineqs: Sequence[tuple[IntVec, int]], dim: int) -> tuple[
 def hull_facets(points: Sequence[tuple[IntVec, int]]) -> tuple[list[tuple[IntVec, int]], list[bool]]:
     """Facets of ``conv(points)`` plus a flag per point marking the vertices.
 
-    Each point is an integer row (V, t), t > 0, standing for V/t.  Each facet
-    ``<A, x> <= B`` is a primitive extreme ray (A, B) of the cone
-    ``{(a, s) : <p, a> <= s for every point p}``, the polytope's facet row as
-    it stands.  A point is a vertex exactly when its constraint supports a
-    facet.
+    Each point V/t comes as (V, t), t > 0.  Each facet ``<A, x> <= B`` is a
+    primitive extreme ray (A, B) of the cone
+    ``{(a, s) : <p, a> <= s for every point p}``.  A point is a vertex
+    exactly when its constraint supports a facet.
     """
     rows = [v + (-t,) for v, t in points]
     try:

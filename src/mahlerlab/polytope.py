@@ -24,19 +24,19 @@ facet per orbit of the reflections that fix the body, each cone weighted by
 the size of its orbit (``_orbit_weight``).  Which reflections fix the body is
 read once into the lazy field ``_symmetry``: 2 when every coordinate sign
 flip does, 1 when only the negation does, 0 otherwise; ``is_unconditional``
-reads it.  An unconditional body cones from the origin over the facets whose normals have no negative
-coordinate, each of weight 2^(number of nonzero coordinates); a centrally
-symmetric one over the facets whose first nonzero normal coordinate is
-positive, each of weight 2; any other body cones from vertex 0 over every
-facet that misses it, with weight 1.  This is exact: a reflection g fixing
-the body maps conv(0, F) onto conv(0, gF), which has the same volume.  Each
-facet is triangulated by pulling: cone from its first vertex over its own
-facets that miss it, recursively.  The facets of a face are its maximal
-proper intersections with its parent's facets (bitmasks, no rank work); they
-depend on the face alone, so the triangulations are shared through a memo
-keyed by the mask.  Facet ``(A, B)`` holds vertex i iff ``<A, V_i> == B*t_i``.
-Against the apex ``(V_z, t_z)``, which is ``(0, 1)`` for the origin, a
-cell's edge rows ``E_i = t_z*V_i - t_i*V_z`` give it volume
+reads it.  An unconditional body cones from the origin over the facets whose
+normals have no negative coordinate, each of weight 2^(number of nonzero
+coordinates); a centrally symmetric one over the facets whose first nonzero
+normal coordinate is positive, each of weight 2; any other body cones from
+vertex 0 over every facet that misses it, with weight 1.  This is exact: a
+reflection g fixing the body maps conv(0, F) onto conv(0, gF), which has the
+same volume.  Each facet is triangulated by pulling: cone from its first
+vertex over its own facets that miss it, recursively.  The facets of a face
+are its maximal proper intersections with its parent's facets (bitmasks, no
+rank work); they depend on the face alone, so the triangulations are shared
+through a memo keyed by the mask.  Facet ``(A, B)`` holds vertex i iff
+``<A, V_i> == B*t_i``.  Against the apex ``(V_z, t_z)``, which is ``(0, 1)``
+for the origin, a cell's edge rows ``E_i = t_z*V_i - t_i*V_z`` give it volume
 ``|int_det(E)| / (prod t_i * t_z^d * d!)``; the weighted ints are summed per
 ``prod t_i`` and divided once, over their lcm.
 
@@ -113,14 +113,17 @@ def _int_facet(normal: Sequence[Fraction | int], offset: Fraction | int) -> Row:
 
 
 def _sorted_rows(rows: Iterable[Row]) -> tuple[Row, ...]:
-    """The distinct rows ``(R, s)`` sorted on ``(R/|s|, sign s)``, R/1 when s = 0, as integers over one lcm."""
+    """The distinct rows ``(R, s)`` sorted on R/|s|, R/1 when s = 0, as integers over one lcm.
+
+    For a body's facets this is the order on ``(A/|B|, sign B)``: two facets
+    never share A/|B|, as the looser of two parallel halfspaces is redundant.
+    """
     rows = set(rows)
     scale = math.lcm(*(abs(s) or 1 for _, s in rows))
 
-    def key(r: Row) -> tuple[list[int], int]:
-        row, s = r
-        m = scale // (abs(s) or 1)
-        return [x * m for x in row], (s > 0) - (s < 0)
+    def key(r: Row) -> list[int]:
+        m = scale // (abs(r[1]) or 1)
+        return [x * m for x in r[0]]
 
     return tuple(sorted(rows, key=key))
 

@@ -55,10 +55,6 @@ def vec(xs: Iterable) -> Vec:
     return tuple(fr(x) for x in xs)
 
 
-def zero_vec(n: int) -> Vec:
-    return (ZERO,) * n
-
-
 def unit_vec(n: int, i: int) -> Vec:
     return tuple(ONE if j == i else ZERO for j in range(n))
 

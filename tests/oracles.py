@@ -103,8 +103,7 @@ def validate(p: Polytope) -> None:
 def canon_facet(normal, offset) -> tuple[tuple[Fraction, ...], Fraction]:
     """Scale ``<normal, x> <= offset`` to offset in {+1, -1, 0}: ``(A/|B|, sign B)`` of its primitive row (A, B).
 
-    The Fraction canonical facet the package kept before its facets became
-    integer rows; ``Polytope.facets`` reads each row (A, B) back to it.
+    ``Polytope.facets`` reads each facet row (A, B) the same way.
     """
     a, b = _int_facet(normal, offset)
     if not any(a):
@@ -115,8 +114,8 @@ def canon_facet(normal, offset) -> tuple[tuple[Fraction, ...], Fraction]:
 def make_by_fractions(vertices, facets) -> tuple[tuple, tuple]:
     """The Fraction canonical form: the sorted distinct vertices and the sorted distinct canonical facets.
 
-    This is how the package ordered a body's vertices and facets before they
-    became integer rows; the row order must agree with it.
+    Sorting Fractions is the obvious order; the integer rows of a body must
+    list its vertices and facets in the same one.
     """
     return tuple(sorted({vec(v) for v in vertices})), tuple(sorted({canon_facet(a, b) for a, b in facets}))
 
