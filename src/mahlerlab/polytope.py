@@ -113,10 +113,9 @@ def _int_facet(normal: Sequence[Fraction | int], offset: Fraction | int) -> Row:
 
 
 def _sorted_rows(rows: Iterable[Row]) -> tuple[Row, ...]:
-    """The distinct rows ``(R, s)`` sorted on R/|s|, R/1 when s = 0, as integers over one lcm.
+    """The distinct rows ``(R, s)`` sorted on R/|s| (R/1 when s = 0) by integer keys over one lcm.
 
-    For a body's facets this is the order on ``(A/|B|, sign B)``: two facets
-    never share A/|B|, as the looser of two parallel halfspaces is redundant.
+    For facets this is the order on ``(A/|B|, sign B)``: no two facets share A/|B|.
     """
     rows = set(rows)
     scale = math.lcm(*(abs(s) or 1 for _, s in rows))

@@ -60,7 +60,7 @@ from .polytope import (
     sign_orbit,
     volume,
 )
-from .ratlin import format_approx, format_exact, fr, unit_vec, vec
+from .ratlin import format_approx, format_exact, fr, vec
 from .volprod import corner_bound_factor, mahler_bound, volume_product
 
 CASE_TAGS = ("generic", "caseI-cube", "caseI-cross", "caseII-path")
@@ -272,7 +272,7 @@ def random_unconditional_polytope(n: int, seed: int) -> Polytope:
     if n < 1:
         raise PreconditionError("dimension must be at least 1")
     rng = random.Random(seed)
-    pts = [e for i in range(n) for e in sign_orbit(unit_vec(n, i))]
+    pts = [v for v, _ in cross_polytope(n).vertex_rows]  # +-e_i, each with t = 1
     for _ in range(rng.randint(1, 3)):
         pts.extend(sign_orbit([Fraction(rng.randint(12, 48), 48) for _ in range(n)]))
     return from_vertices(pts)
