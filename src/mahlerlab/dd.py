@@ -129,12 +129,7 @@ def _convert(rows: Sequence[IntVec]) -> tuple[list[IntVec], list[bool]]:
     uniq = list(index)
     rays, tight = extreme_rays(uniq)
 
-    sets = [0] * len(uniq)
-    for k, m in enumerate(tight):
-        while m:
-            low = m & -m
-            sets[low.bit_length() - 1] |= 1 << k
-            m ^= low
+    sets = transpose(tight, len(uniq))
     full = (1 << len(rays)) - 1
     if any(s == full and any(r) for s, r in zip(sets, uniq)):
         raise DimensionError("cone is not full-dimensional")
@@ -146,9 +141,27 @@ def maximal_sets(sets: set[int]) -> set[int]:
     """The bitmasks in ``sets`` that no other one contains.
 
     This is the one face rule (Fukuda-Prodon): the facets of a face are the
-    maximal proper sets among its tight sets.
+    maximal proper sets among its tight sets.  The sets are scanned by
+    decreasing size and a set is kept unless a kept one contains it: a strict
+    superset is larger, so it is scanned, and kept or swallowed, first.
     """
-    return {s for s in sets if not any(s != o and s & o == s for o in sets)}
+    kept: list[int] = []
+    for s in sorted(sets, key=int.bit_count, reverse=True):
+        if not any(s & o == s for o in kept):
+            kept.append(s)
+    return set(kept)
+
+
+def transpose(masks: Sequence[int], n: int) -> list[int]:
+    """The bit matrix read by columns: bit k of column i is bit i of ``masks[k]``, for i < n."""
+    cols = [0] * n
+    for k, m in enumerate(masks):
+        bit = 1 << k
+        while m:
+            low = m & -m
+            cols[low.bit_length() - 1] |= bit
+            m ^= low
+    return cols
 
 
 def polyhedron_vertices(ineqs: Sequence[tuple[IntVec, int]], dim: int) -> tuple[list[tuple[IntVec, int]], list[bool]]:

@@ -14,6 +14,24 @@ in closed form build them directly.  ``polar`` swaps the two row tuples: with
 the origin interior every B > 0, and as ``gcd(A, B) = 1``, ``(A, B)`` is the
 polar's vertex row and ``(V, t)`` its facet row, in the same order.
 
+The vertex-facet incidence is the lazy field ``_facet_masks``, one vertex
+bitmask per facet row: facet ``(A, B)`` holds vertex i iff
+``<A, V_i> == B*t_i``.  ``volume`` builds it; ``polar`` of a body that has it
+hands the polar the transpose, since the polar's facet k is the body's
+vertex k and its vertex i the body's facet i, and builds none otherwise.
+
+A coordinate section of an unconditional body K is read off that incidence
+with no DD run.  For x in K its flip ``s_j x`` (x_j negated) is in K, so
+the projection ``P_j x``, their midpoint, is in ``K cap e_j-perp``: the
+section is the projection ``P_j K``.  Its vertices are therefore among the
+``P_j v`` of K's vertex rows with ``v_j >= 0``.  Its facets lie in facets of
+K, as x_j = 0 meets K's interior, and ``s_j`` maps facets to facets, so they
+are among K's facet rows with ``a_j >= 0`` and a nonzero rest, coordinate j
+dropped.  ``P_j v`` is tight on a facet iff v and ``s_j v`` both are, so its
+tight set is the meet of theirs.  The face rule ``dd.maximal_sets`` then
+picks the facets, the nonempty maximal tight sets of the candidates, and the
+vertices, the candidates whose sets of chosen facets are maximal.
+
 A point is cleared once to ``X/dx``; ``membership`` compares the ints
 ``<A, X>`` and ``B*dx``, and ``gauge`` takes the largest ``<A, X>/B`` by
 cross-multiplication (every B > 0 when the origin is interior), starting
@@ -32,11 +50,11 @@ vertex 0 over every facet that misses it, with weight 1.  This is exact: a
 reflection g fixing the body maps conv(0, F) onto conv(0, gF), which has the
 same volume.  Each facet is triangulated by pulling: cone from its first
 vertex over its own facets that miss it, recursively.  The facets of a face
-are its maximal proper intersections with its parent's facets (bitmasks, no
-rank work); they depend on the face alone, so the triangulations are shared
-through a memo keyed by the mask.  Facet ``(A, B)`` holds vertex i iff
-``<A, V_i> == B*t_i``.  Against the apex ``(V_z, t_z)``, which is ``(0, 1)``
-for the origin, a cell's edge rows ``E_i = t_z*V_i - t_i*V_z`` give it volume
+are its maximal proper intersections with its parent's facets (bitmasks of
+``_facet_masks``, no rank work); they depend on the face alone, so the
+triangulations are shared through a memo keyed by the mask.  Against the
+apex ``(V_z, t_z)``, which is ``(0, 1)`` for the origin, a cell's edge rows
+``E_i = t_z*V_i - t_i*V_z`` give it volume
 ``|int_det(E)| / (prod t_i * t_z^d * d!)``; the weighted ints are summed per
 ``prod t_i`` and divided once, over their lcm.
 
@@ -166,6 +184,17 @@ class Polytope:
             return 2
         return int(all((tuple(-x for x in v), t) in vset for v, t in rows))
 
+    @cached_property
+    def _facet_masks(self) -> tuple[int, ...]:
+        """One vertex bitmask per facet row: facet (A, B) holds vertex V/t iff ``<A, V> == B*t``.
+
+        Kept like ``vertices``; ``polar`` hands it on transposed.
+        """
+        verts = self.vertex_rows
+        return tuple(
+            sum(1 << i for i, (v, t) in enumerate(verts) if sum(map(mul, row, v)) == b * t) for row, b in self.facet_rows
+        )
+
     @property
     def n_vertices(self) -> int:
         return len(self.vertex_rows)
@@ -200,14 +229,10 @@ def from_vertices(points: Sequence[Sequence[Fraction | int]]) -> Polytope:
 
 def from_halfspaces(ineqs: Sequence[tuple[Sequence[Fraction | int], Fraction | int]], dim: int) -> Polytope:
     """Bounded intersection of halfspaces ``<a, x> <= b``; drops redundant ones."""
-    rows = [(vec(a), fr(b)) for a, b in ineqs]
-    if any(len(a) != dim for a, _ in rows):
+    pairs = [(vec(a), fr(b)) for a, b in ineqs]
+    if any(len(a) != dim for a, _ in pairs):
         raise DimensionError(f"every halfspace normal needs dimension {dim}")
-    return _halfspace_body([_int_facet(a, b) for a, b in rows], dim)
-
-
-def _halfspace_body(rows: Sequence[Row], dim: int) -> Polytope:
-    """``from_halfspaces`` on primitive integer rows ``(A, B)`` of length dim."""
+    rows = [_int_facet(a, b) for a, b in pairs]
     verts, flags = dd.polyhedron_vertices(rows, dim)
     return _make(dim, verts, [r for r, f in zip(rows, flags) if f])
 
@@ -279,10 +304,17 @@ def gauge(p: Polytope, x: Sequence[Fraction | int]) -> Fraction:
 
 
 def polar(p: Polytope) -> Polytope:
-    """Polar dual.  Exact and free: the vertex and facet rows swap (see the module docstring)."""
+    """Polar dual.  Exact and free: the vertex and facet rows swap (see the module docstring).
+
+    When p has built its ``_facet_masks``, the polar gets their transpose.
+    """
     if not contains_origin_interior(p):
         raise PolarityDomainError("polar needs the origin in the interior")
-    return Polytope(p.dim, p.facet_rows, p.vertex_rows)
+    q = Polytope(p.dim, p.facet_rows, p.vertex_rows)
+    masks = vars(p).get("_facet_masks")
+    if masks is not None:
+        vars(q)["_facet_masks"] = tuple(dd.transpose(masks, p.n_vertices))
+    return q
 
 
 def sign_orbit(v: Sequence[Fraction | int]) -> list[tuple]:
@@ -368,20 +400,35 @@ def l1_sum(p: Polytope, q: Polytope) -> Polytope:
 
 
 def coordinate_section(p: Polytope, j: int) -> Polytope:
-    """Slice by the hyperplane x_j = 0, re-indexed to the remaining coordinates."""
+    """Slice of an unconditional body by x_j = 0, re-indexed to the remaining coordinates.
+
+    Read off p's ``_facet_masks`` with no DD run (see the module docstring).
+    """
     if not 0 <= j < p.dim:
         raise DimensionError(f"coordinate {j} out of range for dimension {p.dim}")
     if p.dim < 2:
         raise DimensionError("sections need ambient dimension at least 2")
-    rows: list[Row] = []
-    for a, b in p.facet_rows:
+    if not is_unconditional(p):
+        raise PreconditionError("coordinate sections are built for unconditional bodies")
+    rows = p.vertex_rows
+    on = dd.transpose(p._facet_masks, len(rows))  # vertex i -> the facets holding it
+    at = {r: i for i, r in enumerate(rows)}
+    # P_j v, the midpoint of v and its flip, is tight on a facet iff both are
+    verts = [(v, t) for v, t in rows if v[j] >= 0]
+    tight = [on[at[v, t]] & on[at[v[:j] + (-v[j],) + v[j + 1 :], t]] for v, t in verts]
+    by_set: dict[int, Row] = {}  # the candidate vertices on a candidate facet -> that facet's row
+    for on_f, (a, b) in zip(dd.transpose(tight, len(p.facet_rows)), p.facet_rows):
         a2 = a[:j] + a[j + 1 :]
-        if not any(a2):
-            if b < 0:
-                raise DimensionError("section is empty")
-            continue
-        rows.append(_primitive_row(a2, b))
-    return _halfspace_body(rows, p.dim - 1)
+        if on_f and a[j] >= 0 and any(a2):
+            by_set[on_f] = (a2, b)
+    facet_sets = list(dd.maximal_sets(set(by_set)))
+    vertex_sets = dd.transpose(facet_sets, len(verts))
+    corners = dd.maximal_sets(set(vertex_sets))
+    return _make(
+        p.dim - 1,
+        [_primitive_row(v[:j] + v[j + 1 :], t) for (v, t), s in zip(verts, vertex_sets) if s in corners],
+        [_primitive_row(*by_set[s]) for s in facet_sets],
+    )
 
 
 def permute_coordinates(p: Polytope, perm: Sequence[int]) -> Polytope:
@@ -433,8 +480,7 @@ def volume(p: Polytope) -> Fraction:
     """Exact volume: cones from one apex over one facet per symmetry orbit (see the module docstring)."""
     d = p.dim
     verts = p.vertex_rows
-    # facet (A, B) holds vertex V/t iff <A, V> == B*t
-    facet_masks = [sum(1 << i for i, (v, t) in enumerate(verts) if sum(map(mul, row, v)) == b * t) for row, b in p.facet_rows]
+    facet_masks = p._facet_masks
     symmetry = p._symmetry
     if symmetry:
         apex, tz = (0,) * d, 1  # the origin

@@ -40,7 +40,6 @@ from .graphs import (
     empty_graph,
     enumerate_p4_free_labeled,
     from_edges,
-    induced_subgraph,
     is_p4_free,
     maximal_independent_sets,
     polytope_from_graph,
@@ -102,8 +101,9 @@ def glue_graphs(sections: Sequence[Graph]) -> Graph:
 
     Vertex k of section j stands for original coordinate k if k < j, else
     k + 1.  Every pair (i, k) is seen by all sections j not in {i, k}; any
-    disagreement between witnesses is an input inconsistency.  The result
-    induces each section back (checked), which is the gluing's whole point.
+    disagreement between witnesses is an input inconsistency.  Once they
+    agree, the result induces each section back, which is the gluing's whole
+    point: every pair of section j is one of the votes.
     """
     n = len(sections)
     if n < 3:
@@ -129,11 +129,7 @@ def glue_graphs(sections: Sequence[Graph]) -> Graph:
                     )
             if first:
                 es.append((i, k))
-    glued = from_edges(n, es)
-    for j, g in enumerate(sections):
-        if induced_subgraph(glued, [v for v in range(n) if v != j]) != g:
-            raise ConsistencyError(f"the glued graph does not induce section {j}")
-    return glued
+    return from_edges(n, es)
 
 
 # ---------------------------------------------------------------------------

@@ -9,16 +9,17 @@ Fraction vertex sets for the sign-flip and negation checks, recursive
 projection and the pulling triangulation of the whole body from vertex 0 for
 volume, projection onto the affine hull of every small vertex subset for
 distance, Wolfe's algorithm on Fraction vectors for distance, a scan of every
-vertex of both bodies for the Hausdorff distance, built sections for the
+vertex of both bodies for the Hausdorff distance, sections as DD runs on
+the facets with one coordinate dropped, and those sections built for the
 truncation check and for the section volumes of the section inequalities,
 component recursion for the labeled P4-free graphs.  The library pieces
 reused are: low-level linear algebra (solve_linear, dot), membership and the
 primitive facet row ``_int_facet`` that ``canon_facet`` reads, each covered
-by its own tests, for the truncation check the constructors, sections,
-gauge, polar, volume and the bound factors it is compared through, for the
-section volumes the sections, polar and volume, for the Hausdorff scan
-``point_distance_sq`` (itself checked against the subset oracle), and the
-graph constructor ``from_edges``.
+by its own tests, DD and ``_make`` for the sections, for the truncation
+check the constructors, gauge, polar, volume and the bound factors it is
+compared through, for the section volumes polar and volume, for the
+Hausdorff scan ``point_distance_sq`` (itself checked against the subset
+oracle), and the graph constructor ``from_edges``.
 """
 
 from __future__ import annotations
@@ -27,12 +28,14 @@ from fractions import Fraction
 from itertools import combinations, permutations, product as iter_product
 from math import factorial, gcd, lcm
 
-from mahlerlab.errors import ConsistencyError, FalsificationError, PreconditionError
+from mahlerlab import dd
+from mahlerlab.errors import ConsistencyError, DimensionError, FalsificationError, PreconditionError
 from mahlerlab.graphs import from_edges
 from mahlerlab.polytope import (
     Polytope,
     _int_facet,
-    coordinate_section,
+    _make,
+    _primitive_row,
     cube,
     from_halfspaces,
     gauge,
@@ -491,6 +494,24 @@ def hausdorff_by_full_scan(p: Polytope, q: Polytope) -> Fraction:
     return best
 
 
+def coordinate_section_by_dd(p: Polytope, j: int) -> Polytope:
+    """Slice of any body by x_j = 0, re-indexed: its facets with coordinate j dropped, through DD."""
+    if not 0 <= j < p.dim:
+        raise DimensionError(f"coordinate {j} out of range for dimension {p.dim}")
+    if p.dim < 2:
+        raise DimensionError("sections need ambient dimension at least 2")
+    rows = []
+    for a, b in p.facet_rows:
+        a2 = a[:j] + a[j + 1 :]
+        if not any(a2):
+            if b < 0:
+                raise DimensionError("section is empty")
+            continue
+        rows.append(_primitive_row(a2, b))
+    verts, flags = dd.polyhedron_vertices(rows, p.dim - 1)
+    return _make(p.dim - 1, verts, [r for r, f in zip(rows, flags) if f])
+
+
 def diagonal_truncation_by_sections(k: Polytope) -> tuple[Fraction, Fraction, Fraction]:
     """The diagonal truncation check with every coordinate section built.
 
@@ -504,7 +525,7 @@ def diagonal_truncation_by_sections(k: Polytope) -> tuple[Fraction, Fraction, Fr
     if n < 3:
         raise PreconditionError("the truncation bound needs dimension at least 3")
     corner = vec([1] * (n - 1))
-    blow = max(gauge(coordinate_section(k, j), corner) for j in range(n))
+    blow = max(gauge(coordinate_section_by_dd(k, j), corner) for j in range(n))
     rows = [(a, b * blow) for a, b in k.facets]
     for i in range(n):
         rows.append((unit_vec(n, i), Fraction(1)))
@@ -512,7 +533,7 @@ def diagonal_truncation_by_sections(k: Polytope) -> tuple[Fraction, Fraction, Fr
     capped = from_halfspaces(rows, n)
     sub = cube(n - 1)
     for j in range(n):
-        if coordinate_section(capped, j) != sub:
+        if coordinate_section_by_dd(capped, j) != sub:
             raise ConsistencyError(f"inflated body's section {j} is not the full subcube")
     if not is_unconditional(capped):
         raise PreconditionError("diagonal point is defined for unconditional bodies")
@@ -533,7 +554,7 @@ def _section_volumes_by_rebuild(k: Polytope) -> list[Fraction]:
         raise PreconditionError("coordinate sections are read only for unconditional bodies")
     if k.dim == 1:
         return [Fraction(1)]  # counting measure on the one-point section
-    return [volume(coordinate_section(k, j)) for j in range(k.dim)]
+    return [volume(coordinate_section_by_dd(k, j)) for j in range(k.dim)]
 
 
 def section_products_by_rebuild(k: Polytope) -> list[Fraction]:
@@ -546,7 +567,7 @@ def section_products_by_rebuild(k: Polytope) -> list[Fraction]:
     if k.dim == 1:
         return vols
     pk = polar(k)
-    return [v * volume(coordinate_section(pk, j)) for j, v in enumerate(vols)]
+    return [v * volume(coordinate_section_by_dd(pk, j)) for j, v in enumerate(vols)]
 
 
 def section_membership_vector_by_rebuild(k: Polytope) -> tuple[Fraction, ...]:

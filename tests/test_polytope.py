@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import operator
 import random
 from fractions import Fraction
 from itertools import product as iter_product
@@ -43,13 +44,14 @@ from mahlerlab.polytope import (
     volume,
 )
 from mahlerlab import dd, polytope, ratlin
-from mahlerlab.graphs import enumerate_standard_hanner
+from mahlerlab.graphs import enumerate_p4_free_labeled, enumerate_standard_hanner, polytope_from_graph
 from mahlerlab.ratlin import int_det
 from mahlerlab.stability import perturb_unconditional, random_unconditional_polytope, symmetric_probe
 from oracles import (
     brute_volume,
     canon_facet,
     canon_facet_by_offset_sign,
+    coordinate_section_by_dd,
     distance_sq_by_fractions,
     distance_sq_by_subsets,
     gauge_by_fractions,
@@ -480,6 +482,56 @@ def test_section_keeps_the_gauge(p, j, x):
     # a coordinate section keeps the gauge of every point inside it, which is
     # how the truncation check reads its sections without building them
     assert gauge(coordinate_section(p, j), x) == gauge(p, x[:j] + (0,) + x[j:])
+
+
+def incidence_by_fractions(p):
+    """One vertex mask per facet view (a, s): <a, v> == s on the Fraction vertex v."""
+    return tuple(sum(1 << i for i, v in enumerate(p.vertices) if sum(map(operator.mul, a, v)) == s) for a, s in p.facets)
+
+
+unconditional_body = st.one_of(
+    symmetric_body(dim=3),
+    symmetric_body(dim=4),
+    st.sampled_from([g for n in (2, 3, 4) for g in enumerate_p4_free_labeled(n)]).map(polytope_from_graph),
+    st.builds(random_unconditional_polytope, st.integers(min_value=3, max_value=4), st.integers(0, 10**6)),
+)
+
+
+@given(unconditional_body, st.booleans(), st.data())
+@settings(max_examples=80, deadline=None)
+def test_sections_read_off_the_incidence_match_dd_sections(p, dual, data):
+    # the section is the projection: its vertices and facets are K's with
+    # coordinate j dropped, picked by the face rule on K's own incidence
+    if dual:
+        p = polar(p)
+    j = data.draw(st.integers(min_value=0, max_value=p.dim - 1))
+    s = coordinate_section(p, j)
+    assert s == coordinate_section_by_dd(p, j)
+    volume(s)
+    assert s._facet_masks == incidence_by_fractions(s)
+
+
+@given(central_body(dim=3), st.integers(min_value=0, max_value=2))
+@settings(max_examples=20, deadline=None)
+def test_sections_refuse_bodies_that_are_not_unconditional(p, j):
+    with pytest.raises(PreconditionError, match="unconditional"):
+        coordinate_section(p, j)
+
+
+@given(st.sampled_from([general_body, central_body, symmetric_body]).flatmap(lambda body: body(dim=3)))
+@example(from_vertices([(3, 0, 0), (0, 2, 0), (0, 0, 1), (-1, -1, -1)]))  # no reflection fixes it
+@example(from_vertices([(2, 1, 0), (-2, -1, 0), (0, 1, 1), (0, -1, -1), (1, 0, 2), (-1, 0, -2)]))  # only -1 does
+@example(from_vertices(cube(3).vertices))
+@settings(max_examples=40, deadline=None)
+def test_polar_hands_on_the_incidence_that_volume_built(p):
+    assume(contains_origin_interior(p))
+    assert "_facet_masks" not in vars(polar(p))
+    volume.cache_clear()
+    volume(p)
+    q = polar(p)
+    assert vars(q)["_facet_masks"] == Polytope(q.dim, q.vertex_rows, q.facet_rows)._facet_masks
+    assert vars(q)["_facet_masks"] == incidence_by_fractions(q)
+    assert vars(polar(q))["_facet_masks"] == p._facet_masks
 
 
 def test_permute_coordinates_convention():
