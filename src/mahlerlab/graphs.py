@@ -22,16 +22,15 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
-from typing import Iterable, Sequence, Union
+from typing import Iterable, Union
 
 from .errors import ConsistencyError, FormatError, PreconditionError, ResourceError
 from .polytope import (
     Polytope,
-    from_vertices,
-    gauge,
+    _hull,
+    _row_gauge,
     interval,
     is_unconditional,
     l1_sum,
@@ -39,7 +38,7 @@ from .polytope import (
     permute_coordinates,
     sign_orbit,
 )
-from .ratlin import parse_int, unit_vec, vec
+from .ratlin import parse_int
 
 MAX_VERTICES = 32
 
@@ -91,27 +90,9 @@ def complete_graph(n: int) -> Graph:
     return Graph(n, tuple(full & ~(1 << i) for i in range(n)))
 
 
-def path_graph(n: int) -> Graph:
-    return from_edges(n, [(i, i + 1) for i in range(n - 1)])
-
-
 def complement(g: Graph) -> Graph:
     full = (1 << g.n) - 1
     return Graph(g.n, tuple((full & ~m) & ~(1 << i) for i, m in enumerate(g.adj)))
-
-
-def induced_subgraph(g: Graph, keep: Sequence[int]) -> Graph:
-    ks = list(keep)
-    if len(set(ks)) != len(ks) or not ks or any(i < 0 or i >= g.n for i in ks):
-        raise PreconditionError("keep must be distinct vertices of the graph")
-    m = len(ks)
-    adj = [0] * m
-    for a in range(m):
-        for b in range(a + 1, m):
-            if g.adj[ks[a]] >> ks[b] & 1:
-                adj[a] |= 1 << b
-                adj[b] |= 1 << a
-    return Graph(m, tuple(adj))
 
 
 def is_p4_free(g: Graph) -> bool:
@@ -208,10 +189,10 @@ def polytope_from_graph(g: Graph) -> Polytope:
     """
     if g.n <= 7 and not is_perfect_slow(g):
         warnings.warn("graph is not perfect; the ball is not a dual 0-1 polytope", stacklevel=2)
-    pts: set[tuple[Fraction, ...]] = set()
+    pts: set[tuple[int, ...]] = set()
     for m in maximal_independent_sets(g):
-        pts.update(sign_orbit([Fraction(m >> i & 1) for i in range(g.n)]))
-    return from_vertices(sorted(pts))
+        pts.update(sign_orbit([m >> i & 1 for i in range(g.n)]))
+    return _hull([(v, 1) for v in sorted(pts)])
 
 
 def graph_from_polytope(p: Polytope) -> Graph:
@@ -225,7 +206,7 @@ def graph_from_polytope(p: Polytope) -> Graph:
     if not is_unconditional(p):
         raise PreconditionError("graph extraction needs an unconditional polytope")
     for i in range(n):
-        if gauge(p, unit_vec(n, i)) != 1:
+        if _row_gauge(p, tuple(int(k == i) for k in range(n)), 1) != 1:
             raise PreconditionError("polytope is not normalized: e_%d is not on the boundary" % i)
     return _pair_graph(p)
 
@@ -238,7 +219,7 @@ def _pair_graph(p: Polytope) -> Graph:
         (i, j)
         for i in range(n)
         for j in range(i + 1, n)
-        if gauge(p, vec(int(k in (i, j)) for k in range(n))) > 1
+        if _row_gauge(p, tuple(int(k in (i, j)) for k in range(n)), 1) > 1
     ]
     return from_edges(n, es)
 

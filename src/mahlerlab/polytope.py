@@ -6,8 +6,9 @@ least common denominator, and one primitive ``(A, B)`` per facet
 Both are canonical, so equal polytopes have equal rows, and a polytope hashes
 its int tuples.  Vertices are sorted lexicographically on V/t and facets on
 ``(A/|B|, sign B)`` (A/1 when B = 0), both by ``_sorted_rows`` on integer
-keys.  ``vertices`` and ``facets`` are the Fraction views of the rows, built
-on first read for JSON and for callers outside the hot loops.
+keys.  ``vertices`` and ``facets`` are Fraction views for JSON and outside
+callers, built on each read and never kept: inside the package every point
+is a row, and only the public entry points clear a Fraction point, once.
 
 DD (:mod:`.dd`) takes and returns these rows as they stand; operations known
 in closed form build them directly.  ``polar`` swaps the two row tuples: with
@@ -16,9 +17,10 @@ polar's vertex row and ``(V, t)`` its facet row, in the same order.
 
 The vertex-facet incidence is the lazy field ``_facet_masks``, one vertex
 bitmask per facet row: facet ``(A, B)`` holds vertex i iff
-``<A, V_i> == B*t_i``.  ``volume`` builds it; ``polar`` of a body that has it
-hands the polar the transpose, since the polar's facet k is the body's
-vertex k and its vertex i the body's facet i, and builds none otherwise.
+``<A, V_i> == B*t_i``; ``_vertex_masks`` is its transpose.  ``polar`` swaps
+the two like the rows, since the polar's facet k is the body's vertex k, and
+computes neither; a handed-on ``_vertex_masks`` is transposed on the first
+read of ``_facet_masks``.
 
 A coordinate section of an unconditional body K is read off that incidence
 with no DD run.  For x in K its flip ``s_j x`` (x_j negated) is in K, so
@@ -110,7 +112,6 @@ from .ratlin import (
     parse_fraction,
     parse_int,
     primitive_int_vec,
-    unit_vec,
     vec,
 )
 
@@ -159,12 +160,12 @@ class Polytope:
         if len(self.vertex_rows) < self.dim + 1 or not self.facet_rows:
             raise ConsistencyError("polytope needs at least dim+1 vertices and one facet")
 
-    @cached_property
+    @property
     def vertices(self) -> tuple[Vec, ...]:
-        """The vertices V/t as Fraction vectors, in row order; built on first read, not a dataclass field."""
+        """The vertices V/t as Fraction vectors, in row order; built on each read, never kept."""
         return tuple(tuple(Fraction(x, t) for x in v) for v, t in self.vertex_rows)
 
-    @cached_property
+    @property
     def facets(self) -> tuple[Facet, ...]:
         """The facets as ``(A/|B|, sign B)``, A/1 when B = 0, in row order; built like ``vertices``."""
         return tuple(
@@ -176,7 +177,7 @@ class Polytope:
         """2 if every coordinate sign flip fixes the body, else 1 if the negation does, else 0.
 
         Read on the vertex rows ``(V, t)``, which a reflection maps to rows of
-        the same t, and kept like ``vertices``.
+        the same t, and kept on the body.
         """
         rows = self.vertex_rows
         vset = set(rows)
@@ -188,12 +189,20 @@ class Polytope:
     def _facet_masks(self) -> tuple[int, ...]:
         """One vertex bitmask per facet row: facet (A, B) holds vertex V/t iff ``<A, V> == B*t``.
 
-        Kept like ``vertices``; ``polar`` hands it on transposed.
+        Kept like ``_symmetry``; the transpose of a ``_vertex_masks`` that ``polar`` handed on.
         """
+        handed = vars(self).get("_vertex_masks")
+        if handed is not None:
+            return tuple(dd.transpose(handed, self.n_facets))
         verts = self.vertex_rows
         return tuple(
             sum(1 << i for i, (v, t) in enumerate(verts) if sum(map(mul, row, v)) == b * t) for row, b in self.facet_rows
         )
+
+    @cached_property
+    def _vertex_masks(self) -> tuple[int, ...]:
+        """One facet bitmask per vertex row, the transpose of ``_facet_masks``; kept like it."""
+        return tuple(dd.transpose(self._facet_masks, self.n_vertices))
 
     @property
     def n_vertices(self) -> int:
@@ -222,9 +231,13 @@ def from_vertices(points: Sequence[Sequence[Fraction | int]]) -> Polytope:
         raise DimensionError("points need at least one coordinate")
     if any(len(p) != dim for p in pts):
         raise DimensionError("points have different dimensions")
-    rows = [int_row(p) for p in pts]
+    return _hull([int_row(p) for p in pts])
+
+
+def _hull(rows: Sequence[Row]) -> Polytope:
+    """``from_vertices`` of the points V/t given as canonical rows ``(V, t)``, as ``int_row`` clears them."""
     facets, flags = dd.hull_facets(rows)
-    return _make(dim, [r for r, f in zip(rows, flags) if f], facets)
+    return _make(len(rows[0][0]), [r for r, f in zip(rows, flags) if f], facets)
 
 
 def from_halfspaces(ineqs: Sequence[tuple[Sequence[Fraction | int], Fraction | int]], dim: int) -> Polytope:
@@ -294,7 +307,11 @@ def gauge(p: Polytope, x: Sequence[Fraction | int]) -> Fraction:
     """Minkowski gauge: least t >= 0 with x in t*p.  Needs 0 interior."""
     if not contains_origin_interior(p):
         raise PreconditionError("gauge needs the origin in the interior")
-    x_row, dx = _point_row(p, x)
+    return _row_gauge(p, *_point_row(p, x))
+
+
+def _row_gauge(p: Polytope, x_row: tuple[int, ...], dx: int) -> Fraction:
+    """``gauge`` of the point already cleared to ``(X, dx)``, on a body with the origin interior."""
     best, over = 0, 1  # the largest <A, X> / B so far, as best / over
     for row, b in p.facet_rows:
         s = sum(map(mul, row, x_row))
@@ -304,16 +321,13 @@ def gauge(p: Polytope, x: Sequence[Fraction | int]) -> Fraction:
 
 
 def polar(p: Polytope) -> Polytope:
-    """Polar dual.  Exact and free: the vertex and facet rows swap (see the module docstring).
-
-    When p has built its ``_facet_masks``, the polar gets their transpose.
-    """
+    """Polar dual.  Exact and free: the vertex and facet rows swap, and so do the incidence masks p holds."""
     if not contains_origin_interior(p):
         raise PolarityDomainError("polar needs the origin in the interior")
     q = Polytope(p.dim, p.facet_rows, p.vertex_rows)
-    masks = vars(p).get("_facet_masks")
-    if masks is not None:
-        vars(q)["_facet_masks"] = tuple(dd.transpose(masks, p.n_vertices))
+    for mine, theirs in (("_facet_masks", "_vertex_masks"), ("_vertex_masks", "_facet_masks")):
+        if mine in vars(p):
+            vars(q)[theirs] = vars(p)[mine]
     return q
 
 
@@ -365,7 +379,7 @@ def normalize_unconditional(p: Polytope) -> Polytope:
     """
     if not is_unconditional(p):
         raise PreconditionError("normalization is defined for unconditional polytopes")
-    gs = [gauge(p, unit_vec(p.dim, i)) for i in range(p.dim)]
+    gs = [_row_gauge(p, tuple(int(k == i) for k in range(p.dim)), 1) for i in range(p.dim)]
     if all(g == 1 for g in gs):
         return p  # diag(1, ..., 1) p equals p, so skip the rebuild
     return diagonal_image(p, gs)
@@ -411,7 +425,7 @@ def coordinate_section(p: Polytope, j: int) -> Polytope:
     if not is_unconditional(p):
         raise PreconditionError("coordinate sections are built for unconditional bodies")
     rows = p.vertex_rows
-    on = dd.transpose(p._facet_masks, len(rows))  # vertex i -> the facets holding it
+    on = p._vertex_masks  # vertex i -> the facets holding it
     at = {r: i for i, r in enumerate(rows)}
     # P_j v, the midpoint of v and its flip, is tight on a facet iff both are
     verts = [(v, t) for v, t in rows if v[j] >= 0]

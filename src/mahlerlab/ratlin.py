@@ -1,17 +1,19 @@
 """Exact rational vectors and matrices.
 
-Every coordinate, offset, and volume in this package is a
-``fractions.Fraction``: always in lowest terms with a positive denominator,
-and nothing ever rounds.  Vectors are tuples of Fractions, matrices tuples of
-row tuples; both are immutable and hashable so geometric objects built from
-them can be cached and compared exactly.
+Every coordinate, offset, and volume in this package is exact, and nothing
+ever rounds.  Inside the package a point is an integer row ``(V, d)``,
+d > 0, standing for V/d, and a scalar is a ``fractions.Fraction`` in lowest
+terms.  Fraction vectors exist at the public edge only: a point handed in is
+cleared once, and the vectors handed out are built once.  Everything is
+immutable and hashable, so geometric objects can be cached and compared
+exactly.
 
 Hot loops (volume determinants, the conversion engine, ``gauge`` and
 ``membership`` on a polytope's facet rows, Wolfe's min-norm point on its
-vertex rows) clear denominators once and run on plain Python integers, which
-is several times faster than Fraction arithmetic and just as exact.
-``int_row`` is the one rule that clears a Fraction vector to an integer row;
-every module calls it rather than scaling by hand.
+vertex rows) run on plain Python integers, which is several times faster
+than Fraction arithmetic and just as exact.  ``int_row`` is the one rule
+that clears a Fraction vector to an integer row; every module calls it
+rather than scaling by hand.
 
 There are two integer eliminations.  ``_bareiss`` is one fraction-free
 forward pass over a square system: ``int_det`` reads its last pivot (for
@@ -38,9 +40,6 @@ from typing import Iterable, Sequence
 Vec = tuple[Fraction, ...]
 Mat = tuple[Vec, ...]
 
-ZERO = Fraction(0)
-ONE = Fraction(1)
-
 
 def fr(x) -> Fraction:
     """Coerce an int, string like ``"3/4"`` or ``"0.25"``, or Fraction."""
@@ -53,10 +52,6 @@ def fr(x) -> Fraction:
 
 def vec(xs: Iterable) -> Vec:
     return tuple(fr(x) for x in xs)
-
-
-def unit_vec(n: int, i: int) -> Vec:
-    return tuple(ONE if j == i else ZERO for j in range(n))
 
 
 def dot(u: Sequence[Fraction], v: Sequence[Fraction]) -> Fraction:

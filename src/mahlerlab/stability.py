@@ -25,6 +25,7 @@ import random
 import statistics
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from typing import Optional, Sequence
 
 from .errors import (
@@ -46,12 +47,13 @@ from .graphs import (
 )
 from .polytope import (
     Polytope,
+    _hull,
     _orbit_weight,
+    _primitive_row,
+    _row_gauge,
     cross_polytope,
     cube,
     from_halfspaces,
-    from_vertices,
-    gauge,
     hausdorff_distance_sq,
     is_unconditional,
     normalize_unconditional,
@@ -59,7 +61,7 @@ from .polytope import (
     sign_orbit,
     volume,
 )
-from .ratlin import format_approx, format_exact, fr, vec
+from .ratlin import format_approx, format_exact, fr
 from .volprod import corner_bound_factor, mahler_bound, volume_product
 
 CASE_TAGS = ("generic", "caseI-cube", "caseI-cross", "caseII-path")
@@ -156,13 +158,13 @@ def diagonal_truncation_check(k: Polytope) -> tuple[Fraction, Fraction, Fraction
         raise PreconditionError("the truncation bound needs dimension at least 3")
     if not is_unconditional(k):
         raise PreconditionError("the truncation bound is stated for unconditional bodies")
-    corners = [vec(int(i != j) for i in range(n)) for j in range(n)]
-    blow = max(gauge(k, c) for c in corners)
+    corners = [tuple(int(i != j) for i in range(n)) for j in range(n)]
+    blow = max(_row_gauge(k, c, 1) for c in corners)
     capped = from_halfspaces([(a, b * blow) for a, b in k.facet_rows] + list(cube(n).facet_rows), n)
     for j, c in enumerate(corners):
-        if gauge(capped, c) != 1:
+        if _row_gauge(capped, c, 1) != 1:
             raise ConsistencyError(f"inflated body's section {j} is not the full subcube")
-    t = 1 / gauge(capped, vec([1] * n))
+    t = 1 / _row_gauge(capped, (1,) * n, 1)
     if t < Fraction(n - 1, n):
         raise FalsificationError(
             f"diagonal point t = {format_exact(t)} below (n-1)/n with full cube sections"
@@ -198,18 +200,19 @@ def reconstruct_hanner(k: Polytope, body_id: str = "", seed: int = 0) -> Stabili
     kn = normalize_unconditional(k)
     n = kn.dim
     g = _pair_graph(kn)  # kn is unconditional, with unit axis gauges by construction
+    candidate = polytope_from_graph(g)
     if g == empty_graph(n):
-        tag, candidate = "caseI-cube", cube(n)
+        tag = "caseI-cube"
         if n >= 3:
             diagonal_truncation_check(kn)
     elif g == complete_graph(n):
-        tag, candidate = "caseI-cross", cross_polytope(n)
+        tag = "caseI-cross"
         if n >= 3:
             diagonal_truncation_check(polar(kn))
     elif n == 4 and not is_p4_free(g):
-        tag, candidate = "caseII-path", polytope_from_graph(g)
+        tag = "caseII-path"
     else:
-        tag, candidate = "generic", polytope_from_graph(g)
+        tag = "generic"
     dist = hausdorff_distance_sq(kn, candidate)
     excess = volume_product(kn, body_id=body_id).excess
     if excess < 0:
@@ -256,11 +259,12 @@ def perturb_unconditional(h: Polytope, delta, seed: int) -> Polytope:
     hn = normalize_unconditional(h)
     reps = [(v, t) for v, t in hn.vertex_rows if _orbit_weight(v, 2)]  # the closed positive orthant
     rng = random.Random(seed)
-    pts = []
+    rows = []
     for v, t in reps:
-        scale = (1 - delta * Fraction(rng.randrange(2**16 + 1), 2**16)) / t
-        pts.extend(sign_orbit([x * scale for x in v]))
-    return normalize_unconditional(from_vertices(pts))
+        scale = 1 - delta * Fraction(rng.randrange(2**16 + 1), 2**16)
+        w, s = _primitive_row([x * scale.numerator for x in v], scale.denominator * t)
+        rows.extend((u, s) for u in sign_orbit(w))
+    return normalize_unconditional(_hull(rows))
 
 
 def random_unconditional_polytope(n: int, seed: int) -> Polytope:
@@ -268,10 +272,11 @@ def random_unconditional_polytope(n: int, seed: int) -> Polytope:
     if n < 1:
         raise PreconditionError("dimension must be at least 1")
     rng = random.Random(seed)
-    pts = [v for v, _ in cross_polytope(n).vertex_rows]  # +-e_i, each with t = 1
+    rows = list(cross_polytope(n).vertex_rows)  # +-e_i, each with t = 1
     for _ in range(rng.randint(1, 3)):
-        pts.extend(sign_orbit([Fraction(rng.randint(12, 48), 48) for _ in range(n)]))
-    return from_vertices(pts)
+        w, s = _primitive_row([rng.randint(12, 48) for _ in range(n)], 48)
+        rows.extend((u, s) for u in sign_orbit(w))
+    return _hull(rows)
 
 
 # ---------------------------------------------------------------------------
@@ -283,8 +288,9 @@ def _mis_pairwise_disjoint(g: Graph) -> bool:
     return all(a & b == 0 for ai, a in enumerate(mis) for b in mis[ai + 1 :])
 
 
-def trial_base_graphs(n: int) -> list[Graph]:
-    """P4-free graphs whose balls respond to representative rescaling.
+@lru_cache(maxsize=None)
+def trial_base_graphs(n: int) -> tuple[Graph, ...]:
+    """P4-free graphs whose balls respond to representative rescaling, computed once per n.
 
     When the maximal independent sets are pairwise disjoint, rescaling the
     positive-orthant representatives is a diagonal map and re-normalization
@@ -293,7 +299,7 @@ def trial_base_graphs(n: int) -> list[Graph]:
     """
     gs = enumerate_p4_free_labeled(n)
     rich = [g for g in gs if not _mis_pairwise_disjoint(g)]
-    return rich or gs
+    return tuple(rich or gs)
 
 
 EXPERIMENT_CSV_HEADER = "trial,n,delta,distance_sq,distance_float,excess,excess_float,case_tag,seed"
@@ -390,18 +396,17 @@ def symmetric_probe(h: Polytope, delta, trials: int, seed: int) -> SymmetricProb
         raise PreconditionError("trial count must be nonnegative")
     hn = normalize_unconditional(h)
     reps = [(v, t) for v, t in hn.vertex_rows if _orbit_weight(v, 1)]  # one vertex of each +- pair
+    shift, unit = delta.numerator, delta.denominator * 2**13  # each jitter is shift * r / unit
     records = []
     min_excess: Optional[Fraction] = None
     for t in range(trials):
         rng = random.Random(seed * 1_000_003 + t)
-        pts = []
+        rows = []
         for v, den in reps:
-            w = vec(
-                Fraction(x, den) + delta * Fraction(rng.randint(-(2**12), 2**12), 2**13) for x in v
-            )
-            pts.append(w)
-            pts.append(vec(-x for x in w))
-        body = from_vertices(pts)
+            # x/den + shift*r/unit over the denominator den*unit
+            w, s = _primitive_row([x * unit + shift * den * rng.randint(-(2**12), 2**12) for x in v], den * unit)
+            rows += [(w, s), (tuple(-x for x in w), s)]
+        body = _hull(rows)
         excess = volume_product(body, body_id=f"probe-{t}").excess
         if excess < 0:
             raise FalsificationError(

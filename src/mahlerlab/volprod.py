@@ -24,18 +24,18 @@ from itertools import product as iter_product
 from .errors import FalsificationError, PreconditionError
 from .polytope import (
     Polytope,
+    _hull,
+    _row_gauge,
+    _row_membership,
     coordinate_section,
     cross_polytope,
     cube,
     from_halfspaces,
-    from_vertices,
-    gauge,
     is_unconditional,
-    membership,
     polar,
     volume,
 )
-from .ratlin import dot, format_approx, format_exact, fr, unit_vec, vec
+from .ratlin import dot, format_approx, format_exact, fr, int_row, vec
 
 
 def _rat_json(x: Fraction) -> dict:
@@ -150,7 +150,7 @@ def section_membership_vector(k: Polytope) -> tuple[Fraction, ...]:
     """
     scale = 2 / (k.dim * volume(k))
     m = vec([scale * v for v, _ in _section_volumes(k)])
-    if membership(polar(k), m) == "outside":
+    if _row_membership(polar(k), *int_row(m)) == "outside":
         raise FalsificationError(
             f"section membership vector {tuple(map(format_exact, m))} fell outside the polar body"
         )
@@ -275,9 +275,9 @@ def truncated_cube(n: int, t) -> Polytope:
         raise PreconditionError("truncated cubes need dimension at least 2")
     _check_truncation_level(n, t)
     k = from_halfspaces(list(cube(n).facet_rows) + [(a, n * t) for a, _ in cross_polytope(n).facet_rows], n)
-    if any(gauge(k, vec(int(i != j) for i in range(n))) != 1 for j in range(n)):
+    if any(_row_gauge(k, tuple(int(i != j) for i in range(n)), 1) != 1 for j in range(n)):
         raise FalsificationError(f"a coordinate section of truncated_cube({n}, {format_exact(t)}) is not the subcube")
-    if gauge(k, vec([t] * n)) != 1:
+    if _row_gauge(k, (t.numerator,) * n, t.denominator) != 1:
         raise FalsificationError(f"the diagonal point misses the boundary of truncated_cube({n}, {format_exact(t)})")
     return k
 
@@ -294,17 +294,17 @@ def corner_bound_factor(n: int, t) -> Fraction:
 
 def _corner_pieces(n: int, t: Fraction, q: tuple[Fraction, ...]) -> tuple[Polytope, Polytope]:
     """Build both corner pieces and check their closed-form volumes."""
-    pts = [vec(map(Fraction, bits)) for bits in iter_product((0, 1), repeat=n) if sum(bits) < n]
-    pts.append(vec([t] * n))
-    body_piece = from_vertices(pts)
+    rows = [(bits, 1) for bits in iter_product((0, 1), repeat=n) if sum(bits) < n]
+    rows.append(((t.numerator,) * n, t.denominator))
+    body_piece = _hull(rows)
     want_p = 1 - (1 - t) / math.factorial(n - 1)
     got_p = volume(body_piece)
     if got_p != want_p:
         raise FalsificationError(
             f"corner piece volume {format_exact(got_p)} != closed form {format_exact(want_p)}"
         )
-    qts = [vec([0] * n)] + [unit_vec(n, i) for i in range(n)] + [q]
-    polar_piece = from_vertices(qts)
+    rows = [((0,) * n, 1)] + [(tuple(int(k == i) for k in range(n)), 1) for i in range(n)] + [int_row(q)]
+    polar_piece = _hull(rows)
     want_q = Fraction(1, math.factorial(n)) / t
     got_q = volume(polar_piece)
     if got_q != want_q:

@@ -12,14 +12,16 @@ distance, Wolfe's algorithm on Fraction vectors for distance, a scan of every
 vertex of both bodies for the Hausdorff distance, sections as DD runs on
 the facets with one coordinate dropped, and those sections built for the
 truncation check and for the section volumes of the section inequalities,
-component recursion for the labeled P4-free graphs.  The library pieces
+component recursion for the labeled P4-free graphs.  The small helpers that
+only tests call live here too: the Fraction unit vector ``unit_vec`` and the
+graph builders ``path_graph`` and ``induced_subgraph``.  The library pieces
 reused are: low-level linear algebra (solve_linear, dot), membership and the
 primitive facet row ``_int_facet`` that ``canon_facet`` reads, each covered
 by its own tests, DD and ``_make`` for the sections, for the truncation
 check the constructors, gauge, polar, volume and the bound factors it is
 compared through, for the section volumes polar and volume, for the
 Hausdorff scan ``point_distance_sq`` (itself checked against the subset
-oracle), and the graph constructor ``from_edges``.
+oracle), and the graph constructors ``Graph`` and ``from_edges``.
 """
 
 from __future__ import annotations
@@ -30,7 +32,7 @@ from math import factorial, gcd, lcm
 
 from mahlerlab import dd
 from mahlerlab.errors import ConsistencyError, DimensionError, FalsificationError, PreconditionError
-from mahlerlab.graphs import from_edges
+from mahlerlab.graphs import Graph, from_edges
 from mahlerlab.polytope import (
     Polytope,
     _int_facet,
@@ -45,8 +47,31 @@ from mahlerlab.polytope import (
     polar,
     volume,
 )
-from mahlerlab.ratlin import dot, solve_linear, unit_vec, vec
+from mahlerlab.ratlin import dot, solve_linear, vec
 from mahlerlab.volprod import corner_bound_factor, mahler_bound
+
+
+def unit_vec(n: int, i: int) -> tuple[Fraction, ...]:
+    return tuple(Fraction(int(j == i)) for j in range(n))
+
+
+def path_graph(n: int) -> Graph:
+    return from_edges(n, [(i, i + 1) for i in range(n - 1)])
+
+
+def induced_subgraph(g: Graph, keep) -> Graph:
+    """The subgraph on the vertices ``keep``, relabeled 0.. in the order given."""
+    ks = list(keep)
+    if len(set(ks)) != len(ks) or not ks or any(i < 0 or i >= g.n for i in ks):
+        raise PreconditionError("keep must be distinct vertices of the graph")
+    m = len(ks)
+    adj = [0] * m
+    for a in range(m):
+        for b in range(a + 1, m):
+            if g.adj[ks[a]] >> ks[b] & 1:
+                adj[a] |= 1 << b
+                adj[b] |= 1 << a
+    return Graph(m, tuple(adj))
 
 
 def vsub(u, v) -> tuple[Fraction, ...]:

@@ -19,7 +19,6 @@ from mahlerlab.graphs import (
     complement,
     enumerate_p4_free_labeled,
     is_p4_free,
-    path_graph,
     polytope_from_graph,
 )
 from mahlerlab.polytope import (
@@ -45,7 +44,7 @@ from mahlerlab.volprod import (
     verify_truncated_cube_bound,
     volume_product,
 )
-from oracles import canon_facet, orthant_volume, subset_facets, subset_vertices
+from oracles import canon_facet, orthant_volume, path_graph, subset_facets, subset_vertices
 
 F = Fraction
 

@@ -27,12 +27,10 @@ from mahlerlab.graphs import (
     graph_from_polytope,
     graph_to_json_dict,
     hanner_from_tree,
-    induced_subgraph,
     is_p4_free,
     is_perfect_slow,
     label_shape,
     maximal_independent_sets,
-    path_graph,
     polytope_from_graph,
     tree_from_json_dict,
     tree_graph,
@@ -52,7 +50,9 @@ from oracles import (
     canonical_graph_key,
     has_induced_p4_by_orderings,
     independent_sets_exhaustive,
+    induced_subgraph,
     p4_free_labeled_by_components,
+    path_graph,
 )
 
 F = Fraction

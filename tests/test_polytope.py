@@ -525,13 +525,31 @@ def test_sections_refuse_bodies_that_are_not_unconditional(p, j):
 @settings(max_examples=40, deadline=None)
 def test_polar_hands_on_the_incidence_that_volume_built(p):
     assume(contains_origin_interior(p))
-    assert "_facet_masks" not in vars(polar(p))
+    assert not {"_facet_masks", "_vertex_masks"} & set(vars(polar(p)))
     volume.cache_clear()
     volume(p)
     q = polar(p)
-    assert vars(q)["_facet_masks"] == Polytope(q.dim, q.vertex_rows, q.facet_rows)._facet_masks
-    assert vars(q)["_facet_masks"] == incidence_by_fractions(q)
-    assert vars(polar(q))["_facet_masks"] == p._facet_masks
+    assert vars(q)["_vertex_masks"] is p._facet_masks  # swapped, not transposed
+    assert q._facet_masks == Polytope(q.dim, q.vertex_rows, q.facet_rows)._facet_masks
+    assert q._facet_masks == incidence_by_fractions(q)
+    assert vars(polar(polar(p)))["_facet_masks"] is p._facet_masks
+    assert polar(q)._vertex_masks is q._facet_masks
+    assert polar(q)._facet_masks is p._facet_masks
+
+
+def test_polar_makes_no_transpose(monkeypatch):
+    p = random_unconditional_polytope(3, 5)
+    volume.cache_clear()
+    volume(p)
+    coordinate_section(p, 0)  # reads _vertex_masks, so p now holds both
+    calls = []
+    real = dd.transpose
+    monkeypatch.setattr(dd, "transpose", lambda masks, n: calls.append(n) or real(masks, n))
+    q = polar(p)
+    r = polar(q)
+    assert calls == []
+    assert (vars(q)["_facet_masks"], vars(q)["_vertex_masks"]) == (p._vertex_masks, p._facet_masks)
+    assert (vars(r)["_facet_masks"], vars(r)["_vertex_masks"]) == (p._facet_masks, p._vertex_masks)
 
 
 def test_permute_coordinates_convention():
@@ -957,14 +975,15 @@ def test_validate_catches_handmade_corruption():
 
 
 def test_facet_rows_stay_out_of_identity():
-    # the fields are the integer rows; the Fraction views and _symmetry are lazy, not fields
+    # the fields are the integer rows; _symmetry is lazy and the Fraction views are never kept
     assert [f.name for f in dataclasses.fields(Polytope)] == ["dim", "vertex_rows", "facet_rows"]
     for body in (random_unconditional_polytope(3, 5), OFFSET_BODIES[1]):
         before = to_json_dict(body)
         membership(body, (F(1, 3),) * body.dim)
         point_distance_sq(body, (F(7, 2),) * body.dim)  # outside, so it reads the vertex rows
         is_unconditional(body)  # reads _symmetry
-        assert {"vertices", "facets", "_symmetry"} <= set(vars(body))
+        assert "_symmetry" in vars(body)
+        assert not {"vertices", "facets"} & set(vars(body))  # read by to_json_dict, not kept
         fresh = from_vertices(body.vertices)
         assert not {"vertices", "facets", "_symmetry"} & set(vars(fresh))
         assert hash(body) == hash((body.dim, body.vertex_rows, body.facet_rows))
@@ -1046,21 +1065,39 @@ def test_integer_rows_keep_the_fraction_canonical_form(kind, data):
             assert hash(q) == hash(p)
 
 
-def test_hot_paths_build_no_fraction_view():
+@given(st.sampled_from([2, 3]).flatmap(lambda d: st.lists(st.tuples(*[rationals] * d), min_size=d + 1, max_size=7)))
+@settings(max_examples=60, deadline=None)
+def test_hull_of_rows_is_from_vertices_of_points(pts):
+    try:
+        want = from_vertices(pts)
+    except DimensionError:
+        assume(False)
+    got = polytope._hull([ratlin.int_row(p) for p in pts])
+    assert (got.vertex_rows, got.facet_rows) == (want.vertex_rows, want.facet_rows)
+    facets = subset_facets(pts, got.dim)
+    assert (got.vertices, got.facets) == make_by_fractions(subset_vertices(facets, got.dim), facets)
+
+
+def test_hot_paths_build_no_fraction_view(monkeypatch):
+    def forbidden(p):
+        raise AssertionError("a Fraction view was read")
+
     views = {"vertices", "facets"}
     volume.cache_clear()
-    body = from_vertices([(F(3, 2), 0), (0, F(4, 3)), (-1, -1), (1, -1), (F(1, 5), F(1, 7))])
-    dual = polar(body)
-    hanner = linf_sum(l1_sum(interval(), interval()), interval())  # fresh, unlike the cached catalog balls
-    bodies = [body, dual, cube(2), hanner, perturb_unconditional(hanner, F(1, 10), 3)]
-    bodies += [coordinate_section(hanner, 0), linf_sum(body, interval()), l1_sum(body, interval())]
-    for p in bodies:
-        volume(p)
-        gauge(p, (F(1, 3),) * p.dim)
-        membership(p, (F(1, 3),) * p.dim)
-        hausdorff_distance_sq(p, diagonal_image(p, [F(1, 2)] * p.dim))
-    hausdorff_distance_sq(body, cube(2))
-    assert not any(views & set(vars(p)) for p in bodies)
+    with monkeypatch.context() as m:
+        for view in views:
+            m.setattr(Polytope, view, property(forbidden))
+        body = from_vertices([(F(3, 2), 0), (0, F(4, 3)), (-1, -1), (1, -1), (F(1, 5), F(1, 7))])
+        dual = polar(body)
+        hanner = linf_sum(l1_sum(interval(), interval()), interval())  # fresh, unlike the cached catalog balls
+        bodies = [body, dual, cube(2), hanner, perturb_unconditional(hanner, F(1, 10), 3)]
+        bodies += [coordinate_section(hanner, 0), linf_sum(body, interval()), l1_sum(body, interval())]
+        for p in bodies:
+            volume(p)
+            gauge(p, (F(1, 3),) * p.dim)
+            membership(p, (F(1, 3),) * p.dim)
+            hausdorff_distance_sq(p, diagonal_image(p, [F(1, 2)] * p.dim))
+        hausdorff_distance_sq(body, cube(2))
     assert to_json_dict(body) == {
         "dim": 2,
         "vertices": [["-1", "-1"], ["0", "4/3"], ["1", "-1"], ["3/2", "0"]],
@@ -1071,5 +1108,5 @@ def test_hot_paths_build_no_fraction_view():
             {"normal": ["2/3", "3/4"], "offset": "1"},
         ],
     }
-    assert views <= set(vars(body))
+    assert not any(views & set(vars(p)) for p in bodies)  # built for to_json_dict, not kept
     assert [[str(x) for x in v] for v in dual.vertices] == [["-7/4", "3/4"], ["0", "-1"], ["2/3", "-1/3"], ["2/3", "3/4"]]

@@ -11,7 +11,7 @@ from mahlerlab.errors import (
     PreconditionError,
     ResourceError,
 )
-from mahlerlab import graphs, stability
+from mahlerlab import graphs, polytope, stability, volprod
 from mahlerlab.graphs import (
     complete_graph,
     edges,
@@ -19,11 +19,10 @@ from mahlerlab.graphs import (
     enumerate_p4_free_labeled,
     from_edges,
     graph_from_polytope,
-    induced_subgraph,
-    path_graph,
     polytope_from_graph,
 )
 from mahlerlab.polytope import (
+    Polytope,
     coordinate_section,
     cross_polytope,
     cube,
@@ -54,8 +53,16 @@ from mahlerlab.stability import (
     symmetric_probe,
     trial_base_graphs,
 )
-from mahlerlab.volprod import mahler_bound, truncated_cube
-from oracles import diagonal_truncation_by_sections
+from mahlerlab.volprod import (
+    mahler_bound,
+    meyer_inequality_check,
+    near_minimal_sections_check,
+    section_membership_vector,
+    truncated_cube,
+    verify_truncated_cube_bound,
+    volume_product,
+)
+from oracles import diagonal_truncation_by_sections, induced_subgraph, path_graph
 from test_polytope import symmetric_body
 
 F = Fraction
@@ -267,19 +274,20 @@ def test_reconstruct_reads_pairs_without_rechecking(monkeypatch):
     # normalize_unconditional has checked the body and set its axis gauges to
     # 1, so the graph costs one gauge per pair and no second check
     pair_gauges = []
+    real = graphs._row_gauge
 
-    def counting(p, x):
-        pair_gauges.append(tuple(x))
-        return gauge(p, x)
+    def counting(p, x, dx):
+        pair_gauges.append((x, dx))
+        return real(p, x, dx)
 
     def forbidden(p):
         raise AssertionError("graphs.is_unconditional called")
 
     body = perturb_unconditional(polytope_from_graph(from_edges(3, [(0, 1)])), F(1, 10), seed=4)
-    monkeypatch.setattr(graphs, "gauge", counting)
+    monkeypatch.setattr(graphs, "_row_gauge", counting)
     monkeypatch.setattr(graphs, "is_unconditional", forbidden)
     rec = reconstruct_hanner(diagonal_image(body, (2, 3, F(1, 2))))
-    assert sorted(pair_gauges) == [(0, 1, 1), (1, 0, 1), (1, 1, 0)]
+    assert sorted(pair_gauges) == [((0, 1, 1), 1), ((1, 0, 1), 1), ((1, 1, 0), 1)]
     monkeypatch.undo()
     assert rec.nearest_graph == graph_from_polytope(normalize_unconditional(body))
 
@@ -383,6 +391,40 @@ def test_trial_base_graphs_drop_rescaling_absorbed_bases():
         assert any(a & b for i, a in enumerate(mis) for b in mis[i + 1 :])
 
 
+def test_trial_base_graphs_are_computed_once_per_n():
+    first = trial_base_graphs(4)
+    assert isinstance(first, tuple)
+    assert trial_base_graphs(4) is first
+
+
+def test_internal_seams_pass_rows_not_fraction_points(monkeypatch):
+    # inside the package a point crosses as an integer row: nothing clears a
+    # Fraction point through _point_row or from_vertices, and no Fraction
+    # view of a body is read, on a hanner, perturb, probe or certificates item
+    def forbidden(*args):
+        raise AssertionError("a Fraction point or view crossed an internal seam")
+
+    polytope_from_graph.cache_clear()  # so every ball is built inside the run
+    volume.cache_clear()
+    for module in (polytope, graphs, stability, volprod):
+        for name in ("_point_row", "from_vertices"):
+            if name in vars(module):
+                monkeypatch.setattr(module, name, forbidden)
+    for view in ("vertices", "facets"):
+        monkeypatch.setattr(Polytope, view, property(forbidden))
+    for g in (empty_graph(3), complete_graph(3), from_edges(3, [(0, 1)]), path_graph(4)):
+        ball = polytope_from_graph(g)
+        volume_product(ball)
+        assert reconstruct_hanner(ball).nearest_graph == g
+    stability_experiment(ExperimentConfig(n=3, trials=1, delta=F(1, 10), seed=0))
+    symmetric_probe(cube(3), F(1, 10), trials=1, seed=0)
+    k = random_unconditional_polytope(3, 0)
+    section_membership_vector(k)
+    meyer_inequality_check(k)
+    near_minimal_sections_check(k, F(1, 10))
+    verify_truncated_cube_bound(3, F(5, 6))
+
+
 def test_experiment_config_validation():
     with pytest.raises(PreconditionError):
         ExperimentConfig(n=0, trials=1, delta=F(1, 10), seed=0)
@@ -458,6 +500,6 @@ def test_symmetric_probe_preconditions():
 
 def test_symmetric_probe_refuses_n6_up_front(monkeypatch):
     # one n = 6 trial runs for minutes; the refusal comes before any body is built
-    monkeypatch.setattr(stability, "from_vertices", None)
+    monkeypatch.setattr(stability, "_hull", None)
     with pytest.raises(ResourceError, match="n <= 5"):
         symmetric_probe(cube(6), F(1, 10), trials=1, seed=0)

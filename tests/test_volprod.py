@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from mahlerlab import dd, volprod
 from mahlerlab.errors import FalsificationError, PreconditionError
-from mahlerlab.graphs import enumerate_p4_free_labeled, path_graph, polytope_from_graph
+from mahlerlab.graphs import enumerate_p4_free_labeled, polytope_from_graph
 from mahlerlab.polytope import (
     coordinate_section,
     cross_polytope,
@@ -34,7 +34,7 @@ from mahlerlab.volprod import (
     volume_product,
     volume_product_csv_row,
 )
-from oracles import section_membership_vector_by_rebuild, section_products_by_rebuild
+from oracles import path_graph, section_membership_vector_by_rebuild, section_products_by_rebuild
 
 F = Fraction
 
@@ -252,10 +252,10 @@ def test_corner_bound_factor_frozen():
         corner_bound_factor(2, 1)
 
 
-@pytest.mark.parametrize("wrong_gauge", [lambda k, x: 2, lambda k, x: F(1) if 0 in x else F(1, 2)])
+@pytest.mark.parametrize("wrong_gauge", [lambda k, x, dx: 2, lambda k, x, dx: F(1) if 0 in x else F(1, 2)])
 def test_truncated_cube_raises_on_a_failed_gauge_fact(monkeypatch, wrong_gauge):
     # the first misses every section corner, the second only the diagonal point
-    monkeypatch.setattr(volprod, "gauge", wrong_gauge)
+    monkeypatch.setattr(volprod, "_row_gauge", wrong_gauge)
     with pytest.raises(FalsificationError):
         truncated_cube(3, F(9, 10))
 
