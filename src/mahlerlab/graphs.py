@@ -132,7 +132,7 @@ def _is_induced_cycle(g: Graph, cyc_mask: int) -> bool:
 
 
 def is_perfect_slow(g: Graph) -> bool:
-    """Exhaustive odd-hole / odd-antihole scan; exponential, debug use only."""
+    """Exhaustive odd-hole / odd-antihole scan, exponential; ``polytope_from_graph`` runs it when n <= 7."""
     h = complement(g)
     for k in range(5, g.n + 1, 2):
         for sub in combinations(range(g.n), k):

@@ -6,9 +6,10 @@ least common denominator, and one primitive ``(A, B)`` per facet
 Both are canonical, so equal polytopes have equal rows, and a polytope hashes
 its int tuples.  Vertices are sorted lexicographically on V/t and facets on
 ``(A/|B|, sign B)`` (A/1 when B = 0), both by ``_sorted_rows`` on integer
-keys.  ``vertices`` and ``facets`` are Fraction views for JSON and outside
-callers, built on each read and never kept: inside the package every point
-is a row, and only the public entry points clear a Fraction point, once.
+keys.  ``vertices`` and ``facets`` are Fraction views for outside callers,
+built on each read and never kept; JSON is written from the rows.  Inside
+the package every point is a row, no body is built from halfspaces, and only
+the public entry points clear a Fraction point, once.
 
 DD (:mod:`.dd`) takes and returns these rows as they stand; operations known
 in closed form build them directly.  ``polar`` swaps the two row tuples: with
@@ -620,12 +621,18 @@ def hausdorff_distance_sq(p: Polytope, q: Polytope) -> Fraction:
 # serialization and checking
 
 
+def _ratio_str(x: int, d: int) -> str:
+    """``str(Fraction(x, d))`` for d > 0, reduced by one gcd."""
+    g = math.gcd(x, d)
+    return str(x // g) if g == d else f"{x // g}/{d // g}"
+
+
 def to_json_dict(p: Polytope) -> dict:
     return {
         "dim": p.dim,
-        "vertices": [[str(x) for x in v] for v in p.vertices],
+        "vertices": [[_ratio_str(x, t) for x in v] for v, t in p.vertex_rows],
         "halfspaces": [
-            {"normal": [str(x) for x in a], "offset": str(b)} for a, b in p.facets
+            {"normal": [_ratio_str(x, abs(b) or 1) for x in a], "offset": str((b > 0) - (b < 0))} for a, b in p.facet_rows
         ],
     }
 

@@ -3,12 +3,13 @@
 A Hanner ball in standard position is fixed by one bit per coordinate pair:
 whether e_i + e_j lies outside it.  Reconstruction normalizes the body and
 reads every bit from the full body by the edge rule of
-`graphs.graph_from_polytope`.  A
-coordinate section leaves the gauge of any point inside it unchanged, so
-each section would read the same bits; `glue_graphs` keeps the gluing lemma
-that this makes consistent, as a standalone combinatorial fact.  For an
-exact Hanner ball the bits give its generator graph on the nose; for
-perturbed bodies they give the candidate the distance is measured against.
+`graphs.graph_from_polytope`; the body of an empty or complete graph is
+compared with the cube by `volprod.diagonal_truncation_check`.  A coordinate
+section leaves the gauge of any point inside it unchanged, so each section
+would read the same bits; `glue_graphs` keeps the gluing lemma that this
+makes consistent, as a standalone combinatorial fact.  For an exact Hanner
+ball the bits give its generator graph on the nose; for perturbed bodies
+they give the candidate the distance is measured against.
 
 A bit is set when the margin gauge(K, e_i + e_j) - 1 is above 0, however
 small; that one rule decides every pair.  Entry points that normalize leave
@@ -50,19 +51,14 @@ from .polytope import (
     _hull,
     _orbit_weight,
     _primitive_row,
-    _row_gauge,
     cross_polytope,
-    cube,
-    from_halfspaces,
     hausdorff_distance_sq,
-    is_unconditional,
     normalize_unconditional,
     polar,
     sign_orbit,
-    volume,
 )
 from .ratlin import format_approx, format_exact, fr
-from .volprod import corner_bound_factor, mahler_bound, volume_product
+from .volprod import diagonal_truncation_check, mahler_bound, volume_product
 
 CASE_TAGS = ("generic", "caseI-cube", "caseI-cross", "caseII-path")
 
@@ -135,51 +131,6 @@ def glue_graphs(sections: Sequence[Graph]) -> Graph:
 
 
 # ---------------------------------------------------------------------------
-# diagonal refinement (empty graph: compare against the cube)
-
-
-def diagonal_truncation_check(k: Polytope) -> tuple[Fraction, Fraction, Fraction]:
-    """Lower-bound check for an unconditional body whose sections nearly fill the cube.
-
-    Inflates the body just enough that every coordinate section contains the
-    full subcube, caps it by the cube, and verifies the capped body's volume
-    product against the truncated-cube factor at its diagonal point t, where
-    (t, ..., t) is on its boundary.  Returns (t, product, bound); a t below
-    (n-1)/n or a product below the bound is a falsification.
-
-    No section is built.  A coordinate section keeps the gauge of every point
-    inside it, so section j is read through the all-ones vector with a 0 at
-    coordinate j; and a section of an unconditional body inside the cube is
-    the full subcube exactly when it holds that corner.  The one DD run is
-    the capped body's.
-    """
-    n = k.dim
-    if n < 3:
-        raise PreconditionError("the truncation bound needs dimension at least 3")
-    if not is_unconditional(k):
-        raise PreconditionError("the truncation bound is stated for unconditional bodies")
-    corners = [tuple(int(i != j) for i in range(n)) for j in range(n)]
-    blow = max(_row_gauge(k, c, 1) for c in corners)
-    capped = from_halfspaces([(a, b * blow) for a, b in k.facet_rows] + list(cube(n).facet_rows), n)
-    for j, c in enumerate(corners):
-        if _row_gauge(capped, c, 1) != 1:
-            raise ConsistencyError(f"inflated body's section {j} is not the full subcube")
-    t = 1 / _row_gauge(capped, (1,) * n, 1)
-    if t < Fraction(n - 1, n):
-        raise FalsificationError(
-            f"diagonal point t = {format_exact(t)} below (n-1)/n with full cube sections"
-        )
-    product = volume(capped) * volume(polar(capped))
-    bound = corner_bound_factor(n, t) * mahler_bound(n)
-    if product < bound:
-        raise FalsificationError(
-            f"diagonal truncation bound failed: product {format_exact(product)} "
-            f"< bound {format_exact(bound)} at t = {format_exact(t)}"
-        )
-    return t, product, bound
-
-
-# ---------------------------------------------------------------------------
 # reconstruction
 
 
@@ -201,6 +152,7 @@ def reconstruct_hanner(k: Polytope, body_id: str = "", seed: int = 0) -> Stabili
     n = kn.dim
     g = _pair_graph(kn)  # kn is unconditional, with unit axis gauges by construction
     candidate = polytope_from_graph(g)
+    p4_free = is_p4_free(g)
     if g == empty_graph(n):
         tag = "caseI-cube"
         if n >= 3:
@@ -209,7 +161,7 @@ def reconstruct_hanner(k: Polytope, body_id: str = "", seed: int = 0) -> Stabili
         tag = "caseI-cross"
         if n >= 3:
             diagonal_truncation_check(polar(kn))
-    elif n == 4 and not is_p4_free(g):
+    elif n == 4 and not p4_free:
         tag = "caseII-path"
     else:
         tag = "generic"
@@ -219,7 +171,7 @@ def reconstruct_hanner(k: Polytope, body_id: str = "", seed: int = 0) -> Stabili
         raise FalsificationError(
             f"unconditional body {body_id or ''} has product excess {format_exact(excess)} < 0"
         )
-    if is_p4_free(g):
+    if p4_free:
         if (dist == 0) != (excess == 0):
             raise FalsificationError(
                 f"uniqueness violated for {body_id or 'body'}: distance_sq {format_exact(dist)}, "

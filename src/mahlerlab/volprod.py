@@ -11,6 +11,7 @@ per-coordinate products on the right-hand sides below well defined.  The
 four section checks read one memoised table per body, ``_section_volumes``:
 it alone refuses a body that is not unconditional, applies counting measure
 to the one-point section of an interval, and builds each section once.
+``_cube_cap`` alone builds the cube caps of the truncated-cube bound.
 """
 
 from __future__ import annotations
@@ -25,12 +26,12 @@ from .errors import FalsificationError, PreconditionError
 from .polytope import (
     Polytope,
     _hull,
+    _primitive_row,
     _row_gauge,
     _row_membership,
     coordinate_section,
     cross_polytope,
     cube,
-    from_halfspaces,
     is_unconditional,
     polar,
     volume,
@@ -260,26 +261,64 @@ def _check_truncation_level(n: int, t: Fraction) -> None:
         raise PreconditionError(f"t = {format_exact(t)} outside [(n-1)/n, 1]")
 
 
+def _cube_cap(k: Polytope, s: Fraction) -> Polytope:
+    """The cube cut by s*k, for an unconditional body k and s > 0: the polar of ``conv(+-e_i, A/(s*B))``.
+
+    One hull DD run on rows.  A coordinate section of the cap is the full subcube iff its corner
+    ``1 - e_j`` has gauge 1 in the cap; a corner outside raises FalsificationError.
+    """
+    n = k.dim
+    rows = list(cross_polytope(n).vertex_rows)  # +-e_i, the cube's facets
+    rows += [_primitive_row([x * s.denominator for x in a], b * s.numerator) for a, b in k.facet_rows]
+    cap = polar(_hull(rows))
+    if any(_row_gauge(cap, tuple(int(i != j) for i in range(n)), 1) != 1 for j in range(n)):
+        raise FalsificationError(f"a coordinate section of the cube cut by {format_exact(s)} K is not the subcube")
+    return cap
+
+
 def truncated_cube(n: int, t) -> Polytope:
     """B-inf^n cut by sum |x_i| <= n*t, for (n-1)/n <= t <= 1.
 
-    In that t range every coordinate section is the full subcube and the
-    diagonal point (t, ..., t) sits on the boundary; both are checked on the
-    body's gauge, raising FalsificationError, without building a section: a
-    section of this unconditional body is the full subcube exactly when it
-    holds its all-ones corner, and that corner has the same gauge in the
-    section as the point with a 0 inserted has in the body.
+    There ``_cube_cap`` finds every coordinate section the full subcube, and
+    the diagonal point (t, ..., t) must have gauge 1, or FalsificationError.
     """
     t = fr(t)
     if n < 2:
         raise PreconditionError("truncated cubes need dimension at least 2")
     _check_truncation_level(n, t)
-    k = from_halfspaces(list(cube(n).facet_rows) + [(a, n * t) for a, _ in cross_polytope(n).facet_rows], n)
-    if any(_row_gauge(k, tuple(int(i != j) for i in range(n)), 1) != 1 for j in range(n)):
-        raise FalsificationError(f"a coordinate section of truncated_cube({n}, {format_exact(t)}) is not the subcube")
+    k = _cube_cap(cross_polytope(n), n * t)
     if _row_gauge(k, (t.numerator,) * n, t.denominator) != 1:
         raise FalsificationError(f"the diagonal point misses the boundary of truncated_cube({n}, {format_exact(t)})")
     return k
+
+
+def diagonal_truncation_check(k: Polytope) -> tuple[Fraction, Fraction, Fraction]:
+    """Lower-bound check for an unconditional body whose sections nearly fill the cube.
+
+    Inflates the body by the largest gauge of a corner ``1 - e_j``, so every
+    coordinate section holds the full subcube, caps it by the cube, and checks
+    the cap's volume product against the truncated-cube factor at its
+    diagonal point (t, ..., t).  Returns (t, product, bound); a t below
+    (n-1)/n or a product below the bound is a falsification.
+    """
+    n = k.dim
+    if n < 3:
+        raise PreconditionError("the truncation bound needs dimension at least 3")
+    if not is_unconditional(k):
+        raise PreconditionError("the truncation bound is stated for unconditional bodies")
+    blow = max(_row_gauge(k, tuple(int(i != j) for i in range(n)), 1) for j in range(n))
+    capped = _cube_cap(k, blow)
+    t = 1 / _row_gauge(capped, (1,) * n, 1)
+    if t < Fraction(n - 1, n):
+        raise FalsificationError(f"diagonal point t = {format_exact(t)} below (n-1)/n with full cube sections")
+    product = volume(capped) * volume(polar(capped))
+    bound = corner_bound_factor(n, t) * mahler_bound(n)
+    if product < bound:
+        raise FalsificationError(
+            f"diagonal truncation bound failed: product {format_exact(product)} "
+            f"< bound {format_exact(bound)} at t = {format_exact(t)}"
+        )
+    return t, product, bound
 
 
 def corner_bound_factor(n: int, t) -> Fraction:

@@ -12,14 +12,16 @@ distance, Wolfe's algorithm on Fraction vectors for distance, a scan of every
 vertex of both bodies for the Hausdorff distance, sections as DD runs on
 the facets with one coordinate dropped, and those sections built for the
 truncation check and for the section volumes of the section inequalities,
-component recursion for the labeled P4-free graphs.  The small helpers that
-only tests call live here too: the Fraction unit vector ``unit_vec`` and the
-graph builders ``path_graph`` and ``induced_subgraph``.  The library pieces
-reused are: low-level linear algebra (solve_linear, dot), membership and the
-primitive facet row ``_int_facet`` that ``canon_facet`` reads, each covered
-by its own tests, DD and ``_make`` for the sections, for the truncation
-check the constructors, gauge, polar, volume and the bound factors it is
-compared through, for the section volumes polar and volume, for the
+the cube cap as a halfspace intersection, JSON through ``str`` of the
+Fraction views, component recursion for the labeled P4-free graphs.  The
+small helpers that only tests call live here too: the Fraction unit vector
+``unit_vec`` and the graph builders ``path_graph`` and ``induced_subgraph``.
+The library pieces reused are: low-level linear algebra (solve_linear, dot),
+membership and the primitive facet row ``_int_facet`` that ``canon_facet``
+reads, each covered by its own tests, DD and ``_make`` for the sections, for
+the truncation check and the cube cap the constructors, gauge, polar, volume
+and the bound factors it is compared through, for the section volumes polar
+and volume, for the
 Hausdorff scan ``point_distance_sq`` (itself checked against the subset
 oracle), and the graph constructors ``Graph`` and ``from_edges``.
 """
@@ -535,6 +537,21 @@ def coordinate_section_by_dd(p: Polytope, j: int) -> Polytope:
         rows.append(_primitive_row(a2, b))
     verts, flags = dd.polyhedron_vertices(rows, p.dim - 1)
     return _make(p.dim - 1, verts, [r for r, f in zip(rows, flags) if f])
+
+
+def cube_cap_by_halfspaces(k: Polytope, s: Fraction) -> Polytope:
+    """The cube cut by s*k as ``from_halfspaces`` of the cube's facet rows, then k's with offsets scaled by s."""
+    n = k.dim
+    return from_halfspaces(list(cube(n).facet_rows) + [(a, b * s) for a, b in k.facet_rows], n)
+
+
+def to_json_dict_by_views(p: Polytope) -> dict:
+    """``to_json_dict`` as ``str`` of each Fraction of the ``vertices`` and ``facets`` views."""
+    return {
+        "dim": p.dim,
+        "vertices": [[str(x) for x in v] for v in p.vertices],
+        "halfspaces": [{"normal": [str(x) for x in a], "offset": str(b)} for a, b in p.facets],
+    }
 
 
 def diagonal_truncation_by_sections(k: Polytope) -> tuple[Fraction, Fraction, Fraction]:

@@ -62,6 +62,7 @@ from oracles import (
     membership_by_fractions,
     subset_facets,
     subset_vertices,
+    to_json_dict_by_views,
     validate,
     volume_by_pulling,
 )
@@ -931,6 +932,13 @@ def test_hausdorff_scans_one_vertex_per_shared_orbit(monkeypatch):
 @settings(max_examples=40, deadline=None)
 def test_json_roundtrip(p):
     assert from_json_dict(to_json_dict(p)) == p
+
+
+@given(st.one_of(st.sampled_from(_offset_sign_bodies()), general_body(coord=rationals), general_body(dim=3, coord=rationals)))
+@settings(max_examples=60, deadline=None)
+def test_json_dict_from_rows_is_the_views_formatted(p):
+    # the sampled bodies hold facets with B < 0 and B = 0
+    assert to_json_dict(p) == to_json_dict_by_views(p)
 
 
 def test_json_roundtrip_fixed_bodies():

@@ -11,7 +11,7 @@ from mahlerlab.errors import (
     PreconditionError,
     ResourceError,
 )
-from mahlerlab import graphs, polytope, stability, volprod
+from mahlerlab import dd, graphs, polytope, stability, volprod
 from mahlerlab.graphs import (
     complete_graph,
     edges,
@@ -34,6 +34,7 @@ from mahlerlab.polytope import (
     is_unconditional,
     normalize_unconditional,
     polar,
+    to_json_dict,
     volume,
 )
 from mahlerlab.stability import (
@@ -169,6 +170,10 @@ def test_diagonal_truncation_check_matches_sections_oracle_on_fixed_bodies():
             bodies += [h, polar(h)]
     for body in bodies:
         assert diagonal_truncation_check(body) == diagonal_truncation_by_sections(body)
+
+
+def test_stability_binds_the_diagonal_truncation_check_of_volprod():
+    assert stability.diagonal_truncation_check is volprod.diagonal_truncation_check
 
 
 def test_diagonal_truncation_check_runs_one_dd_conversion(dd_runs):
@@ -399,23 +404,26 @@ def test_trial_base_graphs_are_computed_once_per_n():
 
 def test_internal_seams_pass_rows_not_fraction_points(monkeypatch):
     # inside the package a point crosses as an integer row: nothing clears a
-    # Fraction point through _point_row or from_vertices, and no Fraction
-    # view of a body is read, on a hanner, perturb, probe or certificates item
+    # Fraction point through _point_row or from_vertices, no body is built
+    # from halfspaces, and no Fraction view of a body is read, on a hanner,
+    # perturb, probe or certificates item or in writing a ball's JSON
     def forbidden(*args):
         raise AssertionError("a Fraction point or view crossed an internal seam")
 
     polytope_from_graph.cache_clear()  # so every ball is built inside the run
     volume.cache_clear()
     for module in (polytope, graphs, stability, volprod):
-        for name in ("_point_row", "from_vertices"):
+        for name in ("_point_row", "from_vertices", "from_halfspaces"):
             if name in vars(module):
                 monkeypatch.setattr(module, name, forbidden)
+    monkeypatch.setattr(dd, "polyhedron_vertices", forbidden)
     for view in ("vertices", "facets"):
         monkeypatch.setattr(Polytope, view, property(forbidden))
     for g in (empty_graph(3), complete_graph(3), from_edges(3, [(0, 1)]), path_graph(4)):
         ball = polytope_from_graph(g)
         volume_product(ball)
         assert reconstruct_hanner(ball).nearest_graph == g
+        to_json_dict(ball)
     stability_experiment(ExperimentConfig(n=3, trials=1, delta=F(1, 10), seed=0))
     symmetric_probe(cube(3), F(1, 10), trials=1, seed=0)
     k = random_unconditional_polytope(3, 0)

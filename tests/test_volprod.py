@@ -13,8 +13,10 @@ from mahlerlab.polytope import (
     cross_polytope,
     cube,
     from_vertices,
+    gauge,
     linf_sum,
     interval,
+    normalize_unconditional,
     polar,
     volume,
 )
@@ -34,7 +36,13 @@ from mahlerlab.volprod import (
     volume_product,
     volume_product_csv_row,
 )
-from oracles import path_graph, section_membership_vector_by_rebuild, section_products_by_rebuild
+from oracles import (
+    cube_cap_by_halfspaces,
+    path_graph,
+    section_membership_vector_by_rebuild,
+    section_products_by_rebuild,
+)
+from test_polytope import symmetric_body
 
 F = Fraction
 
@@ -250,6 +258,21 @@ def test_corner_bound_factor_frozen():
     assert corner_bound_factor(3, 1) == 1
     with pytest.raises(PreconditionError):
         corner_bound_factor(2, 1)
+
+
+CAP_BODIES = st.one_of(
+    st.builds(normalize_unconditional, st.one_of(symmetric_body(dim=3), symmetric_body(dim=4))),
+    st.sampled_from([polytope_from_graph(g) for n in (2, 3, 4) for g in enumerate_p4_free_labeled(n)]),
+)
+
+
+@given(CAP_BODIES, st.booleans(), st.fractions(min_value=0, max_value=2, max_denominator=12))
+@settings(max_examples=40, deadline=None)
+def test_cube_cap_is_the_halfspace_intersection(body, use_polar, r):
+    # any s at or above the body's largest corner gauge keeps every section corner
+    k = polar(body) if use_polar else body
+    s = max(gauge(k, [int(i != j) for i in range(k.dim)]) for j in range(k.dim)) * (1 + r)
+    assert volprod._cube_cap(k, s) == cube_cap_by_halfspaces(k, s)
 
 
 @pytest.mark.parametrize("wrong_gauge", [lambda k, x, dx: 2, lambda k, x, dx: F(1) if 0 in x else F(1, 2)])
