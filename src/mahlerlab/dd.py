@@ -14,6 +14,9 @@ homogenization:
 * facets ``<a, x> <= s`` of ``conv(points)``  <-  rays (a, s) of
   ``{(a,s) : <p, a> - s <= 0 for every point p}``, a cone that is pointed
   exactly when the points are full-dimensional.
+* facets of the hull of the sign orbits of closed-orthant points  <-  the
+  rays of the same cone cut by ``a >= 0`` that pass the cover rule
+  (``orthant_hull_facets``; the proof is in the ``polytope`` docstring).
 
 A ray that survives with homogenizing coordinate t == 0 is a recession
 direction, which is exactly how unbounded input announces itself.  Both
@@ -29,7 +32,7 @@ from __future__ import annotations
 from operator import mul
 from typing import Sequence
 
-from .errors import DimensionError, UnboundedError
+from .errors import DimensionError, PreconditionError, UnboundedError
 from .ratlin import independent_rows, int_solve, primitive_int_vec
 
 IntVec = tuple[int, ...]
@@ -115,9 +118,10 @@ def extreme_rays(rows: Sequence[IntVec]) -> tuple[list[IntVec], list[int]]:
     return rays, tight
 
 
-def _convert(rows: Sequence[IntVec]) -> tuple[list[IntVec], list[bool]]:
-    """Extreme rays of ``{x : <row, x> <= 0}`` and a facet flag per input row.
+def _convert(rows: Sequence[IntVec]) -> tuple[list[IntVec], list[bool], list[int]]:
+    """Extreme rays of ``{x : <row, x> <= 0}``, a facet flag per input row, and its tight rays.
 
+    The third list holds, per input row, the bitmask of the rays tight on it.
     Rows are primitive-reduced and merged before the cone run.  A row supports
     a facet iff its set of tight rays is maximal among the proper sets: every
     face lies in a facet, and distinct facets have incomparable ray sets.  The
@@ -134,7 +138,8 @@ def _convert(rows: Sequence[IntVec]) -> tuple[list[IntVec], list[bool]]:
     if any(s == full and any(r) for s, r in zip(sets, uniq)):
         raise DimensionError("cone is not full-dimensional")
     maximal = maximal_sets({s for s in sets if s != full})
-    return rays, [sets[k] in maximal for k in mapping]
+    sets = [sets[k] for k in mapping]
+    return rays, [s in maximal for s in sets], sets
 
 
 def maximal_sets(sets: set[int]) -> set[int]:
@@ -174,7 +179,7 @@ def polyhedron_vertices(ineqs: Sequence[tuple[IntVec, int]], dim: int) -> tuple[
     """
     rows = [a + (-b,) for a, b in ineqs]
     rows.append((0,) * dim + (-1,))  # t >= 0
-    rays, flags = _convert(rows)
+    rays, flags, _ = _convert(rows)
     if any(r[-1] == 0 for r in rays):
         raise UnboundedError("halfspace intersection is unbounded")
     return [(r[:-1], r[-1]) for r in rays], flags[:-1]
@@ -190,7 +195,36 @@ def hull_facets(points: Sequence[tuple[IntVec, int]]) -> tuple[list[tuple[IntVec
     """
     rows = [v + (-t,) for v, t in points]
     try:
-        rays, flags = _convert(rows)
+        rays, flags, _ = _convert(rows)
     except DimensionError:
         raise DimensionError("point set is not full-dimensional") from None
     return [(r[:-1], r[-1]) for r in rays], flags
+
+
+def orthant_hull_facets(points: Sequence[tuple[IntVec, int]]) -> tuple[list[tuple[IntVec, int]], list[bool]]:
+    """Facets of the hull of the sign orbits of closed-orthant points, one per orbit, plus vertex flags.
+
+    Each point V/t comes as (V, t), V >= 0, t > 0.  The cone is
+    ``{(a, s) : a >= 0, <p, a> <= s for every point p}``: one row per point
+    and one per ``a_i >= 0``, not one per point of the 2^n-fold orbits.  Its
+    ray (A, B) is a facet of the hull iff every i with ``A_i = 0`` is nonzero
+    on some point tight on it (the cover rule); each facet returned stands for
+    its sign orbit.  A point is a vertex, up to sign, exactly when its
+    constraint supports a facet of the cone.
+    """
+    n = len(points[0][0])
+    if any(x < 0 for v, _ in points for x in v):
+        raise PreconditionError("orthant representatives need nonnegative coordinates")
+    if not all(any(v[i] for v, _ in points) for i in range(n)):
+        raise DimensionError("point set is not full-dimensional")
+    rows = [v + (-t,) for v, t in points] + [tuple(-int(k == i) for k in range(n + 1)) for i in range(n)]
+    rays, flags, sets = _convert(rows)
+    cover = [0] * n  # coordinate i -> the rays tight on a point nonzero at i
+    for (v, _), s in zip(points, sets):
+        for i, x in enumerate(v):
+            if x:
+                cover[i] |= s
+    facets = [
+        (r[:-1], r[-1]) for k, r in enumerate(rays) if all(cover[i] >> k & 1 for i, x in enumerate(r[:-1]) if not x)
+    ]
+    return facets, flags[: len(points)]

@@ -29,14 +29,13 @@ from typing import Iterable, Union
 from .errors import ConsistencyError, FormatError, PreconditionError, ResourceError
 from .polytope import (
     Polytope,
-    _hull,
+    _orthant_hull,
     _row_gauge,
     interval,
     is_unconditional,
     l1_sum,
     linf_sum,
     permute_coordinates,
-    sign_orbit,
 )
 from .ratlin import parse_int
 
@@ -189,10 +188,7 @@ def polytope_from_graph(g: Graph) -> Polytope:
     """
     if g.n <= 7 and not is_perfect_slow(g):
         warnings.warn("graph is not perfect; the ball is not a dual 0-1 polytope", stacklevel=2)
-    pts: set[tuple[int, ...]] = set()
-    for m in maximal_independent_sets(g):
-        pts.update(sign_orbit([m >> i & 1 for i in range(g.n)]))
-    return _hull([(v, 1) for v in sorted(pts)])
+    return _orthant_hull([(tuple(m >> i & 1 for i in range(g.n)), 1) for m in maximal_independent_sets(g)])
 
 
 def graph_from_polytope(p: Polytope) -> Graph:

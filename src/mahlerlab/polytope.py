@@ -16,6 +16,31 @@ in closed form build them directly.  ``polar`` swaps the two row tuples: with
 the origin interior every B > 0, and as ``gcd(A, B) = 1``, ``(A, B)`` is the
 polar's vertex row and ``(V, t)`` its facet row, in the same order.
 
+An unconditional body K, the hull of the sign orbits of closed-orthant rows
+``(V, t)`` with V >= 0, is built by ``_orthant_hull`` from the representatives
+alone, with one DD run on the orthant cone (``dd.orthant_hull_facets``)
+``C = {(a, s) : a >= 0, <V, a> <= s*t for each representative}``: |P| + n
+rows instead of up to 2^n*|P|.  For a >= 0, ``<a, x> <= s`` holds on a sign
+orbit iff it holds at its representative, so C holds the valid inequalities
+of K whose normals have no negative entry; the facets of K among them are the
+facets of ``K cap R+^n`` off the coordinate hyperplanes.  Such a facet, extreme
+among all valid inequalities, is extreme in C, and every facet of K is a sign
+flip of one, so K's facets are the sign orbits of the rays of C that are
+facets.  The cover rule tells them from C's other rays, facet normals with
+some coordinate set to zero: a ray ``(a, s)`` is a facet of K iff every i with
+``a_i = 0`` is nonzero on some representative tight on it, read off the tight
+bitmasks of the DD run.  If so, that V and its flip at i are both tight and
+differ by a multiple of ``e_i``, so the tight points of K span the rows of C
+tight on ``(a, s)``, which have rank n.  If not, every tight point of K has x_i = 0,
+and as ``a`` is no multiple of ``e_i`` the face has dimension below n - 1;
+the ray ``(0, 1)`` fails this way.  Every coordinate nonzero on some
+representative makes K full-dimensional and every ray's s positive.  A
+representative is a vertex of K iff its row is a facet of C, the flag DD
+sets: a point that is no vertex has a row implied on a >= 0 by the vertex
+rows, and a vertex's facet of the polar keeps full dimension
+when folded into the orthant.  ``_make`` sorts both row sets, so the body is
+the one ``_hull`` of the full orbit gives.
+
 The vertex-facet incidence is the lazy field ``_facet_masks``, one vertex
 bitmask per facet row: facet ``(A, B)`` holds vertex i iff
 ``<A, V_i> == B*t_i``; ``_vertex_masks`` is its transpose.  ``polar`` swaps
@@ -241,6 +266,16 @@ def _hull(rows: Sequence[Row]) -> Polytope:
     return _make(len(rows[0][0]), [r for r, f in zip(rows, flags) if f], facets)
 
 
+def _orthant_hull(reps: Sequence[Row]) -> Polytope:
+    """``_hull`` of the sign orbits of the closed-orthant rows ``(V, t)``, V >= 0, by one DD run on the orthant cone."""
+    facets, flags = dd.orthant_hull_facets(reps)
+    return _make(
+        len(reps[0][0]),
+        [(u, t) for (v, t), f in zip(reps, flags) if f for u in sign_orbit(v)],
+        [(a, b) for r, b in facets for a in sign_orbit(r)],
+    )
+
+
 def from_halfspaces(ineqs: Sequence[tuple[Sequence[Fraction | int], Fraction | int]], dim: int) -> Polytope:
     """Bounded intersection of halfspaces ``<a, x> <= b``; drops redundant ones."""
     pairs = [(vec(a), fr(b)) for a, b in ineqs]
@@ -439,11 +474,18 @@ def coordinate_section(p: Polytope, j: int) -> Polytope:
     facet_sets = list(dd.maximal_sets(set(by_set)))
     vertex_sets = dd.transpose(facet_sets, len(verts))
     corners = dd.maximal_sets(set(vertex_sets))
-    return _make(
-        p.dim - 1,
-        [_primitive_row(v[:j] + v[j + 1 :], t) for (v, t), s in zip(verts, vertex_sets) if s in corners],
-        [_primitive_row(*by_set[s]) for s in facet_sets],
-    )
+    facets = [_primitive_row(*by_set[s]) for s in facet_sets]
+    section_sets = {  # the section's vertex row -> the facets holding it
+        _primitive_row(v[:j] + v[j + 1 :], t): s for (v, t), s in zip(verts, vertex_sets) if s in corners
+    }
+    q = _make(p.dim - 1, section_sets, facets)
+    # the vertex sets are the section's incidence: hand it on in q's row order
+    at_facet = {r: k for k, r in enumerate(q.facet_rows)}
+    masks = [0] * len(facets)
+    for r, m in zip(facets, dd.transpose([section_sets[r] for r in q.vertex_rows], len(facets))):
+        masks[at_facet[r]] = m
+    vars(q)["_facet_masks"] = tuple(masks)
+    return q
 
 
 def permute_coordinates(p: Polytope, perm: Sequence[int]) -> Polytope:

@@ -50,12 +50,11 @@ from .polytope import (
     Polytope,
     _hull,
     _orbit_weight,
+    _orthant_hull,
     _primitive_row,
-    cross_polytope,
     hausdorff_distance_sq,
     normalize_unconditional,
     polar,
-    sign_orbit,
 )
 from .ratlin import format_approx, format_exact, fr
 from .volprod import diagonal_truncation_check, mahler_bound, volume_product
@@ -201,8 +200,8 @@ def perturb_unconditional(h: Polytope, delta, seed: int) -> Polytope:
     """Scale each positive-orthant vertex representative by a random factor.
 
     Factors are exact rationals in [1 - delta, 1], drawn per representative
-    from a generator seeded with `seed`; the scaled representatives are
-    replicated over all sign patterns and the hull re-normalized, so the
+    from a generator seeded with `seed`; the hull of the scaled
+    representatives' sign orbits (``_orthant_hull``) is re-normalized, so the
     result is unconditional by construction and in standard position.
     """
     delta = fr(delta)
@@ -211,12 +210,11 @@ def perturb_unconditional(h: Polytope, delta, seed: int) -> Polytope:
     hn = normalize_unconditional(h)
     reps = [(v, t) for v, t in hn.vertex_rows if _orbit_weight(v, 2)]  # the closed positive orthant
     rng = random.Random(seed)
-    rows = []
+    scaled = []
     for v, t in reps:
         scale = 1 - delta * Fraction(rng.randrange(2**16 + 1), 2**16)
-        w, s = _primitive_row([x * scale.numerator for x in v], scale.denominator * t)
-        rows.extend((u, s) for u in sign_orbit(w))
-    return normalize_unconditional(_hull(rows))
+        scaled.append(_primitive_row([x * scale.numerator for x in v], scale.denominator * t))
+    return normalize_unconditional(_orthant_hull(scaled))
 
 
 def random_unconditional_polytope(n: int, seed: int) -> Polytope:
@@ -224,11 +222,9 @@ def random_unconditional_polytope(n: int, seed: int) -> Polytope:
     if n < 1:
         raise PreconditionError("dimension must be at least 1")
     rng = random.Random(seed)
-    rows = list(cross_polytope(n).vertex_rows)  # +-e_i, each with t = 1
-    for _ in range(rng.randint(1, 3)):
-        w, s = _primitive_row([rng.randint(12, 48) for _ in range(n)], 48)
-        rows.extend((u, s) for u in sign_orbit(w))
-    return _hull(rows)
+    reps = [(tuple(int(k == i) for k in range(n)), 1) for i in range(n)]  # the e_i
+    reps += [_primitive_row([rng.randint(12, 48) for _ in range(n)], 48) for _ in range(rng.randint(1, 3))]
+    return _orthant_hull(reps)
 
 
 # ---------------------------------------------------------------------------

@@ -26,6 +26,7 @@ from .errors import FalsificationError, PreconditionError
 from .polytope import (
     Polytope,
     _hull,
+    _orthant_hull,
     _primitive_row,
     _row_gauge,
     _row_membership,
@@ -264,13 +265,14 @@ def _check_truncation_level(n: int, t: Fraction) -> None:
 def _cube_cap(k: Polytope, s: Fraction) -> Polytope:
     """The cube cut by s*k, for an unconditional body k and s > 0: the polar of ``conv(+-e_i, A/(s*B))``.
 
-    One hull DD run on rows.  A coordinate section of the cap is the full subcube iff its corner
+    One hull DD run on the orthant rows (``_orthant_hull``): the ``e_i`` and the rows of k's facets
+    with no negative normal entry.  A coordinate section of the cap is the full subcube iff its corner
     ``1 - e_j`` has gauge 1 in the cap; a corner outside raises FalsificationError.
     """
     n = k.dim
-    rows = list(cross_polytope(n).vertex_rows)  # +-e_i, the cube's facets
-    rows += [_primitive_row([x * s.denominator for x in a], b * s.numerator) for a, b in k.facet_rows]
-    cap = polar(_hull(rows))
+    reps = [(tuple(int(c == i) for c in range(n)), 1) for i in range(n)]  # e_i, the cube's facets
+    reps += [_primitive_row([x * s.denominator for x in a], b * s.numerator) for a, b in k.facet_rows if min(a) >= 0]
+    cap = polar(_orthant_hull(reps))
     if any(_row_gauge(cap, tuple(int(i != j) for i in range(n)), 1) != 1 for j in range(n)):
         raise FalsificationError(f"a coordinate section of the cube cut by {format_exact(s)} K is not the subcube")
     return cap

@@ -188,6 +188,14 @@ def test_facet_rows_are_the_hull_rays():
         assert all(type(x) is int for row, b in rays for x in (*row, b))
 
 
+def test_orthant_hull_facets_are_the_hull_rays_with_no_negative_entry():
+    for p in [cube(3), cross_polytope(3), random_unconditional_polytope(3, 1), polar(random_unconditional_polytope(4, 2))]:
+        reps = [(v, t) for v, t in p.vertex_rows if min(v) >= 0]
+        rays, flags = dd.orthant_hull_facets(reps + [(tuple(x * 2 for x in reps[0][0]), reps[0][1] * 3)])
+        assert flags == [True] * len(reps) + [False]  # an inner point of the orthant is no vertex
+        assert sorted(rays) == sorted((a, b) for a, b in p.facet_rows if min(a) >= 0)
+
+
 def test_hull_drops_non_extreme_points():
     base = cube(2)
     fat = list(base.vertices) + [(F(0), F(0)), (F(1), F(0)), (F(1, 2), F(1, 2))]
@@ -508,8 +516,11 @@ def test_sections_read_off_the_incidence_match_dd_sections(p, dual, data):
     j = data.draw(st.integers(min_value=0, max_value=p.dim - 1))
     s = coordinate_section(p, j)
     assert s == coordinate_section_by_dd(p, j)
+    handed = vars(s)["_facet_masks"]  # the section's vertex sets, handed on at birth
+    assert handed == Polytope(s.dim, s.vertex_rows, s.facet_rows)._facet_masks
+    assert handed == incidence_by_fractions(s)
     volume(s)
-    assert s._facet_masks == incidence_by_fractions(s)
+    assert s._facet_masks is handed
 
 
 @given(central_body(dim=3), st.integers(min_value=0, max_value=2))
@@ -1084,6 +1095,44 @@ def test_hull_of_rows_is_from_vertices_of_points(pts):
     assert (got.vertex_rows, got.facet_rows) == (want.vertex_rows, want.facet_rows)
     facets = subset_facets(pts, got.dim)
     assert (got.vertices, got.facets) == make_by_fractions(subset_vertices(facets, got.dim), facets)
+
+
+def _orbit_hull(reps):
+    """``_hull`` of the full sign orbits of the representative rows, the input ``_orthant_hull`` saves."""
+    return polytope._hull([(u, t) for v, t in reps for u in polytope.sign_orbit(v)])
+
+
+@st.composite
+def orthant_reps(draw):
+    """Closed-orthant rows (V, t) covering every coordinate, with zero coordinates, repeats and inner points."""
+    n = draw(st.integers(min_value=1, max_value=4))
+    point = st.tuples(*[st.builds(F, st.integers(min_value=0, max_value=6), st.integers(min_value=1, max_value=3))] * n)
+    pts = draw(st.lists(point, min_size=1, max_size=5))
+    assume(all(any(v[i] for v in pts) for i in range(n)))
+    if draw(st.booleans()):
+        pts += [pts[0], tuple(x / 2 for x in pts[-1]), (F(0),) * n]  # a repeat and two points that are no vertex
+    return [ratlin.int_row(v) for v in pts]
+
+
+@given(orthant_reps(), st.booleans())
+@example([((1, 0), 1), ((0, 1), 1)], False)  # the cross polytope: every facet ray has no zero coordinate
+@example([((1, 1, 0), 1), ((0, 0, 1), 1)], False)  # rays with zero coordinates, both kinds
+@settings(max_examples=80, deadline=None)
+def test_orthant_hull_is_the_hull_of_the_sign_orbits(reps, dual):
+    want = _orbit_hull(reps)
+    if dual:
+        want = polar(want)
+        reps = [(v, t) for v, t in want.vertex_rows if min(v) >= 0]
+    got = polytope._orthant_hull(reps)
+    assert (got.vertex_rows, got.facet_rows) == (want.vertex_rows, want.facet_rows)
+    assert got == want and hash(got) == hash(want)
+
+
+def test_orthant_hull_guards():
+    with pytest.raises(PreconditionError, match="nonnegative"):
+        polytope._orthant_hull([((1, 0), 1), ((0, -1), 1)])
+    with pytest.raises(DimensionError, match="point set is not full-dimensional"):
+        polytope._orthant_hull([((1, 0, 0), 1), ((2, 3, 0), 5)])
 
 
 def test_hot_paths_build_no_fraction_view(monkeypatch):

@@ -1,5 +1,6 @@
 """Tests for the section-gluing lemma, reconstruction, and the seeded experiments."""
 
+import random
 import re
 from fractions import Fraction
 
@@ -366,6 +367,24 @@ def test_perturb_preconditions():
     for body in (tilted, jittered_symmetric_body()):
         with pytest.raises(PreconditionError, match="unconditional"):
             perturb_unconditional(body, F(1, 10), seed=0)
+
+
+def test_unconditional_hulls_run_dd_on_the_orthant_rows(dd_runs):
+    # one DD run on the representatives plus the n rows a_i >= 0, not on their 2^n-fold sign orbits
+    for seed in range(6):
+        dd_runs.clear()
+        body = random_unconditional_polytope(4, seed)
+        reps = 4 + random.Random(seed).randint(1, 3)  # the e_i and the random points
+        assert len(dd_runs) == 1 and dd_runs[0] <= reps + 4
+        assert is_unconditional(body)
+    for g in enumerate_p4_free_labeled(4)[::7]:
+        dd_runs.clear()
+        polytope_from_graph.__wrapped__(g)  # past the cache
+        assert len(dd_runs) == 1 and dd_runs[0] <= len(graphs.maximal_independent_sets(g)) + g.n
+    # the probe's bodies are centrally symmetric only: its hull keeps the full point set
+    dd_runs.clear()
+    symmetric_probe(cube(3), F(1, 10), trials=3, seed=0)
+    assert dd_runs == [8, 8, 8]
 
 
 def test_random_unconditional_polytope():
