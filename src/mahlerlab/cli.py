@@ -36,6 +36,7 @@ from .polytope import cross_polytope, cube, from_json_dict, is_unconditional, po
 from .ratlin import _clip, format_exact, parse_fraction
 from .stability import (
     PROBE_MAX_DELTA,
+    PROBE_MAX_N,
     ExperimentConfig,
     probe_csv,
     stability_experiment,
@@ -271,6 +272,8 @@ def cmd_stability(args: argparse.Namespace) -> int:
     if args.probe == "unconditional":
         _records, csv_text, summary = stability_experiment(cfg)
     else:
+        if cfg.n > PROBE_MAX_N:  # refused before the cube's 2^n vertex rows are built
+            raise ResourceError(f"the symmetric probe is limited to n <= {PROBE_MAX_N}")
         report = symmetric_probe(cube(cfg.n), cfg.delta, cfg.trials, cfg.seed)
         csv_text = probe_csv(report)
         summary = {

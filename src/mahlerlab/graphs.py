@@ -14,8 +14,9 @@ sign vectors supported on its maximal independent sets.  For P4-free graphs
 this is exactly the Hanner polytope built by nesting l1 and linf sums along
 the graph's cotree, and polarity corresponds to graph complement.  The code
 never assumes that correspondence silently: `polytope_from_graph` always runs
-a genuine convex hull, so the duality and sum identities stay checkable facts
-rather than definitions.
+a genuine convex hull, and it is the one construction of a Hanner ball, so
+the duality and sum identities (``hanner_by_sums`` in ``tests/oracles.py``,
+demo 02) stay checkable facts rather than definitions.
 """
 
 from __future__ import annotations
@@ -27,16 +28,7 @@ from itertools import combinations
 from typing import Iterable, Union
 
 from .errors import ConsistencyError, FormatError, PreconditionError, ResourceError
-from .polytope import (
-    Polytope,
-    _orthant_hull,
-    _row_gauge,
-    interval,
-    is_unconditional,
-    l1_sum,
-    linf_sum,
-    permute_coordinates,
-)
+from .polytope import Polytope, _orthant_hull, _row_gauge, is_unconditional
 from .ratlin import parse_int
 
 MAX_VERTICES = 32
@@ -252,34 +244,11 @@ def _validate_tree(t: HannerTree) -> list[int]:
 
 
 def hanner_from_tree(t: HannerTree) -> Polytope:
-    """Standard Hanner polytope of a labeled cotree, by nested sums (no hull).
+    """Standard Hanner polytope of a labeled cotree, leaves exactly 0..n-1: the ball of its graph.
 
-    Leaf coordinates must be exactly 0..n-1 for the total leaf count n; the
-    blocks are assembled in traversal order and permuted into place.
+    The nested l1/linf sums are checked against it in ``tests/oracles.py`` and demo 02.
     """
-    leaves = _validate_tree(t)
-    n = len(leaves)
-    if sorted(leaves) != list(range(n)):
-        raise PreconditionError("leaf coordinates must cover 0..n-1 exactly")
-
-    def build(node: HannerTree) -> Polytope:
-        if node[0] == "leaf":
-            return interval(1)
-        op, children = node
-        acc = build(children[0])
-        for c in children[1:]:
-            nxt = build(c)
-            acc = l1_sum(acc, nxt) if op == "l1" else linf_sum(acc, nxt)
-        return acc
-
-    block = build(t)
-    if leaves == list(range(n)):
-        return block
-    # block coordinate k carries leaf leaves[k]; send it to position leaves[k]
-    position = [0] * n
-    for k, coord in enumerate(leaves):
-        position[coord] = k
-    return permute_coordinates(block, position)
+    return polytope_from_graph(tree_graph(t))
 
 
 def tree_graph(t: HannerTree) -> Graph:
@@ -375,8 +344,8 @@ def enumerate_p4_free_labeled(n: int) -> list[Graph]:
     and swaps of neighbouring labels generate every relabeling, so closing
     the representatives under those swaps lists each graph once.
     """
-    if not 1 <= n <= 8:
-        raise ResourceError("labeled enumeration is intended for n <= 8")
+    if not 1 <= n <= 7:
+        raise ResourceError("labeled enumeration is intended for n <= 7")
     seen: set[tuple[int, ...]] = set()
     for g in enumerate_p4_free_classes(n):
         seen.add(g.adj)

@@ -131,6 +131,8 @@ from .errors import (
 )
 from .ratlin import (
     Vec,
+    _clip,
+    format_ratio,
     fr,
     int_det,
     int_row,
@@ -488,16 +490,6 @@ def coordinate_section(p: Polytope, j: int) -> Polytope:
     return q
 
 
-def permute_coordinates(p: Polytope, perm: Sequence[int]) -> Polytope:
-    """Relabel coordinates: output coordinate i carries input coordinate perm[i]."""
-    pi = list(perm)
-    if sorted(pi) != list(range(p.dim)):
-        raise DimensionError("perm must be a permutation of 0..dim-1")
-    verts = [(tuple(v[k] for k in pi), t) for v, t in p.vertex_rows]
-    facets = [(tuple(a[k] for k in pi), b) for a, b in p.facet_rows]
-    return _make(p.dim, verts, facets)
-
-
 # ---------------------------------------------------------------------------
 # volume
 
@@ -663,18 +655,12 @@ def hausdorff_distance_sq(p: Polytope, q: Polytope) -> Fraction:
 # serialization and checking
 
 
-def _ratio_str(x: int, d: int) -> str:
-    """``str(Fraction(x, d))`` for d > 0, reduced by one gcd."""
-    g = math.gcd(x, d)
-    return str(x // g) if g == d else f"{x // g}/{d // g}"
-
-
 def to_json_dict(p: Polytope) -> dict:
     return {
         "dim": p.dim,
-        "vertices": [[_ratio_str(x, t) for x in v] for v, t in p.vertex_rows],
+        "vertices": [[format_ratio(x, t) for x in v] for v, t in p.vertex_rows],
         "halfspaces": [
-            {"normal": [_ratio_str(x, abs(b) or 1) for x in a], "offset": str((b > 0) - (b < 0))} for a, b in p.facet_rows
+            {"normal": [format_ratio(x, abs(b) or 1) for x in a], "offset": str((b > 0) - (b < 0))} for a, b in p.facet_rows
         ],
     }
 
@@ -703,7 +689,9 @@ def from_json_dict(data: dict) -> Polytope:
     listed = set(p.vertex_rows)
     extra = [v for v in verts if int_row(v) not in listed]
     if extra:
-        raise FormatError(f"listed point {tuple(map(str, min(extra)))} is not a vertex")
+        x_row, dx = int_row(min(extra))
+        shown = ", ".join(_clip(format_ratio(x, dx)) for x in x_row) + "," * (dim == 1)  # as a tuple prints
+        raise FormatError(f"listed point ({shown}) is not a vertex")
     if "halfspaces" in data:
         try:
             given = {

@@ -15,19 +15,18 @@ than Fraction arithmetic and just as exact.  ``int_row`` is the one rule
 that clears a Fraction vector to an integer row; every module calls it
 rather than scaling by hand.
 
-There are two integer eliminations.  ``_bareiss`` is one fraction-free
-forward pass over a square system: ``int_det`` reads its last pivot (for
-``volume``), and ``int_solve`` runs it on the rows augmented by a list of
-right-hand-side columns and back-substitutes each column exactly.  It has two
-callers: ``dd.extreme_rays`` passes the d columns ``-e_j`` of its initial
-rays in one call, and Wolfe's Gram solve in ``polytope`` passes its single
-column of ones.
+There is one fraction-free elimination, ``_bareiss``: a forward pass over a
+square system.  ``int_det`` reads its last pivot (for ``volume``), and
+``int_solve`` runs it on the rows augmented by a list of right-hand-side
+columns and back-substitutes each column exactly.  It has two callers:
+``dd.extreme_rays`` passes the d columns ``-e_j`` of its initial rays in one
+call, and Wolfe's Gram solve in ``polytope`` passes its single column of ones.
 ``independent_rows`` is one incremental gcd-trimmed row reduction:
-``dd.extreme_rays`` takes its basis from it and ``int_rank`` is its length.
-``int_rank``, ``determinant`` and ``solve_linear`` have no caller in the
-package; they keep their names because the benchmark's tracer binds them,
-and ``solve_linear``, a plain Fraction Gaussian elimination, also serves the
-reference implementations in ``tests/oracles.py``.
+``dd.extreme_rays`` takes its basis from it.  ``determinant`` and
+``solve_linear`` are thin Fraction faces of ``int_det`` and ``int_solve``,
+rows cleared by ``int_row``, and ``int_rank`` is the length of
+``independent_rows``; none of the three has a caller in the package, and
+they keep their names because the benchmark's tracer binds them.
 """
 
 from __future__ import annotations
@@ -184,37 +183,28 @@ def determinant(m: Mat) -> Fraction:
 def solve_linear(m: Mat, b: Vec) -> Vec | None:
     """Solve m x = b exactly; return None when m is singular.
 
-    Gaussian elimination with the first nonzero pivot.  Exact arithmetic makes
-    pivot-size strategies unnecessary: any nonzero pivot is a correct one.
+    Each row of [m | b] is cleared by ``int_row`` (scaling a row keeps the
+    solution), one ``int_solve`` call gives ``(u, det)``, and x = u / det.
+    A non-square m or a b of another length raises ValueError.
     """
-    n = len(m)
-    if n == 0:
-        return ()
-    if any(len(r) != n for r in m) or len(b) != n:
-        raise ValueError("solve_linear needs square m and matching b")
-    a = [list(row) + [bv] for row, bv in zip(m, b, strict=True)]
-    for col in range(n):
-        piv = None
-        for i in range(col, n):
-            if a[i][col] != 0:
-                piv = i
-                break
-        if piv is None:
-            return None
-        a[col], a[piv] = a[piv], a[col]
-        pv = a[col][col]
-        a[col] = [x / pv for x in a[col]]
-        for i in range(n):
-            if i != col and a[i][col] != 0:
-                f = a[i][col]
-                a[i] = [x - f * y for x, y in zip(a[i], a[col], strict=True)]
-    return tuple(a[i][n] for i in range(n))
+    rows = [int_row((*r, bv))[0] for r, bv in zip(m, b, strict=True)]
+    solved = int_solve([r[:-1] for r in rows], [[r[-1] for r in rows]])
+    if solved is None:
+        return None
+    (u,), det = solved
+    return tuple(Fraction(x, det) for x in u)
+
+
+def format_ratio(x: int, d: int) -> str:
+    """The one exact writer: ``str(Fraction(x, d))`` for d > 0, reduced by one gcd, digits through Decimal."""
+    g = gcd(x, d)
+    num = str(Decimal(x // g))
+    return num if g == d else f"{num}/{Decimal(d // g)}"
 
 
 def format_exact(x: Fraction) -> str:
-    """``str(x)``: ``p/q``, or ``p`` when q == 1, with digits through Decimal (no length limit)."""
-    num = str(Decimal(x.numerator))
-    return num if x.denominator == 1 else f"{num}/{Decimal(x.denominator)}"
+    """``str(x)``: ``p/q``, or ``p`` when q == 1, written by ``format_ratio`` (no length limit)."""
+    return format_ratio(x.numerator, x.denominator)
 
 
 def format_approx(x: Fraction) -> str:

@@ -260,6 +260,8 @@ def stability_experiment(cfg: ExperimentConfig) -> tuple[list[StabilityRecord], 
     rows are exact, the summary carries the minimum and median excess plus
     the empirical excess/(bound * distance) floor.
     """
+    if cfg.n > 7:
+        raise ResourceError("the stability experiment is limited to n <= 7")
     bases = trial_base_graphs(cfg.n)
     bound = mahler_bound(cfg.n)
     records: list[StabilityRecord] = []
@@ -326,6 +328,7 @@ class SymmetricProbeReport:
 
 PROBE_CSV_HEADER = "trial,distance_sq,distance_float,excess,excess_float"
 PROBE_MAX_DELTA = Fraction(1, 2)
+PROBE_MAX_N = 5
 
 
 def symmetric_probe(h: Polytope, delta, trials: int, seed: int) -> SymmetricProbeReport:
@@ -335,8 +338,8 @@ def symmetric_probe(h: Polytope, delta, trials: int, seed: int) -> SymmetricProb
     probes minimality outside the proven regime: any negative excess is a
     falsification event and raises immediately.
     """
-    if h.dim > 5:
-        raise ResourceError("the symmetric probe is limited to n <= 5")
+    if h.dim > PROBE_MAX_N:
+        raise ResourceError(f"the symmetric probe is limited to n <= {PROBE_MAX_N}")
     delta = fr(delta)
     if not 0 <= delta <= PROBE_MAX_DELTA:
         raise PreconditionError(f"probe delta must satisfy 0 <= delta <= {PROBE_MAX_DELTA}")

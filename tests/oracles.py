@@ -2,7 +2,8 @@
 
 Everything here favors obviousness over speed: cofactor expansion, subset
 enumeration, permutation scans, Gaussian elimination over the rationals for
-rank, cases on the offset's sign for the canonical facet, sorted sets of
+rank, Gauss-Jordan elimination over the rationals for linear systems, cases
+on the offset's sign for the canonical facet, sorted sets of
 Fraction vertices and canonical facets for the order of the integer rows,
 Fraction dot products over every facet for the gauge and membership,
 Fraction vertex sets for the sign-flip and negation checks, recursive
@@ -13,17 +14,20 @@ vertex of both bodies for the Hausdorff distance, sections as DD runs on
 the facets with one coordinate dropped, and those sections built for the
 truncation check and for the section volumes of the section inequalities,
 the cube cap as a halfspace intersection, JSON through ``str`` of the
-Fraction views, component recursion for the labeled P4-free graphs.  The
+Fraction views, component recursion for the labeled P4-free graphs, and the
+Hanner ball of a cotree as nested l1 and linf sums, permuted into place.  The
 small helpers that only tests call live here too: the Fraction unit vector
-``unit_vec`` and the graph builders ``path_graph`` and ``induced_subgraph``.
-The library pieces reused are: low-level linear algebra (solve_linear, dot),
+``unit_vec``, the graph builders ``path_graph`` and ``induced_subgraph`` and
+the coordinate relabeling ``permute_coordinates``.
+The library pieces reused are: the dot product ``dot``,
 membership and the primitive facet row ``_int_facet`` that ``canon_facet``
 reads, each covered by its own tests, DD and ``_make`` for the sections, for
 the truncation check and the cube cap the constructors, gauge, polar, volume
 and the bound factors it is compared through, for the section volumes polar
 and volume, for the
 Hausdorff scan ``point_distance_sq`` (itself checked against the subset
-oracle), and the graph constructors ``Graph`` and ``from_edges``.
+oracle), the graph constructors ``Graph`` and ``from_edges``, and for the
+nested sums ``interval``, ``l1_sum`` and ``linf_sum``.
 """
 
 from __future__ import annotations
@@ -43,13 +47,16 @@ from mahlerlab.polytope import (
     cube,
     from_halfspaces,
     gauge,
+    interval,
     is_unconditional,
+    l1_sum,
+    linf_sum,
     membership,
     point_distance_sq,
     polar,
     volume,
 )
-from mahlerlab.ratlin import dot, solve_linear, vec
+from mahlerlab.ratlin import dot, vec
 from mahlerlab.volprod import corner_bound_factor, mahler_bound
 
 
@@ -107,6 +114,28 @@ def rank(rows) -> int:
             m[i] = [x - f * y for x, y in zip(m[i], m[r])]
         r += 1
     return r
+
+
+def solve_by_gauss_jordan(m, b):
+    """Solve m x = b over the rationals, or None when m is singular.
+
+    Gauss-Jordan elimination with the first nonzero pivot.  Exact arithmetic
+    makes pivot-size strategies unnecessary: any nonzero pivot is a correct one.
+    """
+    n = len(m)
+    a = [[Fraction(x) for x in row] + [Fraction(bv)] for row, bv in zip(m, b, strict=True)]
+    for col in range(n):
+        piv = next((i for i in range(col, n) if a[i][col] != 0), None)
+        if piv is None:
+            return None
+        a[col], a[piv] = a[piv], a[col]
+        pv = a[col][col]
+        a[col] = [x / pv for x in a[col]]
+        for i in range(n):
+            if i != col and a[i][col] != 0:
+                f = a[i][col]
+                a[i] = [x - f * y for x, y in zip(a[i], a[col], strict=True)]
+    return tuple(a[i][n] for i in range(n))
 
 
 def affine_rank(points) -> int:
@@ -205,7 +234,7 @@ def subset_vertices(ineqs, dim) -> set:
     for sub in combinations(rows, dim):
         a = tuple(r[0] for r in sub)
         b = vec(r[1] for r in sub)
-        x = solve_linear(a, b)
+        x = solve_by_gauss_jordan(a, b)
         if x is None:
             continue
         if all(dot(aa, x) <= bb for aa, bb in rows):
@@ -250,7 +279,7 @@ def _null_vector(rows, dim):
         unit[free] = Fraction(1)
         a.append(vec(unit))
         b.append(Fraction(1))
-        x = solve_linear(tuple(a), vec(b))
+        x = solve_by_gauss_jordan(a, b)
         if x is not None:
             return x
     return None
@@ -428,6 +457,43 @@ def canonical_graph_key(g) -> tuple:
     return (n, best)
 
 
+def permute_coordinates(p: Polytope, perm) -> Polytope:
+    """Relabel coordinates: output coordinate i carries input coordinate perm[i]."""
+    pi = list(perm)
+    if sorted(pi) != list(range(p.dim)):
+        raise DimensionError("perm must be a permutation of 0..dim-1")
+    verts = [(tuple(v[k] for k in pi), t) for v, t in p.vertex_rows]
+    facets = [(tuple(a[k] for k in pi), b) for a, b in p.facet_rows]
+    return _make(p.dim, verts, facets)
+
+
+def hanner_by_sums(t) -> Polytope:
+    """The Hanner ball of a labeled cotree by nested sums, no hull.
+
+    Each leaf is ``interval(1)`` and each node the l1 or linf sum of its
+    children in order; block coordinate k carries the k-th leaf in traversal
+    order, so the block is permuted to put it at that leaf's coordinate.
+    """
+    leaves: list[int] = []
+
+    def build(node) -> Polytope:
+        if node[0] == "leaf":
+            leaves.append(node[1])
+            return interval(1)
+        op, children = node
+        acc = build(children[0])
+        for c in children[1:]:
+            nxt = build(c)
+            acc = l1_sum(acc, nxt) if op == "l1" else linf_sum(acc, nxt)
+        return acc
+
+    block = build(t)
+    position = [0] * len(leaves)
+    for k, coord in enumerate(leaves):
+        position[coord] = k
+    return permute_coordinates(block, position)
+
+
 def _project_affine(x, pts):
     """Orthogonal projection of x onto the affine hull of pts."""
     p0 = pts[0]
@@ -441,7 +507,7 @@ def _project_affine(x, pts):
     k = len(basis)
     gram = tuple(tuple(dot(basis[i], basis[j]) for j in range(k)) for i in range(k))
     rhs = tuple(dot(basis[i], vsub(x, p0)) for i in range(k))
-    lam = solve_linear(gram, rhs)
+    lam = solve_by_gauss_jordan(gram, rhs)
     assert lam is not None, "Gram matrix of an independent family is invertible"
     out = list(p0)
     for coef, w in zip(lam, basis):
@@ -478,7 +544,7 @@ def distance_sq_by_fractions(p: Polytope, x) -> Fraction:
 
     The same corral steps as the package's integer version, written on the
     translated vertices w - x with Fraction dot products and the Gram system
-    of the lifted points (w, 1) solved by ``solve_linear``.
+    of the lifted points (w, 1) solved by ``solve_by_gauss_jordan``.
     """
     xx = vec(x)
     if membership(p, xx) != "outside":
@@ -495,7 +561,7 @@ def distance_sq_by_fractions(p: Polytope, x) -> Fraction:
         lam.append(Fraction(0))
         while True:
             gram = tuple(tuple(dot(u, w) + 1 for w in corral) for u in corral)
-            z = solve_linear(gram, (Fraction(1),) * len(corral))
+            z = solve_by_gauss_jordan(gram, (Fraction(1),) * len(corral))
             assert z is not None, "the corral is affinely independent"
             total = sum(z)
             alpha = [zi / total for zi in z]

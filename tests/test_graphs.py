@@ -42,17 +42,18 @@ from mahlerlab.polytope import (
     diagonal_image,
     from_vertices,
     gauge,
-    permute_coordinates,
     polar,
     volume,
 )
 from oracles import (
     canonical_graph_key,
+    hanner_by_sums,
     has_induced_p4_by_orderings,
     independent_sets_exhaustive,
     induced_subgraph,
     p4_free_labeled_by_components,
     path_graph,
+    permute_coordinates,
 )
 
 F = Fraction
@@ -180,8 +181,9 @@ def test_class_enumeration_matches_brute_dedup():
 
 
 def test_enumeration_resource_guards():
-    with pytest.raises(ResourceError):
-        enumerate_p4_free_labeled(9)
+    for n in (8, 9):
+        with pytest.raises(ResourceError, match="n <= 7"):
+            enumerate_p4_free_labeled(n)
     with pytest.raises(ResourceError):
         enumerate_standard_hanner(8)
     with pytest.raises(ResourceError, match="dedup"):
@@ -237,6 +239,24 @@ def test_cotree_shapes_align_with_class_counts():
         assert tree_graph(t).n == 4
         body = hanner_from_tree(t)
         assert volume(body) * volume(polar(body)) == F(4**4) / 24
+
+
+def _relabel(t, perm):
+    """The cotree t with leaf coordinate i renamed perm[i]."""
+    if t[0] == "leaf":
+        return ("leaf", perm[t[1]])
+    return (t[0], tuple(_relabel(c, perm) for c in t[1]))
+
+
+@given(st.data())
+@settings(max_examples=10, deadline=None)
+def test_hanner_from_tree_is_the_nested_sum(data):
+    # every cotree shape with n <= 5, with its own labels and a random relabeling
+    for n in range(1, 6):
+        for perm in (range(n), data.draw(st.permutations(range(n)))):
+            for shape in cotree_shapes(n):
+                t = _relabel(label_shape(shape), perm)
+                assert hanner_from_tree(t) == hanner_by_sums(t)
 
 
 # ---------------------------------------------------------------------------

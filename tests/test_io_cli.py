@@ -13,7 +13,7 @@ from types import SimpleNamespace
 import pytest
 
 import mahlerlab
-from mahlerlab import cli
+from mahlerlab import cli, graphs, stability
 from mahlerlab.errors import PreconditionError
 from mahlerlab.polytope import cube, interval, to_json_dict
 from mahlerlab.ratlin import PARSE_MAX_DIGITS, format_exact, parse_fraction
@@ -388,6 +388,38 @@ def test_stability_symmetric_probe_refuses_n6(capsys):
     code, _, err = run_main(capsys, ["stability", "--probe", "symmetric", "--n", "6", "--trials", "1"])
     assert code == 2
     assert err == "error: the symmetric probe is limited to n <= 5\n"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["hanner-enumerate", "--n", "8"],
+        ["hanner-enumerate", "--n", "7"],
+        ["stability", "--n", "8"],
+        ["stability", "--probe", "symmetric", "--n", "40"],
+    ],
+)
+def test_oversized_requests_are_refused_before_any_body_is_built(capsys, monkeypatch, argv):
+    # each builder fails the run (exit 4) if reached: the refusal must come first
+    def unreachable(*args):
+        raise AssertionError("the guard let the request through")
+
+    monkeypatch.setattr(graphs, "enumerate_p4_free_labeled", unreachable)
+    monkeypatch.setattr(stability, "trial_base_graphs", unreachable)
+    monkeypatch.setattr(cli, "cube", unreachable)
+    code, _, err = run_main(capsys, argv)
+    assert code == 2 and err.startswith("error: ") and err.count("\n") == 1, err
+
+
+def test_volprod_names_a_huge_non_vertex_point_in_a_clipped_message(tmp_path, capsys):
+    doc = to_json_dict(cube(2))
+    doc["vertices"].append([format_exact(F(1, 3**10000)), "0"])  # interior; 4 772 denominator digits
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    code, _, err = run_main(capsys, ["volprod", str(path)])
+    assert code == 2
+    assert err.startswith("error: listed point ('1/") and err.endswith("... (4774 characters), '0') is not a vertex\n")
+    assert len(err) < 200
 
 
 def test_stability_bad_delta(capsys):

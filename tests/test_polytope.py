@@ -1,6 +1,7 @@
 """Tests for exact polytope geometry: hulls, duality, sums, metrics."""
 
 import dataclasses
+import json
 import math
 import operator
 import random
@@ -37,7 +38,6 @@ from mahlerlab.polytope import (
     linf_sum,
     membership,
     normalize_unconditional,
-    permute_coordinates,
     point_distance_sq,
     polar,
     to_json_dict,
@@ -60,6 +60,7 @@ from oracles import (
     is_unconditional_by_fractions,
     make_by_fractions,
     membership_by_fractions,
+    permute_coordinates,
     subset_facets,
     subset_vertices,
     to_json_dict_by_views,
@@ -957,6 +958,12 @@ def test_json_roundtrip_fixed_bodies():
         assert from_json_dict(to_json_dict(body)) == body
 
 
+def test_json_roundtrip_past_the_int_digit_limit():
+    # 3**10000 has 4 772 digits, past the 4 300 that str(int) writes
+    body = from_vertices([(1 + F(1, 3**10000), 0), (-1, 0), (0, 1), (0, -1)])
+    assert from_json_dict(json.loads(json.dumps(to_json_dict(body)))) == body
+
+
 def test_json_rejects_bad_payloads():
     good = to_json_dict(cube(2))
     with pytest.raises(FormatError):
@@ -965,8 +972,10 @@ def test_json_rejects_bad_payloads():
         from_json_dict({"dim": 2, "vertices": [["1", "1", "1"]]})  # row length
     bad_point = dict(good)
     bad_point["vertices"] = good["vertices"] + [["0", "0"]]  # interior point listed
-    with pytest.raises(FormatError):
+    with pytest.raises(FormatError, match=r"^listed point \('0', '0'\) is not a vertex$"):
         from_json_dict(bad_point)
+    with pytest.raises(FormatError, match=r"^listed point \('1/2',\) is not a vertex$"):  # the point as a tuple prints
+        from_json_dict({"dim": 1, "vertices": [["1"], ["-1"], ["1/2"]]})
     bad_hs = dict(good)
     bad_hs["halfspaces"] = good["halfspaces"][:-1]  # missing facet
     with pytest.raises(FormatError):

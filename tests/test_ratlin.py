@@ -23,7 +23,8 @@ from mahlerlab.ratlin import (
     solve_linear,
     vec,
 )
-from oracles import affine_rank, cofactor_det, rank
+from mahlerlab import ratlin
+from oracles import affine_rank, cofactor_det, rank, solve_by_gauss_jordan
 
 ints = st.integers(min_value=-30, max_value=30)
 fracs = st.fractions(min_value=-20, max_value=20, max_denominator=12)
@@ -176,14 +177,45 @@ def int_system(draw):
 def test_int_solve_matches_solve_linear(system):
     rows, cols = system
     got = int_solve(rows, cols)
+    m = tuple(vec(r) for r in rows)
     if int_det(rows) == 0:
         assert got is None
-        assert all(solve_linear(tuple(vec(r) for r in rows), vec(b)) is None for b in cols)
+        assert all(solve_linear(m, vec(b)) is None and solve_by_gauss_jordan(m, b) is None for b in cols)
         return
     us, det = got
     assert det == int_det(rows) and len(us) == len(cols)
-    for u, b in zip(us, cols):  # each column as if solved alone
-        assert tuple(Fraction(x, det) for x in u) == solve_linear(tuple(vec(r) for r in rows), vec(b))
+    for u, b in zip(us, cols):  # each column as if solved alone, and as Gauss-Jordan solves it
+        x = tuple(Fraction(x, det) for x in u)
+        assert x == solve_linear(m, vec(b)) == solve_by_gauss_jordan(m, b)
+
+
+@given(st.integers(min_value=1, max_value=4).flatmap(lambda n: st.tuples(
+    st.lists(st.lists(fracs, min_size=n, max_size=n), min_size=n, max_size=n),
+    st.lists(fracs, min_size=n, max_size=n),
+)))
+@settings(max_examples=100)
+def test_solve_linear_on_fractions_matches_gauss_jordan(system):
+    rows, b = system
+    m = tuple(vec(r) for r in rows)
+    assert solve_linear(m, vec(b)) == solve_by_gauss_jordan(m, b)
+
+
+def test_solve_linear_is_one_int_solve_call(monkeypatch):
+    calls = []
+    real = ratlin.int_solve
+
+    def counting(rows, cols):
+        calls.append((len(rows), len(cols)))
+        return real(rows, cols)
+
+    monkeypatch.setattr(ratlin, "int_solve", counting)
+    m = tuple(vec(r) for r in (("1/2", 3, 0), (0, "-2/3", 1), (5, 0, "7/4")))
+    b = vec((1, "1/3", -2))
+    x = solve_linear(m, b)
+    assert calls == [(3, 1)]
+    assert all(dot(r, x) == bi for r, bi in zip(m, b))
+    assert solve_linear(tuple(vec(r) for r in ((1, 2), (2, 4))), vec((1, 1))) is None
+    assert calls == [(3, 1), (2, 1)]
 
 
 @given(st.lists(st.lists(fracs, min_size=3, max_size=3), min_size=1, max_size=5))
