@@ -35,6 +35,7 @@ from .graphs import (
 from .polytope import cross_polytope, cube, from_json_dict, is_unconditional, polar, to_json_dict
 from .ratlin import _clip, format_exact, parse_fraction
 from .stability import (
+    EXPERIMENT_MAX_N,
     PROBE_MAX_DELTA,
     PROBE_MAX_N,
     ExperimentConfig,
@@ -76,6 +77,8 @@ def _parse_delta(text: str) -> Fraction:
 
 
 def cmd_hanner_enumerate(args: argparse.Namespace) -> int:
+    if args.n == 7 and not args.dedup:  # refused before the config line, like every oversized request
+        raise ResourceError("n = 7 without --dedup means 78416 labeled bodies; pass --dedup")
     parts = ["hanner-enumerate", "--n", str(args.n)]
     if args.dedup:
         parts.append("--dedup")
@@ -253,6 +256,11 @@ def cmd_stability(args: argparse.Namespace) -> int:
         raise FormatError(str(exc)) from exc
     if args.probe == "symmetric" and delta > PROBE_MAX_DELTA:
         raise FormatError(f"probe delta must satisfy 0 <= delta <= {PROBE_MAX_DELTA}")
+    # requests too large are refused before the config line and before the cube's 2^n vertex rows are built
+    if args.probe == "symmetric" and cfg.n > PROBE_MAX_N:
+        raise ResourceError(f"the symmetric probe is limited to n <= {PROBE_MAX_N}")
+    if args.probe == "unconditional" and cfg.n > EXPERIMENT_MAX_N:
+        raise ResourceError(f"the stability experiment is limited to n <= {EXPERIMENT_MAX_N}")
     parts = [
         "stability",
         "--n",
@@ -272,8 +280,6 @@ def cmd_stability(args: argparse.Namespace) -> int:
     if args.probe == "unconditional":
         _records, csv_text, summary = stability_experiment(cfg)
     else:
-        if cfg.n > PROBE_MAX_N:  # refused before the cube's 2^n vertex rows are built
-            raise ResourceError(f"the symmetric probe is limited to n <= {PROBE_MAX_N}")
         report = symmetric_probe(cube(cfg.n), cfg.delta, cfg.trials, cfg.seed)
         csv_text = probe_csv(report)
         summary = {

@@ -24,7 +24,11 @@ directions take and return the polytope's integer rows: a point V/t as (V, t),
 a halfspace ``<A, x> <= B`` as (A, B).  An input
 row supports a facet of the cone iff its set of tight rays is maximal among
 the proper ones, read off the same bitmasks with no rank computation; in the
-hull direction these rows are exactly the points that are vertices.
+hull direction these rows are exactly the points that are vertices.  The two
+hull directions also return those tight sets, the vertex-facet incidence in
+Fukuda-Prodon form: ``hull_facets`` as (facets, vertex flags, the facets on
+each point) and ``orthant_hull_facets`` as (facets, vertex flags, the points
+on each facet), each mask a bitmask over the other list's indices.
 """
 
 from __future__ import annotations
@@ -185,24 +189,29 @@ def polyhedron_vertices(ineqs: Sequence[tuple[IntVec, int]], dim: int) -> tuple[
     return [(r[:-1], r[-1]) for r in rays], flags[:-1]
 
 
-def hull_facets(points: Sequence[tuple[IntVec, int]]) -> tuple[list[tuple[IntVec, int]], list[bool]]:
-    """Facets of ``conv(points)`` plus a flag per point marking the vertices.
+def hull_facets(
+    points: Sequence[tuple[IntVec, int]],
+) -> tuple[list[tuple[IntVec, int]], list[bool], list[int]]:
+    """Facets of ``conv(points)``, a flag per point marking the vertices, and the facets on each point.
 
     Each point V/t comes as (V, t), t > 0.  Each facet ``<A, x> <= B`` is a
     primitive extreme ray (A, B) of the cone
     ``{(a, s) : <p, a> <= s for every point p}``.  A point is a vertex
-    exactly when its constraint supports a facet.
+    exactly when its constraint supports a facet.  The third list holds, per
+    point, the bitmask of the facets (by index) it lies on: its tight rays.
     """
     rows = [v + (-t,) for v, t in points]
     try:
-        rays, flags, _ = _convert(rows)
+        rays, flags, sets = _convert(rows)
     except DimensionError:
         raise DimensionError("point set is not full-dimensional") from None
-    return [(r[:-1], r[-1]) for r in rays], flags
+    return [(r[:-1], r[-1]) for r in rays], flags, sets
 
 
-def orthant_hull_facets(points: Sequence[tuple[IntVec, int]]) -> tuple[list[tuple[IntVec, int]], list[bool]]:
-    """Facets of the hull of the sign orbits of closed-orthant points, one per orbit, plus vertex flags.
+def orthant_hull_facets(
+    points: Sequence[tuple[IntVec, int]],
+) -> tuple[list[tuple[IntVec, int]], list[bool], list[int]]:
+    """Facets of the hull of the sign orbits of closed-orthant points, one per orbit, vertex flags and tight points.
 
     Each point V/t comes as (V, t), V >= 0, t > 0.  The cone is
     ``{(a, s) : a >= 0, <p, a> <= s for every point p}``: one row per point
@@ -210,7 +219,8 @@ def orthant_hull_facets(points: Sequence[tuple[IntVec, int]]) -> tuple[list[tupl
     ray (A, B) is a facet of the hull iff every i with ``A_i = 0`` is nonzero
     on some point tight on it (the cover rule); each facet returned stands for
     its sign orbit.  A point is a vertex, up to sign, exactly when its
-    constraint supports a facet of the cone.
+    constraint supports a facet of the cone.  The third list holds, per facet
+    returned, the bitmask of the points (by index) tight on it.
     """
     n = len(points[0][0])
     if any(x < 0 for v, _ in points for x in v):
@@ -219,12 +229,12 @@ def orthant_hull_facets(points: Sequence[tuple[IntVec, int]]) -> tuple[list[tupl
         raise DimensionError("point set is not full-dimensional")
     rows = [v + (-t,) for v, t in points] + [tuple(-int(k == i) for k in range(n + 1)) for i in range(n)]
     rays, flags, sets = _convert(rows)
+    sets = sets[: len(points)]
     cover = [0] * n  # coordinate i -> the rays tight on a point nonzero at i
     for (v, _), s in zip(points, sets):
         for i, x in enumerate(v):
             if x:
                 cover[i] |= s
-    facets = [
-        (r[:-1], r[-1]) for k, r in enumerate(rays) if all(cover[i] >> k & 1 for i, x in enumerate(r[:-1]) if not x)
-    ]
-    return facets, flags[: len(points)]
+    on = transpose(sets, len(rays))  # ray k -> the points tight on it
+    kept = [k for k, r in enumerate(rays) if all(cover[i] >> k & 1 for i, x in enumerate(r[:-1]) if not x)]
+    return [(rays[k][:-1], rays[k][-1]) for k in kept], flags[: len(points)], [on[k] for k in kept]

@@ -41,12 +41,37 @@ rows, and a vertex's facet of the polar keeps full dimension
 when folded into the orthant.  ``_make`` sorts both row sets, so the body is
 the one ``_hull`` of the full orbit gives.
 
-The vertex-facet incidence is the lazy field ``_facet_masks``, one vertex
+The vertex-facet incidence is the field ``_facet_masks``, one vertex
 bitmask per facet row: facet ``(A, B)`` holds vertex i iff
-``<A, V_i> == B*t_i``; ``_vertex_masks`` is its transpose.  ``polar`` swaps
-the two like the rows, since the polar's facet k is the body's vertex k, and
-computes neither; a handed-on ``_vertex_masks`` is transposed on the first
-read of ``_facet_masks``.
+``<A, V_i> == B*t_i``; ``_vertex_masks`` is its transpose.  Each constructor
+that knows it stores it at birth.  ``_hull`` and ``coordinate_section``
+re-index each vertex's facet set (DD's tight rays, the section's vertex
+sets) to the sorted rows once, with no dot product
+(``_make_with_incidence``).  ``cube`` and ``interval`` state it in closed
+form: vertex v lies on the facet ``s*x_i <= 1`` iff v_i = s.
+``_orthant_hull`` reads it off the representatives by the orbit rule: for
+representatives a, v >= 0 and sign flips tau of a and sigma of v, the vertex
+``sigma v`` lies on the facet ``tau a`` iff v is tight on a and tau = sigma
+on ``supp(a) cap supp(v)``.  Indeed
+``<tau a, sigma v> = sum tau_i sigma_i a_i v_i <= <a, v> <= s*t``, with
+equality iff v is tight on a and every term ``a_i v_i > 0`` keeps its sign.
+Only the representatives that are vertices are read: one that is not can
+still be tight on a facet.  For each tight pair, v's orbit is grouped once by
+its signs on the common support, so each facet ``tau a`` is one OR per tight
+representative.  ``polar`` swaps the two fields like the rows, since the
+polar's facet k is the body's vertex k, and computes neither; a handed-on
+``_vertex_masks`` is transposed on the first read of ``_facet_masks``.
+``diagonal_image`` hands the incidence on when every scale is positive and
+no facet passes through the origin.  A positive diagonal map D keeps
+lexicographic order, since two points first differ in the same coordinate
+after the map and a positive factor keeps the sign of that difference.  It
+maps the vertex keys V/t to ``D (V/t)`` and the facet keys A/|B| to
+``D^-1 A/|B|``, so the rows come out sorted and in p's order.  (A row
+``(A, 0)`` is keyed on A itself, which the map rescales row by row, so such a
+body is sorted again and keeps only its class.)  A body whose
+constructor knows none of this (``linf_sum``, a negative scale, a
+``Polytope`` built directly) falls back to ``_incidence_scan``, one dot
+product per facet and vertex.
 
 A coordinate section of an unconditional body K is read off that incidence
 with no DD run.  For x in K its flip ``s_j x`` (x_j negated) is in K, so
@@ -68,9 +93,15 @@ from 0/1, and builds one Fraction at the end.
 Volume is a sum of cones from one apex over the facets that miss it, one
 facet per orbit of the reflections that fix the body, each cone weighted by
 the size of its orbit (``_orbit_weight``).  Which reflections fix the body is
-read once into the lazy field ``_symmetry``: 2 when every coordinate sign
-flip does, 1 when only the negation does, 0 otherwise; ``is_unconditional``
-reads it.  An unconditional body cones from the origin over the facets whose
+the field ``_symmetry``: 2 when every coordinate sign flip does, 1 when only
+the negation does, 0 otherwise; ``is_unconditional`` reads it.  The
+constructors that know it store it at birth: 2 for ``_orthant_hull``,
+``cube``, ``interval`` and ``coordinate_section`` (a section of an
+unconditional body is unconditional); ``polar`` keeps it, since a reflection
+fixes K iff it fixes K polar, and ``diagonal_image`` keeps it, since a
+diagonal map D commutes with every such reflection g, so g fixes DK iff it
+fixes K.  Other bodies fall back to ``_symmetry_scan`` of the vertex rows.
+An unconditional body cones from the origin over the facets whose
 normals have no negative coordinate, each of weight 2^(number of nonzero
 coordinates); a centrally symmetric one over the facets whose first nonzero
 normal coordinate is positive, each of weight 2; any other body cones from
@@ -204,28 +235,21 @@ class Polytope:
     def _symmetry(self) -> int:
         """2 if every coordinate sign flip fixes the body, else 1 if the negation does, else 0.
 
-        Read on the vertex rows ``(V, t)``, which a reflection maps to rows of
-        the same t, and kept on the body.
+        Stored at birth by the constructors that know it; ``_symmetry_scan`` otherwise.
         """
-        rows = self.vertex_rows
-        vset = set(rows)
-        if all((v[:i] + (-v[i],) + v[i + 1 :], t) in vset for v, t in rows for i in range(self.dim)):
-            return 2
-        return int(all((tuple(-x for x in v), t) in vset for v, t in rows))
+        return _symmetry_scan(self)
 
     @cached_property
     def _facet_masks(self) -> tuple[int, ...]:
         """One vertex bitmask per facet row: facet (A, B) holds vertex V/t iff ``<A, V> == B*t``.
 
-        Kept like ``_symmetry``; the transpose of a ``_vertex_masks`` that ``polar`` handed on.
+        Stored at birth by the constructors that know it; else the transpose
+        of a ``_vertex_masks`` that ``polar`` handed on, else ``_incidence_scan``.
         """
         handed = vars(self).get("_vertex_masks")
         if handed is not None:
             return tuple(dd.transpose(handed, self.n_facets))
-        verts = self.vertex_rows
-        return tuple(
-            sum(1 << i for i, (v, t) in enumerate(verts) if sum(map(mul, row, v)) == b * t) for row, b in self.facet_rows
-        )
+        return _incidence_scan(self)
 
     @cached_property
     def _vertex_masks(self) -> tuple[int, ...]:
@@ -244,9 +268,44 @@ class Polytope:
         return f"Polytope(dim={self.dim}, vertices={self.n_vertices}, facets={self.n_facets})"
 
 
+def _symmetry_scan(p: Polytope) -> int:
+    """``_symmetry`` read off the vertex rows ``(V, t)``, which a reflection maps to rows of the same t."""
+    rows = p.vertex_rows
+    vset = set(rows)
+    if all((v[:i] + (-v[i],) + v[i + 1 :], t) in vset for v, t in rows for i in range(p.dim)):
+        return 2
+    return int(all((tuple(-x for x in v), t) in vset for v, t in rows))
+
+
+def _incidence_scan(p: Polytope) -> tuple[int, ...]:
+    """``_facet_masks`` by one dot product per facet and vertex."""
+    verts = p.vertex_rows
+    return tuple(
+        sum(1 << i for i, (v, t) in enumerate(verts) if sum(map(mul, row, v)) == b * t) for row, b in p.facet_rows
+    )
+
+
+def _known(p: Polytope, **facts) -> Polytope:
+    """p holding the facts its constructor knows (``_facet_masks``, ``_vertex_masks``, ``_symmetry``)."""
+    vars(p).update(facts)
+    return p
+
+
 def _make(dim: int, vertex_rows: Iterable[Row], facet_rows: Iterable[Row]) -> Polytope:
     """The polytope of canonical vertex rows ``(V, t)`` and primitive facet rows ``(A, B)``, repeats allowed."""
     return Polytope(dim, _sorted_rows(vertex_rows), _sorted_rows(facet_rows))
+
+
+def _make_with_incidence(dim: int, on: dict[Row, int], facets: Sequence[Row]) -> Polytope:
+    """``_make`` of the vertex rows ``on`` and the distinct facet rows ``facets``, holding their incidence.
+
+    Bit k of ``on[v]`` marks the vertex v on ``facets[k]``; the masks are
+    re-indexed once to the sorted rows, with no dot product.
+    """
+    q = _make(dim, on, facets)
+    cols = dd.transpose([on[r] for r in q.vertex_rows], len(facets))
+    at = {r: k for k, r in enumerate(facets)}
+    return _known(q, _facet_masks=tuple(cols[at[r]] for r in q.facet_rows))
 
 
 def from_vertices(points: Sequence[Sequence[Fraction | int]]) -> Polytope:
@@ -264,18 +323,46 @@ def from_vertices(points: Sequence[Sequence[Fraction | int]]) -> Polytope:
 
 def _hull(rows: Sequence[Row]) -> Polytope:
     """``from_vertices`` of the points V/t given as canonical rows ``(V, t)``, as ``int_row`` clears them."""
-    facets, flags = dd.hull_facets(rows)
-    return _make(len(rows[0][0]), [r for r, f in zip(rows, flags) if f], facets)
+    facets, flags, sets = dd.hull_facets(rows)
+    return _make_with_incidence(len(rows[0][0]), {r: s for r, f, s in zip(rows, flags, sets) if f}, facets)
 
 
 def _orthant_hull(reps: Sequence[Row]) -> Polytope:
-    """``_hull`` of the sign orbits of the closed-orthant rows ``(V, t)``, V >= 0, by one DD run on the orthant cone."""
-    facets, flags = dd.orthant_hull_facets(reps)
-    return _make(
+    """``_hull`` of the sign orbits of the closed-orthant rows ``(V, t)``, V >= 0, by one DD run on the orthant cone.
+
+    The body is unconditional, and its incidence comes from the tight vertex
+    representatives by the orbit rule of the module docstring.
+    """
+    facets, flags, tight = dd.orthant_hull_facets(reps)
+    orbits = {k: _flips(v) for k, ((v, _), f) in enumerate(zip(reps, flags)) if f}  # the vertices, up to sign
+    facet_orbits = [_flips(a) for a, _ in facets]
+    q = _make(
         len(reps[0][0]),
-        [(u, t) for (v, t), f in zip(reps, flags) if f for u in sign_orbit(v)],
-        [(a, b) for r, b in facets for a in sign_orbit(r)],
+        [(w, reps[k][1]) for k, orbit in orbits.items() for _, w in orbit],
+        [(w, b) for (_, b), orbit in zip(facets, facet_orbits) for _, w in orbit],
     )
+    at_vertex = {r: i for i, r in enumerate(q.vertex_rows)}
+    at_facet = {r: i for i, r in enumerate(q.facet_rows)}
+    bits = {k: [(flip, 1 << at_vertex[w, reps[k][1]]) for flip, w in orbit] for k, orbit in orbits.items()}
+    vertex_reps = sum(1 << k for k in orbits)
+    masks = [0] * q.n_facets
+    for (_, b), orbit, on in zip(facets, facet_orbits, tight):
+        tables = []  # per vertex representative v tight on this facet's a: v's orbit by its flips on supp(a) & supp(v)
+        on &= vertex_reps
+        while on:
+            k = (on & -on).bit_length() - 1
+            on &= on - 1
+            common = orbit[-1][0] & orbits[k][-1][0]  # the last flip of an orbit flips the whole support
+            table = [0] * (common + 1)
+            for flip, bit in bits[k]:
+                table[flip & common] |= bit
+            tables.append((common, table))
+        for flip, w in orbit:
+            m = 0
+            for common, table in tables:
+                m |= table[flip & common]
+            masks[at_facet[w, b]] = m
+    return _known(q, _facet_masks=tuple(masks), _symmetry=2)
 
 
 def from_halfspaces(ineqs: Sequence[tuple[Sequence[Fraction | int], Fraction | int]], dim: int) -> Polytope:
@@ -289,9 +376,14 @@ def from_halfspaces(ineqs: Sequence[tuple[Sequence[Fraction | int], Fraction | i
 
 
 def cube(n: int) -> Polytope:
-    """[-1, 1]^n, built directly."""
+    """[-1, 1]^n, built directly: vertex v lies on the facet ``s*x_i <= 1`` iff v_i = s."""
     facets = [(e, 1) for i in range(n) for e in sign_orbit(tuple(int(k == i) for k in range(n)))]
-    return _make(n, [(v, 1) for v in sign_orbit((1,) * n)], facets)
+    q = _make(n, [(v, 1) for v in sign_orbit((1,) * n)], facets)
+    masks = []
+    for a, _ in q.facet_rows:
+        i = next(i for i, x in enumerate(a) if x)
+        masks.append(sum(1 << k for k, (v, _) in enumerate(q.vertex_rows) if v[i] == a[i]))
+    return _known(q, _facet_masks=tuple(masks), _symmetry=2)
 
 
 def cross_polytope(n: int) -> Polytope:
@@ -304,7 +396,8 @@ def interval(radius: Fraction | int = 1) -> Polytope:
     if r <= 0:
         raise PreconditionError("interval radius must be positive")
     p, q = r.numerator, r.denominator
-    return _make(1, [((-p,), q), ((p,), q)], [((q,), p), ((-q,), p)])
+    # sorted rows: -r < r, and x >= -r holds only -r, x <= r only r
+    return _known(Polytope(1, (((-p,), q), ((p,), q)), (((-q,), p), ((q,), p))), _facet_masks=(1, 2), _symmetry=2)
 
 
 # ---------------------------------------------------------------------------
@@ -358,15 +451,20 @@ def _row_gauge(p: Polytope, x_row: tuple[int, ...], dx: int) -> Fraction:
     return Fraction(best, over * dx)
 
 
+# p's fact -> the same fact of polar(p)
+_POLAR_FACTS = (("_facet_masks", "_vertex_masks"), ("_vertex_masks", "_facet_masks"), ("_symmetry", "_symmetry"))
+
+
 def polar(p: Polytope) -> Polytope:
-    """Polar dual.  Exact and free: the vertex and facet rows swap, and so do the incidence masks p holds."""
+    """Polar dual.  Exact and free: the vertex and facet rows swap, and so do the incidence masks p holds.
+
+    p's symmetry class is handed on too, since a reflection fixes K iff it fixes K polar.
+    """
     if not contains_origin_interior(p):
         raise PolarityDomainError("polar needs the origin in the interior")
-    q = Polytope(p.dim, p.facet_rows, p.vertex_rows)
-    for mine, theirs in (("_facet_masks", "_vertex_masks"), ("_vertex_masks", "_facet_masks")):
-        if mine in vars(p):
-            vars(q)[theirs] = vars(p)[mine]
-    return q
+    known = vars(p)
+    facts = {theirs: known[mine] for mine, theirs in _POLAR_FACTS if mine in known}
+    return _known(Polytope(p.dim, p.facet_rows, p.vertex_rows), **facts)
 
 
 def sign_orbit(v: Sequence[Fraction | int]) -> list[tuple]:
@@ -375,14 +473,15 @@ def sign_orbit(v: Sequence[Fraction | int]) -> list[tuple]:
     Bit k of the pattern index flips the k-th nonzero coordinate, so the
     first entry is v itself.
     """
-    support = [i for i, x in enumerate(v) if x]
-    out = []
-    for signs in range(1 << len(support)):
-        w = list(v)
-        for k, i in enumerate(support):
-            if signs >> k & 1:
-                w[i] = -w[i]
-        out.append(tuple(w))
+    return [w for _, w in _flips(v)]
+
+
+def _flips(v: Sequence[Fraction | int]) -> list[tuple[int, tuple]]:
+    """``sign_orbit(v)`` in its order, each vector w with the bitmask of the coordinates where it flips v."""
+    out = [(0, tuple(v))]
+    for i, x in enumerate(v):
+        if x:
+            out += [(flip | 1 << i, w[:i] + (-x,) + w[i + 1 :]) for flip, w in out]
     return out
 
 
@@ -395,6 +494,9 @@ def diagonal_image(p: Polytope, scales: Sequence[Fraction | int]) -> Polytope:
     """Image under diag(scales); scales must be nonzero.
 
     With scales S/ds, vertex V/t goes to S*V/(ds*t) and facet (A, B) to (A*ds/S, B).
+    The symmetry class is p's.  With every scale positive and every B nonzero
+    the rows keep their order (module docstring), so p's incidence is handed on
+    and nothing is sorted.
     """
     s = vec(scales)
     if len(s) != p.dim:
@@ -405,7 +507,14 @@ def diagonal_image(p: Polytope, scales: Sequence[Fraction | int]) -> Polytope:
     m = math.lcm(*srow)
     verts = [_primitive_row(map(mul, srow, v), ds * t) for v, t in p.vertex_rows]
     facets = [_primitive_row([x * ds * (m // si) for si, x in zip(srow, a)], b * m) for a, b in p.facet_rows]
-    return _make(p.dim, verts, facets)
+    kept = ["_symmetry"]
+    if min(srow) > 0 and all(b for _, b in p.facet_rows):
+        q = Polytope(p.dim, tuple(verts), tuple(facets))
+        kept += ["_facet_masks", "_vertex_masks"]
+    else:
+        q = _make(p.dim, verts, facets)
+    known = vars(p)
+    return _known(q, **{name: known[name] for name in kept if name in known})
 
 
 def normalize_unconditional(p: Polytope) -> Polytope:
@@ -480,14 +589,8 @@ def coordinate_section(p: Polytope, j: int) -> Polytope:
     section_sets = {  # the section's vertex row -> the facets holding it
         _primitive_row(v[:j] + v[j + 1 :], t): s for (v, t), s in zip(verts, vertex_sets) if s in corners
     }
-    q = _make(p.dim - 1, section_sets, facets)
-    # the vertex sets are the section's incidence: hand it on in q's row order
-    at_facet = {r: k for k, r in enumerate(q.facet_rows)}
-    masks = [0] * len(facets)
-    for r, m in zip(facets, dd.transpose([section_sets[r] for r in q.vertex_rows], len(facets))):
-        masks[at_facet[r]] = m
-    vars(q)["_facet_masks"] = tuple(masks)
-    return q
+    # the vertex sets are the section's incidence, and a section of an unconditional body is unconditional
+    return _known(_make_with_incidence(p.dim - 1, section_sets, facets), _symmetry=2)
 
 
 # ---------------------------------------------------------------------------

@@ -251,6 +251,7 @@ def trial_base_graphs(n: int) -> tuple[Graph, ...]:
 
 
 EXPERIMENT_CSV_HEADER = "trial,n,delta,distance_sq,distance_float,excess,excess_float,case_tag,seed"
+EXPERIMENT_MAX_N = 7
 
 
 def stability_experiment(cfg: ExperimentConfig) -> tuple[list[StabilityRecord], str, dict]:
@@ -260,8 +261,8 @@ def stability_experiment(cfg: ExperimentConfig) -> tuple[list[StabilityRecord], 
     rows are exact, the summary carries the minimum and median excess plus
     the empirical excess/(bound * distance) floor.
     """
-    if cfg.n > 7:
-        raise ResourceError("the stability experiment is limited to n <= 7")
+    if cfg.n > EXPERIMENT_MAX_N:
+        raise ResourceError(f"the stability experiment is limited to n <= {EXPERIMENT_MAX_N}")
     bases = trial_base_graphs(cfg.n)
     bound = mahler_bound(cfg.n)
     records: list[StabilityRecord] = []

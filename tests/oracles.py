@@ -5,7 +5,8 @@ enumeration, permutation scans, Gaussian elimination over the rationals for
 rank, Gauss-Jordan elimination over the rationals for linear systems, cases
 on the offset's sign for the canonical facet, sorted sets of
 Fraction vertices and canonical facets for the order of the integer rows,
-Fraction dot products over every facet for the gauge and membership,
+Fraction dot products over every facet for the gauge and membership and
+over every facet and vertex for the incidence,
 Fraction vertex sets for the sign-flip and negation checks, recursive
 projection and the pulling triangulation of the whole body from vertex 0 for
 volume, projection onto the affine hull of every small vertex subset for
@@ -213,6 +214,11 @@ def membership_by_fractions(p: Polytope, x) -> str:
     if any(s > 0 for s in sides):
         return "outside"
     return "boundary" if 0 in sides else "interior"
+
+
+def incidence_by_fractions(p: Polytope) -> tuple[int, ...]:
+    """One vertex mask per facet view (a, s): <a, v> == s on the Fraction vertex v."""
+    return tuple(sum(1 << i for i, v in enumerate(p.vertices) if dot(a, v) == s) for a, s in p.facets)
 
 
 def is_unconditional_by_fractions(p: Polytope) -> bool:

@@ -411,6 +411,19 @@ def test_oversized_requests_are_refused_before_any_body_is_built(capsys, monkeyp
     assert code == 2 and err.startswith("error: ") and err.count("\n") == 1, err
 
 
+@pytest.mark.parametrize(
+    "argv, err",
+    [
+        (["stability", "--n", "8"], "error: the stability experiment is limited to n <= 7\n"),
+        (["stability", "--probe", "symmetric", "--n", "6"], "error: the symmetric probe is limited to n <= 5\n"),
+        (["hanner-enumerate", "--n", "7"], "error: n = 7 without --dedup means 78416 labeled bodies; pass --dedup\n"),
+    ],
+)
+def test_oversized_requests_print_no_config_line(capsys, argv, err):
+    # a refused request prints nothing to stdout, not even the config line
+    assert run_main(capsys, argv) == (2, "", err)
+
+
 def test_volprod_names_a_huge_non_vertex_point_in_a_clipped_message(tmp_path, capsys):
     doc = to_json_dict(cube(2))
     doc["vertices"].append([format_exact(F(1, 3**10000)), "0"])  # interior; 4 772 denominator digits

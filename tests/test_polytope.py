@@ -3,7 +3,6 @@
 import dataclasses
 import json
 import math
-import operator
 import random
 from fractions import Fraction
 from itertools import product as iter_product
@@ -43,10 +42,16 @@ from mahlerlab.polytope import (
     to_json_dict,
     volume,
 )
-from mahlerlab import dd, polytope, ratlin
+from mahlerlab import dd, polytope, ratlin, volprod
 from mahlerlab.graphs import enumerate_p4_free_labeled, enumerate_standard_hanner, polytope_from_graph
 from mahlerlab.ratlin import int_det
-from mahlerlab.stability import perturb_unconditional, random_unconditional_polytope, symmetric_probe
+from mahlerlab.stability import (
+    ExperimentConfig,
+    perturb_unconditional,
+    random_unconditional_polytope,
+    stability_experiment,
+    symmetric_probe,
+)
 from oracles import (
     brute_volume,
     canon_facet,
@@ -56,6 +61,7 @@ from oracles import (
     distance_sq_by_subsets,
     gauge_by_fractions,
     hausdorff_by_full_scan,
+    incidence_by_fractions,
     is_centrally_symmetric_by_fractions,
     is_unconditional_by_fractions,
     make_by_fractions,
@@ -183,18 +189,23 @@ def test_facet_rows_are_primitive_and_read_back_to_the_facets():
 
 def test_facet_rows_are_the_hull_rays():
     for p in _offset_sign_bodies():
-        rays, flags = dd.hull_facets(p.vertex_rows)
+        rays, flags, sets = dd.hull_facets(p.vertex_rows)
         assert all(flags)
         assert set(p.facet_rows) == set(rays)
         assert all(type(x) is int for row, b in rays for x in (*row, b))
+        scan = dict(zip(p.facet_rows, polytope._incidence_scan(p)))  # facet row -> the vertices on it
+        assert sets == dd.transpose([scan[r] for r in rays], p.n_vertices)
 
 
 def test_orthant_hull_facets_are_the_hull_rays_with_no_negative_entry():
     for p in [cube(3), cross_polytope(3), random_unconditional_polytope(3, 1), polar(random_unconditional_polytope(4, 2))]:
         reps = [(v, t) for v, t in p.vertex_rows if min(v) >= 0]
-        rays, flags = dd.orthant_hull_facets(reps + [(tuple(x * 2 for x in reps[0][0]), reps[0][1] * 3)])
+        rays, flags, tight = dd.orthant_hull_facets(reps + [(tuple(x * 2 for x in reps[0][0]), reps[0][1] * 3)])
         assert flags == [True] * len(reps) + [False]  # an inner point of the orthant is no vertex
         assert sorted(rays) == sorted((a, b) for a, b in p.facet_rows if min(a) >= 0)
+        scan = dict(zip(p.facet_rows, polytope._incidence_scan(p)))  # facet row -> the vertices on it
+        at = {r: i for i, r in enumerate(p.vertex_rows)}
+        assert tight == [sum(1 << k for k, v in enumerate(reps) if scan[r] >> at[v] & 1) for r in rays]
 
 
 def test_hull_drops_non_extreme_points():
@@ -494,11 +505,6 @@ def test_section_keeps_the_gauge(p, j, x):
     assert gauge(coordinate_section(p, j), x) == gauge(p, x[:j] + (0,) + x[j:])
 
 
-def incidence_by_fractions(p):
-    """One vertex mask per facet view (a, s): <a, v> == s on the Fraction vertex v."""
-    return tuple(sum(1 << i for i, v in enumerate(p.vertices) if sum(map(operator.mul, a, v)) == s) for a, s in p.facets)
-
-
 unconditional_body = st.one_of(
     symmetric_body(dim=3),
     symmetric_body(dim=4),
@@ -538,7 +544,8 @@ def test_sections_refuse_bodies_that_are_not_unconditional(p, j):
 @settings(max_examples=40, deadline=None)
 def test_polar_hands_on_the_incidence_that_volume_built(p):
     assume(contains_origin_interior(p))
-    assert not {"_facet_masks", "_vertex_masks"} & set(vars(polar(p)))
+    fresh = Polytope(p.dim, p.vertex_rows, p.facet_rows)  # built with no constructor, so it knows no incidence
+    assert not {"_facet_masks", "_vertex_masks"} & set(vars(polar(fresh)))
     volume.cache_clear()
     volume(p)
     q = polar(p)
@@ -563,6 +570,112 @@ def test_polar_makes_no_transpose(monkeypatch):
     assert calls == []
     assert (vars(q)["_facet_masks"], vars(q)["_vertex_masks"]) == (p._vertex_masks, p._facet_masks)
     assert (vars(r)["_facet_masks"], vars(r)["_vertex_masks"]) == (p._facet_masks, p._vertex_masks)
+
+
+# ---------------------------------------------------------------------------
+# incidence and symmetry class at birth
+
+
+def check_facts(p, *names):
+    """p's rows are sorted, p holds each named fact, and every fact it holds is the oracle's."""
+    assert (p.vertex_rows, p.facet_rows) == (polytope._sorted_rows(p.vertex_rows), polytope._sorted_rows(p.facet_rows))
+    known = vars(p)
+    assert set(names) <= set(known), (names, sorted(known))
+    incidence = incidence_by_fractions(p)
+    if "_facet_masks" in known:
+        assert known["_facet_masks"] == incidence
+    if "_vertex_masks" in known:
+        assert known["_vertex_masks"] == tuple(dd.transpose(incidence, p.n_vertices))
+    if "_symmetry" in known:
+        symmetry = 2 if is_unconditional_by_fractions(p) else int(is_centrally_symmetric_by_fractions(p))
+        assert known["_symmetry"] == symmetry
+
+
+@st.composite
+def orthant_reps(draw, dim=3):
+    """The e_i, a few closed-orthant rows, and the midpoint of two rows, which is no vertex."""
+    rows = [(tuple(int(k == i) for k in range(dim)), 1) for i in range(dim)]
+    for v in draw(st.lists(st.tuples(*[st.integers(0, 3)] * dim), max_size=3)):
+        rows.append(polytope._primitive_row(v, draw(st.integers(1, 3))))
+    (v, t), (w, u) = draw(st.sampled_from(rows)), draw(st.sampled_from(rows))
+    return rows + [polytope._primitive_row([x * u + y * t for x, y in zip(v, w)], 2 * t * u)]
+
+
+UNCONDITIONAL_FACTS = ("_facet_masks", "_symmetry")
+positive_rationals = st.builds(F, st.integers(min_value=1, max_value=12), st.integers(min_value=1, max_value=4))
+POLAR_FACT = {"_facet_masks": "_vertex_masks", "_vertex_masks": "_facet_masks", "_symmetry": "_symmetry"}
+
+born_body = st.one_of(  # (body, the facts its constructor knows)
+    st.sampled_from([general_body, central_body, symmetric_body]).flatmap(lambda body: body(dim=3)).map(
+        lambda p: (p, ("_facet_masks",))  # _hull
+    ),
+    # the cross polytope's reps and (1/2, 1/2, 0), which is tight on a facet and no vertex
+    st.one_of(st.just([((1, 0, 0), 1), ((0, 1, 0), 1), ((0, 0, 1), 1), ((1, 1, 0), 2)]), orthant_reps()).map(
+        lambda reps: (polytope._orthant_hull(reps), UNCONDITIONAL_FACTS)
+    ),
+    st.sampled_from([g for n in (2, 3, 4) for g in enumerate_p4_free_labeled(n)]).map(
+        lambda g: (polytope_from_graph(g), UNCONDITIONAL_FACTS)
+    ),
+    st.builds(random_unconditional_polytope, st.integers(3, 4), st.integers(0, 10**6)).map(
+        lambda p: (p, UNCONDITIONAL_FACTS)
+    ),
+    st.integers(1, 4).map(lambda n: (cube(n), UNCONDITIONAL_FACTS)),
+    positive_rationals.map(lambda r: (interval(r), UNCONDITIONAL_FACTS)),
+)
+
+
+@given(born_body, st.data())
+@settings(max_examples=80, deadline=None)
+def test_facts_known_at_birth_are_the_oracles(born, data):
+    p, names = born
+    check_facts(p, *names)
+    if contains_origin_interior(p):
+        check_facts(polar(p), *(POLAR_FACT[name] for name in names))
+    sizes = data.draw(st.lists(positive_rationals, min_size=p.dim, max_size=p.dim))
+    signs = data.draw(st.sampled_from([(1,) * p.dim, *iter_product((1, -1), repeat=p.dim)]))
+    scales = [s * x for s, x in zip(signs, sizes)]
+    image = diagonal_image(p, scales)
+    if min(scales) > 0 and all(b for _, b in p.facet_rows):  # the row order is kept, and so is the incidence
+        check_facts(image, *names)
+    else:
+        check_facts(image, *(name for name in names if name == "_symmetry"))
+    if not is_unconditional(p):
+        return
+    check_facts(normalize_unconditional(p), *names)
+    check_facts(perturb_unconditional(p, F(1, 4), data.draw(st.integers(0, 10**6))), *UNCONDITIONAL_FACTS)
+    if p.dim >= 2:
+        j = data.draw(st.integers(min_value=0, max_value=p.dim - 1))
+        check_facts(coordinate_section(p, j), *UNCONDITIONAL_FACTS)
+        check_facts(coordinate_section(polar(p), j), *UNCONDITIONAL_FACTS)
+        blow = max(gauge(p, [int(i != j) for i in range(p.dim)]) for j in range(p.dim))
+        check_facts(volprod._cube_cap(p, blow), "_vertex_masks", "_symmetry")
+
+
+def test_diagonal_image_sorts_the_rows_of_a_body_with_a_facet_through_the_origin():
+    # a row (A, 0) is keyed on A itself, which the map rescales row by row: here the two orders differ
+    p = from_vertices([(0, 0), (1, 3), (2, -1)])
+    image = diagonal_image(p, (3, 1))
+    assert image == from_vertices([(0, 0), (3, 3), (6, -1)])
+    check_facts(image)
+
+
+def test_workload_paths_run_no_incidence_scan(monkeypatch):
+    # the symmetry scans left are those of the truncated cube's two corner pieces, built by _hull
+    corner = volprod.corner_bound_instance(4, F(7, 8))
+    scanned = {"incidence": [], "symmetry": []}
+    for name, kind in (("_incidence_scan", "incidence"), ("_symmetry_scan", "symmetry")):
+        real = getattr(polytope, name)
+        monkeypatch.setattr(polytope, name, lambda p, real=real, kind=kind: scanned[kind].append(p) or real(p))
+    for cache in (volume, volprod._section_volumes, volprod.mahler_bound, polytope_from_graph):
+        cache.cache_clear()
+    k = random_unconditional_polytope(4, 11)  # one certificates body item
+    volprod.meyer_inequality_check(k)
+    volprod.near_minimal_sections_check(k, F(1, 10))
+    volprod.verify_truncated_cube_bound(4, F(7, 8))
+    stability_experiment(ExperimentConfig(3, 1, F(1, 10), 0))
+    volprod.volume_product(polytope_from_graph(enumerate_p4_free_labeled(4)[5]))
+    assert scanned["incidence"] == []
+    assert scanned["symmetry"] and set(scanned["symmetry"]) <= {corner.body_piece, corner.polar_piece}
 
 
 def test_permute_coordinates_convention():
