@@ -69,9 +69,9 @@ maps the vertex keys V/t to ``D (V/t)`` and the facet keys A/|B| to
 ``D^-1 A/|B|``, so the rows come out sorted and in p's order.  (A row
 ``(A, 0)`` is keyed on A itself, which the map rescales row by row, so such a
 body is sorted again and keeps only its class.)  A body whose
-constructor knows none of this (``linf_sum``, a negative scale, a
-``Polytope`` built directly) falls back to ``_incidence_scan``, one dot
-product per facet and vertex.
+constructor knows none of this (``linf_sum``, ``from_halfspaces``, a
+negative scale, a ``Polytope`` built directly) falls back to
+``_incidence_scan``, one dot product per facet and vertex.
 
 A coordinate section of an unconditional body K is read off that incidence
 with no DD run.  For x in K its flip ``s_j x`` (x_j negated) is in K, so

@@ -647,7 +647,7 @@ def test_facts_known_at_birth_are_the_oracles(born, data):
         j = data.draw(st.integers(min_value=0, max_value=p.dim - 1))
         check_facts(coordinate_section(p, j), *UNCONDITIONAL_FACTS)
         check_facts(coordinate_section(polar(p), j), *UNCONDITIONAL_FACTS)
-        blow = max(gauge(p, [int(i != j) for i in range(p.dim)]) for j in range(p.dim))
+        blow = max(gauge(p, [int(i != c) for i in range(p.dim)]) for c in range(p.dim))  # the largest corner gauge
         check_facts(volprod._cube_cap(p, blow), "_vertex_masks", "_symmetry")
 
 
