@@ -381,7 +381,7 @@ def cube(n: int) -> Polytope:
     q = _make(n, [(v, 1) for v in sign_orbit((1,) * n)], facets)
     masks = []
     for a, _ in q.facet_rows:
-        i = next(i for i, x in enumerate(a) if x)
+        i = next(c for c, x in enumerate(a) if x)  # the facet a_i x_i <= 1
         masks.append(sum(1 << k for k, (v, _) in enumerate(q.vertex_rows) if v[i] == a[i]))
     return _known(q, _facet_masks=tuple(masks), _symmetry=2)
 
