@@ -108,10 +108,11 @@ normal coordinate is positive, each of weight 2; any other body cones from
 vertex 0 over every facet that misses it, with weight 1.  This is exact: a
 reflection g fixing the body maps conv(0, F) onto conv(0, gF), which has the
 same volume.  Each facet is triangulated by pulling: cone from its first
-vertex over its own facets that miss it, recursively.  The facets of a face
-are its maximal proper intersections with its parent's facets (bitmasks of
-``_facet_masks``, no rank work); they depend on the face alone, so the
-triangulations are shared through a memo keyed by the mask.  Against the
+vertex over its own facets that miss it, recursively, down to faces that are
+simplices.  The facets of a face are its maximal proper intersections with
+its parent's facets (bitmasks of ``_facet_masks``, no rank work); they depend
+on the face alone, so the triangulations are shared through a memo keyed by
+the mask.  Against the
 apex ``(V_z, t_z)``, which is ``(0, 1)`` for the origin, a cell's edge rows
 ``E_i = t_z*V_i - t_i*V_z`` give it volume
 ``|int_det(E)| / (prod t_i * t_z^d * d!)``; the weighted ints are summed per
@@ -139,7 +140,11 @@ those of the weaker symmetry of the two bodies, and the vertices scanned are
 the orbit representatives ``volume`` picks among facet normals: the closed
 positive orthant when both bodies are unconditional, one vertex of each +-
 pair when both are centrally symmetric.  Each scanned vertex row is the
-cleared point ``(X, dx)`` as it stands.
+cleared point ``(X, dx)`` as it stands.  Each vertex's Wolfe run is capped
+at the largest distance found so far, which keeps the maximum exact: every
+iterate lies in the hull, so its squared norm bounds the vertex's distance
+from above, a run stopped at ``|y|^2 <= best`` cannot raise the maximum, and
+a vertex farther than ``best`` never meets the cap.
 """
 
 from __future__ import annotations
@@ -597,9 +602,12 @@ def coordinate_section(p: Polytope, j: int) -> Polytope:
 # volume
 
 
-def _pull_triangulation(s: int, parent_facets: Iterable[int], memo: dict[int, list[tuple[int, ...]]]) -> list[tuple[int, ...]]:
-    """Simplices (as vertex-id tuples) of the pulling triangulation of face s.
+def _pull_triangulation(
+    s: int, dim: int, parent_facets: Iterable[int], memo: dict[int, list[tuple[int, ...]]]
+) -> list[tuple[int, ...]]:
+    """Simplices (as vertex-id tuples, highest id first) of the pulling triangulation of face s.
 
+    s has dimension dim, so with dim + 1 vertices it is a simplex, its own one cell.
     ``parent_facets`` are the facets (vertex masks) of a face that has s as a
     facet.  The facets of s are its maximal proper intersections with them:
     every face of s is an intersection of the parent's facets, all
@@ -611,8 +619,12 @@ def _pull_triangulation(s: int, parent_facets: Iterable[int], memo: dict[int, li
     got = memo.get(s)
     if got is not None:
         return got
-    if s & (s - 1) == 0:
-        out = [(s.bit_length() - 1,)]
+    if s.bit_count() == dim + 1:
+        cell, rest = [], s
+        while rest:
+            cell.append(rest.bit_length() - 1)
+            rest ^= 1 << cell[-1]
+        out = [tuple(cell)]
         memo[s] = out
         return out
     apex = (s & -s).bit_length() - 1
@@ -621,7 +633,7 @@ def _pull_triangulation(s: int, parent_facets: Iterable[int], memo: dict[int, li
     for c in facets:
         if c >> apex & 1:
             continue
-        for t in _pull_triangulation(c, facets, memo):
+        for t in _pull_triangulation(c, dim - 1, facets, memo):
             out.append(t + (apex,))
     memo[s] = out
     return out
@@ -644,7 +656,7 @@ def volume(p: Polytope) -> Fraction:
     by_den: dict[int, int] = {}  # prod t_i over a cell's vertices -> weighted sum of |det|
     memo: dict[int, list[tuple[int, ...]]] = {}
     for f, w in cones:
-        for cell in _pull_triangulation(f, facet_masks, memo):
+        for cell in _pull_triangulation(f, d - 1, facet_masks, memo):
             q = math.prod([verts[i][1] for i in cell])
             by_den[q] = by_den.get(q, 0) + w * abs(int_det([edges[i] for i in cell]))
     lcm = math.lcm(*by_den)
@@ -655,8 +667,15 @@ def volume(p: Polytope) -> Fraction:
 # distances
 
 
-def _min_norm_sq(pts: list[tuple[int, ...]]) -> Fraction:
-    """The squared norm of the point of least norm in conv(pts), by Wolfe's algorithm.
+def _min_norm_sq(pts: list[tuple[int, ...]], cap: Fraction) -> Fraction:
+    """The squared norm of the point of least norm in conv(pts), by Wolfe's algorithm, capped at ``cap``.
+
+    The cap contract: when the exact value exceeds ``cap`` the answer is the
+    exact value; otherwise it is some |y|^2 with exact <= |y|^2 <= cap.
+    Every iterate y lies in conv(pts), so |y|^2 bounds the exact value from
+    above, and the run stops at the top of the first major step with
+    |y|^2 <= cap, the first one tested against the nearest point, before any
+    Gram solve.  A zero cap gives the exact value whenever it is positive.
 
     The corral, affinely independent points holding y with positive weights,
     starts as the first point of least norm.  Each major step adds the first
@@ -676,8 +695,10 @@ def _min_norm_sq(pts: list[tuple[int, ...]]) -> Fraction:
     lam = [Fraction(1)]
     y_row, s = corral[0], 1
     while True:
-        q = min(pts, key=lambda w: sum(map(mul, y_row, w)))
         yy = sum(map(mul, y_row, y_row))
+        if yy * cap.denominator <= cap.numerator * s * s:
+            return Fraction(yy, s * s)
+        q = min(pts, key=lambda w: sum(map(mul, y_row, w)))
         if sum(map(mul, y_row, q)) * s >= yy:
             return Fraction(yy, s * s)
         corral.append(q)
@@ -708,17 +729,18 @@ def _min_norm_sq(pts: list[tuple[int, ...]]) -> Fraction:
 
 def point_distance_sq(p: Polytope, x: Sequence[Fraction | int]) -> Fraction:
     """Exact squared Euclidean distance from x to the polytope."""
-    return _row_distance_sq(p, *_point_row(p, x))
+    return _row_distance_sq(p, *_point_row(p, x), Fraction(0))
 
 
-def _row_distance_sq(p: Polytope, x_row: tuple[int, ...], dx: int) -> Fraction:
-    """``point_distance_sq`` of the point already cleared to ``(X, dx)``."""
+def _row_distance_sq(p: Polytope, x_row: tuple[int, ...], dx: int, cap: Fraction) -> Fraction:
+    """``point_distance_sq`` of the point already cleared to ``(X, dx)``, capped as ``_min_norm_sq`` is."""
     if _row_membership(p, x_row, dx) != "outside":
         return Fraction(0)
     rows = p.vertex_rows
     scale = math.lcm(dx, *(t for _, t in rows))  # L: every vertex and x are integer on 1/L
     sx = scale // dx
-    return _min_norm_sq([tuple(a * (scale // t) - b * sx for a, b in zip(row, x_row)) for row, t in rows]) / scale**2
+    pts = [tuple(a * (scale // t) - b * sx for a, b in zip(row, x_row)) for row, t in rows]
+    return _min_norm_sq(pts, cap * scale**2) / scale**2
 
 
 def _orbit_weight(v: Sequence[Fraction | int], symmetry: int) -> int:
@@ -738,8 +760,9 @@ def _orbit_weight(v: Sequence[Fraction | int], symmetry: int) -> int:
 def hausdorff_distance_sq(p: Polytope, q: Polytope) -> Fraction:
     """Exact squared Hausdorff distance between two polytopes.
 
-    Scans one vertex per orbit of the reflections that fix both bodies (see
-    the module docstring); the maximum is the same as over every vertex.
+    Scans one vertex per orbit of the reflections that fix both bodies, each
+    run capped at the largest distance so far (see the module docstring);
+    the maximum is the same as over every vertex.
     """
     if p.dim != q.dim:
         raise DimensionError("polytopes live in different dimensions")
@@ -750,7 +773,7 @@ def hausdorff_distance_sq(p: Polytope, q: Polytope) -> Fraction:
     for body, other in ((p, q), (q, p)):
         for v, t in body.vertex_rows:
             if _orbit_weight(v, symmetry):
-                best = max(best, _row_distance_sq(other, v, t))
+                best = max(best, _row_distance_sq(other, v, t, best))
     return best
 
 

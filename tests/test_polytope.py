@@ -42,7 +42,7 @@ from mahlerlab.polytope import (
     to_json_dict,
     volume,
 )
-from mahlerlab import dd, polytope, ratlin, volprod
+from mahlerlab import dd, polytope, ratlin, stability, volprod
 from mahlerlab.graphs import enumerate_p4_free_labeled, enumerate_standard_hanner, polytope_from_graph
 from mahlerlab.ratlin import int_det
 from mahlerlab.stability import (
@@ -872,6 +872,18 @@ def test_volume_scales_like_dim_power(p, k):
     assert volume(permute_coordinates(p, (1, 0))) == volume(p)
 
 
+def test_simplex_faces_are_their_own_cell(monkeypatch):
+    calls = []
+    real = dd.maximal_sets
+    monkeypatch.setattr(dd, "maximal_sets", lambda sets: calls.append(1) or real(sets))
+    # the cross polytope's facets are simplices; the cube's three facet cones
+    # are squares, each split once into edges, which are simplices
+    for body, vol, n_calls in [(cross_polytope(4), F(2, 3), 0), (cube(3), 8, 3)]:
+        calls.clear()
+        assert volume.__wrapped__(body) == vol
+        assert len(calls) == n_calls
+
+
 def test_volume_sums_one_determinant_per_cell(monkeypatch):
     dets: list[int] = []
 
@@ -960,6 +972,65 @@ def test_point_distance_clears_the_point_once(monkeypatch):
     assert cleared == [(-1, 1)]
 
 
+@st.composite
+def translated_rows(draw):
+    """A body, a point x outside it, L and the integer rows L*(v - x) of its vertices v."""
+    dim = draw(st.sampled_from([2, 3]))
+    p = draw(st.sampled_from([general_body, central_body]).flatmap(lambda body: body(dim=dim, coord=rationals)))
+    x = draw(st.tuples(*[rationals] * dim))
+    assume(membership(p, x) == "outside")
+    scale = math.lcm(*(c.denominator for c in x), *(c.denominator for v in p.vertices for c in v))
+    return p, x, scale, [tuple(int((a - b) * scale) for a, b in zip(v, x)) for v in p.vertices]
+
+
+@given(
+    translated_rows(),
+    st.sampled_from(["exact", "nearest"]),
+    st.sampled_from([0, F(1, 2), F(99, 100), 1, F(101, 100), 2]),
+)
+@settings(max_examples=60, deadline=None)
+def test_min_norm_is_exact_above_its_cap_and_within_it_below(body_rows, base, factor):
+    p, x, scale, rows = body_rows
+    exact = distance_sq_by_subsets(p, x) * scale**2
+    nearest = min(sum(c * c for c in w) for w in rows)
+    cap = F(factor) * (exact if base == "exact" else nearest)
+    solves = []
+    real = polytope.int_solve
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(polytope, "int_solve", lambda m, b: solves.append(1) or real(m, b))
+        got = polytope._min_norm_sq(rows, cap)
+    if exact > cap:
+        assert got == exact
+    else:
+        assert exact <= got <= cap
+    if nearest <= cap:  # the first test is against the nearest vertex, before any Gram solve
+        assert got == nearest and not solves
+
+
+def test_hausdorff_caps_each_vertex_run_at_the_best_so_far(monkeypatch):
+    pairs = []  # the probe's trial bodies against the cube; its own distances are not needed
+    monkeypatch.setattr(stability, "hausdorff_distance_sq", lambda p, q: pairs.append((p, q)) or F(1))
+    symmetric_probe(cube(3), F(1, 10), trials=3, seed=0)
+    solves = []
+    real = polytope.int_solve
+    monkeypatch.setattr(polytope, "int_solve", lambda m, b: solves.append(1) or real(m, b))
+    capped = uncapped = 0
+    for body, h in pairs:
+        solves.clear()
+        got = hausdorff_distance_sq(body, h)
+        capped += len(solves)
+        # the same vertices, each run to its exact distance
+        symmetry = min(body._symmetry, h._symmetry)
+        solves.clear()
+        for p, q in ((body, h), (h, body)):
+            for v in p.vertices:
+                if polytope._orbit_weight(v, symmetry):
+                    point_distance_sq(q, v)
+        uncapped += len(solves)
+        assert got == hausdorff_by_full_scan(body, h)
+    assert len(pairs) == 3 and capped < uncapped
+
+
 def test_hausdorff_frozen_values():
     assert hausdorff_distance_sq(cube(3), cross_polytope(3)) == F(4, 3)
     assert hausdorff_distance_sq(cube(2), diagonal_image(cube(2), [F(1, 2)] * 2)) == F(1, 2)
@@ -1027,9 +1098,9 @@ def test_hausdorff_scans_one_vertex_per_shared_orbit(monkeypatch):
     calls = []
     real = polytope._row_distance_sq
 
-    def counting(p, x_row, dx):
+    def counting(p, x_row, dx, cap):
         calls.append((x_row, dx))
-        return real(p, x_row, dx)
+        return real(p, x_row, dx, cap)
 
     monkeypatch.setattr(polytope, "_row_distance_sq", counting)
     hexagon = from_vertices([(1, 0), (1, 1), (0, 1), (-1, 0), (-1, -1), (0, -1)])
