@@ -29,6 +29,13 @@ hull directions also return those tight sets, the vertex-facet incidence in
 Fukuda-Prodon form: ``hull_facets`` as (facets, vertex flags, the facets on
 each point) and ``orthant_hull_facets`` as (facets, vertex flags, the points
 on each facet), each mask a bitmask over the other list's indices.
+
+A run starts from d independent rows and the rays one elimination on them
+gives.  The orthant run knows its start with no elimination: for its first
+point (V, t), t > 0, the rows ``-e_i`` and ``(V, -t)`` are independent; the
+ray ``(t*e_i, V_i)``, made primitive, is tight on each of them but ``-e_i``
+(``<V, t*e_i> - V_i*t = 0``) and gives ``-t < 0`` there, and
+``(0, ..., 0, 1)`` is tight on every ``-e_i`` and gives ``-t`` on the point row.
 """
 
 from __future__ import annotations
@@ -40,31 +47,40 @@ from .errors import DimensionError, PreconditionError, UnboundedError
 from .ratlin import independent_rows, int_solve, primitive_int_vec
 
 IntVec = tuple[int, ...]
+Start = tuple[list[int], list[IntVec]]  # d independent row indices and the ray off each (``extreme_rays``)
 
 
-def extreme_rays(rows: Sequence[IntVec]) -> tuple[list[IntVec], list[int]]:
+def extreme_rays(rows: Sequence[IntVec], start: Start | None = None) -> tuple[list[IntVec], list[int]]:
     """Extreme rays of the pointed cone ``{x : <row, x> <= 0 for every row}``.
 
     Returns (rays, tight) where ``tight[k]`` is a bitmask over row indices
     marking the rows satisfied with equality by ray k.  Rays are primitive
     integer vectors.  Raises DimensionError when the rows do not have full
     rank (the cone then contains a line and has no extreme rays).
+
+    A ``start`` is an initial simplicial subcone known in closed form: d
+    independent rows, each with its primitive ray, tight on the other d - 1
+    and strictly inside its own row.
     """
     if not rows:
         raise DimensionError("no rows")
     d = len(rows[0])
 
-    # The initial simplicial subcone is cut out by the first d independent
-    # rows (ratlin.independent_rows).  Its rays solve B r_j = -e_j: one
-    # int_solve over the d columns returns (us, det), r_j = u_j / det, and
-    # only the sign of det matters once each ray is made primitive.  Ray j
-    # is then tight on every basis row but row j, with no dot product.
-    basis = independent_rows(rows)
-    if len(basis) < d:
-        raise DimensionError("cone is not pointed (rows are rank deficient)")
+    # Else the initial simplicial subcone is cut out by the first d
+    # independent rows (ratlin.independent_rows).  Its rays solve
+    # B r_j = -e_j: one int_solve over the d columns returns (us, det),
+    # r_j = u_j / det, and only the sign of det matters once each ray is made
+    # primitive.  Ray j is then tight on every basis row but row j, with no
+    # dot product.
+    if start is None:
+        basis = independent_rows(rows)
+        if len(basis) < d:
+            raise DimensionError("cone is not pointed (rows are rank deficient)")
+        us, det = int_solve([rows[i] for i in basis], [[-int(i == j) for i in range(d)] for j in range(d)])
+        rays = [primitive_int_vec(u if det > 0 else [-x for x in u]) for u in us]
+    else:
+        basis, rays = start
     basis_mask = sum(1 << i for i in basis)
-    us, det = int_solve([rows[i] for i in basis], [[-int(i == j) for i in range(d)] for j in range(d)])
-    rays = [primitive_int_vec(u if det > 0 else [-x for x in u]) for u in us]
     tight = [basis_mask ^ (1 << i) for i in basis]
 
     thresh = d - 2
@@ -122,20 +138,23 @@ def extreme_rays(rows: Sequence[IntVec]) -> tuple[list[IntVec], list[int]]:
     return rays, tight
 
 
-def _convert(rows: Sequence[IntVec]) -> tuple[list[IntVec], list[bool], list[int]]:
+def _convert(rows: Sequence[IntVec], start: Start | None = None) -> tuple[list[IntVec], list[bool], list[int]]:
     """Extreme rays of ``{x : <row, x> <= 0}``, a facet flag per input row, and its tight rays.
 
     The third list holds, per input row, the bitmask of the rays tight on it.
-    Rows are primitive-reduced and merged before the cone run.  A row supports
-    a facet iff its set of tight rays is maximal among the proper sets: every
-    face lies in a facet, and distinct facets have incomparable ray sets.  The
-    zero row is tight on every ray and is neither a facet nor a witness
-    against one; any other row tight on every ray means the cone is flat.
+    Rows are primitive-reduced and merged before the cone run, and a
+    ``start``'s row indices with them.  A row supports a facet iff its set of
+    tight rays is maximal among the proper sets: every face lies in a facet,
+    and distinct facets have incomparable ray sets.  The zero row is tight on
+    every ray and is neither a facet nor a witness against one; any other row
+    tight on every ray means the cone is flat.
     """
     index: dict[IntVec, int] = {}
     mapping = [index.setdefault(primitive_int_vec(r), len(index)) for r in rows]
     uniq = list(index)
-    rays, tight = extreme_rays(uniq)
+    if start is not None:
+        start = ([mapping[i] for i in start[0]], start[1])
+    rays, tight = extreme_rays(uniq, start)
 
     sets = transpose(tight, len(uniq))
     full = (1 << len(rays)) - 1
@@ -222,13 +241,17 @@ def orthant_hull_facets(
     constraint supports a facet of the cone.  The third list holds, per facet
     returned, the bitmask of the points (by index) tight on it.
     """
+    if not points:
+        raise DimensionError("point set is not full-dimensional")
     n = len(points[0][0])
     if any(x < 0 for v, _ in points for x in v):
         raise PreconditionError("orthant representatives need nonnegative coordinates")
     if not all(any(v[i] for v, _ in points) for i in range(n)):
         raise DimensionError("point set is not full-dimensional")
     rows = [v + (-t,) for v, t in points] + [tuple(-int(k == i) for k in range(n + 1)) for i in range(n)]
-    rays, flags, sets = _convert(rows)
+    v, t = points[0]  # the rows -e_i and (v, -t) cut out the closed-form start of the module docstring
+    first = [primitive_int_vec((0,) * i + (t,) + (0,) * (n - 1 - i) + (v[i],)) for i in range(n)]
+    rays, flags, sets = _convert(rows, ([len(points) + i for i in range(n)] + [0], first + [(0,) * n + (1,)]))
     sets = sets[: len(points)]
     cover = [0] * n  # coordinate i -> the rays tight on a point nonzero at i
     for (v, _), s in zip(points, sets):

@@ -92,7 +92,8 @@ from 0/1, and builds one Fraction at the end.
 
 Volume is a sum of cones from one apex over the facets that miss it, one
 facet per orbit of the reflections that fix the body, each cone weighted by
-the size of its orbit (``_orbit_weight``).  Which reflections fix the body is
+the size of its orbit (``_orbit_weights``, read once per body for all its
+facet rows).  Which reflections fix the body is
 the field ``_symmetry``: 2 when every coordinate sign flip does, 1 when only
 the negation does, 0 otherwise; ``is_unconditional`` reads it.  The
 constructors that know it store it at birth: 2 for ``_orthant_hull``,
@@ -110,13 +111,17 @@ reflection g fixing the body maps conv(0, F) onto conv(0, gF), which has the
 same volume.  Each facet is triangulated by pulling: cone from its first
 vertex over its own facets that miss it, recursively, down to faces that are
 simplices.  The facets of a face are its maximal proper intersections with
-its parent's facets (bitmasks of ``_facet_masks``, no rank work); they depend
-on the face alone, so the triangulations are shared through a memo keyed by
-the mask.  Against the
-apex ``(V_z, t_z)``, which is ``(0, 1)`` for the origin, a cell's edge rows
-``E_i = t_z*V_i - t_i*V_z`` give it volume
-``|int_det(E)| / (prod t_i * t_z^d * d!)``; the weighted ints are summed per
-``prod t_i`` and divided once, over their lcm.
+its parent's facets (bitmasks of ``_facet_masks``, no rank work); only
+intersections with at least as many vertices as the face's dimension can be
+facets, and only they are kept.  They depend on the face alone, so the
+triangulations are shared through a memo keyed by the mask.  Against the
+apex ``(V_z, t_z)`` a cell's edge rows ``E_i = t_z*V_i - t_i*V_z`` give it
+volume ``|det(E)| / (prod t_i * t_z^d * d!)``.  With the origin as apex
+(classes 1 and 2), ``(V_z, t_z) = (0, 1)`` and ``E_i = V_i``: the cell rows
+are the vertex rows as they stand, and only class 0 builds edge rows.  Each
+cell goes straight to the fraction-free elimination (``ratlin._bareiss``);
+the weighted ints are summed per ``prod t_i`` and divided once, over their
+lcm.
 
 The distance from a point to a polytope is the norm of the min-norm point of
 the translated vertices, found exactly by Wolfe's algorithm on the same
@@ -153,6 +158,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
+from itertools import compress
 from operator import mul
 from typing import Iterable, Sequence
 
@@ -167,10 +173,10 @@ from .errors import (
 )
 from .ratlin import (
     Vec,
+    _bareiss,
     _clip,
     format_ratio,
     fr,
-    int_det,
     int_row,
     int_solve,
     parse_fraction,
@@ -613,8 +619,11 @@ def _pull_triangulation(
     every face of s is an intersection of the parent's facets, all
     codimension-1 faces of s occur, and anything lower-dimensional is
     swallowed by one of them, so maximality alone (``dd.maximal_sets``)
-    identifies them with no rank computations.  They depend on s alone, so
-    the memo is keyed by s.
+    identifies them with no rank computations.  Only intersections with at
+    least dim vertices are candidates: a facet of s, of dimension dim - 1,
+    has at least dim vertices, and a set containing a smaller one is no
+    smaller, so dropping them changes no maximal set.  The facets depend on s
+    alone, so the memo is keyed by s.
     """
     got = memo.get(s)
     if got is not None:
@@ -628,7 +637,7 @@ def _pull_triangulation(
         memo[s] = out
         return out
     apex = (s & -s).bit_length() - 1
-    facets = dd.maximal_sets({s & o for o in parent_facets} - {0, s})
+    facets = dd.maximal_sets({c for o in parent_facets if (c := s & o).bit_count() >= dim and c != s})
     out = []
     for c in facets:
         if c >> apex & 1:
@@ -646,19 +655,22 @@ def volume(p: Polytope) -> Fraction:
     verts = p.vertex_rows
     facet_masks = p._facet_masks
     symmetry = p._symmetry
-    if symmetry:
-        apex, tz = (0,) * d, 1  # the origin
-        cones = [(f, w) for f, (row, _) in zip(facet_masks, p.facet_rows) if (w := _orbit_weight(row, symmetry))]
+    if symmetry:  # the origin as apex: the cell rows are the vertex rows
+        tz = 1
+        rows = [v for v, _ in verts]
+        cones = [(f, w) for f, w in zip(facet_masks, _orbit_weights(p.facet_rows, symmetry)) if w]
     else:
         apex, tz = verts[0]
+        rows = [tuple(tz * x - t * y for x, y in zip(v, apex)) for v, t in verts]
         cones = [(f, 1) for f in facet_masks if not f & 1]
-    edges = [tuple(tz * x - t * y for x, y in zip(v, apex)) for v, t in verts]
+    dens = [t for _, t in verts]
     by_den: dict[int, int] = {}  # prod t_i over a cell's vertices -> weighted sum of |det|
     memo: dict[int, list[tuple[int, ...]]] = {}
     for f, w in cones:
         for cell in _pull_triangulation(f, d - 1, facet_masks, memo):
-            q = math.prod([verts[i][1] for i in cell])
-            by_den[q] = by_den.get(q, 0) + w * abs(int_det([edges[i] for i in cell]))
+            a = [list(rows[i]) for i in cell]
+            q = math.prod([dens[i] for i in cell])
+            by_den[q] = by_den.get(q, 0) + w * abs(_bareiss(a, d) * a[-1][-1])
     lcm = math.lcm(*by_den)
     return Fraction(sum(n * (lcm // q) for q, n in by_den.items()), lcm * tz**d * math.factorial(d))
 
@@ -743,18 +755,20 @@ def _row_distance_sq(p: Polytope, x_row: tuple[int, ...], dx: int, cap: Fraction
     return _min_norm_sq(pts, cap * scale**2) / scale**2
 
 
-def _orbit_weight(v: Sequence[Fraction | int], symmetry: int) -> int:
-    """The size of v's orbit under the reflections of class ``symmetry`` if v represents it, else 0.
+def _orbit_weights(rows: Sequence[Row], symmetry: int) -> list[int]:
+    """Per row (v, _): the size of v's orbit under the reflections of class ``symmetry`` if v stands for it, else 0.
 
     Class 2: v with no negative coordinate stands for its 2^(nonzero count)
-    sign flips.  Class 1: v != 0 with its first nonzero coordinate positive
-    stands for {v, -v}.  Class 0: every v stands for itself.
+    sign flips.  Class 1: v != 0 with its first nonzero coordinate positive,
+    that is v > 0 lexicographically, stands for {v, -v}.  Class 0: every v
+    stands for itself.
     """
     if symmetry == 2:
-        return 1 << sum(1 for x in v if x) if min(v) >= 0 else 0
+        return [1 << (len(v) - v.count(0)) if min(v) >= 0 else 0 for v, _ in rows]
     if symmetry == 1:
-        return 2 if next(x for x in v if x) > 0 else 0
-    return 1
+        zero = (0,) * len(rows[0][0])
+        return [2 if v > zero else 0 for v, _ in rows]
+    return [1] * len(rows)
 
 
 def hausdorff_distance_sq(p: Polytope, q: Polytope) -> Fraction:
@@ -771,9 +785,8 @@ def hausdorff_distance_sq(p: Polytope, q: Polytope) -> Fraction:
     symmetry = min(p._symmetry, q._symmetry)
     best = Fraction(0)
     for body, other in ((p, q), (q, p)):
-        for v, t in body.vertex_rows:
-            if _orbit_weight(v, symmetry):
-                best = max(best, _row_distance_sq(other, v, t, best))
+        for v, t in compress(body.vertex_rows, _orbit_weights(body.vertex_rows, symmetry)):
+            best = max(best, _row_distance_sq(other, v, t, best))
     return best
 
 

@@ -16,13 +16,14 @@ that clears a Fraction vector to an integer row; every module calls it
 rather than scaling by hand.
 
 There is one fraction-free elimination, ``_bareiss``: a forward pass over a
-square system.  ``int_det`` reads its last pivot (for ``volume``), and
-``int_solve`` runs it on the rows augmented by a list of right-hand-side
-columns and back-substitutes each column exactly.  It has two callers:
-``dd.extreme_rays`` passes the d columns ``-e_j`` of its initial rays in one
-call, and Wolfe's Gram solve in ``polytope`` passes its single column of ones.
+square system.  ``volume`` hands it each cell and reads the last pivot, as
+``int_det`` does, and ``int_solve`` runs it on the rows augmented by a list
+of right-hand-side columns and back-substitutes each column exactly.
+``int_solve`` has two callers: ``dd.extreme_rays``, short of a closed-form
+start, passes the d columns ``-e_j`` of its initial rays in one call, and
+Wolfe's Gram solve in ``polytope`` passes its single column of ones.
 ``independent_rows`` is one incremental gcd-trimmed row reduction:
-``dd.extreme_rays`` takes its basis from it.  ``determinant`` and
+``dd.extreme_rays`` takes that basis from it.  ``determinant`` and
 ``solve_linear`` are thin Fraction faces of ``int_det`` and ``int_solve``,
 rows cleared by ``int_row``, and ``int_rank`` is the length of
 ``independent_rows``; none of the three has a caller in the package, and

@@ -27,6 +27,7 @@ import statistics
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from itertools import compress
 from typing import Optional, Sequence
 
 from .errors import (
@@ -49,7 +50,7 @@ from .graphs import (
 from .polytope import (
     Polytope,
     _hull,
-    _orbit_weight,
+    _orbit_weights,
     _orthant_hull,
     _primitive_row,
     hausdorff_distance_sq,
@@ -208,7 +209,7 @@ def perturb_unconditional(h: Polytope, delta, seed: int) -> Polytope:
     if not 0 <= delta < 1:
         raise PreconditionError("delta must satisfy 0 <= delta < 1")
     hn = normalize_unconditional(h)
-    reps = [(v, t) for v, t in hn.vertex_rows if _orbit_weight(v, 2)]  # the closed positive orthant
+    reps = list(compress(hn.vertex_rows, _orbit_weights(hn.vertex_rows, 2)))  # the closed positive orthant
     rng = random.Random(seed)
     scaled = []
     for v, t in reps:
@@ -347,7 +348,7 @@ def symmetric_probe(h: Polytope, delta, trials: int, seed: int) -> SymmetricProb
     if trials < 0:
         raise PreconditionError("trial count must be nonnegative")
     hn = normalize_unconditional(h)
-    reps = [(v, t) for v, t in hn.vertex_rows if _orbit_weight(v, 1)]  # one vertex of each +- pair
+    reps = list(compress(hn.vertex_rows, _orbit_weights(hn.vertex_rows, 1)))  # one vertex of each +- pair
     shift, unit = delta.numerator, delta.denominator * 2**13  # each jitter is shift * r / unit
     records = []
     min_excess: Optional[Fraction] = None

@@ -15,9 +15,9 @@ def dd_runs(monkeypatch) -> list[int]:
     runs: list[int] = []
     real = dd.extreme_rays
 
-    def counting(rows):
+    def counting(rows, start=None):
         runs.append(len(rows))
-        return real(rows)
+        return real(rows, start)
 
     def forbidden(*args):
         raise AssertionError("coordinate_section called")

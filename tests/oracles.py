@@ -355,6 +355,27 @@ def volume_by_pulling(p: Polytope) -> Fraction:
     return total / factorial(p.dim)
 
 
+def pull_triangulation_unfiltered(s: int, dim: int, parent_facets, memo: dict) -> list[tuple[int, ...]]:
+    """``polytope._pull_triangulation`` with every nonempty proper intersection ``s & o`` a face candidate.
+
+    The children rule before the size filter: the facets of s are the maximal
+    sets among all of them, whatever their size.
+    """
+    if s not in memo:
+        if s.bit_count() == dim + 1:
+            memo[s] = [tuple(i for i in range(s.bit_length() - 1, -1, -1) if s >> i & 1)]
+        else:
+            apex = (s & -s).bit_length() - 1
+            facets = dd.maximal_sets({s & o for o in parent_facets} - {0, s})
+            memo[s] = [
+                t + (apex,)
+                for c in facets
+                if not c >> apex & 1
+                for t in pull_triangulation_unfiltered(c, dim - 1, facets, memo)
+            ]
+    return memo[s]
+
+
 def orthant_volume(p: Polytope, unused=None) -> Fraction:
     """Volume by orthant decomposition, all pieces done by brute force.
 

@@ -1,11 +1,12 @@
 """Tests for exact polytope geometry: hulls, duality, sums, metrics."""
 
 import dataclasses
+import functools
 import json
 import math
 import random
 from fractions import Fraction
-from itertools import product as iter_product
+from itertools import compress, product as iter_product
 
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
@@ -44,7 +45,6 @@ from mahlerlab.polytope import (
 )
 from mahlerlab import dd, polytope, ratlin, stability, volprod
 from mahlerlab.graphs import enumerate_p4_free_labeled, enumerate_standard_hanner, polytope_from_graph
-from mahlerlab.ratlin import int_det
 from mahlerlab.stability import (
     ExperimentConfig,
     perturb_unconditional,
@@ -67,6 +67,7 @@ from oracles import (
     make_by_fractions,
     membership_by_fractions,
     permute_coordinates,
+    pull_triangulation_unfiltered,
     subset_facets,
     subset_vertices,
     to_json_dict_by_views,
@@ -229,7 +230,7 @@ def _count_dd_solves(build) -> tuple[list[int], list[int]]:
     real_solve, real_rays = dd.int_solve, dd.extreme_rays
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(dd, "int_solve", lambda rows, cols: solves.append(len(cols)) or real_solve(rows, cols))
-        mp.setattr(dd, "extreme_rays", lambda rows: runs.append(len(rows[0])) or real_rays(rows))
+        mp.setattr(dd, "extreme_rays", lambda rows, start=None: runs.append(len(rows[0])) or real_rays(rows, start))
         build()
     return solves, runs
 
@@ -239,6 +240,10 @@ def test_dd_solves_its_initial_rays_in_one_elimination_on_the_cube():
     for build in (lambda: from_vertices(cube(4).vertices), lambda: from_halfspaces(cube(4).facets, 4)):
         solves, runs = _count_dd_solves(build)
         assert solves == runs == [5]
+    # an orthant run starts from its closed-form cone, with no elimination at all
+    for build in (lambda: random_unconditional_polytope(4, 0), lambda: volprod.truncated_cube(4, F(7, 8))):
+        solves, runs = _count_dd_solves(build)
+        assert solves == [] and runs == [5]
 
 
 @given(st.lists(st.tuples(rationals, rationals, rationals), min_size=4, max_size=9))
@@ -774,11 +779,11 @@ def test_orbit_weight_picks_the_representatives_of_the_rules_it_replaced():
     probes = _probe_bodies()
     for body in hanner + perturbed:
         assert body._symmetry == 2
-        reps = [v for v in body.vertices if polytope._orbit_weight(v, 2)]
+        reps = list(compress(body.vertices, polytope._orbit_weights(body.vertex_rows, 2)))
         assert reps == sorted({tuple(abs(x) for x in v) for v in body.vertices})
     assert [body._symmetry for body in probes] == [1] * len(probes)
     for body in hanner + perturbed + probes:
-        reps = [v for v in body.vertices if polytope._orbit_weight(v, 1)]
+        reps = list(compress(body.vertices, polytope._orbit_weights(body.vertex_rows, 1)))
         assert reps == [v for v in body.vertices if next(x for x in v if x) > 0]
 
 
@@ -848,6 +853,51 @@ def test_orbit_cones_match_pulling_from_vertex_0(p):
         assert volume(q) == volume_by_pulling(q)
 
 
+@functools.cache
+def _standard_hanner(n: int) -> list[Polytope]:
+    return [h for _, h in enumerate_standard_hanner(n)]
+
+
+@st.composite
+def certificate_body(draw):
+    """A body of the shapes the ``certificates`` items measure, its polar, or a coordinate section of either.
+
+    Random unconditional bodies with n = 4, 5, truncated cubes on the grid
+    t = (n-1)/n + k/(8n), k = 0..8, and standard Hanner balls with n <= 5.
+    """
+    kind = draw(st.sampled_from(["random", "truncated", "hanner"]))
+    if kind == "random":
+        p = random_unconditional_polytope(draw(st.sampled_from([4, 5])), draw(st.integers(min_value=0, max_value=999)))
+    elif kind == "truncated":
+        n = draw(st.sampled_from([3, 4, 5]))
+        p = volprod.truncated_cube(n, F(n - 1, n) + F(draw(st.integers(min_value=0, max_value=8)), 8 * n))
+    else:
+        p = draw(st.sampled_from(_standard_hanner(draw(st.integers(min_value=2, max_value=5)))))
+    if draw(st.booleans()):
+        p = polar(p)
+    j = draw(st.integers(min_value=-1, max_value=p.dim - 1))
+    return p if j < 0 else coordinate_section(p, j)
+
+
+@given(certificate_body())
+@example(random_unconditional_polytope(5, 0))
+@example(polar(volprod.truncated_cube(5, F(4, 5))))
+@settings(max_examples=12, deadline=None)
+def test_volume_matches_pulling_on_the_certificate_shapes(p):
+    assert volume(p) == volume_by_pulling(p)
+
+
+@given(certificate_body())
+@settings(max_examples=40, deadline=None)
+def test_size_filtered_faces_give_the_unfiltered_cells(p):
+    # a facet of a dim-face has at least dim vertices, so dropping the smaller
+    # intersections changes no maximal set; only the order of the cells may move
+    masks = p._facet_masks
+    for f in masks:
+        got = polytope._pull_triangulation(f, p.dim - 1, masks, {})
+        assert sorted(got) == sorted(pull_triangulation_unfiltered(f, p.dim - 1, masks, {}))
+
+
 def test_volume_of_n5_probe_polar_is_reflection_invariant():
     # the body of trial 0 of symmetric_probe(cube(5), 1/10, trials, seed=0):
     # its polar's vertex denominators stay under 100 bits, their lcm does not
@@ -887,11 +937,12 @@ def test_simplex_faces_are_their_own_cell(monkeypatch):
 def test_volume_sums_one_determinant_per_cell(monkeypatch):
     dets: list[int] = []
 
-    def counting(rows):
-        dets.append(int_det(rows))
-        return dets[-1]
+    def counting(a, n):  # each cell goes straight to the elimination, which leaves det = sign * a[n-1][n-1]
+        sign = ratlin._bareiss(a, n)
+        dets.append(sign * a[n - 1][n - 1])
+        return sign
 
-    monkeypatch.setattr(polytope, "int_det", counting)
+    monkeypatch.setattr(polytope, "_bareiss", counting)
     # a body with no symmetry is pulled from vertex 0, so a simplex is one cell
     # (the second has the origin inside); a symmetric body cones from the
     # origin over one facet per orbit: the cube's e_n facet is an (n-1)-cube
@@ -1023,9 +1074,8 @@ def test_hausdorff_caps_each_vertex_run_at_the_best_so_far(monkeypatch):
         symmetry = min(body._symmetry, h._symmetry)
         solves.clear()
         for p, q in ((body, h), (h, body)):
-            for v in p.vertices:
-                if polytope._orbit_weight(v, symmetry):
-                    point_distance_sq(q, v)
+            for v in compress(p.vertices, polytope._orbit_weights(p.vertex_rows, symmetry)):
+                point_distance_sq(q, v)
         uncapped += len(solves)
         assert got == hausdorff_by_full_scan(body, h)
     assert len(pairs) == 3 and capped < uncapped
@@ -1319,6 +1369,12 @@ def test_orthant_hull_is_the_hull_of_the_sign_orbits(reps, dual):
     got = polytope._orthant_hull(reps)
     assert (got.vertex_rows, got.facet_rows) == (want.vertex_rows, want.facet_rows)
     assert got == want and hash(got) == hash(want)
+
+
+@pytest.mark.parametrize("build", [dd.hull_facets, dd.orthant_hull_facets, polytope._hull, polytope._orthant_hull])
+def test_empty_point_sets_are_not_full_dimensional(build):
+    with pytest.raises(DimensionError, match="point set is not full-dimensional"):
+        build([])
 
 
 def test_orthant_hull_guards():
