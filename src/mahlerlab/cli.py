@@ -129,6 +129,8 @@ def cmd_volprod(args: argparse.Namespace) -> int:
         data = json.loads(raw)
     except json.JSONDecodeError as exc:
         raise FormatError(f"{args.polytope}:{exc.lineno}:{exc.colno}: {exc.msg}") from exc
+    except ValueError as exc:  # an integer literal past Python's int digit limit
+        raise FormatError(f"{args.polytope}: {exc}") from exc
     body = from_json_dict(data)
     try:
         rep = volume_product(body, body_id=args.polytope)

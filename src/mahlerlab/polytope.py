@@ -39,7 +39,8 @@ representative is a vertex of K iff its row is a facet of C, the flag DD
 sets: a point that is no vertex has a row implied on a >= 0 by the vertex
 rows, and a vertex's facet of the polar keeps full dimension
 when folded into the orthant.  ``_make`` sorts both row sets, so the body is
-the one ``_hull`` of the full orbit gives.
+the one ``_hull`` of the full orbit gives.  ``cube`` and ``interval`` are
+such bodies, of the one representative (1, ..., 1) or r.
 
 The vertex-facet incidence is the field ``_facet_masks``, one vertex
 bitmask per facet row: facet ``(A, B)`` holds vertex i iff
@@ -47,13 +48,11 @@ bitmask per facet row: facet ``(A, B)`` holds vertex i iff
 that knows it stores it at birth.  ``_hull`` and ``coordinate_section``
 re-index each vertex's facet set (DD's tight rays, the section's vertex
 sets) to the sorted rows once, with no dot product
-(``_make_with_incidence``).  ``cube`` and ``interval`` state it in closed
-form: vertex v lies on the facet ``s*x_i <= 1`` iff v_i = s.
-``_orthant_hull`` reads it off the representatives by the orbit rule: for
-representatives a, v >= 0 and sign flips tau of a and sigma of v, the vertex
-``sigma v`` lies on the facet ``tau a`` iff v is tight on a and tau = sigma
-on ``supp(a) cap supp(v)``.  Indeed
-``<tau a, sigma v> = sum tau_i sigma_i a_i v_i <= <a, v> <= s*t``, with
+(``_make_with_incidence``).  ``_orthant_hull`` reads it off the
+representatives by the orbit rule: for representatives a, v >= 0 and sign
+flips tau of a and sigma of v, the vertex ``sigma v`` lies on the facet
+``tau a`` iff v is tight on a and tau = sigma on ``supp(a) cap supp(v)``.
+Indeed ``<tau a, sigma v> = sum tau_i sigma_i a_i v_i <= <a, v> <= s*t``, with
 equality iff v is tight on a and every term ``a_i v_i > 0`` keeps its sign.
 Only the representatives that are vertices are read: one that is not can
 still be tight on a facet.  For each tight pair, v's orbit is grouped once by
@@ -96,9 +95,9 @@ the size of its orbit (``_orbit_weights``, read once per body for all its
 facet rows).  Which reflections fix the body is
 the field ``_symmetry``: 2 when every coordinate sign flip does, 1 when only
 the negation does, 0 otherwise; ``is_unconditional`` reads it.  The
-constructors that know it store it at birth: 2 for ``_orthant_hull``,
-``cube``, ``interval`` and ``coordinate_section`` (a section of an
-unconditional body is unconditional); ``polar`` keeps it, since a reflection
+constructors that know it store it at birth: 2 for ``_orthant_hull`` and
+``coordinate_section`` (a section of an unconditional body is
+unconditional); ``polar`` keeps it, since a reflection
 fixes K iff it fixes K polar, and ``diagonal_image`` keeps it, since a
 diagonal map D commutes with every such reflection g, so g fixes DK iff it
 fixes K.  Other bodies fall back to ``_symmetry_scan`` of the vertex rows.
@@ -387,14 +386,8 @@ def from_halfspaces(ineqs: Sequence[tuple[Sequence[Fraction | int], Fraction | i
 
 
 def cube(n: int) -> Polytope:
-    """[-1, 1]^n, built directly: vertex v lies on the facet ``s*x_i <= 1`` iff v_i = s."""
-    facets = [(e, 1) for i in range(n) for e in sign_orbit(tuple(int(k == i) for k in range(n)))]
-    q = _make(n, [(v, 1) for v in sign_orbit((1,) * n)], facets)
-    masks = []
-    for a, _ in q.facet_rows:
-        i = next(c for c, x in enumerate(a) if x)  # the facet a_i x_i <= 1
-        masks.append(sum(1 << k for k, (v, _) in enumerate(q.vertex_rows) if v[i] == a[i]))
-    return _known(q, _facet_masks=tuple(masks), _symmetry=2)
+    """[-1, 1]^n, the orthant hull of the point (1, ..., 1)."""
+    return _orthant_hull([((1,) * n, 1)])
 
 
 def cross_polytope(n: int) -> Polytope:
@@ -403,12 +396,11 @@ def cross_polytope(n: int) -> Polytope:
 
 
 def interval(radius: Fraction | int = 1) -> Polytope:
+    """[-r, r], the orthant hull of the point r > 0."""
     r = fr(radius)
     if r <= 0:
         raise PreconditionError("interval radius must be positive")
-    p, q = r.numerator, r.denominator
-    # sorted rows: -r < r, and x >= -r holds only -r, x <= r only r
-    return _known(Polytope(1, (((-p,), q), ((p,), q)), (((-q,), p), ((q,), p))), _facet_masks=(1, 2), _symmetry=2)
+    return _orthant_hull([((r.numerator,), r.denominator)])
 
 
 # ---------------------------------------------------------------------------
@@ -478,17 +470,8 @@ def polar(p: Polytope) -> Polytope:
     return _known(Polytope(p.dim, p.facet_rows, p.vertex_rows), **facts)
 
 
-def sign_orbit(v: Sequence[Fraction | int]) -> list[tuple]:
-    """Every vector obtained from v by flipping the signs of its nonzero coordinates.
-
-    Bit k of the pattern index flips the k-th nonzero coordinate, so the
-    first entry is v itself.
-    """
-    return [w for _, w in _flips(v)]
-
-
-def _flips(v: Sequence[Fraction | int]) -> list[tuple[int, tuple]]:
-    """``sign_orbit(v)`` in its order, each vector w with the bitmask of the coordinates where it flips v."""
+def _flips(v: Sequence[int]) -> list[tuple[int, tuple[int, ...]]]:
+    """The sign orbit of v, v first and -v on supp(v) last, each w with the bitmask of the coordinates it flips."""
     out = [(0, tuple(v))]
     for i, x in enumerate(v):
         if x:

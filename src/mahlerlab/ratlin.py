@@ -32,7 +32,8 @@ they keep their names because the benchmark's tracer binds them.
 
 from __future__ import annotations
 
-from decimal import Decimal, InvalidOperation
+import sys
+from decimal import MAX_EMAX, MIN_EMIN, Decimal, InvalidOperation, localcontext
 from fractions import Fraction
 from math import gcd, lcm, prod
 from typing import Iterable, Sequence
@@ -209,8 +210,14 @@ def format_exact(x: Fraction) -> str:
 
 
 def format_approx(x: Fraction) -> str:
-    """12-significant-digit decimal, clearly an approximation, never used inward."""
-    return f"{float(x):.12g}"
+    """12-significant-digit decimal, clearly an approximation, never used inward.
+
+    ``f"{float(x):.12g}"`` where a normal float holds x, else rounded once through Decimal, which has no such range.
+    """
+    if not x or sys.float_info.min <= abs(x) <= sys.float_info.max:
+        return f"{float(x):.12g}"
+    with localcontext(prec=12, Emax=MAX_EMAX, Emin=MIN_EMIN):
+        return f"{(Decimal(x.numerator) / x.denominator).normalize():.12g}"
 
 
 PARSE_MAX_DIGITS = 20_000

@@ -18,8 +18,9 @@ the cube cap as a halfspace intersection, JSON through ``str`` of the
 Fraction views, component recursion for the labeled P4-free graphs, and the
 Hanner ball of a cotree as nested l1 and linf sums, permuted into place.  The
 small helpers that only tests call live here too: the Fraction unit vector
-``unit_vec``, the graph builders ``path_graph`` and ``induced_subgraph`` and
-the coordinate relabeling ``permute_coordinates``.
+``unit_vec``, the sign flips ``sign_orbit``, the graph builders
+``path_graph`` and ``induced_subgraph`` and the coordinate relabeling
+``permute_coordinates``.
 The library pieces reused are: the dot product ``dot``,
 membership and the primitive facet row ``_int_facet`` that ``canon_facet``
 reads, each covered by its own tests, DD and ``_make`` for the sections, for
@@ -63,6 +64,11 @@ from mahlerlab.volprod import corner_bound_factor, mahler_bound
 
 def unit_vec(n: int, i: int) -> tuple[Fraction, ...]:
     return tuple(Fraction(int(j == i)) for j in range(n))
+
+
+def sign_orbit(v) -> list[tuple]:
+    """Every vector obtained from v by flipping the signs of some of its nonzero coordinates, v itself first."""
+    return list(iter_product(*[(x, -x) if x else (x,) for x in v]))
 
 
 def path_graph(n: int) -> Graph:

@@ -39,3 +39,52 @@ def test_the_check_finds_an_unused_import():
 @pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
 def test_no_module_imports_a_name_it_never_uses(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+def unread_private_functions(sources: dict[str, str]) -> list[str]:
+    """Module-level ``_private`` functions that no module reads outside their own body, as ``"module.name"``.
+
+    A read is a name, an attribute or a ``from ... import`` of the name;
+    a recursive call inside the function's own body is no read.
+    """
+    trees = {module: ast.parse(source) for module, source in sources.items()}
+    read: dict[str, set[str]] = {}  # name -> the modules and own bodies reading it
+    for module, tree in trees.items():
+        owners = {id(node): f"{module}.{node.name}" for node in tree.body if isinstance(node, ast.FunctionDef)}
+
+        def visit(node: ast.AST, where: str) -> None:
+            where = owners.get(id(node), where)
+            if isinstance(node, ast.Name):
+                read.setdefault(node.id, set()).add(where)
+            elif isinstance(node, ast.Attribute):
+                read.setdefault(node.attr, set()).add(where)
+            elif isinstance(node, ast.ImportFrom):
+                for alias in node.names:
+                    read.setdefault(alias.name, set()).add(where)
+            for child in ast.iter_child_nodes(node):
+                visit(child, where)
+
+        visit(tree, module)
+    return sorted(
+        f"{module}.{node.name}"
+        for module, tree in trees.items()
+        for node in tree.body
+        if isinstance(node, ast.FunctionDef)
+        and node.name.startswith("_")
+        and not read.get(node.name, set()) - {f"{module}.{node.name}"}
+    )
+
+
+def test_the_check_finds_an_unread_private_function():
+    sources = {
+        "a": "def _used(): pass\ndef _recursive(n): return _recursive(n - 1)\ndef _unused(): pass\ndef public(): pass\n",
+        "b": "from .a import _used\n_used()\n",
+        "c": "import a\na._attr()\ndef _attr(): pass\n",
+    }
+    assert unread_private_functions(sources) == ["a._recursive", "a._unused"]
+
+
+def test_every_private_function_has_a_package_reader():
+    # a helper that only tests call belongs in tests/oracles.py
+    sources = {path.stem: path.read_text(encoding="utf-8") for path in sorted(SRC.glob("*.py"))}
+    assert unread_private_functions(sources) == []

@@ -130,6 +130,31 @@ def test_volprod_refuses_a_body_without_the_origin_inside(tmp_path, capsys):
     assert err == f"error: {path}: the volume product needs the origin in the interior\n"
 
 
+def test_volprod_writes_a_product_past_the_float_range(tmp_path, capsys):
+    # [-1, 10^400] and its polar [-1, 10^-400]: the exact fields as ever, the approximations through Decimal
+    path = tmp_path / "long.json"
+    path.write_text('{"dim": 1, "vertices": [["-1"], ["1e400"]]}', encoding="utf-8")
+    code, out, err = run_main(capsys, ["volprod", str(path)])
+    assert code == 0 and err == ""
+    doc = json_after_config(out)
+    vol_body, vol_polar = F(10**400 + 1), 1 + F(1, 10**400)
+    product = vol_body * vol_polar
+    want = {"vol_body": vol_body, "vol_polar": vol_polar, "product": product, "bound": F(4), "excess": product - 4}
+    assert {k: doc[k]["exact"] for k in want} == {k: format_exact(x) for k, x in want.items()}
+    assert [doc[k]["approx"] for k in want] == ["1e+400", "1", "1e+400", "4", "1e+400"]
+    assert doc["verdict"] is True
+
+
+def test_volprod_refuses_an_integer_literal_past_the_digit_limit(tmp_path, capsys):
+    # json.loads raises a plain ValueError on it: an input error naming the file, not an internal one
+    path = tmp_path / "long_int.json"
+    path.write_text('{"dim": 1, "vertices": [[-1], [' + "1" * 5000 + "]]}", encoding="utf-8")
+    code, out, err = run_main(capsys, ["volprod", str(path)])
+    assert code == 2
+    assert out == f"config: mahlerlab volprod {path}\n"
+    assert err.startswith(f"error: {path}: ") and "digits" in err
+
+
 def test_volprod_missing_file(tmp_path, capsys):
     code, _, err = run_main(capsys, ["volprod", str(tmp_path / "nope.json")])
     assert code == 2

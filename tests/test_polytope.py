@@ -68,6 +68,7 @@ from oracles import (
     membership_by_fractions,
     permute_coordinates,
     pull_triangulation_unfiltered,
+    sign_orbit,
     subset_facets,
     subset_vertices,
     to_json_dict_by_views,
@@ -237,13 +238,19 @@ def _count_dd_solves(build) -> tuple[list[int], list[int]]:
 
 def test_dd_solves_its_initial_rays_in_one_elimination_on_the_cube():
     # the d initial rays are the d columns of one int_solve call, not d calls
-    for build in (lambda: from_vertices(cube(4).vertices), lambda: from_halfspaces(cube(4).facets, 4)):
+    c = cube(4)  # itself an orthant run, built before counting
+    for build in (lambda: from_vertices(c.vertices), lambda: from_halfspaces(c.facets, 4)):
         solves, runs = _count_dd_solves(build)
         assert solves == runs == [5]
-    # an orthant run starts from its closed-form cone, with no elimination at all
-    for build in (lambda: random_unconditional_polytope(4, 0), lambda: volprod.truncated_cube(4, F(7, 8))):
+    # an orthant run starts from its closed-form cone, with no elimination at all; the cube's cone is
+    # that start itself, and the truncated cube runs twice: the cube of its cross polytope, then the cap
+    for build, widths in (
+        (lambda: cube(4), [5]),
+        (lambda: random_unconditional_polytope(4, 0), [5]),
+        (lambda: volprod.truncated_cube(4, F(7, 8)), [5, 5]),
+    ):
         solves, runs = _count_dd_solves(build)
-        assert solves == [] and runs == [5]
+        assert solves == [] and runs == widths
 
 
 @given(st.lists(st.tuples(rationals, rationals, rationals), min_size=4, max_size=9))
@@ -654,6 +661,25 @@ def test_facts_known_at_birth_are_the_oracles(born, data):
         check_facts(coordinate_section(polar(p), j), *UNCONDITIONAL_FACTS)
         blow = max(gauge(p, [int(i != c) for i in range(p.dim)]) for c in range(p.dim))  # the largest corner gauge
         check_facts(volprod._cube_cap(p, blow), "_vertex_masks", "_symmetry")
+
+
+@pytest.mark.parametrize("n", range(1, 8))
+def test_cube_is_the_orthant_hull_of_its_corner(n):
+    c = cube(n)
+    check_facts(c, *UNCONDITIONAL_FACTS)  # held at birth, and equal to the oracles' incidence and class
+    assert c.vertex_rows == tuple((v, 1) for v in iter_product((-1, 1), repeat=n))
+    assert c.facet_rows == tuple(sorted((tuple(s * (k == i) for k in range(n)), 1) for i in range(n) for s in (-1, 1)))
+    assert c._symmetry == 2
+
+
+@pytest.mark.parametrize("r", [1, F(3, 7), 5, F(22, 3)])
+def test_interval_is_the_orthant_hull_of_its_radius(r):
+    p, q = F(r).numerator, F(r).denominator
+    i = interval(r)
+    check_facts(i, *UNCONDITIONAL_FACTS)
+    assert i.vertex_rows == (((-p,), q), ((p,), q))
+    assert i.facet_rows == (((-q,), p), ((q,), p))
+    assert i._facet_masks == (1, 2) and i._symmetry == 2  # x >= -r holds only -r, x <= r only r
 
 
 def test_diagonal_image_sorts_the_rows_of_a_body_with_a_facet_through_the_origin():
@@ -1342,7 +1368,7 @@ def test_hull_of_rows_is_from_vertices_of_points(pts):
 
 def _orbit_hull(reps):
     """``_hull`` of the full sign orbits of the representative rows, the input ``_orthant_hull`` saves."""
-    return polytope._hull([(u, t) for v, t in reps for u in polytope.sign_orbit(v)])
+    return polytope._hull([(u, t) for v, t in reps for u in sign_orbit(v)])
 
 
 @st.composite

@@ -285,6 +285,27 @@ def test_format_approx_digits():
     assert format_approx(Fraction(2)) == "2"
 
 
+scaled_fracs = st.builds(  # a few digits over a few digits, times 10^e, in and past the float range both ways
+    lambda p, q, e: Fraction(p, q) * Fraction(10) ** e,
+    st.integers(min_value=-(10**15), max_value=10**15),
+    st.integers(min_value=1, max_value=10**15),
+    st.integers(min_value=-340, max_value=340),
+)
+
+
+@given(st.one_of(fracs, scaled_fracs))
+@settings(max_examples=300)
+def test_format_approx_is_the_float_formula_where_a_float_holds_the_value(x):
+    s = format_approx(x)
+    if x == 0 or sys.float_info.min <= abs(x) <= sys.float_info.max:
+        assert s == f"{float(x):.12g}"
+    else:  # 12 significant digits, written as the float formula writes an exponent
+        mantissa, _, exponent = s.partition("e")
+        assert exponent[0] in "+-" and len(exponent) >= 4 and not mantissa.endswith((".", "0"))
+        assert len(mantissa.lstrip("-").replace(".", "")) <= 12
+        assert abs(Fraction(s) - x) <= abs(x) * Fraction(1, 2 * 10**11)
+
+
 @given(st.lists(fracs, min_size=1, max_size=5))
 def test_common_denominator_and_scaling(xs):
     d = int_row(xs)[1]

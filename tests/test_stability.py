@@ -382,8 +382,9 @@ def test_unconditional_hulls_run_dd_on_the_orthant_rows(dd_runs):
         polytope_from_graph.__wrapped__(g)  # past the cache
         assert len(dd_runs) == 1 and dd_runs[0] <= len(graphs.maximal_independent_sets(g)) + g.n
     # the probe's bodies are centrally symmetric only: its hull keeps the full point set
+    c = cube(3)  # an orthant run of its own, built before counting
     dd_runs.clear()
-    symmetric_probe(cube(3), F(1, 10), trials=3, seed=0)
+    symmetric_probe(c, F(1, 10), trials=3, seed=0)
     assert dd_runs == [8, 8, 8]
 
 
