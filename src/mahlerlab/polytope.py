@@ -87,7 +87,19 @@ vertices, the candidates whose sets of chosen facets are maximal.
 A point is cleared once to ``X/dx``; ``membership`` compares the ints
 ``<A, X>`` and ``B*dx``, and ``gauge`` takes the largest ``<A, X>/B`` by
 cross-multiplication (every B > 0 when the origin is interior), starting
-from 0/1, and builds one Fraction at the end.
+from 0/1, and builds one Fraction at the end.  Both read only the facet rows
+that stand for their orbit under the reflections fixing the body, the field
+``_facet_reps``, the rows ``_orbit_weights`` gives a weight (``_vertex_reps``
+holds the vertex rows picked the same way).  On an unconditional body a row
+``A >= 0`` folds its orbit: ``<sigma A, x> <= <A, |x|>`` for every sign flip
+sigma, with equality at the flip that gives A the signs of x, so
+``<sigma A, x> <= B`` holds on the whole orbit iff ``<A, |x|> <= B``, and
+equality holds there iff it holds on some row of the orbit.  A centrally
+symmetric body pairs each facet ``(A, B)`` with ``(-A, B)`` and tests
+``|<A, x>| <= B``; any other body reads every row.  ``_orthant_hull`` stores
+both fields at birth, DD's kept rays and the representatives it flags as
+vertices, each in row order; ``polar`` swaps them; other bodies filter their
+rows once, on the first read.
 
 Volume is a sum of cones from one apex over the facets that miss it, one
 facet per orbit of the reflections that fix the body, each cone weighted by
@@ -143,7 +155,8 @@ per orbit of such reflections gives the same maximum.  The reflections are
 those of the weaker symmetry of the two bodies, and the vertices scanned are
 the orbit representatives ``volume`` picks among facet normals: the closed
 positive orthant when both bodies are unconditional, one vertex of each +-
-pair when both are centrally symmetric.  Each scanned vertex row is the
+pair when both are centrally symmetric.  A body whose class is the weaker
+one scans its ``_vertex_reps``.  Each scanned vertex row is the
 cleared point ``(X, dx)`` as it stands.  Each vertex's Wolfe run is capped
 at the largest distance found so far, which keeps the maximum exact: every
 iterate lies in the hull, so its squared norm bounds the vertex's distance
@@ -204,9 +217,14 @@ def _sorted_rows(rows: Iterable[Row]) -> tuple[Row, ...]:
     """The distinct rows ``(R, s)`` sorted on R/|s| (R/1 when s = 0) by integer keys over one lcm.
 
     For facets this is the order on ``(A/|B|, sign B)``: no two facets share A/|B|.
+    When every |s| is the same, the key is R itself, and as no two rows share
+    R/|s| the row tuples sort in that order with no key.
     """
     rows = set(rows)
-    scale = math.lcm(*(abs(s) or 1 for _, s in rows))
+    dens = {abs(s) or 1 for _, s in rows}
+    if len(dens) < 2:
+        return tuple(sorted(rows))
+    scale = math.lcm(*dens)
 
     def key(r: Row) -> list[int]:
         m = scale // (abs(r[1]) or 1)
@@ -266,6 +284,19 @@ class Polytope:
         """One facet bitmask per vertex row, the transpose of ``_facet_masks``; kept like it."""
         return tuple(dd.transpose(self._facet_masks, self.n_vertices))
 
+    @cached_property
+    def _vertex_reps(self) -> tuple[Row, ...]:
+        """The vertex rows that stand for their orbit under the reflections of ``_symmetry``, in row order.
+
+        Stored at birth by ``_orthant_hull`` and swapped by ``polar``; else one ``_orbit_weights`` filter.
+        """
+        return tuple(compress(self.vertex_rows, _orbit_weights(self.vertex_rows, self._symmetry)))
+
+    @cached_property
+    def _facet_reps(self) -> tuple[Row, ...]:
+        """The facet rows that stand for their orbit, in row order; kept like ``_vertex_reps``."""
+        return tuple(compress(self.facet_rows, _orbit_weights(self.facet_rows, self._symmetry)))
+
     @property
     def n_vertices(self) -> int:
         return len(self.vertex_rows)
@@ -296,7 +327,7 @@ def _incidence_scan(p: Polytope) -> tuple[int, ...]:
 
 
 def _known(p: Polytope, **facts) -> Polytope:
-    """p holding the facts its constructor knows (``_facet_masks``, ``_vertex_masks``, ``_symmetry``)."""
+    """p holding the facts its constructor knows (the incidence masks, ``_symmetry``, the orbit representatives)."""
     vars(p).update(facts)
     return p
 
@@ -341,7 +372,8 @@ def _orthant_hull(reps: Sequence[Row]) -> Polytope:
     """``_hull`` of the sign orbits of the closed-orthant rows ``(V, t)``, V >= 0, by one DD run on the orthant cone.
 
     The body is unconditional, and its incidence comes from the tight vertex
-    representatives by the orbit rule of the module docstring.
+    representatives by the orbit rule of the module docstring.  Its orbit
+    representatives are DD's kept rays and the representatives it flags as vertices.
     """
     facets, flags, tight = dd.orthant_hull_facets(reps)
     orbits = {k: _flips(v) for k, ((v, _), f) in enumerate(zip(reps, flags)) if f}  # the vertices, up to sign
@@ -354,11 +386,11 @@ def _orthant_hull(reps: Sequence[Row]) -> Polytope:
     at_vertex = {r: i for i, r in enumerate(q.vertex_rows)}
     at_facet = {r: i for i, r in enumerate(q.facet_rows)}
     bits = {k: [(flip, 1 << at_vertex[w, reps[k][1]]) for flip, w in orbit] for k, orbit in orbits.items()}
-    vertex_reps = sum(1 << k for k in orbits)
+    vertices = sum(1 << k for k in orbits)
     masks = [0] * q.n_facets
     for (_, b), orbit, on in zip(facets, facet_orbits, tight):
         tables = []  # per vertex representative v tight on this facet's a: v's orbit by its flips on supp(a) & supp(v)
-        on &= vertex_reps
+        on &= vertices
         while on:
             k = (on & -on).bit_length() - 1
             on &= on - 1
@@ -372,7 +404,13 @@ def _orthant_hull(reps: Sequence[Row]) -> Polytope:
             for common, table in tables:
                 m |= table[flip & common]
             masks[at_facet[w, b]] = m
-    return _known(q, _facet_masks=tuple(masks), _symmetry=2)
+    return _known(
+        q,
+        _facet_masks=tuple(masks),
+        _symmetry=2,
+        _vertex_reps=tuple(q.vertex_rows[i] for i in sorted({at_vertex[reps[k]] for k in orbits})),
+        _facet_reps=tuple(q.facet_rows[i] for i in sorted(at_facet[r] for r in facets)),
+    )
 
 
 def from_halfspaces(ineqs: Sequence[tuple[Sequence[Fraction | int], Fraction | int]], dim: int) -> Polytope:
@@ -421,10 +459,15 @@ def membership(p: Polytope, x: Sequence[Fraction | int]) -> str:
 
 
 def _row_membership(p: Polytope, x_row: tuple[int, ...], dx: int) -> str:
-    """``membership`` of the point already cleared to ``(X, dx)`` by ``_point_row``."""
+    """``membership`` of the point already cleared to ``(X, dx)`` by ``_point_row``, on p's facet representatives."""
+    symmetry = p._symmetry
+    if symmetry == 2:
+        x_row = tuple(map(abs, x_row))
     on_boundary = False
-    for row, b in p.facet_rows:
+    for row, b in p._facet_reps:
         s = sum(map(mul, row, x_row))  # <a, x> <= b  iff  s <= B*dx
+        if symmetry == 1:
+            s = abs(s)
         rhs = b * dx
         if s > rhs:
             return "outside"
@@ -445,27 +488,43 @@ def gauge(p: Polytope, x: Sequence[Fraction | int]) -> Fraction:
 
 
 def _row_gauge(p: Polytope, x_row: tuple[int, ...], dx: int) -> Fraction:
-    """``gauge`` of the point already cleared to ``(X, dx)``, on a body with the origin interior."""
+    """``gauge`` of the point already cleared to ``(X, dx)``, on a body with the origin interior.
+
+    Scans p's facet representatives, folded like ``_row_membership``.
+    """
+    symmetry = p._symmetry
+    if symmetry == 2:
+        x_row = tuple(map(abs, x_row))
     best, over = 0, 1  # the largest <A, X> / B so far, as best / over
-    for row, b in p.facet_rows:
+    for row, b in p._facet_reps:
         s = sum(map(mul, row, x_row))
+        if symmetry == 1:
+            s = abs(s)
         if s * over > best * b:
             best, over = s, b
     return Fraction(best, over * dx)
 
 
 # p's fact -> the same fact of polar(p)
-_POLAR_FACTS = (("_facet_masks", "_vertex_masks"), ("_vertex_masks", "_facet_masks"), ("_symmetry", "_symmetry"))
+_POLAR_FACTS = (
+    ("_facet_masks", "_vertex_masks"),
+    ("_vertex_masks", "_facet_masks"),
+    ("_symmetry", "_symmetry"),
+    ("_vertex_reps", "_facet_reps"),
+    ("_facet_reps", "_vertex_reps"),
+)
 
 
 def polar(p: Polytope) -> Polytope:
     """Polar dual.  Exact and free: the vertex and facet rows swap, and so do the incidence masks p holds.
 
-    p's symmetry class is handed on too, since a reflection fixes K iff it fixes K polar.
+    p's symmetry class is handed on too, since a reflection fixes K iff it fixes K polar, and with it
+    the orbit representatives.  A body known to be of class 1 or 2 has the origin interior, so it is
+    not scanned for it.
     """
-    if not contains_origin_interior(p):
-        raise PolarityDomainError("polar needs the origin in the interior")
     known = vars(p)
+    if not known.get("_symmetry") and not contains_origin_interior(p):
+        raise PolarityDomainError("polar needs the origin in the interior")
     facts = {theirs: known[mine] for mine, theirs in _POLAR_FACTS if mine in known}
     return _known(Polytope(p.dim, p.facet_rows, p.vertex_rows), **facts)
 
@@ -768,7 +827,9 @@ def hausdorff_distance_sq(p: Polytope, q: Polytope) -> Fraction:
     symmetry = min(p._symmetry, q._symmetry)
     best = Fraction(0)
     for body, other in ((p, q), (q, p)):
-        for v, t in compress(body.vertex_rows, _orbit_weights(body.vertex_rows, symmetry)):
+        rows = body.vertex_rows
+        reps = body._vertex_reps if body._symmetry == symmetry else compress(rows, _orbit_weights(rows, symmetry))
+        for v, t in reps:
             best = max(best, _row_distance_sq(other, v, t, best))
     return best
 

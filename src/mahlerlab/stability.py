@@ -44,7 +44,6 @@ from .graphs import (
     enumerate_p4_free_labeled,
     from_edges,
     is_p4_free,
-    maximal_independent_sets,
     polytope_from_graph,
 )
 from .polytope import (
@@ -209,10 +208,9 @@ def perturb_unconditional(h: Polytope, delta, seed: int) -> Polytope:
     if not 0 <= delta < 1:
         raise PreconditionError("delta must satisfy 0 <= delta < 1")
     hn = normalize_unconditional(h)
-    reps = list(compress(hn.vertex_rows, _orbit_weights(hn.vertex_rows, 2)))  # the closed positive orthant
     rng = random.Random(seed)
     scaled = []
-    for v, t in reps:
+    for v, t in hn._vertex_reps:  # the closed positive orthant
         scale = 1 - delta * Fraction(rng.randrange(2**16 + 1), 2**16)
         scaled.append(_primitive_row([x * scale.numerator for x in v], scale.denominator * t))
     return normalize_unconditional(_orthant_hull(scaled))
@@ -232,9 +230,11 @@ def random_unconditional_polytope(n: int, seed: int) -> Polytope:
 # experiments
 
 
-def _mis_pairwise_disjoint(g: Graph) -> bool:
-    mis = maximal_independent_sets(g)
-    return all(a & b == 0 for ai, a in enumerate(mis) for b in mis[ai + 1 :])
+def _is_complete_multipartite(g: Graph) -> bool:
+    """Non-adjacency, each vertex apart from itself, is an equivalence relation: its classes are the parts."""
+    full = (1 << g.n) - 1
+    apart = [full & ~m for m in g.adj]  # vertex i -> the vertices not adjacent to it, i among them
+    return all(apart[j] == a for a in apart for j in range(g.n) if a >> j & 1)
 
 
 @lru_cache(maxsize=None)
@@ -244,10 +244,13 @@ def trial_base_graphs(n: int) -> tuple[Graph, ...]:
     When the maximal independent sets are pairwise disjoint, rescaling the
     positive-orthant representatives is a diagonal map and re-normalization
     undoes it exactly, so those bases would only ever produce zero rows.
-    They are excluded unless nothing else exists (n <= 2).
+    They are excluded unless nothing else exists (n <= 2).  The maximal
+    independent sets of G are the maximal cliques of its complement, which
+    are pairwise disjoint iff the complement is a disjoint union of cliques:
+    iff G is complete multipartite, its parts the classes of non-adjacency.
     """
     gs = enumerate_p4_free_labeled(n)
-    rich = [g for g in gs if not _mis_pairwise_disjoint(g)]
+    rich = [g for g in gs if not _is_complete_multipartite(g)]
     return tuple(rich or gs)
 
 

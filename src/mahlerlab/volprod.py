@@ -21,17 +21,18 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product as iter_product
+from typing import Sequence
 
 from .errors import FalsificationError, PreconditionError
 from .polytope import (
     Polytope,
+    Row,
     _hull,
     _orthant_hull,
     _primitive_row,
     _row_gauge,
     _row_membership,
     coordinate_section,
-    cross_polytope,
     cube,
     is_unconditional,
     polar,
@@ -262,16 +263,17 @@ def _check_truncation_level(n: int, t: Fraction) -> None:
         raise PreconditionError(f"t = {format_exact(t)} outside [(n-1)/n, 1]")
 
 
-def _cube_cap(k: Polytope, s: Fraction) -> Polytope:
-    """The cube cut by s*k, for an unconditional body k and s > 0: the polar of ``conv(+-e_i, A/(s*B))``.
+def _cube_cap(facet_reps: Sequence[Row], s: Fraction) -> Polytope:
+    """The cube cut by s*K, for an unconditional body K and s > 0: the polar of ``conv(+-e_i, A/(s*B))``.
 
-    One hull DD run on the orthant rows (``_orthant_hull``): the ``e_i`` and the rows of k's facets
-    with no negative normal entry.  A coordinate section of the cap is the full subcube iff its corner
-    ``1 - e_j`` has gauge 1 in the cap; a corner outside raises FalsificationError.
+    K is given by its facet representatives ``(A, B)``, the rows with no negative normal entry
+    (``Polytope._facet_reps``).  One hull DD run on the orthant rows (``_orthant_hull``): the ``e_i``
+    and those rows.  A coordinate section of the cap is the full subcube iff its corner ``1 - e_j``
+    has gauge 1 in the cap; a corner outside raises FalsificationError.
     """
-    n = k.dim
+    n = len(facet_reps[0][0])
     reps = [(tuple(int(c == i) for c in range(n)), 1) for i in range(n)]  # e_i, the cube's facets
-    reps += [_primitive_row([x * s.denominator for x in a], b * s.numerator) for a, b in k.facet_rows if min(a) >= 0]
+    reps += [_primitive_row([x * s.denominator for x in a], b * s.numerator) for a, b in facet_reps]
     cap = polar(_orthant_hull(reps))
     if any(_row_gauge(cap, tuple(int(i != j) for i in range(n)), 1) != 1 for j in range(n)):
         raise FalsificationError(f"a coordinate section of the cube cut by {format_exact(s)} K is not the subcube")
@@ -288,7 +290,7 @@ def truncated_cube(n: int, t) -> Polytope:
     if n < 2:
         raise PreconditionError("truncated cubes need dimension at least 2")
     _check_truncation_level(n, t)
-    k = _cube_cap(cross_polytope(n), n * t)
+    k = _cube_cap([((1,) * n, 1)], n * t)  # the cross polytope's one facet orbit
     if _row_gauge(k, (t.numerator,) * n, t.denominator) != 1:
         raise FalsificationError(f"the diagonal point misses the boundary of truncated_cube({n}, {format_exact(t)})")
     return k
@@ -309,7 +311,7 @@ def diagonal_truncation_check(k: Polytope) -> tuple[Fraction, Fraction, Fraction
     if not is_unconditional(k):
         raise PreconditionError("the truncation bound is stated for unconditional bodies")
     blow = max(_row_gauge(k, tuple(int(i != j) for i in range(n)), 1) for j in range(n))
-    capped = _cube_cap(k, blow)
+    capped = _cube_cap(k._facet_reps, blow)
     t = 1 / _row_gauge(capped, (1,) * n, 1)
     if t < Fraction(n - 1, n):
         raise FalsificationError(f"diagonal point t = {format_exact(t)} below (n-1)/n with full cube sections")

@@ -7,15 +7,17 @@ on the offset's sign for the canonical facet, sorted sets of
 Fraction vertices and canonical facets for the order of the integer rows,
 Fraction dot products over every facet for the gauge and membership and
 over every facet and vertex for the incidence,
-Fraction vertex sets for the sign-flip and negation checks, recursive
-projection and the pulling triangulation of the whole body from vertex 0 for
-volume, projection onto the affine hull of every small vertex subset for
+Fraction vertex sets for the sign-flip and negation checks, the
+lexicographic maximum of each Fraction orbit for the orbit representatives,
+recursive projection and the pulling triangulation of the whole body from
+vertex 0 for volume, projection onto the affine hull of every small vertex subset for
 distance, Wolfe's algorithm on Fraction vectors for distance, a scan of every
 vertex of both bodies for the Hausdorff distance, sections as DD runs on
 the facets with one coordinate dropped, and those sections built for the
 truncation check and for the section volumes of the section inequalities,
 the cube cap as a halfspace intersection, JSON through ``str`` of the
-Fraction views, component recursion for the labeled P4-free graphs, and the
+Fraction views, component recursion for the labeled P4-free graphs, pairwise
+disjoint maximal independent sets for the complete multipartite graphs, and the
 Hanner ball of a cotree as nested l1 and linf sums, permuted into place.  The
 small helpers that only tests call live here too: the Fraction unit vector
 ``unit_vec``, the sign flips ``sign_orbit``, the graph builders
@@ -28,7 +30,8 @@ the truncation check and the cube cap the constructors, gauge, polar, volume
 and the bound factors it is compared through, for the section volumes polar
 and volume, for the
 Hausdorff scan ``point_distance_sq`` (itself checked against the subset
-oracle), the graph constructors ``Graph`` and ``from_edges``, and for the
+oracle), the graph constructors ``Graph`` and ``from_edges``,
+``maximal_independent_sets`` for the disjointness test, and for the
 nested sums ``interval``, ``l1_sum`` and ``linf_sum``.
 """
 
@@ -40,7 +43,7 @@ from math import factorial, gcd, lcm
 
 from mahlerlab import dd
 from mahlerlab.errors import ConsistencyError, DimensionError, FalsificationError, PreconditionError
-from mahlerlab.graphs import Graph, from_edges
+from mahlerlab.graphs import Graph, from_edges, maximal_independent_sets
 from mahlerlab.polytope import (
     Polytope,
     _int_facet,
@@ -220,6 +223,21 @@ def membership_by_fractions(p: Polytope, x) -> str:
     if any(s > 0 for s in sides):
         return "outside"
     return "boundary" if 0 in sides else "interior"
+
+
+def orbit_reps_by_fractions(p: Polytope) -> tuple[set, set]:
+    """The Fraction vertices and facet views that are the lexicographic maximum of their orbit.
+
+    The orbit is under every sign flip when the Fraction vertex set is closed
+    under them, else under the negation when it is closed under that, else
+    trivial; a facet view ``(a, s)`` has the orbit of its normal a.
+    """
+    unconditional, central = is_unconditional_by_fractions(p), is_centrally_symmetric_by_fractions(p)
+
+    def top(v) -> bool:
+        return v == max(sign_orbit(v) if unconditional else [v, tuple(-x for x in v)] if central else [v])
+
+    return {v for v in p.vertices if top(v)}, {(a, s) for a, s in p.facets if top(a)}
 
 
 def incidence_by_fractions(p: Polytope) -> tuple[int, ...]:
@@ -422,6 +440,12 @@ def has_induced_p4_by_orderings(g) -> bool:
         ):
             return True
     return False
+
+
+def mis_pairwise_disjoint(g) -> bool:
+    """The maximal independent sets of g, by Bron-Kerbosch, are pairwise disjoint."""
+    mis = maximal_independent_sets(g)
+    return all(a & b == 0 for ai, a in enumerate(mis) for b in mis[ai + 1 :])
 
 
 def independent_sets_exhaustive(g) -> list[int]:

@@ -66,6 +66,7 @@ from oracles import (
     is_unconditional_by_fractions,
     make_by_fractions,
     membership_by_fractions,
+    orbit_reps_by_fractions,
     permute_coordinates,
     pull_triangulation_unfiltered,
     sign_orbit,
@@ -243,11 +244,11 @@ def test_dd_solves_its_initial_rays_in_one_elimination_on_the_cube():
         solves, runs = _count_dd_solves(build)
         assert solves == runs == [5]
     # an orthant run starts from its closed-form cone, with no elimination at all; the cube's cone is
-    # that start itself, and the truncated cube runs twice: the cube of its cross polytope, then the cap
+    # that start itself, and the truncated cube runs once, for the cap of the cross polytope's one facet orbit
     for build, widths in (
         (lambda: cube(4), [5]),
         (lambda: random_unconditional_polytope(4, 0), [5]),
-        (lambda: volprod.truncated_cube(4, F(7, 8)), [5, 5]),
+        (lambda: volprod.truncated_cube(4, F(7, 8)), [5]),
     ):
         solves, runs = _count_dd_solves(build)
         assert solves == [] and runs == widths
@@ -388,6 +389,38 @@ def test_integer_rows_match_fraction_formulas(kind, data):
     if contains_origin_interior(p):
         assert all(gauge(p, v) == 1 for v in p.vertices)
         assert gauge(p, origin) == 0 and membership(p, origin) == "interior"
+
+
+@st.composite
+def folded_body(draw):
+    """A body whose gauge and membership fold onto facet representatives: class 2, its polar or section, or class 1."""
+    kind = draw(st.sampled_from(["body", "polar", "section", "central"]))
+    if kind == "central":
+        return draw(central_body(dim=3, coord=rationals))  # _hull, class 1 by the scan
+    p = draw(
+        st.one_of(
+            symmetric_body(dim=3, coord=rationals),  # _hull, class 2 by the scan
+            st.builds(random_unconditional_polytope, st.integers(2, 4), st.integers(0, 10**6)),
+            st.sampled_from(HANNER_BALLS),
+        )
+    )
+    if kind == "polar":
+        return polar(p)
+    if kind == "section":
+        return coordinate_section(p, draw(st.integers(min_value=0, max_value=p.dim - 1)))
+    return p
+
+
+@given(folded_body(), st.data())
+@settings(max_examples=60, deadline=None)
+def test_gauge_and_membership_on_facet_representatives_match_fraction_formulas(p, data):
+    assert p._symmetry in (1, 2) and len(p._facet_reps) < p.n_facets
+    points = data.draw(st.lists(st.tuples(*[mixed] * p.dim), max_size=6))  # mixed signs
+    for v in data.draw(st.lists(st.sampled_from(p.vertices), max_size=4)):
+        points += [tuple(c * x for x in v) for c in data.draw(st.lists(rationals, min_size=1, max_size=3))]
+    for x in points + list(p.vertices):
+        assert gauge(p, x) == gauge_by_fractions(p, x)
+        assert membership(p, x) == membership_by_fractions(p, x)
 
 
 @given(symmetric_body(), st.tuples(coords, coords), st.tuples(coords, coords))
@@ -589,10 +622,16 @@ def test_polar_makes_no_transpose(monkeypatch):
 
 
 def check_facts(p, *names):
-    """p's rows are sorted, p holds each named fact, and every fact it holds is the oracle's."""
+    """p's rows are sorted, p holds each named fact, and every fact it holds is the oracle's.
+
+    The orbit representatives are read too, held or not, so their fallback meets the oracle as well.
+    """
     assert (p.vertex_rows, p.facet_rows) == (polytope._sorted_rows(p.vertex_rows), polytope._sorted_rows(p.facet_rows))
     known = vars(p)
     assert set(names) <= set(known), (names, sorted(known))
+    vertex_reps, facet_reps = orbit_reps_by_fractions(p)
+    assert p._vertex_reps == tuple(r for r, v in zip(p.vertex_rows, p.vertices) if v in vertex_reps)
+    assert p._facet_reps == tuple(r for r, f in zip(p.facet_rows, p.facets) if f in facet_reps)
     incidence = incidence_by_fractions(p)
     if "_facet_masks" in known:
         assert known["_facet_masks"] == incidence
@@ -614,8 +653,16 @@ def orthant_reps(draw, dim=3):
 
 
 UNCONDITIONAL_FACTS = ("_facet_masks", "_symmetry")
+REP_FACTS = ("_vertex_reps", "_facet_reps")
+ORTHANT_FACTS = UNCONDITIONAL_FACTS + REP_FACTS  # what _orthant_hull knows
 positive_rationals = st.builds(F, st.integers(min_value=1, max_value=12), st.integers(min_value=1, max_value=4))
-POLAR_FACT = {"_facet_masks": "_vertex_masks", "_vertex_masks": "_facet_masks", "_symmetry": "_symmetry"}
+POLAR_FACT = {
+    "_facet_masks": "_vertex_masks",
+    "_vertex_masks": "_facet_masks",
+    "_symmetry": "_symmetry",
+    "_vertex_reps": "_facet_reps",
+    "_facet_reps": "_vertex_reps",
+}
 
 born_body = st.one_of(  # (body, the facts its constructor knows)
     st.sampled_from([general_body, central_body, symmetric_body]).flatmap(lambda body: body(dim=3)).map(
@@ -623,16 +670,16 @@ born_body = st.one_of(  # (body, the facts its constructor knows)
     ),
     # the cross polytope's reps and (1/2, 1/2, 0), which is tight on a facet and no vertex
     st.one_of(st.just([((1, 0, 0), 1), ((0, 1, 0), 1), ((0, 0, 1), 1), ((1, 1, 0), 2)]), orthant_reps()).map(
-        lambda reps: (polytope._orthant_hull(reps), UNCONDITIONAL_FACTS)
+        lambda reps: (polytope._orthant_hull(reps), ORTHANT_FACTS)
     ),
     st.sampled_from([g for n in (2, 3, 4) for g in enumerate_p4_free_labeled(n)]).map(
-        lambda g: (polytope_from_graph(g), UNCONDITIONAL_FACTS)
+        lambda g: (polytope_from_graph(g), ORTHANT_FACTS)
     ),
     st.builds(random_unconditional_polytope, st.integers(3, 4), st.integers(0, 10**6)).map(
-        lambda p: (p, UNCONDITIONAL_FACTS)
+        lambda p: (p, ORTHANT_FACTS)
     ),
-    st.integers(1, 4).map(lambda n: (cube(n), UNCONDITIONAL_FACTS)),
-    positive_rationals.map(lambda r: (interval(r), UNCONDITIONAL_FACTS)),
+    st.integers(1, 4).map(lambda n: (cube(n), ORTHANT_FACTS)),
+    positive_rationals.map(lambda r: (interval(r), ORTHANT_FACTS)),
 )
 
 
@@ -647,26 +694,27 @@ def test_facts_known_at_birth_are_the_oracles(born, data):
     signs = data.draw(st.sampled_from([(1,) * p.dim, *iter_product((1, -1), repeat=p.dim)]))
     scales = [s * x for s, x in zip(signs, sizes)]
     image = diagonal_image(p, scales)
+    handed = [name for name in names if name not in REP_FACTS]  # the representatives are read again
     if min(scales) > 0 and all(b for _, b in p.facet_rows):  # the row order is kept, and so is the incidence
-        check_facts(image, *names)
+        check_facts(image, *handed)
     else:
         check_facts(image, *(name for name in names if name == "_symmetry"))
     if not is_unconditional(p):
         return
-    check_facts(normalize_unconditional(p), *names)
+    check_facts(normalize_unconditional(p), *handed)
     check_facts(perturb_unconditional(p, F(1, 4), data.draw(st.integers(0, 10**6))), *UNCONDITIONAL_FACTS)
     if p.dim >= 2:
         j = data.draw(st.integers(min_value=0, max_value=p.dim - 1))
         check_facts(coordinate_section(p, j), *UNCONDITIONAL_FACTS)
         check_facts(coordinate_section(polar(p), j), *UNCONDITIONAL_FACTS)
         blow = max(gauge(p, [int(i != c) for i in range(p.dim)]) for c in range(p.dim))  # the largest corner gauge
-        check_facts(volprod._cube_cap(p, blow), "_vertex_masks", "_symmetry")
+        check_facts(volprod._cube_cap(p._facet_reps, blow), "_vertex_masks", "_symmetry", *REP_FACTS)
 
 
 @pytest.mark.parametrize("n", range(1, 8))
 def test_cube_is_the_orthant_hull_of_its_corner(n):
     c = cube(n)
-    check_facts(c, *UNCONDITIONAL_FACTS)  # held at birth, and equal to the oracles' incidence and class
+    check_facts(c, *ORTHANT_FACTS)  # held at birth, and equal to the oracles' incidence and class
     assert c.vertex_rows == tuple((v, 1) for v in iter_product((-1, 1), repeat=n))
     assert c.facet_rows == tuple(sorted((tuple(s * (k == i) for k in range(n)), 1) for i in range(n) for s in (-1, 1)))
     assert c._symmetry == 2
@@ -676,7 +724,7 @@ def test_cube_is_the_orthant_hull_of_its_corner(n):
 def test_interval_is_the_orthant_hull_of_its_radius(r):
     p, q = F(r).numerator, F(r).denominator
     i = interval(r)
-    check_facts(i, *UNCONDITIONAL_FACTS)
+    check_facts(i, *ORTHANT_FACTS)
     assert i.vertex_rows == (((-p,), q), ((p,), q))
     assert i.facet_rows == (((-q,), p), ((q,), p))
     assert i._facet_masks == (1, 2) and i._symmetry == 2  # x >= -r holds only -r, x <= r only r
@@ -1351,6 +1399,19 @@ def test_integer_rows_keep_the_fraction_canonical_form(kind, data):
         assert (q == p) == ((q.vertices, q.facets) == (p.vertices, p.facets))
         if q == p:
             assert hash(q) == hash(p)
+
+
+@pytest.mark.parametrize("dens", [(1,), (-1, 0, 1), (-3, 3), (1, 2, 3, 7), (-2, 0, 1, 6)])
+@given(data=st.data())
+@settings(max_examples=30, deadline=None)
+def test_sorted_rows_keep_the_order_of_the_lcm_key(dens, data):
+    # equal |s| (1 for s = 0) sorts the row tuples with no key; mixed |s| sorts on the lcm key
+    rows = data.draw(st.lists(st.tuples(st.tuples(*[st.integers(-4, 4)] * 3), st.sampled_from(dens)), max_size=12))
+    by_key = {}  # R/|s| -> the first row with that key: no two rows of a body share one
+    for r, s in rows:
+        by_key.setdefault(tuple(F(x, abs(s) or 1) for x in r), (r, s))
+    want = tuple(row for _, row in sorted(by_key.items()))
+    assert polytope._sorted_rows(list(by_key.values()) * 2) == want
 
 
 @given(st.sampled_from([2, 3]).flatmap(lambda d: st.lists(st.tuples(*[rationals] * d), min_size=d + 1, max_size=7)))

@@ -64,7 +64,7 @@ from mahlerlab.volprod import (
     verify_truncated_cube_bound,
     volume_product,
 )
-from oracles import diagonal_truncation_by_sections, induced_subgraph, path_graph
+from oracles import diagonal_truncation_by_sections, induced_subgraph, mis_pairwise_disjoint, path_graph
 from test_polytope import symmetric_body
 
 F = Fraction
@@ -414,6 +414,18 @@ def test_trial_base_graphs_drop_rescaling_absorbed_bases():
     for g in trial_base_graphs(4):
         mis = maximal_independent_sets(g)
         assert any(a & b for i, a in enumerate(mis) for b in mis[i + 1 :])
+
+
+def test_trial_base_graphs_drop_the_complete_multipartite_graphs():
+    # the rule agrees with pairwise disjoint maximal independent sets on every labeled cograph;
+    # the graphs dropped are one per set partition of the vertices, the Bell numbers
+    dropped = []
+    for n in range(1, 8):
+        gs = enumerate_p4_free_labeled(n)
+        rule = [stability._is_complete_multipartite(g) for g in gs]
+        assert rule == [mis_pairwise_disjoint(g) for g in gs]
+        dropped.append(sum(rule))
+    assert dropped == [1, 2, 5, 15, 52, 203, 877]
 
 
 def test_trial_base_graphs_are_computed_once_per_n():
