@@ -141,8 +141,7 @@ def maximal_independent_sets(g: Graph) -> list[int]:
     Bron-Kerbosch with pivoting, run on the complement: maximal cliques of
     the complement are exactly the maximal independent sets of g.
     """
-    full = (1 << g.n) - 1
-    comp = [full & ~m & ~(1 << i) for i, m in enumerate(g.adj)]  # complement(g)'s adjacency
+    comp = complement(g).adj
     out: list[int] = []
 
     def bk(r: int, p: int, x: int) -> None:

@@ -96,9 +96,7 @@ sigma, with equality at the flip that gives A the signs of x, so
 ``<sigma A, x> <= B`` holds on the whole orbit iff ``<A, |x|> <= B``, and
 equality holds there iff it holds on some row of the orbit.  A centrally
 symmetric body pairs each facet ``(A, B)`` with ``(-A, B)`` and tests
-``|<A, x>| <= B``; any other body reads every row.  ``_orthant_hull`` stores
-both fields at birth, DD's kept rays and the representatives it flags as
-vertices, each in row order; ``polar`` swaps them; other bodies filter their
+``|<A, x>| <= B``; any other body reads every row.  Each body filters its
 rows once, on the first read.
 
 Volume is a sum of cones from one apex over the facets that miss it, one
@@ -155,8 +153,7 @@ per orbit of such reflections gives the same maximum.  The reflections are
 those of the weaker symmetry of the two bodies, and the vertices scanned are
 the orbit representatives ``volume`` picks among facet normals: the closed
 positive orthant when both bodies are unconditional, one vertex of each +-
-pair when both are centrally symmetric.  A body whose class is the weaker
-one scans its ``_vertex_reps``.  Each scanned vertex row is the
+pair when both are centrally symmetric.  Each scanned vertex row is the
 cleared point ``(X, dx)`` as it stands.  Each vertex's Wolfe run is capped
 at the largest distance found so far, which keeps the maximum exact: every
 iterate lies in the hull, so its squared norm bounds the vertex's distance
@@ -288,7 +285,7 @@ class Polytope:
     def _vertex_reps(self) -> tuple[Row, ...]:
         """The vertex rows that stand for their orbit under the reflections of ``_symmetry``, in row order.
 
-        Stored at birth by ``_orthant_hull`` and swapped by ``polar``; else one ``_orbit_weights`` filter.
+        One ``_orbit_weights`` filter per body, kept like ``_facet_masks``.
         """
         return tuple(compress(self.vertex_rows, _orbit_weights(self.vertex_rows, self._symmetry)))
 
@@ -327,7 +324,7 @@ def _incidence_scan(p: Polytope) -> tuple[int, ...]:
 
 
 def _known(p: Polytope, **facts) -> Polytope:
-    """p holding the facts its constructor knows (the incidence masks, ``_symmetry``, the orbit representatives)."""
+    """p holding the facts its constructor knows (``_facet_masks``, ``_vertex_masks``, ``_symmetry``)."""
     vars(p).update(facts)
     return p
 
@@ -372,8 +369,7 @@ def _orthant_hull(reps: Sequence[Row]) -> Polytope:
     """``_hull`` of the sign orbits of the closed-orthant rows ``(V, t)``, V >= 0, by one DD run on the orthant cone.
 
     The body is unconditional, and its incidence comes from the tight vertex
-    representatives by the orbit rule of the module docstring.  Its orbit
-    representatives are DD's kept rays and the representatives it flags as vertices.
+    representatives by the orbit rule of the module docstring.
     """
     facets, flags, tight = dd.orthant_hull_facets(reps)
     orbits = {k: _flips(v) for k, ((v, _), f) in enumerate(zip(reps, flags)) if f}  # the vertices, up to sign
@@ -386,11 +382,11 @@ def _orthant_hull(reps: Sequence[Row]) -> Polytope:
     at_vertex = {r: i for i, r in enumerate(q.vertex_rows)}
     at_facet = {r: i for i, r in enumerate(q.facet_rows)}
     bits = {k: [(flip, 1 << at_vertex[w, reps[k][1]]) for flip, w in orbit] for k, orbit in orbits.items()}
-    vertices = sum(1 << k for k in orbits)
+    vertex_reps = sum(1 << k for k in orbits)
     masks = [0] * q.n_facets
     for (_, b), orbit, on in zip(facets, facet_orbits, tight):
         tables = []  # per vertex representative v tight on this facet's a: v's orbit by its flips on supp(a) & supp(v)
-        on &= vertices
+        on &= vertex_reps
         while on:
             k = (on & -on).bit_length() - 1
             on &= on - 1
@@ -404,13 +400,7 @@ def _orthant_hull(reps: Sequence[Row]) -> Polytope:
             for common, table in tables:
                 m |= table[flip & common]
             masks[at_facet[w, b]] = m
-    return _known(
-        q,
-        _facet_masks=tuple(masks),
-        _symmetry=2,
-        _vertex_reps=tuple(q.vertex_rows[i] for i in sorted({at_vertex[reps[k]] for k in orbits})),
-        _facet_reps=tuple(q.facet_rows[i] for i in sorted(at_facet[r] for r in facets)),
-    )
+    return _known(q, _facet_masks=tuple(masks), _symmetry=2)
 
 
 def from_halfspaces(ineqs: Sequence[tuple[Sequence[Fraction | int], Fraction | int]], dim: int) -> Polytope:
@@ -506,21 +496,14 @@ def _row_gauge(p: Polytope, x_row: tuple[int, ...], dx: int) -> Fraction:
 
 
 # p's fact -> the same fact of polar(p)
-_POLAR_FACTS = (
-    ("_facet_masks", "_vertex_masks"),
-    ("_vertex_masks", "_facet_masks"),
-    ("_symmetry", "_symmetry"),
-    ("_vertex_reps", "_facet_reps"),
-    ("_facet_reps", "_vertex_reps"),
-)
+_POLAR_FACTS = (("_facet_masks", "_vertex_masks"), ("_vertex_masks", "_facet_masks"), ("_symmetry", "_symmetry"))
 
 
 def polar(p: Polytope) -> Polytope:
     """Polar dual.  Exact and free: the vertex and facet rows swap, and so do the incidence masks p holds.
 
-    p's symmetry class is handed on too, since a reflection fixes K iff it fixes K polar, and with it
-    the orbit representatives.  A body known to be of class 1 or 2 has the origin interior, so it is
-    not scanned for it.
+    p's symmetry class is handed on too, since a reflection fixes K iff it fixes K polar.  A body
+    known to be of class 1 or 2 has the origin interior, so it is not scanned for it.
     """
     known = vars(p)
     if not known.get("_symmetry") and not contains_origin_interior(p):
@@ -827,9 +810,7 @@ def hausdorff_distance_sq(p: Polytope, q: Polytope) -> Fraction:
     symmetry = min(p._symmetry, q._symmetry)
     best = Fraction(0)
     for body, other in ((p, q), (q, p)):
-        rows = body.vertex_rows
-        reps = body._vertex_reps if body._symmetry == symmetry else compress(rows, _orbit_weights(rows, symmetry))
-        for v, t in reps:
+        for v, t in compress(body.vertex_rows, _orbit_weights(body.vertex_rows, symmetry)):
             best = max(best, _row_distance_sq(other, v, t, best))
     return best
 
