@@ -3,10 +3,13 @@
 Each ``.txt`` file under ``tests/golden/`` is the stdout of one
 ``cli.main`` call, run from that directory so that an input file committed
 there (``rational_body.json``) prints as a relative path.  Any change to the arithmetic, the reconstruction or the printed format that
-moves a single byte fails here.  After an intended output change, rewrite
-the files with ``PYTHONPATH=src python tests/test_golden.py``.
+moves a single byte fails here.  The labeled catalogs too large to commit as
+text are pinned by the SHA-256 of their stdout, one ``.sha256`` file each.
+After an intended output change, rewrite the files with
+``PYTHONPATH=src python tests/test_golden.py``.
 """
 
+import hashlib
 import os
 import sys
 from pathlib import Path
@@ -30,6 +33,11 @@ CASES = {
     "volprod_rational_body": ["volprod", "rational_body.json"],
 }
 
+DIGESTS = {
+    "hanner_enumerate_n5": ["hanner-enumerate", "--n", "5"],
+    "hanner_enumerate_n7_dedup": ["hanner-enumerate", "--n", "7", "--dedup"],
+}
+
 
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_golden_stdout(name, capsys, monkeypatch):
@@ -40,16 +48,31 @@ def test_golden_stdout(name, capsys, monkeypatch):
     assert out == (GOLDEN / f"{name}.txt").read_text(encoding="utf-8")
 
 
+def stdout_digest(out: str) -> str:
+    return hashlib.sha256(out.encode("utf-8")).hexdigest()
+
+
+@pytest.mark.parametrize("name", sorted(DIGESTS))
+def test_golden_catalog_digest(name, capsys):
+    code = cli.main(DIGESTS[name])
+    out = capsys.readouterr().out
+    assert code == 0
+    assert stdout_digest(out) == (GOLDEN / f"{name}.sha256").read_text(encoding="utf-8").strip()
+
+
 if __name__ == "__main__":
     import contextlib
     import io
 
     os.chdir(GOLDEN)
-    for name, argv in sorted(CASES.items()):
+    runs = [(name, argv, ".txt") for name, argv in sorted(CASES.items())]
+    runs += [(name, argv, ".sha256") for name, argv in sorted(DIGESTS.items())]
+    for name, argv, suffix in runs:
         buf = io.StringIO()
         with contextlib.redirect_stdout(buf):
             code = cli.main(argv)
         if code != 0:
             sys.exit(f"{name}: exit code {code}")
-        (GOLDEN / f"{name}.txt").write_text(buf.getvalue(), encoding="utf-8")
-        print(f"wrote {name}.txt")
+        text = buf.getvalue() if suffix == ".txt" else stdout_digest(buf.getvalue()) + "\n"
+        (GOLDEN / f"{name}{suffix}").write_text(text, encoding="utf-8")
+        print(f"wrote {name}{suffix}")
