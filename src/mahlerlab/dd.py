@@ -24,11 +24,11 @@ directions take and return the polytope's integer rows: a point V/t as (V, t),
 a halfspace ``<A, x> <= B`` as (A, B).  An input
 row supports a facet of the cone iff its set of tight rays is maximal among
 the proper ones, read off the same bitmasks with no rank computation; in the
-hull direction these rows are exactly the points that are vertices.  The two
-hull directions also return those tight sets, the vertex-facet incidence in
-Fukuda-Prodon form: ``hull_facets`` as (facets, vertex flags, the facets on
-each point) and ``orthant_hull_facets`` as (facets, vertex flags, the points
-on each facet), each mask a bitmask over the other list's indices.
+hull direction these rows are exactly the points that are vertices.  Every
+conversion also returns those tight sets, the vertex-facet incidence in
+Fukuda-Prodon form: the facets on each point (``hull_facets``), the points
+on each facet (``orthant_hull_facets``) or the vertices on each inequality
+(``polyhedron_vertices``), each a bitmask over the other list's indices.
 
 A run starts from d independent rows and the rays one elimination on them
 gives.  The orthant run knows its start with no elimination: for its first
@@ -192,20 +192,22 @@ def transpose(masks: Sequence[int], n: int) -> list[int]:
     return cols
 
 
-def polyhedron_vertices(ineqs: Sequence[tuple[IntVec, int]], dim: int) -> tuple[list[tuple[IntVec, int]], list[bool]]:
-    """Vertices of ``{y : <A, y> <= B}`` for the given integer rows (A, B).
+def polyhedron_vertices(
+    ineqs: Sequence[tuple[IntVec, int]], dim: int
+) -> tuple[list[tuple[IntVec, int]], list[bool], list[int]]:
+    """Vertices of ``{y : <A, y> <= B}`` for the given integer rows (A, B), facet flags and tight vertices.
 
-    Returns (vertices, facet_flag per inequality), each vertex a primitive
-    ray (V, t), t > 0.  Raises UnboundedError if a recession direction
-    survives and DimensionError when the feasible set is empty or not
-    full-dimensional.
+    Returns (vertices, facet_flag per inequality, the vertices on each
+    inequality as a bitmask), each vertex a primitive ray (V, t), t > 0.
+    Raises UnboundedError if a recession direction survives and
+    DimensionError when the feasible set is empty or not full-dimensional.
     """
     rows = [a + (-b,) for a, b in ineqs]
     rows.append((0,) * dim + (-1,))  # t >= 0
-    rays, flags, _ = _convert(rows)
+    rays, flags, sets = _convert(rows)
     if any(r[-1] == 0 for r in rays):
         raise UnboundedError("halfspace intersection is unbounded")
-    return [(r[:-1], r[-1]) for r in rays], flags[:-1]
+    return [(r[:-1], r[-1]) for r in rays], flags[:-1], sets[:-1]
 
 
 def hull_facets(

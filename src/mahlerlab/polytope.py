@@ -44,10 +44,10 @@ such bodies, of the one representative (1, ..., 1) or r.
 
 The vertex-facet incidence is the field ``_facet_masks``, one vertex
 bitmask per facet row: facet ``(A, B)`` holds vertex i iff
-``<A, V_i> == B*t_i``; ``_vertex_masks`` is its transpose.  Each constructor
-that knows it stores it at birth.  ``_hull`` and ``coordinate_section``
-re-index each vertex's facet set (DD's tight rays, the section's vertex
-sets) to the sorted rows once, with no dot product
+``<A, V_i> == B*t_i``; ``_vertex_masks`` is its transpose.  Every constructor
+stores it at birth.  ``_hull``, ``from_halfspaces``, ``coordinate_section``,
+``linf_sum`` and a sorted ``diagonal_image`` re-index each vertex's facet set
+(DD's tight sets, the section's vertex sets, the product rule, p's sets) to the sorted rows once, with no dot product
 (``_make_with_incidence``).  ``_orthant_hull`` reads it off the
 representatives by the orbit rule: for representatives a, v >= 0 and sign
 flips tau of a and sigma of v, the vertex ``sigma v`` lies on the facet
@@ -60,17 +60,18 @@ its signs on the common support, so each facet ``tau a`` is one OR per tight
 representative.  ``polar`` swaps the two fields like the rows, since the
 polar's facet k is the body's vertex k, and computes neither; a handed-on
 ``_vertex_masks`` is transposed on the first read of ``_facet_masks``.
-``diagonal_image`` hands the incidence on when every scale is positive and
-no facet passes through the origin.  A positive diagonal map D keeps
-lexicographic order, since two points first differ in the same coordinate
-after the map and a positive factor keeps the sign of that difference.  It
-maps the vertex keys V/t to ``D (V/t)`` and the facet keys A/|B| to
-``D^-1 A/|B|``, so the rows come out sorted and in p's order.  (A row
-``(A, 0)`` is keyed on A itself, which the map rescales row by row, so such a
-body is sorted again and keeps only its class.)  A body whose
-constructor knows none of this (``linf_sum``, ``from_halfspaces``, a
-negative scale, a ``Polytope`` built directly) falls back to
-``_incidence_scan``, one dot product per facet and vertex.
+``diagonal_image`` hands the masks on as they stand when every scale is
+positive and no facet passes through the origin.  A positive diagonal map D
+keeps lexicographic order, since two points first differ in the same
+coordinate after the map and a positive factor keeps the sign of that
+difference.  It maps the vertex keys V/t to ``D (V/t)`` and the facet keys
+A/|B| to ``D^-1 A/|B|``, so the rows come out sorted and in p's order.  (A
+row ``(A, 0)`` is keyed on A itself, which the map rescales row by row.)
+Otherwise the rows are sorted again, and each image vertex keeps p's facet
+set, as D maps p's faces onto the image's.  In ``linf_sum`` the vertex
+``(v, w)`` lies on the facet ``a + 0`` iff v lies on a, and on ``0 + b`` iff w
+lies on b.  A ``Polytope`` built directly from rows holds no incidence, and
+reading it raises ``ConsistencyError``.
 
 A coordinate section of an unconditional body K is read off that incidence
 with no DD run.  For x in K its flip ``s_j x`` (x_j negated) is in K, so
@@ -104,13 +105,17 @@ facet per orbit of the reflections that fix the body, each cone weighted by
 the size of its orbit (``_orbit_weights``, read once per body for all its
 facet rows).  Which reflections fix the body is
 the field ``_symmetry``: 2 when every coordinate sign flip does, 1 when only
-the negation does, 0 otherwise; ``is_unconditional`` reads it.  The
-constructors that know it store it at birth: 2 for ``_orthant_hull`` and
+the negation does, 0 otherwise; ``is_unconditional`` reads it.  Every
+constructor stores it at birth: 2 for ``_orthant_hull`` and
 ``coordinate_section`` (a section of an unconditional body is
 unconditional); ``polar`` keeps it, since a reflection
 fixes K iff it fixes K polar, and ``diagonal_image`` keeps it, since a
 diagonal map D commutes with every such reflection g, so g fixes DK iff it
-fixes K.  Other bodies fall back to ``_symmetry_scan`` of the vertex rows.
+fixes K.  ``linf_sum`` takes the lesser class of its factors, as a
+reflection fixes p x q iff its parts fix p and q, and ``_hull`` and
+``from_halfspaces`` read it off the vertex rows (``_symmetry_scan``).  A
+``Polytope`` built directly from rows holds none, and reading it raises
+``ConsistencyError``.
 An unconditional body cones from the origin over the facets whose
 normals have no negative coordinate, each of weight 2^(number of nonzero
 coordinates); a centrally symmetric one over the facets whose first nonzero
@@ -196,6 +201,7 @@ from .ratlin import (
 
 Row = tuple[tuple[int, ...], int]
 Facet = tuple[Vec, Fraction]
+_NOT_BORN = "a Polytope built from raw rows holds no incidence or class: build it with from_vertices or from_halfspaces"
 
 
 def _primitive_row(a: Iterable[int], b: int) -> Row:
@@ -260,21 +266,21 @@ class Polytope:
     def _symmetry(self) -> int:
         """2 if every coordinate sign flip fixes the body, else 1 if the negation does, else 0.
 
-        Stored at birth by the constructors that know it; ``_symmetry_scan`` otherwise.
+        Stored at birth by every constructor; a body built from raw rows has none.
         """
-        return _symmetry_scan(self)
+        raise ConsistencyError(_NOT_BORN)
 
     @cached_property
     def _facet_masks(self) -> tuple[int, ...]:
         """One vertex bitmask per facet row: facet (A, B) holds vertex V/t iff ``<A, V> == B*t``.
 
-        Stored at birth by the constructors that know it; else the transpose
-        of a ``_vertex_masks`` that ``polar`` handed on, else ``_incidence_scan``.
+        Stored at birth by every constructor but ``polar``, whose handed-on
+        ``_vertex_masks`` is transposed here; a body built from raw rows has none.
         """
         handed = vars(self).get("_vertex_masks")
-        if handed is not None:
-            return tuple(dd.transpose(handed, self.n_facets))
-        return _incidence_scan(self)
+        if handed is None:
+            raise ConsistencyError(_NOT_BORN)
+        return tuple(dd.transpose(handed, self.n_facets))
 
     @cached_property
     def _vertex_masks(self) -> tuple[int, ...]:
@@ -315,14 +321,6 @@ def _symmetry_scan(p: Polytope) -> int:
     return int(all((tuple(-x for x in v), t) in vset for v, t in rows))
 
 
-def _incidence_scan(p: Polytope) -> tuple[int, ...]:
-    """``_facet_masks`` by one dot product per facet and vertex."""
-    verts = p.vertex_rows
-    return tuple(
-        sum(1 << i for i, (v, t) in enumerate(verts) if sum(map(mul, row, v)) == b * t) for row, b in p.facet_rows
-    )
-
-
 def _known(p: Polytope, **facts) -> Polytope:
     """p holding the facts its constructor knows (``_facet_masks``, ``_vertex_masks``, ``_symmetry``)."""
     vars(p).update(facts)
@@ -334,16 +332,18 @@ def _make(dim: int, vertex_rows: Iterable[Row], facet_rows: Iterable[Row]) -> Po
     return Polytope(dim, _sorted_rows(vertex_rows), _sorted_rows(facet_rows))
 
 
-def _make_with_incidence(dim: int, on: dict[Row, int], facets: Sequence[Row]) -> Polytope:
-    """``_make`` of the vertex rows ``on`` and the distinct facet rows ``facets``, holding their incidence.
+def _make_with_incidence(dim: int, on: dict[Row, int], facets: Sequence[Row], symmetry: int | None = None) -> Polytope:
+    """``_make`` of the vertex rows ``on`` and the distinct facet rows ``facets``, holding their incidence and class.
 
     Bit k of ``on[v]`` marks the vertex v on ``facets[k]``; the masks are
-    re-indexed once to the sorted rows, with no dot product.
+    re-indexed once to the sorted rows, with no dot product.  A class the
+    caller does not know is read off the vertex rows by ``_symmetry_scan``.
     """
     q = _make(dim, on, facets)
     cols = dd.transpose([on[r] for r in q.vertex_rows], len(facets))
     at = {r: k for k, r in enumerate(facets)}
-    return _known(q, _facet_masks=tuple(cols[at[r]] for r in q.facet_rows))
+    masks = tuple(cols[at[r]] for r in q.facet_rows)
+    return _known(q, _facet_masks=masks, _symmetry=_symmetry_scan(q) if symmetry is None else symmetry)
 
 
 def from_vertices(points: Sequence[Sequence[Fraction | int]]) -> Polytope:
@@ -409,8 +409,10 @@ def from_halfspaces(ineqs: Sequence[tuple[Sequence[Fraction | int], Fraction | i
     if any(len(a) != dim for a, _ in pairs):
         raise DimensionError(f"every halfspace normal needs dimension {dim}")
     rows = [_int_facet(a, b) for a, b in pairs]
-    verts, flags = dd.polyhedron_vertices(rows, dim)
-    return _make(dim, verts, [r for r, f in zip(rows, flags) if f])
+    verts, flags, sets = dd.polyhedron_vertices(rows, dim)
+    facets = {r: s for r, f, s in zip(rows, flags, sets) if f}  # repeated rows merged: DD flags every copy
+    on = dd.transpose(list(facets.values()), len(verts))  # vertex -> the facets holding it
+    return _make_with_incidence(dim, dict(zip(verts, on)), list(facets))
 
 
 def cube(n: int) -> Polytope:
@@ -503,11 +505,11 @@ def polar(p: Polytope) -> Polytope:
     """Polar dual.  Exact and free: the vertex and facet rows swap, and so do the incidence masks p holds.
 
     p's symmetry class is handed on too, since a reflection fixes K iff it fixes K polar.  A body
-    known to be of class 1 or 2 has the origin interior, so it is not scanned for it.
+    of class 1 or 2 has the origin interior, so only a class-0 body is checked for it.
     """
-    known = vars(p)
-    if not known.get("_symmetry") and not contains_origin_interior(p):
+    if not p._symmetry and not contains_origin_interior(p):
         raise PolarityDomainError("polar needs the origin in the interior")
+    known = vars(p)
     facts = {theirs: known[mine] for mine, theirs in _POLAR_FACTS if mine in known}
     return _known(Polytope(p.dim, p.facet_rows, p.vertex_rows), **facts)
 
@@ -543,14 +545,11 @@ def diagonal_image(p: Polytope, scales: Sequence[Fraction | int]) -> Polytope:
     m = math.lcm(*srow)
     verts = [_primitive_row(map(mul, srow, v), ds * t) for v, t in p.vertex_rows]
     facets = [_primitive_row([x * ds * (m // si) for si, x in zip(srow, a)], b * m) for a, b in p.facet_rows]
-    kept = ["_symmetry"]
     if min(srow) > 0 and all(b for _, b in p.facet_rows):
-        q = Polytope(p.dim, tuple(verts), tuple(facets))
-        kept += ["_facet_masks", "_vertex_masks"]
-    else:
-        q = _make(p.dim, verts, facets)
-    known = vars(p)
-    return _known(q, **{name: known[name] for name in kept if name in known})
+        known = vars(p)
+        masks = {name: known[name] for name in ("_facet_masks", "_vertex_masks") if name in known}
+        return _known(Polytope(p.dim, tuple(verts), tuple(facets)), _symmetry=p._symmetry, **masks)
+    return _make_with_incidence(p.dim, dict(zip(verts, p._vertex_masks)), facets, p._symmetry)
 
 
 def normalize_unconditional(p: Polytope) -> Polytope:
@@ -580,14 +579,14 @@ def _check_sum_operands(p: Polytope, q: Polytope, what: str) -> None:
 def linf_sum(p: Polytope, q: Polytope) -> Polytope:
     """Cartesian product p x q on block coordinates."""
     _check_sum_operands(p, q, "linf_sum")
-    verts = []
-    for v, t in p.vertex_rows:
-        for w, u in q.vertex_rows:
+    on = {}  # (v, w) lies on a + 0 iff v lies on a, and on 0 + b iff w lies on b
+    for (v, t), vm in zip(p.vertex_rows, p._vertex_masks):
+        for (w, u), wm in zip(q.vertex_rows, q._vertex_masks):
             lcm = math.lcm(t, u)
-            verts.append((tuple(x * (lcm // t) for x in v) + tuple(y * (lcm // u) for y in w), lcm))
+            on[(tuple(x * (lcm // t) for x in v) + tuple(y * (lcm // u) for y in w), lcm)] = vm | wm << p.n_facets
     facets = [(a + (0,) * q.dim, b) for a, b in p.facet_rows]
     facets += [((0,) * p.dim + a, b) for a, b in q.facet_rows]
-    return _make(p.dim + q.dim, verts, facets)
+    return _make_with_incidence(p.dim + q.dim, on, facets, min(p._symmetry, q._symmetry))
 
 
 def l1_sum(p: Polytope, q: Polytope) -> Polytope:
@@ -626,7 +625,7 @@ def coordinate_section(p: Polytope, j: int) -> Polytope:
         _primitive_row(v[:j] + v[j + 1 :], t): s for (v, t), s in zip(verts, vertex_sets) if s in corners
     }
     # the vertex sets are the section's incidence, and a section of an unconditional body is unconditional
-    return _known(_make_with_incidence(p.dim - 1, section_sets, facets), _symmetry=2)
+    return _make_with_incidence(p.dim - 1, section_sets, facets, 2)
 
 
 # ---------------------------------------------------------------------------

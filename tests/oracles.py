@@ -6,7 +6,8 @@ rank, Gauss-Jordan elimination over the rationals for linear systems, cases
 on the offset's sign for the canonical facet, sorted sets of
 Fraction vertices and canonical facets for the order of the integer rows,
 Fraction dot products over every facet for the gauge and membership and
-over every facet and vertex for the incidence,
+over every facet and vertex for the incidence, and integer ones over every
+facet and vertex row for the incidence a constructor hands on,
 Fraction vertex sets for the sign-flip and negation checks, the
 lexicographic maximum of each Fraction orbit for the orbit representatives,
 recursive projection and the pulling triangulation of the whole body from
@@ -22,10 +23,10 @@ Hanner ball of a cotree as nested l1 and linf sums, permuted into place.  The
 small helpers that only tests call live here too: the Fraction unit vector
 ``unit_vec``, the sign flips ``sign_orbit``, the graph builders
 ``path_graph`` and ``induced_subgraph`` and the coordinate relabeling
-``permute_coordinates``.
+``permute_coordinates``, the hull of the relabeled vertex rows.
 The library pieces reused are: the dot product ``dot``,
 membership and the primitive facet row ``_int_facet`` that ``canon_facet``
-reads, each covered by its own tests, DD and ``_make`` for the sections, for
+reads, each covered by its own tests, ``from_halfspaces`` for the sections, for
 the truncation check and the cube cap the constructors, gauge, polar, volume
 and the bound factors it is compared through, for the section volumes polar
 and volume, for the
@@ -47,8 +48,7 @@ from mahlerlab.graphs import Graph, from_edges, maximal_independent_sets
 from mahlerlab.polytope import (
     Polytope,
     _int_facet,
-    _make,
-    _primitive_row,
+    _hull,
     cube,
     from_halfspaces,
     gauge,
@@ -238,6 +238,12 @@ def orbit_reps_by_fractions(p: Polytope) -> tuple[set, set]:
         return v == max(sign_orbit(v) if unconditional else [v, tuple(-x for x in v)] if central else [v])
 
     return {v for v in p.vertices if top(v)}, {(a, s) for a, s in p.facets if top(a)}
+
+
+def incidence_scan(p: Polytope) -> tuple[int, ...]:
+    """One vertex mask per facet row (A, B): one integer dot product ``<A, V> == B*t`` per facet and vertex row."""
+    verts = p.vertex_rows
+    return tuple(sum(1 << i for i, (v, t) in enumerate(verts) if dot(row, v) == b * t) for row, b in p.facet_rows)
 
 
 def incidence_by_fractions(p: Polytope) -> tuple[int, ...]:
@@ -515,13 +521,11 @@ def canonical_graph_key(g) -> tuple:
 
 
 def permute_coordinates(p: Polytope, perm) -> Polytope:
-    """Relabel coordinates: output coordinate i carries input coordinate perm[i]."""
+    """Relabel coordinates: output coordinate i carries input coordinate perm[i]; the hull of the relabeled vertices."""
     pi = list(perm)
     if sorted(pi) != list(range(p.dim)):
         raise DimensionError("perm must be a permutation of 0..dim-1")
-    verts = [(tuple(v[k] for k in pi), t) for v, t in p.vertex_rows]
-    facets = [(tuple(a[k] for k in pi), b) for a, b in p.facet_rows]
-    return _make(p.dim, verts, facets)
+    return _hull([(tuple(v[k] for k in pi), t) for v, t in p.vertex_rows])
 
 
 def hanner_by_sums(t) -> Polytope:
@@ -657,9 +661,8 @@ def coordinate_section_by_dd(p: Polytope, j: int) -> Polytope:
             if b < 0:
                 raise DimensionError("section is empty")
             continue
-        rows.append(_primitive_row(a2, b))
-    verts, flags = dd.polyhedron_vertices(rows, p.dim - 1)
-    return _make(p.dim - 1, verts, [r for r, f in zip(rows, flags) if f])
+        rows.append((a2, b))
+    return from_halfspaces(rows, p.dim - 1)
 
 
 def cube_cap_by_halfspaces(k: Polytope, s: Fraction) -> Polytope:

@@ -1,11 +1,17 @@
 """Every name a package module imports is read somewhere in that module."""
 
 import ast
+import re
 from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parents[1] / "src" / "mahlerlab"
+import mahlerlab
+
+ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src" / "mahlerlab"
+DEMOS = ROOT / "demos"
+README = ROOT / "README.md"
 
 
 def unused_imports(source: str) -> list[str]:
@@ -41,14 +47,12 @@ def test_no_module_imports_a_name_it_never_uses(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
 
 
-def unread_private_functions(sources: dict[str, str]) -> list[str]:
-    """Module-level ``_private`` functions that no module reads outside their own body, as ``"module.name"``.
+def readers(trees: dict[str, ast.Module]) -> dict[str, set[str]]:
+    """Each name read in the modules -> where: the module, or ``"module.function"`` inside a top-level function.
 
-    A read is a name, an attribute or a ``from ... import`` of the name;
-    a recursive call inside the function's own body is no read.
+    A read is a name, an attribute or a ``from ... import`` of the name.
     """
-    trees = {module: ast.parse(source) for module, source in sources.items()}
-    read: dict[str, set[str]] = {}  # name -> the modules and own bodies reading it
+    read: dict[str, set[str]] = {}
     for module, tree in trees.items():
         owners = {id(node): f"{module}.{node.name}" for node in tree.body if isinstance(node, ast.FunctionDef)}
 
@@ -65,6 +69,16 @@ def unread_private_functions(sources: dict[str, str]) -> list[str]:
                 visit(child, where)
 
         visit(tree, module)
+    return read
+
+
+def unread_private_functions(sources: dict[str, str]) -> list[str]:
+    """Module-level ``_private`` functions that no module reads outside their own body, as ``"module.name"``.
+
+    A recursive call inside the function's own body is no read.
+    """
+    trees = {module: ast.parse(source) for module, source in sources.items()}
+    read = readers(trees)
     return sorted(
         f"{module}.{node.name}"
         for module, tree in trees.items()
@@ -88,3 +102,18 @@ def test_every_private_function_has_a_package_reader():
     # a helper that only tests call belongs in tests/oracles.py
     sources = {path.stem: path.read_text(encoding="utf-8") for path in sorted(SRC.glob("*.py"))}
     assert unread_private_functions(sources) == []
+
+
+def test_every_public_name_has_a_reader():
+    # a public name that only the tests read belongs in tests/oracles.py; a read in its own body is no read
+    sources = {path.stem: path.read_text(encoding="utf-8") for path in sorted(SRC.glob("*.py")) if path.stem != "__init__"}
+    sources |= {path.stem: path.read_text(encoding="utf-8") for path in sorted(DEMOS.glob("*.py"))}
+    read = readers({module: ast.parse(source) for module, source in sources.items()})
+    readme = README.read_text(encoding="utf-8")
+    unread = [
+        name
+        for name in mahlerlab.__all__
+        if not {where for where in read.get(name, ()) if where.rpartition(".")[2] != name}
+        and not re.search(rf"\b{name}\b", readme)
+    ]
+    assert unread == []

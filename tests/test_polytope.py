@@ -7,6 +7,7 @@ import math
 import random
 from fractions import Fraction
 from itertools import compress, product as iter_product
+from pathlib import Path
 
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
@@ -62,6 +63,7 @@ from oracles import (
     gauge_by_fractions,
     hausdorff_by_full_scan,
     incidence_by_fractions,
+    incidence_scan,
     is_centrally_symmetric_by_fractions,
     is_unconditional_by_fractions,
     make_by_fractions,
@@ -196,7 +198,7 @@ def test_facet_rows_are_the_hull_rays():
         assert all(flags)
         assert set(p.facet_rows) == set(rays)
         assert all(type(x) is int for row, b in rays for x in (*row, b))
-        scan = dict(zip(p.facet_rows, polytope._incidence_scan(p)))  # facet row -> the vertices on it
+        scan = dict(zip(p.facet_rows, incidence_scan(p)))  # facet row -> the vertices on it
         assert sets == dd.transpose([scan[r] for r in rays], p.n_vertices)
 
 
@@ -206,7 +208,7 @@ def test_orthant_hull_facets_are_the_hull_rays_with_no_negative_entry():
         rays, flags, tight = dd.orthant_hull_facets(reps + [(tuple(x * 2 for x in reps[0][0]), reps[0][1] * 3)])
         assert flags == [True] * len(reps) + [False]  # an inner point of the orthant is no vertex
         assert sorted(rays) == sorted((a, b) for a, b in p.facet_rows if min(a) >= 0)
-        scan = dict(zip(p.facet_rows, polytope._incidence_scan(p)))  # facet row -> the vertices on it
+        scan = dict(zip(p.facet_rows, incidence_scan(p)))  # facet row -> the vertices on it
         at = {r: i for i, r in enumerate(p.vertex_rows)}
         assert tight == [sum(1 << k for k, v in enumerate(reps) if scan[r] >> at[v] & 1) for r in rays]
 
@@ -569,7 +571,7 @@ def test_sections_read_off_the_incidence_match_dd_sections(p, dual, data):
     s = coordinate_section(p, j)
     assert s == coordinate_section_by_dd(p, j)
     handed = vars(s)["_facet_masks"]  # the section's vertex sets, handed on at birth
-    assert handed == Polytope(s.dim, s.vertex_rows, s.facet_rows)._facet_masks
+    assert handed == incidence_scan(s)
     assert handed == incidence_by_fractions(s)
     volume(s)
     assert s._facet_masks is handed
@@ -589,13 +591,11 @@ def test_sections_refuse_bodies_that_are_not_unconditional(p, j):
 @settings(max_examples=40, deadline=None)
 def test_polar_hands_on_the_incidence_that_volume_built(p):
     assume(contains_origin_interior(p))
-    fresh = Polytope(p.dim, p.vertex_rows, p.facet_rows)  # built with no constructor, so it knows no incidence
-    assert not {"_facet_masks", "_vertex_masks"} & set(vars(polar(fresh)))
     volume.cache_clear()
     volume(p)
     q = polar(p)
     assert vars(q)["_vertex_masks"] is p._facet_masks  # swapped, not transposed
-    assert q._facet_masks == Polytope(q.dim, q.vertex_rows, q.facet_rows)._facet_masks
+    assert q._facet_masks == incidence_scan(q)
     assert q._facet_masks == incidence_by_fractions(q)
     assert vars(polar(polar(p)))["_facet_masks"] is p._facet_masks
     assert polar(q)._vertex_masks is q._facet_masks
@@ -652,26 +652,61 @@ def orthant_reps(draw, dim=3):
     return rows + [polytope._primitive_row([x * u + y * t for x, y in zip(v, w)], 2 * t * u)]
 
 
-UNCONDITIONAL_FACTS = ("_facet_masks", "_symmetry")
+BORN_FACTS = ("_facet_masks", "_symmetry")
 positive_rationals = st.builds(F, st.integers(min_value=1, max_value=12), st.integers(min_value=1, max_value=4))
 POLAR_FACT = {"_facet_masks": "_vertex_masks", "_vertex_masks": "_facet_masks", "_symmetry": "_symmetry"}
 
+
+@st.composite
+def halfspace_system(draw, dim):
+    """A box around a random centre, so offsets of every sign, cut by up to three random halfspaces."""
+    centre = draw(st.tuples(*[rationals] * dim))
+    rows = []
+    for i in range(dim):
+        e = tuple(F(int(k == i)) for k in range(dim))
+        width = draw(st.integers(min_value=1, max_value=3))
+        rows += [(e, centre[i] + width), (tuple(-x for x in e), width - centre[i])]
+    return rows + draw(st.lists(st.tuples(st.tuples(*[coords] * dim), rationals), max_size=3))
+
+
+@st.composite
+def halfspace_body(draw, dim):
+    """``from_halfspaces`` of a ``halfspace_system`` given with a repeated and a scaled copy of its first row."""
+    rows = draw(halfspace_system(dim))
+    a, b = rows[0]
+    try:
+        return from_halfspaces(rows + [(a, b), (tuple(2 * x for x in a), 2 * b)], dim)
+    except (DimensionError, UnboundedError):
+        assume(False)
+
+
+@st.composite
+def sum_operand(draw):
+    """A body of dimension 1 or 2 of any class with the origin interior, as ``linf_sum`` and ``l1_sum`` take."""
+    p = draw(st.one_of(positive_rationals.map(interval), *(body(dim=2) for body in (general_body, central_body))))
+    assume(contains_origin_interior(p))
+    return p
+
+
 born_body = st.one_of(  # (body, the facts its constructor knows)
     st.sampled_from([general_body, central_body, symmetric_body]).flatmap(lambda body: body(dim=3)).map(
-        lambda p: (p, ("_facet_masks",))  # _hull
+        lambda p: (p, BORN_FACTS)  # _hull
     ),
+    st.integers(2, 3).flatmap(halfspace_body).map(lambda p: (p, BORN_FACTS)),
+    st.tuples(sum_operand(), sum_operand()).map(lambda pq: (linf_sum(*pq), BORN_FACTS)),
+    st.tuples(sum_operand(), sum_operand()).map(lambda pq: (l1_sum(*pq), ("_vertex_masks", "_symmetry"))),
     # the cross polytope's reps and (1/2, 1/2, 0), which is tight on a facet and no vertex
     st.one_of(st.just([((1, 0, 0), 1), ((0, 1, 0), 1), ((0, 0, 1), 1), ((1, 1, 0), 2)]), orthant_reps()).map(
-        lambda reps: (polytope._orthant_hull(reps), UNCONDITIONAL_FACTS)
+        lambda reps: (polytope._orthant_hull(reps), BORN_FACTS)
     ),
     st.sampled_from([g for n in (2, 3, 4) for g in enumerate_p4_free_labeled(n)]).map(
-        lambda g: (polytope_from_graph(g), UNCONDITIONAL_FACTS)
+        lambda g: (polytope_from_graph(g), BORN_FACTS)
     ),
     st.builds(random_unconditional_polytope, st.integers(3, 4), st.integers(0, 10**6)).map(
-        lambda p: (p, UNCONDITIONAL_FACTS)
+        lambda p: (p, BORN_FACTS)
     ),
-    st.integers(1, 4).map(lambda n: (cube(n), UNCONDITIONAL_FACTS)),
-    positive_rationals.map(lambda r: (interval(r), UNCONDITIONAL_FACTS)),
+    st.integers(1, 4).map(lambda n: (cube(n), BORN_FACTS)),
+    positive_rationals.map(lambda r: (interval(r), BORN_FACTS)),
 )
 
 
@@ -685,19 +720,17 @@ def test_facts_known_at_birth_are_the_oracles(born, data):
     sizes = data.draw(st.lists(positive_rationals, min_size=p.dim, max_size=p.dim))
     signs = data.draw(st.sampled_from([(1,) * p.dim, *iter_product((1, -1), repeat=p.dim)]))
     scales = [s * x for s, x in zip(signs, sizes)]
-    image = diagonal_image(p, scales)
-    if min(scales) > 0 and all(b for _, b in p.facet_rows):  # the row order is kept, and so is the incidence
-        check_facts(image, *names)
-    else:
-        check_facts(image, *(name for name in names if name == "_symmetry"))
+    image = diagonal_image(p, scales)  # p's masks as they stand, or re-indexed to the image's sorted rows
+    check_facts(image, "_symmetry")
+    assert {"_facet_masks", "_vertex_masks"} & set(vars(image))
     if not is_unconditional(p):
         return
     check_facts(normalize_unconditional(p), *names)
-    check_facts(perturb_unconditional(p, F(1, 4), data.draw(st.integers(0, 10**6))), *UNCONDITIONAL_FACTS)
+    check_facts(perturb_unconditional(p, F(1, 4), data.draw(st.integers(0, 10**6))), *BORN_FACTS)
     if p.dim >= 2:
         j = data.draw(st.integers(min_value=0, max_value=p.dim - 1))
-        check_facts(coordinate_section(p, j), *UNCONDITIONAL_FACTS)
-        check_facts(coordinate_section(polar(p), j), *UNCONDITIONAL_FACTS)
+        check_facts(coordinate_section(p, j), *BORN_FACTS)
+        check_facts(coordinate_section(polar(p), j), *BORN_FACTS)
         blow = max(gauge(p, [int(i != c) for i in range(p.dim)]) for c in range(p.dim))  # the largest corner gauge
         check_facts(volprod._cube_cap(p._facet_reps, blow), "_vertex_masks", "_symmetry")
 
@@ -705,7 +738,7 @@ def test_facts_known_at_birth_are_the_oracles(born, data):
 @pytest.mark.parametrize("n", range(1, 8))
 def test_cube_is_the_orthant_hull_of_its_corner(n):
     c = cube(n)
-    check_facts(c, *UNCONDITIONAL_FACTS)  # held at birth, and equal to the oracles' incidence and class
+    check_facts(c, *BORN_FACTS)  # held at birth, and equal to the oracles' incidence and class
     assert c.vertex_rows == tuple((v, 1) for v in iter_product((-1, 1), repeat=n))
     assert c.facet_rows == tuple(sorted((tuple(s * (k == i) for k in range(n)), 1) for i in range(n) for s in (-1, 1)))
     assert c._symmetry == 2
@@ -715,7 +748,7 @@ def test_cube_is_the_orthant_hull_of_its_corner(n):
 def test_interval_is_the_orthant_hull_of_its_radius(r):
     p, q = F(r).numerator, F(r).denominator
     i = interval(r)
-    check_facts(i, *UNCONDITIONAL_FACTS)
+    check_facts(i, *BORN_FACTS)
     assert i.vertex_rows == (((-p,), q), ((p,), q))
     assert i.facet_rows == (((-q,), p), ((q,), p))
     assert i._facet_masks == (1, 2) and i._symmetry == 2  # x >= -r holds only -r, x <= r only r
@@ -724,18 +757,32 @@ def test_interval_is_the_orthant_hull_of_its_radius(r):
 def test_diagonal_image_sorts_the_rows_of_a_body_with_a_facet_through_the_origin():
     # a row (A, 0) is keyed on A itself, which the map rescales row by row: here the two orders differ
     p = from_vertices([(0, 0), (1, 3), (2, -1)])
-    image = diagonal_image(p, (3, 1))
-    assert image == from_vertices([(0, 0), (3, 3), (6, -1)])
-    check_facts(image)
+    assert diagonal_image(p, (3, 1)) == from_vertices([(0, 0), (3, 3), (6, -1)])
+    for signs in iter_product((1, -1), repeat=2):
+        image = diagonal_image(p, (3 * signs[0], signs[1]))
+        assert image == from_vertices([(3 * signs[0] * x, signs[1] * y) for x, y in p.vertices])
+        check_facts(image, *BORN_FACTS)
+
+
+def test_a_body_built_from_raw_rows_holds_no_facts():
+    c = cube(2)
+    raw = Polytope(2, c.vertex_rows, c.facet_rows)
+    assert raw == c  # equality and hashing read the rows alone
+    volume.cache_clear()  # a cached equal body would answer without reading this one
+    for read in (volume, is_unconditional, polar, lambda p: p._facet_masks, lambda p: p._vertex_masks):
+        with pytest.raises(ConsistencyError, match="from_vertices or from_halfspaces"):
+            read(raw)
 
 
 def test_workload_paths_run_no_incidence_scan(monkeypatch):
+    # every body is born with its incidence, so no package module keeps a scan for it
+    sources = Path(polytope.__file__).parent.glob("*.py")
+    assert not [path.name for path in sources if "_incidence_scan" in path.read_text(encoding="utf-8")]
     # the symmetry scans left are those of the truncated cube's two corner pieces, built by _hull
     corner = volprod.corner_bound_instance(4, F(7, 8))
-    scanned = {"incidence": [], "symmetry": []}
-    for name, kind in (("_incidence_scan", "incidence"), ("_symmetry_scan", "symmetry")):
-        real = getattr(polytope, name)
-        monkeypatch.setattr(polytope, name, lambda p, real=real, kind=kind: scanned[kind].append(p) or real(p))
+    scanned = []
+    real = polytope._symmetry_scan
+    monkeypatch.setattr(polytope, "_symmetry_scan", lambda p: scanned.append(p) or real(p))
     for cache in (volume, volprod._section_volumes, volprod.mahler_bound, polytope_from_graph):
         cache.cache_clear()
     k = random_unconditional_polytope(4, 11)  # one certificates body item
@@ -744,8 +791,7 @@ def test_workload_paths_run_no_incidence_scan(monkeypatch):
     volprod.verify_truncated_cube_bound(4, F(7, 8))
     stability_experiment(ExperimentConfig(3, 1, F(1, 10), 0))
     volprod.volume_product(polytope_from_graph(enumerate_p4_free_labeled(4)[5]))
-    assert scanned["incidence"] == []
-    assert scanned["symmetry"] and set(scanned["symmetry"]) <= {corner.body_piece, corner.polar_piece}
+    assert scanned and set(scanned) <= {corner.body_piece, corner.polar_piece}
 
 
 def test_permute_coordinates_convention():
@@ -1302,24 +1348,22 @@ def test_validate_catches_handmade_corruption():
 
 
 def test_facet_rows_stay_out_of_identity():
-    # the fields are the integer rows; _symmetry is lazy and the Fraction views are never kept
+    # the fields are the integer rows; _symmetry is held from birth outside them; the Fraction views are never kept
     assert [f.name for f in dataclasses.fields(Polytope)] == ["dim", "vertex_rows", "facet_rows"]
     for body in (random_unconditional_polytope(3, 5), OFFSET_BODIES[1]):
         before = to_json_dict(body)
         membership(body, (F(1, 3),) * body.dim)
         point_distance_sq(body, (F(7, 2),) * body.dim)  # outside, so it reads the vertex rows
         is_unconditional(body)  # reads _symmetry
-        assert "_symmetry" in vars(body)
         assert not {"vertices", "facets"} & set(vars(body))  # read by to_json_dict, not kept
         fresh = from_vertices(body.vertices)
-        assert not {"vertices", "facets", "_symmetry"} & set(vars(fresh))
+        assert "_symmetry" in vars(fresh) and not {"vertices", "facets"} & set(vars(fresh))
         assert hash(body) == hash((body.dim, body.vertex_rows, body.facet_rows))
         assert fresh == body and hash(fresh) == hash(body)
         assert not {"vertices", "facets"} & set(vars(fresh))  # equality and hashing read the rows
         assert to_json_dict(body) == before == to_json_dict(fresh)
         volume.cache_clear()  # a cached equal body would answer without reading this one
         volume(fresh)
-        assert "_symmetry" in vars(fresh)
         again = from_vertices(body.vertices)
         assert fresh == again and hash(fresh) == hash(again)
         assert to_json_dict(fresh) == before
@@ -1330,18 +1374,6 @@ def test_polytope_class_invariants():
         Polytope(0, (((), 1),), ())
     with pytest.raises(ConsistencyError):
         Polytope(2, (((0, 0), 1),), (((1, 0), 1),))
-
-
-@st.composite
-def halfspace_system(draw, dim):
-    """A box around a random centre, so offsets of every sign, cut by up to three random halfspaces."""
-    centre = draw(st.tuples(*[rationals] * dim))
-    rows = []
-    for i in range(dim):
-        e = tuple(F(int(k == i)) for k in range(dim))
-        width = draw(st.integers(min_value=1, max_value=3))
-        rows += [(e, centre[i] + width), (tuple(-x for x in e), width - centre[i])]
-    return rows + draw(st.lists(st.tuples(st.tuples(*[coords] * dim), rationals), max_size=3))
 
 
 def _fraction_form(kind, data, dim):
@@ -1424,7 +1456,7 @@ def _orbit_hull(reps):
 
 
 @st.composite
-def orthant_reps(draw):
+def covering_orthant_reps(draw):
     """Closed-orthant rows (V, t) covering every coordinate, with zero coordinates, repeats and inner points."""
     n = draw(st.integers(min_value=1, max_value=4))
     point = st.tuples(*[st.builds(F, st.integers(min_value=0, max_value=6), st.integers(min_value=1, max_value=3))] * n)
@@ -1435,7 +1467,7 @@ def orthant_reps(draw):
     return [ratlin.int_row(v) for v in pts]
 
 
-@given(orthant_reps(), st.booleans())
+@given(covering_orthant_reps(), st.booleans())
 @example([((1, 0), 1), ((0, 1), 1)], False)  # the cross polytope: every facet ray has no zero coordinate
 @example([((1, 1, 0), 1), ((0, 0, 1), 1)], False)  # rays with zero coordinates, both kinds
 @settings(max_examples=80, deadline=None)
