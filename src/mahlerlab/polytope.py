@@ -47,11 +47,12 @@ bitmask per facet row: facet ``(A, B)`` holds vertex i iff
 ``<A, V_i> == B*t_i``; ``_vertex_masks`` is its transpose.  Every constructor
 stores it at birth.  ``_hull``, ``from_halfspaces``, ``coordinate_section``,
 ``linf_sum`` and a sorted ``diagonal_image`` re-index each vertex's facet set
-(DD's tight sets, the section's vertex sets, the product rule, p's sets) to the sorted rows once, with no dot product
-(``_make_with_incidence``).  ``_orthant_hull`` reads it off the
-representatives by the orbit rule: for representatives a, v >= 0 and sign
-flips tau of a and sigma of v, the vertex ``sigma v`` lies on the facet
-``tau a`` iff v is tight on a and tau = sigma on ``supp(a) cap supp(v)``.
+(DD's tight sets, the section's vertex sets, the product rule, p's sets) to
+the sorted rows once, with no dot product (``_make_with_incidence``).
+``_orthant_hull`` reads it off the representatives by the orbit rule: for
+representatives a, v >= 0 and sign flips tau of a and sigma of v, the vertex
+``sigma v`` lies on the facet ``tau a`` iff v is tight on a and tau = sigma
+on ``supp(a) cap supp(v)``.
 Indeed ``<tau a, sigma v> = sum tau_i sigma_i a_i v_i <= <a, v> <= s*t``, with
 equality iff v is tight on a and every term ``a_i v_i > 0`` keeps its sign.
 Only the representatives that are vertices are read: one that is not can
