@@ -38,7 +38,7 @@ representative makes K full-dimensional and every ray's s positive.  A
 representative is a vertex of K iff its row is a facet of C, the flag DD
 sets: a point that is no vertex has a row implied on a >= 0 by the vertex
 rows, and a vertex's facet of the polar keeps full dimension
-when folded into the orthant.  ``_make`` sorts both row sets, so the body is
+when folded into the orthant.  Both row sets are sorted, so the body is
 the one ``_hull`` of the full orbit gives.  ``cube`` and ``interval`` are
 such bodies, of the one representative (1, ..., 1) or r.
 
@@ -58,9 +58,10 @@ equality iff v is tight on a and every term ``a_i v_i > 0`` keeps its sign.
 Only the representatives that are vertices are read: one that is not can
 still be tight on a facet.  For each tight pair, v's orbit is grouped once by
 its signs on the common support, so each facet ``tau a`` is one OR per tight
-representative.  ``polar`` swaps the two fields like the rows, since the
-polar's facet k is the body's vertex k, and computes neither; a handed-on
-``_vertex_masks`` is transposed on the first read of ``_facet_masks``.
+representative.  ``polar`` swaps the masks like the rows, since the polar's
+facet k is the body's vertex k: its field is p's ``_vertex_masks``, read (and
+kept) on p, and its ``_vertex_masks`` is p's field, so a second polar
+transposes nothing.
 ``diagonal_image`` hands the masks on as they stand when every scale is
 positive and no facet passes through the origin.  A positive diagonal map D
 keeps lexicographic order, since two points first differ in the same
@@ -71,8 +72,7 @@ row ``(A, 0)`` is keyed on A itself, which the map rescales row by row.)
 Otherwise the rows are sorted again, and each image vertex keeps p's facet
 set, as D maps p's faces onto the image's.  In ``linf_sum`` the vertex
 ``(v, w)`` lies on the facet ``a + 0`` iff v lies on a, and on ``0 + b`` iff w
-lies on b.  A ``Polytope`` built directly from rows holds no incidence, and
-reading it raises ``ConsistencyError``.
+lies on b.
 
 A coordinate section of an unconditional body K is read off that incidence
 with no DD run.  For x in K its flip ``s_j x`` (x_j negated) is in K, so
@@ -114,9 +114,7 @@ fixes K iff it fixes K polar, and ``diagonal_image`` keeps it, since a
 diagonal map D commutes with every such reflection g, so g fixes DK iff it
 fixes K.  ``linf_sum`` takes the lesser class of its factors, as a
 reflection fixes p x q iff its parts fix p and q, and ``_hull`` and
-``from_halfspaces`` read it off the vertex rows (``_symmetry_scan``).  A
-``Polytope`` built directly from rows holds none, and reading it raises
-``ConsistencyError``.
+``from_halfspaces`` read it off the vertex rows (``_symmetry_scan``).
 An unconditional body cones from the origin over the facets whose
 normals have no negative coordinate, each of weight 2^(number of nonzero
 coordinates); a centrally symmetric one over the facets whose first nonzero
@@ -170,7 +168,7 @@ a vertex farther than ``best`` never meets the cap.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from itertools import compress
@@ -202,7 +200,6 @@ from .ratlin import (
 
 Row = tuple[tuple[int, ...], int]
 Facet = tuple[Vec, Fraction]
-_NOT_BORN = "a Polytope built from raw rows holds no incidence or class: build it with from_vertices or from_halfspaces"
 
 
 def _primitive_row(a: Iterable[int], b: int) -> Row:
@@ -239,11 +236,16 @@ def _sorted_rows(rows: Iterable[Row]) -> tuple[Row, ...]:
 
 @dataclass(frozen=True)
 class Polytope:
-    """Bounded full-dimensional polytope, exact V- and H-representation as integer rows."""
+    """Bounded full-dimensional polytope, exact V- and H-representation as integer rows.
+
+    Its symmetry class and vertex-facet incidence (module docstring) are given at birth; identity reads the rows.
+    """
 
     dim: int
     vertex_rows: tuple[Row, ...]
     facet_rows: tuple[Row, ...]
+    _symmetry: int = field(compare=False)
+    _facet_masks: tuple[int, ...] = field(compare=False)
 
     def __post_init__(self) -> None:
         if self.dim < 1:
@@ -264,35 +266,15 @@ class Polytope:
         )
 
     @cached_property
-    def _symmetry(self) -> int:
-        """2 if every coordinate sign flip fixes the body, else 1 if the negation does, else 0.
-
-        Stored at birth by every constructor; a body built from raw rows has none.
-        """
-        raise ConsistencyError(_NOT_BORN)
-
-    @cached_property
-    def _facet_masks(self) -> tuple[int, ...]:
-        """One vertex bitmask per facet row: facet (A, B) holds vertex V/t iff ``<A, V> == B*t``.
-
-        Stored at birth by every constructor but ``polar``, whose handed-on
-        ``_vertex_masks`` is transposed here; a body built from raw rows has none.
-        """
-        handed = vars(self).get("_vertex_masks")
-        if handed is None:
-            raise ConsistencyError(_NOT_BORN)
-        return tuple(dd.transpose(handed, self.n_facets))
-
-    @cached_property
     def _vertex_masks(self) -> tuple[int, ...]:
-        """One facet bitmask per vertex row, the transpose of ``_facet_masks``; kept like it."""
+        """One facet bitmask per vertex row, the transpose of ``_facet_masks``; kept on first read."""
         return tuple(dd.transpose(self._facet_masks, self.n_vertices))
 
     @cached_property
     def _vertex_reps(self) -> tuple[Row, ...]:
         """The vertex rows that stand for their orbit under the reflections of ``_symmetry``, in row order.
 
-        One ``_orbit_weights`` filter per body, kept like ``_facet_masks``.
+        One ``_orbit_weights`` filter per body, kept like ``_vertex_masks``.
         """
         return tuple(compress(self.vertex_rows, _orbit_weights(self.vertex_rows, self._symmetry)))
 
@@ -313,38 +295,26 @@ class Polytope:
         return f"Polytope(dim={self.dim}, vertices={self.n_vertices}, facets={self.n_facets})"
 
 
-def _symmetry_scan(p: Polytope) -> int:
+def _symmetry_scan(dim: int, rows: Sequence[Row]) -> int:
     """``_symmetry`` read off the vertex rows ``(V, t)``, which a reflection maps to rows of the same t."""
-    rows = p.vertex_rows
     vset = set(rows)
-    if all((v[:i] + (-v[i],) + v[i + 1 :], t) in vset for v, t in rows for i in range(p.dim)):
+    if all((v[:i] + (-v[i],) + v[i + 1 :], t) in vset for v, t in rows for i in range(dim)):
         return 2
     return int(all((tuple(-x for x in v), t) in vset for v, t in rows))
 
 
-def _known(p: Polytope, **facts) -> Polytope:
-    """p holding the facts its constructor knows (``_facet_masks``, ``_vertex_masks``, ``_symmetry``)."""
-    vars(p).update(facts)
-    return p
-
-
-def _make(dim: int, vertex_rows: Iterable[Row], facet_rows: Iterable[Row]) -> Polytope:
-    """The polytope of canonical vertex rows ``(V, t)`` and primitive facet rows ``(A, B)``, repeats allowed."""
-    return Polytope(dim, _sorted_rows(vertex_rows), _sorted_rows(facet_rows))
-
-
 def _make_with_incidence(dim: int, on: dict[Row, int], facets: Sequence[Row], symmetry: int | None = None) -> Polytope:
-    """``_make`` of the vertex rows ``on`` and the distinct facet rows ``facets``, holding their incidence and class.
+    """The polytope of the vertex rows ``on`` and the distinct facet rows ``facets``, sorted, with their incidence.
 
     Bit k of ``on[v]`` marks the vertex v on ``facets[k]``; the masks are
     re-indexed once to the sorted rows, with no dot product.  A class the
     caller does not know is read off the vertex rows by ``_symmetry_scan``.
     """
-    q = _make(dim, on, facets)
-    cols = dd.transpose([on[r] for r in q.vertex_rows], len(facets))
+    verts, rows = _sorted_rows(on), _sorted_rows(facets)
+    cols = dd.transpose([on[r] for r in verts], len(facets))
     at = {r: k for k, r in enumerate(facets)}
-    masks = tuple(cols[at[r]] for r in q.facet_rows)
-    return _known(q, _facet_masks=masks, _symmetry=_symmetry_scan(q) if symmetry is None else symmetry)
+    masks = tuple(cols[at[r]] for r in rows)
+    return Polytope(dim, verts, rows, _symmetry_scan(dim, verts) if symmetry is None else symmetry, masks)
 
 
 def from_vertices(points: Sequence[Sequence[Fraction | int]]) -> Polytope:
@@ -375,16 +345,13 @@ def _orthant_hull(reps: Sequence[Row]) -> Polytope:
     facets, flags, tight = dd.orthant_hull_facets(reps)
     orbits = {k: _flips(v) for k, ((v, _), f) in enumerate(zip(reps, flags)) if f}  # the vertices, up to sign
     facet_orbits = [_flips(a) for a, _ in facets]
-    q = _make(
-        len(reps[0][0]),
-        [(w, reps[k][1]) for k, orbit in orbits.items() for _, w in orbit],
-        [(w, b) for (_, b), orbit in zip(facets, facet_orbits) for _, w in orbit],
-    )
-    at_vertex = {r: i for i, r in enumerate(q.vertex_rows)}
-    at_facet = {r: i for i, r in enumerate(q.facet_rows)}
+    verts = _sorted_rows((w, reps[k][1]) for k, orbit in orbits.items() for _, w in orbit)
+    rows = _sorted_rows((w, b) for (_, b), orbit in zip(facets, facet_orbits) for _, w in orbit)
+    at_vertex = {r: i for i, r in enumerate(verts)}
+    at_facet = {r: i for i, r in enumerate(rows)}
     bits = {k: [(flip, 1 << at_vertex[w, reps[k][1]]) for flip, w in orbit] for k, orbit in orbits.items()}
     vertex_reps = sum(1 << k for k in orbits)
-    masks = [0] * q.n_facets
+    masks = [0] * len(rows)
     for (_, b), orbit, on in zip(facets, facet_orbits, tight):
         tables = []  # per vertex representative v tight on this facet's a: v's orbit by its flips on supp(a) & supp(v)
         on &= vertex_reps
@@ -401,7 +368,7 @@ def _orthant_hull(reps: Sequence[Row]) -> Polytope:
             for common, table in tables:
                 m |= table[flip & common]
             masks[at_facet[w, b]] = m
-    return _known(q, _facet_masks=tuple(masks), _symmetry=2)
+    return Polytope(len(reps[0][0]), verts, rows, 2, tuple(masks))
 
 
 def from_halfspaces(ineqs: Sequence[tuple[Sequence[Fraction | int], Fraction | int]], dim: int) -> Polytope:
@@ -470,7 +437,8 @@ def _row_membership(p: Polytope, x_row: tuple[int, ...], dx: int) -> str:
 
 
 def contains_origin_interior(p: Polytope) -> bool:
-    return all(b > 0 for _, b in p.facet_rows)
+    """True when every facet offset is positive; a body of class 1 or 2 is symmetric about 0 and so has it."""
+    return p._symmetry > 0 or all(b > 0 for _, b in p.facet_rows)
 
 
 def gauge(p: Polytope, x: Sequence[Fraction | int]) -> Fraction:
@@ -498,21 +466,17 @@ def _row_gauge(p: Polytope, x_row: tuple[int, ...], dx: int) -> Fraction:
     return Fraction(best, over * dx)
 
 
-# p's fact -> the same fact of polar(p)
-_POLAR_FACTS = (("_facet_masks", "_vertex_masks"), ("_vertex_masks", "_facet_masks"), ("_symmetry", "_symmetry"))
-
-
 def polar(p: Polytope) -> Polytope:
-    """Polar dual.  Exact and free: the vertex and facet rows swap, and so do the incidence masks p holds.
+    """Polar dual.  Exact: the vertex and facet rows swap, and so do the incidence masks.
 
-    p's symmetry class is handed on too, since a reflection fixes K iff it fixes K polar.  A body
-    of class 1 or 2 has the origin interior, so only a class-0 body is checked for it.
+    p's symmetry class is handed on too, since a reflection fixes K iff it fixes K polar.
+    The polar's ``_vertex_masks`` is p's ``_facet_masks``, kept, so ``polar(polar(p))`` transposes nothing.
     """
-    if not p._symmetry and not contains_origin_interior(p):
+    if not contains_origin_interior(p):
         raise PolarityDomainError("polar needs the origin in the interior")
-    known = vars(p)
-    facts = {theirs: known[mine] for mine, theirs in _POLAR_FACTS if mine in known}
-    return _known(Polytope(p.dim, p.facet_rows, p.vertex_rows), **facts)
+    q = Polytope(p.dim, p.facet_rows, p.vertex_rows, p._symmetry, p._vertex_masks)
+    vars(q)["_vertex_masks"] = p._facet_masks
+    return q
 
 
 def _flips(v: Sequence[int]) -> list[tuple[int, tuple[int, ...]]]:
@@ -547,9 +511,7 @@ def diagonal_image(p: Polytope, scales: Sequence[Fraction | int]) -> Polytope:
     verts = [_primitive_row(map(mul, srow, v), ds * t) for v, t in p.vertex_rows]
     facets = [_primitive_row([x * ds * (m // si) for si, x in zip(srow, a)], b * m) for a, b in p.facet_rows]
     if min(srow) > 0 and all(b for _, b in p.facet_rows):
-        known = vars(p)
-        masks = {name: known[name] for name in ("_facet_masks", "_vertex_masks") if name in known}
-        return _known(Polytope(p.dim, tuple(verts), tuple(facets)), _symmetry=p._symmetry, **masks)
+        return Polytope(p.dim, tuple(verts), tuple(facets), p._symmetry, p._facet_masks)
     return _make_with_incidence(p.dim, dict(zip(verts, p._vertex_masks)), facets, p._symmetry)
 
 

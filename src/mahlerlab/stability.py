@@ -81,6 +81,9 @@ class ExperimentConfig:
     seed: int
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "delta", fr(self.delta))  # "1/10" reads as 1/10; a float is refused as inexact
+        if type(self.trials) is not int:
+            raise TypeError(f"trial count must be an int, not {type(self.trials).__name__}")
         if self.n < 1:
             raise PreconditionError("dimension must be at least 1")
         if self.trials < 0:

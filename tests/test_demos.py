@@ -5,9 +5,12 @@ Each demo runs in a fresh interpreter with the package's ``src`` directory on
 ``tests/golden/demo_<name>.txt``.  The demos import public names, so a
 pruning that removes one of them fails here too.  After an intended output
 change, rewrite the files with ``PYTHONPATH=src python tests/test_demos.py``.
+The ``python`` blocks of ``README.md`` run here too, in order and in one
+namespace, as a reader pasting them would run them.
 """
 
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -17,6 +20,7 @@ import pytest
 ROOT = Path(__file__).resolve().parent.parent
 GOLDEN = ROOT / "tests" / "golden"
 DEMOS = sorted((ROOT / "demos").glob("0*.py"))
+README = ROOT / "README.md"
 
 
 def run_demo(demo: Path) -> str:
@@ -38,6 +42,15 @@ def test_every_demo_has_a_golden_file():
 @pytest.mark.parametrize("demo", DEMOS, ids=[d.stem for d in DEMOS])
 def test_demo_stdout(demo):
     assert run_demo(demo) == (GOLDEN / f"demo_{demo.stem}.txt").read_text(encoding="utf-8")
+
+
+def test_readme_python_blocks_run():
+    # the stability block perturbs the Hanner block's p, so every block shares one namespace
+    blocks = re.findall(r"^```python\n(.*?)^```", README.read_text(encoding="utf-8"), re.M | re.S)
+    assert blocks
+    namespace: dict = {}
+    for block in blocks:
+        exec(compile(block, str(README), "exec"), namespace)
 
 
 if __name__ == "__main__":

@@ -570,7 +570,7 @@ def test_sections_read_off_the_incidence_match_dd_sections(p, dual, data):
     j = data.draw(st.integers(min_value=0, max_value=p.dim - 1))
     s = coordinate_section(p, j)
     assert s == coordinate_section_by_dd(p, j)
-    handed = vars(s)["_facet_masks"]  # the section's vertex sets, handed on at birth
+    handed = s._facet_masks  # the section's vertex sets, handed on at birth
     assert handed == incidence_scan(s)
     assert handed == incidence_by_fractions(s)
     volume(s)
@@ -594,10 +594,10 @@ def test_polar_hands_on_the_incidence_that_volume_built(p):
     volume.cache_clear()
     volume(p)
     q = polar(p)
-    assert vars(q)["_vertex_masks"] is p._facet_masks  # swapped, not transposed
+    assert q._vertex_masks is p._facet_masks  # swapped, not transposed
     assert q._facet_masks == incidence_scan(q)
     assert q._facet_masks == incidence_by_fractions(q)
-    assert vars(polar(polar(p)))["_facet_masks"] is p._facet_masks
+    assert polar(polar(p))._facet_masks is p._facet_masks
     assert polar(q)._vertex_masks is q._facet_masks
     assert polar(q)._facet_masks is p._facet_masks
 
@@ -607,39 +607,42 @@ def test_polar_makes_no_transpose(monkeypatch):
     volume.cache_clear()
     volume(p)
     coordinate_section(p, 0)  # reads _vertex_masks, so p now holds both
+    fresh = random_unconditional_polytope(3, 6)  # holds only its incidence
+    assert "_vertex_masks" not in vars(fresh)
     calls = []
     real = dd.transpose
     monkeypatch.setattr(dd, "transpose", lambda masks, n: calls.append(n) or real(masks, n))
     q = polar(p)
     r = polar(q)
+    assert (q._facet_masks, q._vertex_masks) == (p._vertex_masks, p._facet_masks)
+    assert (r._facet_masks, r._vertex_masks) == (p._facet_masks, p._vertex_masks)
     assert calls == []
-    assert (vars(q)["_facet_masks"], vars(q)["_vertex_masks"]) == (p._vertex_masks, p._facet_masks)
-    assert (vars(r)["_facet_masks"], vars(r)["_vertex_masks"]) == (p._facet_masks, p._vertex_masks)
+    # a body holding only its incidence pays one transpose, kept on it, and its second polar none
+    q = polar(fresh)
+    assert calls == [fresh.n_vertices] and q._facet_masks is vars(fresh)["_vertex_masks"]
+    r = polar(q)
+    assert calls == [fresh.n_vertices] and r._facet_masks is fresh._facet_masks and r == fresh
 
 
 # ---------------------------------------------------------------------------
 # incidence and symmetry class at birth
 
 
-def check_facts(p, *names):
-    """p's rows are sorted, p holds each named fact, and every fact it holds is the oracle's.
+def check_facts(p):
+    """p's rows are sorted, and its incidence, class and the transpose it holds or builds are the oracle's.
 
-    The orbit representatives, which every body filters on first read, are compared with the oracle too.
+    The orbit representatives, which every body filters on first read, are compared with the oracle too, and
+    ``contains_origin_interior``, which trusts a class of 1 or 2, with the scan of the facet offsets.
     """
     assert (p.vertex_rows, p.facet_rows) == (polytope._sorted_rows(p.vertex_rows), polytope._sorted_rows(p.facet_rows))
-    known = vars(p)
-    assert set(names) <= set(known), (names, sorted(known))
     vertex_reps, facet_reps = orbit_reps_by_fractions(p)
     assert p._vertex_reps == tuple(r for r, v in zip(p.vertex_rows, p.vertices) if v in vertex_reps)
     assert p._facet_reps == tuple(r for r, f in zip(p.facet_rows, p.facets) if f in facet_reps)
     incidence = incidence_by_fractions(p)
-    if "_facet_masks" in known:
-        assert known["_facet_masks"] == incidence
-    if "_vertex_masks" in known:
-        assert known["_vertex_masks"] == tuple(dd.transpose(incidence, p.n_vertices))
-    if "_symmetry" in known:
-        symmetry = 2 if is_unconditional_by_fractions(p) else int(is_centrally_symmetric_by_fractions(p))
-        assert known["_symmetry"] == symmetry
+    assert p._facet_masks == incidence
+    assert p._vertex_masks == tuple(dd.transpose(incidence, p.n_vertices))
+    assert p._symmetry == (2 if is_unconditional_by_fractions(p) else int(is_centrally_symmetric_by_fractions(p)))
+    assert contains_origin_interior(p) == all(b > 0 for _, b in p.facet_rows)
 
 
 @st.composite
@@ -652,9 +655,7 @@ def orthant_reps(draw, dim=3):
     return rows + [polytope._primitive_row([x * u + y * t for x, y in zip(v, w)], 2 * t * u)]
 
 
-BORN_FACTS = ("_facet_masks", "_symmetry")
 positive_rationals = st.builds(F, st.integers(min_value=1, max_value=12), st.integers(min_value=1, max_value=4))
-POLAR_FACT = {"_facet_masks": "_vertex_masks", "_vertex_masks": "_facet_masks", "_symmetry": "_symmetry"}
 
 
 @st.composite
@@ -688,57 +689,48 @@ def sum_operand(draw):
     return p
 
 
-born_body = st.one_of(  # (body, the facts its constructor knows)
-    st.sampled_from([general_body, central_body, symmetric_body]).flatmap(lambda body: body(dim=3)).map(
-        lambda p: (p, BORN_FACTS)  # _hull
-    ),
-    st.integers(2, 3).flatmap(halfspace_body).map(lambda p: (p, BORN_FACTS)),
-    st.tuples(sum_operand(), sum_operand()).map(lambda pq: (linf_sum(*pq), BORN_FACTS)),
-    st.tuples(sum_operand(), sum_operand()).map(lambda pq: (l1_sum(*pq), ("_vertex_masks", "_symmetry"))),
+born_body = st.one_of(
+    st.sampled_from([general_body, central_body, symmetric_body]).flatmap(lambda body: body(dim=3)),  # _hull
+    st.integers(2, 3).flatmap(halfspace_body),
+    st.tuples(sum_operand(), sum_operand()).map(lambda pq: linf_sum(*pq)),
+    st.tuples(sum_operand(), sum_operand()).map(lambda pq: l1_sum(*pq)),
     # the cross polytope's reps and (1/2, 1/2, 0), which is tight on a facet and no vertex
     st.one_of(st.just([((1, 0, 0), 1), ((0, 1, 0), 1), ((0, 0, 1), 1), ((1, 1, 0), 2)]), orthant_reps()).map(
-        lambda reps: (polytope._orthant_hull(reps), BORN_FACTS)
+        polytope._orthant_hull
     ),
-    st.sampled_from([g for n in (2, 3, 4) for g in enumerate_p4_free_labeled(n)]).map(
-        lambda g: (polytope_from_graph(g), BORN_FACTS)
-    ),
-    st.builds(random_unconditional_polytope, st.integers(3, 4), st.integers(0, 10**6)).map(
-        lambda p: (p, BORN_FACTS)
-    ),
-    st.integers(1, 4).map(lambda n: (cube(n), BORN_FACTS)),
-    positive_rationals.map(lambda r: (interval(r), BORN_FACTS)),
+    st.sampled_from([g for n in (2, 3, 4) for g in enumerate_p4_free_labeled(n)]).map(polytope_from_graph),
+    st.builds(random_unconditional_polytope, st.integers(3, 4), st.integers(0, 10**6)),
+    st.integers(1, 4).map(cube),
+    positive_rationals.map(interval),
 )
 
 
 @given(born_body, st.data())
 @settings(max_examples=80, deadline=None)
-def test_facts_known_at_birth_are_the_oracles(born, data):
-    p, names = born
-    check_facts(p, *names)
+def test_facts_known_at_birth_are_the_oracles(p, data):
+    check_facts(p)
     if contains_origin_interior(p):
-        check_facts(polar(p), *(POLAR_FACT[name] for name in names))
+        check_facts(polar(p))
     sizes = data.draw(st.lists(positive_rationals, min_size=p.dim, max_size=p.dim))
     signs = data.draw(st.sampled_from([(1,) * p.dim, *iter_product((1, -1), repeat=p.dim)]))
     scales = [s * x for s, x in zip(signs, sizes)]
-    image = diagonal_image(p, scales)  # p's masks as they stand, or re-indexed to the image's sorted rows
-    check_facts(image, "_symmetry")
-    assert {"_facet_masks", "_vertex_masks"} & set(vars(image))
+    check_facts(diagonal_image(p, scales))  # p's masks as they stand, or re-indexed to the image's sorted rows
     if not is_unconditional(p):
         return
-    check_facts(normalize_unconditional(p), *names)
-    check_facts(perturb_unconditional(p, F(1, 4), data.draw(st.integers(0, 10**6))), *BORN_FACTS)
+    check_facts(normalize_unconditional(p))
+    check_facts(perturb_unconditional(p, F(1, 4), data.draw(st.integers(0, 10**6))))
     if p.dim >= 2:
         j = data.draw(st.integers(min_value=0, max_value=p.dim - 1))
-        check_facts(coordinate_section(p, j), *BORN_FACTS)
-        check_facts(coordinate_section(polar(p), j), *BORN_FACTS)
+        check_facts(coordinate_section(p, j))
+        check_facts(coordinate_section(polar(p), j))
         blow = max(gauge(p, [int(i != c) for i in range(p.dim)]) for c in range(p.dim))  # the largest corner gauge
-        check_facts(volprod._cube_cap(p._facet_reps, blow), "_vertex_masks", "_symmetry")
+        check_facts(volprod._cube_cap(p._facet_reps, blow))
 
 
 @pytest.mark.parametrize("n", range(1, 8))
 def test_cube_is_the_orthant_hull_of_its_corner(n):
     c = cube(n)
-    check_facts(c, *BORN_FACTS)  # held at birth, and equal to the oracles' incidence and class
+    check_facts(c)  # held at birth, and equal to the oracles' incidence and class
     assert c.vertex_rows == tuple((v, 1) for v in iter_product((-1, 1), repeat=n))
     assert c.facet_rows == tuple(sorted((tuple(s * (k == i) for k in range(n)), 1) for i in range(n) for s in (-1, 1)))
     assert c._symmetry == 2
@@ -748,7 +740,7 @@ def test_cube_is_the_orthant_hull_of_its_corner(n):
 def test_interval_is_the_orthant_hull_of_its_radius(r):
     p, q = F(r).numerator, F(r).denominator
     i = interval(r)
-    check_facts(i, *BORN_FACTS)
+    check_facts(i)
     assert i.vertex_rows == (((-p,), q), ((p,), q))
     assert i.facet_rows == (((-q,), p), ((q,), p))
     assert i._facet_masks == (1, 2) and i._symmetry == 2  # x >= -r holds only -r, x <= r only r
@@ -761,17 +753,15 @@ def test_diagonal_image_sorts_the_rows_of_a_body_with_a_facet_through_the_origin
     for signs in iter_product((1, -1), repeat=2):
         image = diagonal_image(p, (3 * signs[0], signs[1]))
         assert image == from_vertices([(3 * signs[0] * x, signs[1] * y) for x, y in p.vertices])
-        check_facts(image, *BORN_FACTS)
+        check_facts(image)
 
 
-def test_a_body_built_from_raw_rows_holds_no_facts():
+def test_a_body_needs_its_facts_and_identity_ignores_them():
     c = cube(2)
-    raw = Polytope(2, c.vertex_rows, c.facet_rows)
-    assert raw == c  # equality and hashing read the rows alone
-    volume.cache_clear()  # a cached equal body would answer without reading this one
-    for read in (volume, is_unconditional, polar, lambda p: p._facet_masks, lambda p: p._vertex_masks):
-        with pytest.raises(ConsistencyError, match="from_vertices or from_halfspaces"):
-            read(raw)
+    with pytest.raises(TypeError):
+        Polytope(2, c.vertex_rows, c.facet_rows)  # no class or incidence: no body
+    other = Polytope(2, c.vertex_rows, c.facet_rows, 0, (0,) * c.n_facets)
+    assert other == c and hash(other) == hash(c)  # equality and hashing read the rows alone
 
 
 def test_workload_paths_run_no_incidence_scan(monkeypatch):
@@ -782,7 +772,7 @@ def test_workload_paths_run_no_incidence_scan(monkeypatch):
     corner = volprod.corner_bound_instance(4, F(7, 8))
     scanned = []
     real = polytope._symmetry_scan
-    monkeypatch.setattr(polytope, "_symmetry_scan", lambda p: scanned.append(p) or real(p))
+    monkeypatch.setattr(polytope, "_symmetry_scan", lambda dim, rows: scanned.append(rows) or real(dim, rows))
     for cache in (volume, volprod._section_volumes, volprod.mahler_bound, polytope_from_graph):
         cache.cache_clear()
     k = random_unconditional_polytope(4, 11)  # one certificates body item
@@ -791,7 +781,7 @@ def test_workload_paths_run_no_incidence_scan(monkeypatch):
     volprod.verify_truncated_cube_bound(4, F(7, 8))
     stability_experiment(ExperimentConfig(3, 1, F(1, 10), 0))
     volprod.volume_product(polytope_from_graph(enumerate_p4_free_labeled(4)[5]))
-    assert scanned and set(scanned) <= {corner.body_piece, corner.polar_piece}
+    assert scanned and set(scanned) <= {corner.body_piece.vertex_rows, corner.polar_piece.vertex_rows}
 
 
 def test_permute_coordinates_convention():
@@ -1339,17 +1329,17 @@ def test_json_rejects_bad_payloads():
 def test_validate_catches_handmade_corruption():
     c = cube(2)
     with pytest.raises(ConsistencyError):
-        validate(Polytope(2, c.vertex_rows, (((1, 0), 1),)))  # lost facets
+        validate(Polytope(2, c.vertex_rows, (((1, 0), 1),), 2, (0b1100,)))  # lost facets
     doubled = tuple((tuple(2 * x for x in v), t) for v, t in c.vertex_rows)
     with pytest.raises(ConsistencyError):
-        validate(Polytope(2, doubled, c.facet_rows))  # vertices poke out
+        validate(Polytope(2, doubled, c.facet_rows, 2, c._facet_masks))  # vertices poke out
     validate(c)
     validate(cross_polytope(3))
 
 
 def test_facet_rows_stay_out_of_identity():
-    # the fields are the integer rows; _symmetry is held from birth outside them; the Fraction views are never kept
-    assert [f.name for f in dataclasses.fields(Polytope)] == ["dim", "vertex_rows", "facet_rows"]
+    # identity is the integer rows; the class and incidence are fields outside it; the Fraction views are never kept
+    assert [f.name for f in dataclasses.fields(Polytope) if f.compare] == ["dim", "vertex_rows", "facet_rows"]
     for body in (random_unconditional_polytope(3, 5), OFFSET_BODIES[1]):
         before = to_json_dict(body)
         membership(body, (F(1, 3),) * body.dim)
@@ -1357,7 +1347,7 @@ def test_facet_rows_stay_out_of_identity():
         is_unconditional(body)  # reads _symmetry
         assert not {"vertices", "facets"} & set(vars(body))  # read by to_json_dict, not kept
         fresh = from_vertices(body.vertices)
-        assert "_symmetry" in vars(fresh) and not {"vertices", "facets"} & set(vars(fresh))
+        assert fresh._symmetry == body._symmetry and not {"vertices", "facets"} & set(vars(fresh))
         assert hash(body) == hash((body.dim, body.vertex_rows, body.facet_rows))
         assert fresh == body and hash(fresh) == hash(body)
         assert not {"vertices", "facets"} & set(vars(fresh))  # equality and hashing read the rows
@@ -1371,9 +1361,9 @@ def test_facet_rows_stay_out_of_identity():
 
 def test_polytope_class_invariants():
     with pytest.raises(DimensionError):
-        Polytope(0, (((), 1),), ())
+        Polytope(0, (((), 1),), (), 0, ())
     with pytest.raises(ConsistencyError):
-        Polytope(2, (((0, 0), 1),), (((1, 0), 1),))
+        Polytope(2, (((0, 0), 1),), (((1, 0), 1),), 0, (1,))
 
 
 def _fraction_form(kind, data, dim):
@@ -1407,8 +1397,13 @@ def test_integer_rows_keep_the_fraction_canonical_form(kind, data):
     vrows, frows = list(p.vertex_rows) * 2, list(p.facet_rows) * 2
     rng.shuffle(vrows)
     rng.shuffle(frows)
-    again = polytope._make(p.dim, vrows, frows)
-    assert again.vertex_rows == p.vertex_rows and again.facet_rows == p.facet_rows
+    assert (polytope._sorted_rows(vrows), polytope._sorted_rows(frows)) == (p.vertex_rows, p.facet_rows)
+    order = rng.sample(range(p.n_facets), p.n_facets)  # facet k of the shuffled rows is p's facet order[k]
+    on = {v: sum(1 << k for k, i in enumerate(order) if m >> i & 1) for v, m in zip(p.vertex_rows, p._vertex_masks)}
+    shuffled = rng.sample(list(on), len(on))
+    again = polytope._make_with_incidence(p.dim, {v: on[v] for v in shuffled}, [p.facet_rows[i] for i in order])
+    assert (again.vertex_rows, again.facet_rows, again._facet_masks) == (p.vertex_rows, p.facet_rows, p._facet_masks)
+    assert again._symmetry == p._symmetry
     others = [
         again,
         from_halfspaces(p.facets, p.dim),

@@ -474,6 +474,19 @@ def test_experiment_config_validation():
         ExperimentConfig(n=3, trials=1, delta=F(1), seed=0)
 
 
+def test_experiment_config_reads_delta_as_an_exact_rational_and_trials_as_an_int():
+    # a string delta is parsed, as perturb_unconditional parses it; a float or a non-int count is refused up front
+    assert ExperimentConfig(3, 1, "1/10", 0) == ExperimentConfig(3, 1, F(1, 10), 0)
+    assert ExperimentConfig(3, 1, "1/10", 0).delta == F(1, 10)
+    with pytest.raises(PreconditionError):
+        ExperimentConfig(3, 1, "3/2", 0)
+    with pytest.raises(TypeError, match="floats are not exact"):
+        ExperimentConfig(3, 1, 0.1, 0)
+    for trials in (2.0, "2", True):
+        with pytest.raises(TypeError, match="trial count must be an int"):
+            ExperimentConfig(3, trials, F(1, 10), 0)
+
+
 def test_experiment_zero_delta_rows_are_exact_zeros():
     records, csv_text, summary = stability_experiment(
         ExperimentConfig(n=3, trials=2, delta=F(0), seed=1)
