@@ -28,7 +28,7 @@ from itertools import combinations
 from typing import Iterable, Union
 
 from .errors import ConsistencyError, FormatError, PreconditionError, ResourceError
-from .polytope import Polytope, _orthant_hull, _row_gauge, is_unconditional
+from .polytope import Polytope, _orthant_hull, _row_membership, is_unconditional
 from .ratlin import parse_int
 
 MAX_VERTICES = 32
@@ -184,17 +184,19 @@ def polytope_from_graph(g: Graph) -> Polytope:
 
 
 def graph_from_polytope(p: Polytope) -> Graph:
-    """Edge (i, j) iff gauge(p, e_i + e_j) > 1, that is, e_i + e_j lies outside p.
+    """Edge (i, j) iff e_i + e_j lies outside p, that is, gauge(p, e_i + e_j) > 1.
 
     Defined for unconditional bodies in standard position (every +-e_i on the
     boundary); inverse of polytope_from_graph on standard Hanner balls.  On a
-    perturbed body any margin gauge - 1 above 0, however small, is an edge.
+    perturbed body any point e_i + e_j outside, however close, is an edge.
+    With the origin interior, gauge 1 is the boundary and gauge above 1 the
+    outside, so both tests are integer membership tests.
     """
     n = p.dim
     if not is_unconditional(p):
         raise PreconditionError("graph extraction needs an unconditional polytope")
     for i in range(n):
-        if _row_gauge(p, tuple(int(k == i) for k in range(n)), 1) != 1:
+        if _row_membership(p, tuple(int(k == i) for k in range(n)), 1) != "boundary":
             raise PreconditionError("polytope is not normalized: e_%d is not on the boundary" % i)
     return _pair_graph(p)
 
@@ -207,7 +209,7 @@ def _pair_graph(p: Polytope) -> Graph:
         (i, j)
         for i in range(n)
         for j in range(i + 1, n)
-        if _row_gauge(p, tuple(int(k in (i, j)) for k in range(n)), 1) > 1
+        if _row_membership(p, tuple(int(k in (i, j)) for k in range(n)), 1) == "outside"
     ]
     return from_edges(n, es)
 

@@ -99,7 +99,25 @@ sigma, with equality at the flip that gives A the signs of x, so
 equality holds there iff it holds on some row of the orbit.  A centrally
 symmetric body pairs each facet ``(A, B)`` with ``(-A, B)`` and tests
 ``|<A, x>| <= B``; any other body reads every row.  Each body filters its
-rows once, on the first read.
+rows once, on the first read.  With the origin interior a gauge of 1 is the
+boundary and one above 1 the outside, so the package tests a gauge against 1
+as the integer ``membership`` it equals.
+
+Standard position, every +-e_i on the boundary, is read off the vertex
+representatives.  For an unconditional body K the axis intercept
+``max{s : s*e_i in K}`` equals the support value ``h_K(e_i) = max{x_i : x in
+K}``.  It is at most that, as ``s*e_i`` has x_i = s.  And a maximiser x,
+averaged over the sign flips of its coordinates other than i, is the point
+``h_K(e_i)*e_i``, which lies in K by convexity.  A linear function peaks at a
+vertex, and each vertex is a sign flip of a closed-orthant row with the same
+|x_i|, so ``h_K(e_i)`` is the largest ``V_i/t`` over any closed-orthant rows
+whose orbits span K, and the gauge of e_i is its inverse (``_axis_gauges``,
+by cross-multiplication).  ``normalize_unconditional`` maps K by those
+gauges, and returns K itself when all are 1.  ``perturb_unconditional`` maps
+its representatives before their one hull: a positive diagonal map commutes
+with sign flips and with hulls, and rows are canonical, so the orthant hull
+of the mapped rows is the ``diagonal_image`` of theirs, its incidence and
+class included.
 
 Volume is a sum of cones from one apex over the facets that miss it, one
 facet per orbit of the reflections that fix the body, each cone weighted by
@@ -515,19 +533,34 @@ def diagonal_image(p: Polytope, scales: Sequence[Fraction | int]) -> Polytope:
     return _make_with_incidence(p.dim, dict(zip(verts, p._vertex_masks)), facets, p._symmetry)
 
 
+def _axis_gauges(reps: Iterable[Row], dim: int) -> list[Fraction] | None:
+    """The gauges ``1/h(e_i)`` of the unconditional body of the closed-orthant rows ``reps``, None when all are 1.
+
+    ``h(e_i)``, the largest ``V_i/t`` over the rows (module docstring), is
+    found by cross-multiplication, so a body in standard position builds no
+    Fraction.
+    """
+    best = [(0, 1)] * dim  # per coordinate, the (V_i, t) of the largest V_i/t so far
+    for v, t in reps:
+        best = [(x, t) if x * u > y * t else (y, u) for x, (y, u) in zip(v, best)]
+    if all(y == u for y, u in best):
+        return None
+    return [Fraction(u, y) for y, u in best]
+
+
 def normalize_unconditional(p: Polytope) -> Polytope:
     """Diagonal rescale putting every +-e_i on the boundary.
 
     For an unconditional body this lands it between the cross polytope and
     the cube, which is the reference position used by the reconstruction and
-    stability code.  A body already in that position is returned itself.
+    stability code.  The scales are the axis gauges, read off p's vertex
+    representatives by ``_axis_gauges`` with no facet scan.  A body already
+    in that position is returned itself.
     """
     if not is_unconditional(p):
         raise PreconditionError("normalization is defined for unconditional polytopes")
-    gs = [_row_gauge(p, tuple(int(k == i) for k in range(p.dim)), 1) for i in range(p.dim)]
-    if all(g == 1 for g in gs):
-        return p  # diag(1, ..., 1) p equals p, so skip the rebuild
-    return diagonal_image(p, gs)
+    gs = _axis_gauges(p._vertex_reps, p.dim)
+    return p if gs is None else diagonal_image(p, gs)
 
 
 # ---------------------------------------------------------------------------

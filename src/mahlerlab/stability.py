@@ -11,9 +11,10 @@ makes consistent, as a standalone combinatorial fact.  For an exact Hanner
 ball the bits give its generator graph on the nose; for perturbed bodies
 they give the candidate the distance is measured against.
 
-A bit is set when the margin gauge(K, e_i + e_j) - 1 is above 0, however
-small; that one rule decides every pair.  Entry points that normalize leave
-the unconditional precondition to `normalize_unconditional`, which checks it.
+A bit is set when e_i + e_j lies outside K, however close to its boundary;
+that one rule, one integer membership test, decides every pair.  Entry
+points that normalize leave the unconditional precondition to
+`normalize_unconditional`, which checks it.
 
 Everything random is driven by explicit integer seeds and exact rational
 scales, so experiment outputs are reproducible byte for byte.
@@ -28,6 +29,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import compress
+from operator import mul
 from typing import Optional, Sequence
 
 from .errors import (
@@ -39,8 +41,6 @@ from .errors import (
 from .graphs import (
     Graph,
     _pair_graph,
-    complete_graph,
-    empty_graph,
     enumerate_p4_free_labeled,
     from_edges,
     is_p4_free,
@@ -48,6 +48,7 @@ from .graphs import (
 )
 from .polytope import (
     Polytope,
+    _axis_gauges,
     _hull,
     _orbit_weights,
     _orthant_hull,
@@ -56,7 +57,7 @@ from .polytope import (
     normalize_unconditional,
     polar,
 )
-from .ratlin import format_approx, format_exact, fr
+from .ratlin import format_approx, format_exact, fr, int_row
 from .volprod import diagonal_truncation_check, mahler_bound, volume_product
 
 CASE_TAGS = ("generic", "caseI-cube", "caseI-cross", "caseII-path")
@@ -82,8 +83,9 @@ class ExperimentConfig:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "delta", fr(self.delta))  # "1/10" reads as 1/10; a float is refused as inexact
-        if type(self.trials) is not int:
-            raise TypeError(f"trial count must be an int, not {type(self.trials).__name__}")
+        for what, x in (("n", self.n), ("trial count", self.trials), ("seed", self.seed)):
+            if type(x) is not int:  # a bool is refused too; a float seed would reach the CSV
+                raise TypeError(f"{what} must be an int, not {type(x).__name__}")
         if self.n < 1:
             raise PreconditionError("dimension must be at least 1")
         if self.trials < 0:
@@ -155,11 +157,11 @@ def reconstruct_hanner(k: Polytope, body_id: str = "", seed: int = 0) -> Stabili
     g = _pair_graph(kn)  # kn is unconditional, with unit axis gauges by construction
     candidate = polytope_from_graph(g)
     p4_free = is_p4_free(g)
-    if g == empty_graph(n):
+    if not any(g.adj):  # the empty graph
         tag = "caseI-cube"
         if n >= 3:
             diagonal_truncation_check(kn)
-    elif g == complete_graph(n):
+    elif all(m.bit_count() == n - 1 for m in g.adj):  # the complete graph
         tag = "caseI-cross"
         if n >= 3:
             diagonal_truncation_check(polar(kn))
@@ -203,9 +205,12 @@ def perturb_unconditional(h: Polytope, delta, seed: int) -> Polytope:
     """Scale each positive-orthant vertex representative by a random factor.
 
     Factors are exact rationals in [1 - delta, 1], drawn per representative
-    from a generator seeded with `seed`; the hull of the scaled
-    representatives' sign orbits (``_orthant_hull``) is re-normalized, so the
-    result is unconditional by construction and in standard position.
+    from a generator seeded with `seed`.  The scaled representatives are
+    mapped into standard position by their axis gauges (``_axis_gauges``)
+    before the one hull of their sign orbits (``_orthant_hull``), so the
+    result is unconditional by construction and in standard position: the
+    body ``normalize_unconditional`` makes of their hull, as a positive
+    diagonal map commutes with sign flips and hulls.
     """
     delta = fr(delta)
     if not 0 <= delta < 1:
@@ -216,7 +221,11 @@ def perturb_unconditional(h: Polytope, delta, seed: int) -> Polytope:
     for v, t in hn._vertex_reps:  # the closed positive orthant
         scale = 1 - delta * Fraction(rng.randrange(2**16 + 1), 2**16)
         scaled.append(_primitive_row([x * scale.numerator for x in v], scale.denominator * t))
-    return normalize_unconditional(_orthant_hull(scaled))
+    gs = _axis_gauges(scaled, hn.dim)
+    if gs is not None:
+        srow, ds = int_row(gs)
+        scaled = [_primitive_row(map(mul, srow, v), ds * t) for v, t in scaled]
+    return _orthant_hull(scaled)
 
 
 def random_unconditional_polytope(n: int, seed: int) -> Polytope:

@@ -269,13 +269,13 @@ def _cube_cap(facet_reps: Sequence[Row], s: Fraction) -> Polytope:
     K is given by its facet representatives ``(A, B)``, the rows with no negative normal entry
     (``Polytope._facet_reps``).  One hull DD run on the orthant rows (``_orthant_hull``): the ``e_i``
     and those rows.  A coordinate section of the cap is the full subcube iff its corner ``1 - e_j``
-    has gauge 1 in the cap; a corner outside raises FalsificationError.
+    has gauge 1 in the cap, that is, lies on its boundary; a corner off it raises FalsificationError.
     """
     n = len(facet_reps[0][0])
     reps = [(tuple(int(c == i) for c in range(n)), 1) for i in range(n)]  # e_i, the cube's facets
     reps += [_primitive_row([x * s.denominator for x in a], b * s.numerator) for a, b in facet_reps]
     cap = polar(_orthant_hull(reps))
-    if any(_row_gauge(cap, tuple(int(i != j) for i in range(n)), 1) != 1 for j in range(n)):
+    if any(_row_membership(cap, tuple(int(i != j) for i in range(n)), 1) != "boundary" for j in range(n)):
         raise FalsificationError(f"a coordinate section of the cube cut by {format_exact(s)} K is not the subcube")
     return cap
 
@@ -284,14 +284,14 @@ def truncated_cube(n: int, t) -> Polytope:
     """B-inf^n cut by sum |x_i| <= n*t, for (n-1)/n <= t <= 1.
 
     There ``_cube_cap`` finds every coordinate section the full subcube, and
-    the diagonal point (t, ..., t) must have gauge 1, or FalsificationError.
+    the diagonal point (t, ..., t) must have gauge 1, on the boundary, or FalsificationError.
     """
     t = fr(t)
     if n < 2:
         raise PreconditionError("truncated cubes need dimension at least 2")
     _check_truncation_level(n, t)
     k = _cube_cap([((1,) * n, 1)], n * t)  # the cross polytope's one facet orbit
-    if _row_gauge(k, (t.numerator,) * n, t.denominator) != 1:
+    if _row_membership(k, (t.numerator,) * n, t.denominator) != "boundary":
         raise FalsificationError(f"the diagonal point misses the boundary of truncated_cube({n}, {format_exact(t)})")
     return k
 

@@ -5,6 +5,7 @@ enumeration, permutation scans, Gaussian elimination over the rationals for
 rank, Gauss-Jordan elimination over the rationals for linear systems, cases
 on the offset's sign for the canonical facet, sorted sets of
 Fraction vertices and canonical facets for the order of the integer rows,
+the gauge of each e_i for standard position,
 Fraction dot products over every facet for the gauge and membership and
 over every facet and vertex for the incidence, and integer ones over every
 facet and vertex row for the incidence a constructor hands on,
@@ -29,8 +30,8 @@ membership and the primitive facet row ``_int_facet`` that ``canon_facet``
 reads, each covered by its own tests, ``from_halfspaces`` for the sections, for
 the truncation check and the cube cap the constructors, gauge, polar, volume
 and the bound factors it is compared through, for the section volumes polar
-and volume, for the
-Hausdorff scan ``point_distance_sq`` (itself checked against the subset
+and volume, for standard position ``gauge`` and ``diagonal_image``, for
+the Hausdorff scan ``point_distance_sq`` (itself checked against the subset
 oracle), the graph constructors ``Graph`` and ``from_edges``,
 ``maximal_independent_sets`` for the disjointness test, and for the
 nested sums ``interval``, ``l1_sum`` and ``linf_sum``.
@@ -50,6 +51,7 @@ from mahlerlab.polytope import (
     _int_facet,
     _hull,
     cube,
+    diagonal_image,
     from_halfspaces,
     gauge,
     interval,
@@ -207,6 +209,14 @@ def canon_facet_by_offset_sign(normal, offset) -> tuple[tuple[Fraction, ...], Fr
     scaled = [x * lcm(*(y.denominator for y in a)) for x in a]
     g = gcd(*(int(x) for x in scaled))
     return tuple(x / g for x in scaled), Fraction(0)
+
+
+def normalize_by_gauges(p: Polytope) -> Polytope:
+    """Standard position by facet scans: diag(gauge(p, e_i)) p, or p itself when every gauge is 1."""
+    if not is_unconditional(p):
+        raise PreconditionError("normalization is defined for unconditional polytopes")
+    gs = [gauge(p, unit_vec(p.dim, i)) for i in range(p.dim)]
+    return p if all(g == 1 for g in gs) else diagonal_image(p, gs)
 
 
 def gauge_by_fractions(p: Polytope, x) -> Fraction:

@@ -68,6 +68,7 @@ from oracles import (
     is_unconditional_by_fractions,
     make_by_fractions,
     membership_by_fractions,
+    normalize_by_gauges,
     orbit_reps_by_fractions,
     permute_coordinates,
     pull_triangulation_unfiltered,
@@ -820,6 +821,7 @@ def test_normalize_unconditional_sets_unit_axis_gauges():
 
 
 def test_normalize_skips_the_rebuild_of_a_normalized_body(monkeypatch):
+    # the scales are read off the vertex representatives: no gauge, and no diagonal map in standard position
     calls = []
     real = polytope.diagonal_image
 
@@ -827,9 +829,14 @@ def test_normalize_skips_the_rebuild_of_a_normalized_body(monkeypatch):
         calls.append(scales)
         return real(p, scales)
 
+    def forbidden(*args):
+        raise AssertionError("polytope._row_gauge called")
+
     monkeypatch.setattr(polytope, "diagonal_image", counting)
+    monkeypatch.setattr(polytope, "_row_gauge", forbidden)
     for h in HANNER_BALLS:
-        assert normalize_unconditional(h) is h
+        q = polar(h)  # a standard Hanner ball too
+        assert normalize_unconditional(h) is h and normalize_unconditional(q) is q
     assert calls == []
     perturbed = perturb_unconditional(HANNER_BALLS[-1], F(1, 10), 0)  # returns a normalized body
     calls.clear()
@@ -837,7 +844,30 @@ def test_normalize_skips_the_rebuild_of_a_normalized_body(monkeypatch):
     assert calls == []
     for scales in [(2, 3, 5), (1, 1, F(1, 2))]:  # the second is off only at e_3
         assert normalize_unconditional(diagonal_image(cube(3), scales)) == cube(3)
-    assert len(calls) == 2
+    assert calls == [[F(1, 2), F(1, 3), F(1, 5)], [1, 1, 2]]  # the inverse scales, the gauges of the e_i
+
+
+@st.composite
+def unconditional_body(draw):
+    """An orthant hull or a Hanner ball, or its polar, or a coordinate section of either: bodies in many positions."""
+    reps = orthant_reps(dim=draw(st.integers(1, 4)))
+    p = draw(st.one_of(reps.map(polytope._orthant_hull), st.sampled_from(HANNER_BALLS)))
+    if draw(st.booleans()):
+        p = polar(p)
+    if p.dim >= 2 and draw(st.booleans()):
+        p = coordinate_section(p, draw(st.integers(0, p.dim - 1)))
+    return p
+
+
+@given(unconditional_body(), st.lists(positive_rationals, min_size=4, max_size=4))
+@settings(max_examples=80, deadline=None)
+def test_normalize_reads_the_axis_gauges_off_the_vertex_representatives(p, scales):
+    # h(e_i), the largest V_i/t over the representatives, is the axis intercept: the same map as the facet gauges
+    for body in (p, diagonal_image(p, scales[: p.dim])):
+        got, want = normalize_unconditional(body), normalize_by_gauges(body)
+        assert (got.vertex_rows, got.facet_rows) == (want.vertex_rows, want.facet_rows)
+        assert (got._facet_masks, got._symmetry) == (want._facet_masks, want._symmetry)
+        assert (got is body) == (want is body)
 
 
 def test_is_unconditional():

@@ -5,7 +5,7 @@ import re
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, settings, strategies as st
 
 from mahlerlab.errors import (
     ConsistencyError,
@@ -64,7 +64,13 @@ from mahlerlab.volprod import (
     verify_truncated_cube_bound,
     volume_product,
 )
-from oracles import diagonal_truncation_by_sections, induced_subgraph, mis_pairwise_disjoint, path_graph
+from oracles import (
+    diagonal_truncation_by_sections,
+    induced_subgraph,
+    mis_pairwise_disjoint,
+    normalize_by_gauges,
+    path_graph,
+)
 from test_polytope import symmetric_body
 
 F = Fraction
@@ -277,23 +283,23 @@ def test_reconstruct_perturbed_body_is_generic_with_positive_gap():
 
 
 def test_reconstruct_reads_pairs_without_rechecking(monkeypatch):
-    # normalize_unconditional has checked the body and set its axis gauges to
-    # 1, so the graph costs one gauge per pair and no second check
-    pair_gauges = []
-    real = graphs._row_gauge
+    # normalize_unconditional has checked the body and put every e_i on its
+    # boundary, so the graph costs one membership test per pair and no second check
+    pair_tests = []
+    real = graphs._row_membership
 
     def counting(p, x, dx):
-        pair_gauges.append((x, dx))
+        pair_tests.append((x, dx))
         return real(p, x, dx)
 
     def forbidden(p):
         raise AssertionError("graphs.is_unconditional called")
 
     body = perturb_unconditional(polytope_from_graph(from_edges(3, [(0, 1)])), F(1, 10), seed=4)
-    monkeypatch.setattr(graphs, "_row_gauge", counting)
+    monkeypatch.setattr(graphs, "_row_membership", counting)
     monkeypatch.setattr(graphs, "is_unconditional", forbidden)
     rec = reconstruct_hanner(diagonal_image(body, (2, 3, F(1, 2))))
-    assert sorted(pair_gauges) == [((0, 1, 1), 1), ((1, 0, 1), 1), ((1, 1, 0), 1)]
+    assert sorted(pair_tests) == [((0, 1, 1), 1), ((1, 0, 1), 1), ((1, 1, 0), 1)]
     monkeypatch.undo()
     assert rec.nearest_graph == graph_from_polytope(normalize_unconditional(body))
 
@@ -338,6 +344,40 @@ def test_perturb_outputs_are_normalized_unconditional():
             e = [0, 0, 0]
             e[i] = 1
             assert gauge(body, e) == 1
+
+
+@given(
+    st.integers(2, 5).flatmap(lambda n: st.sampled_from(trial_base_graphs(n))),
+    st.fractions(min_value=0, max_value=F(9, 10), max_denominator=20),
+    st.integers(0, 2**31),
+)
+@settings(max_examples=40, deadline=None)
+def test_perturb_is_the_normalized_hull_of_the_scaled_representatives(base, delta, seed):
+    # mapping the representatives into standard position before the hull gives the body normalizing the hull gives
+    h = polytope_from_graph(base)
+    rng = random.Random(seed)
+    scaled = []
+    for v, t in h._vertex_reps:
+        scale = 1 - delta * F(rng.randrange(2**16 + 1), 2**16)
+        scaled.append(polytope._primitive_row([x * scale.numerator for x in v], scale.denominator * t))
+    want = normalize_by_gauges(polytope._orthant_hull(scaled))
+    got = perturb_unconditional(h, delta, seed)
+    assert (got.vertex_rows, got.facet_rows) == (want.vertex_rows, want.facet_rows)
+    assert (got._facet_masks, got._symmetry, hash(got)) == (want._facet_masks, want._symmetry, hash(want))
+
+
+def test_perturb_builds_one_orthant_body(dd_runs, monkeypatch):
+    # the scaled representatives are mapped into standard position first, so no body is rebuilt by a diagonal map
+    def forbidden(*args):
+        raise AssertionError("polytope.diagonal_image called")
+
+    bases = [polytope_from_graph(g) for g in trial_base_graphs(4)[::9]]  # built before counting
+    monkeypatch.setattr(polytope, "diagonal_image", forbidden)
+    for seed, h in enumerate(bases):
+        dd_runs.clear()
+        body = perturb_unconditional(h, F(1, 10), seed)
+        assert len(dd_runs) == 1
+        assert normalize_unconditional(body) is body
 
 
 def test_perturb_hausdorff_stays_within_distortion_budget():
@@ -485,6 +525,16 @@ def test_experiment_config_reads_delta_as_an_exact_rational_and_trials_as_an_int
     for trials in (2.0, "2", True):
         with pytest.raises(TypeError, match="trial count must be an int"):
             ExperimentConfig(3, trials, F(1, 10), 0)
+
+
+def test_experiment_config_refuses_a_non_int_dimension_or_seed():
+    # both were checked by comparison only: "3" raised a raw '<' error and a seed of 0.5 reached the CSV
+    for n in ("3", 3.0, True):
+        with pytest.raises(TypeError, match="n must be an int"):
+            ExperimentConfig(n, 1, F(1, 10), 0)
+    for seed in (0.5, "0", False):
+        with pytest.raises(TypeError, match="seed must be an int"):
+            ExperimentConfig(3, 1, F(1, 10), seed)
 
 
 def test_experiment_zero_delta_rows_are_exact_zeros():

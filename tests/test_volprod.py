@@ -275,10 +275,12 @@ def test_cube_cap_is_the_halfspace_intersection(body, use_polar, r):
     assert volprod._cube_cap(k._facet_reps, s) == cube_cap_by_halfspaces(k, s)
 
 
-@pytest.mark.parametrize("wrong_gauge", [lambda k, x, dx: 2, lambda k, x, dx: F(1) if 0 in x else F(1, 2)])
-def test_truncated_cube_raises_on_a_failed_gauge_fact(monkeypatch, wrong_gauge):
-    # the first misses every section corner, the second only the diagonal point
-    monkeypatch.setattr(volprod, "_row_gauge", wrong_gauge)
+@pytest.mark.parametrize(
+    "wrong_membership", [lambda k, x, dx: "outside", lambda k, x, dx: "boundary" if 0 in x else "interior"]
+)
+def test_truncated_cube_raises_on_a_failed_gauge_fact(monkeypatch, wrong_membership):
+    # gauge 1 is read as the boundary: the first misses every section corner, the second only the diagonal point
+    monkeypatch.setattr(volprod, "_row_membership", wrong_membership)
     with pytest.raises(FalsificationError):
         truncated_cube(3, F(9, 10))
 
