@@ -20,6 +20,7 @@ from typing import Optional, Sequence
 
 from .errors import ConsistencyError, FalsificationError, FormatError, PolarityDomainError, PreconditionError, ResourceError
 from .graphs import (
+    check_hanner_request,
     complement,
     cotree_shapes,
     enumerate_p4_free_labeled,
@@ -35,10 +36,8 @@ from .graphs import (
 from .polytope import cross_polytope, cube, from_json_dict, is_unconditional, polar, to_json_dict
 from .ratlin import _clip, format_exact, parse_fraction
 from .stability import (
-    EXPERIMENT_MAX_N,
-    PROBE_MAX_DELTA,
-    PROBE_MAX_N,
     ExperimentConfig,
+    check_stability_request,
     probe_csv,
     stability_experiment,
     symmetric_probe,
@@ -77,8 +76,7 @@ def _parse_delta(text: str) -> Fraction:
 
 
 def cmd_hanner_enumerate(args: argparse.Namespace) -> int:
-    if args.n == 7 and not args.dedup:  # refused before the config line, like every oversized request
-        raise ResourceError("n = 7 without --dedup means 78416 labeled bodies; pass --dedup")
+    check_hanner_request(args.n, args.dedup)  # refused before the config line, like every oversized request
     parts = ["hanner-enumerate", "--n", str(args.n)]
     if args.dedup:
         parts.append("--dedup")
@@ -123,13 +121,14 @@ def cmd_volprod(args: argparse.Namespace) -> int:
     if args.out:
         parts.extend(["--out", args.out])
     _print_config(parts)
-    with open(args.polytope, "r", encoding="utf-8") as fh:
-        raw = fh.read()
     try:
-        data = json.loads(raw)
+        with open(args.polytope, "r", encoding="utf-8") as fh:
+            data = json.loads(fh.read())
     except json.JSONDecodeError as exc:
         raise FormatError(f"{args.polytope}:{exc.lineno}:{exc.colno}: {exc.msg}") from exc
-    except ValueError as exc:  # an integer literal past Python's int digit limit
+    except RecursionError as exc:  # the decoder's own; a recursion fault inside the package stays internal
+        raise FormatError(f"{args.polytope}: JSON nested too deeply") from exc
+    except ValueError as exc:  # a file that is not UTF-8, or an integer literal past Python's int digit limit
         raise FormatError(f"{args.polytope}: {exc}") from exc
     body = from_json_dict(data)
     try:
@@ -251,18 +250,12 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 def cmd_stability(args: argparse.Namespace) -> int:
     delta = _parse_delta(args.delta)
-    # flags out of range are input errors; a precondition failing later is not
+    # flags out of range and requests too large are refused up front; a precondition failing later is not
     try:
         cfg = ExperimentConfig(n=args.n, trials=args.trials, delta=delta, seed=args.seed)
+        check_stability_request(cfg, probe=args.probe == "symmetric")
     except PreconditionError as exc:
         raise FormatError(str(exc)) from exc
-    if args.probe == "symmetric" and delta > PROBE_MAX_DELTA:
-        raise FormatError(f"probe delta must satisfy 0 <= delta <= {PROBE_MAX_DELTA}")
-    # requests too large are refused before the config line and before the cube's 2^n vertex rows are built
-    if args.probe == "symmetric" and cfg.n > PROBE_MAX_N:
-        raise ResourceError(f"the symmetric probe is limited to n <= {PROBE_MAX_N}")
-    if args.probe == "unconditional" and cfg.n > EXPERIMENT_MAX_N:
-        raise ResourceError(f"the stability experiment is limited to n <= {EXPERIMENT_MAX_N}")
     parts = [
         "stability",
         "--n",
@@ -349,8 +342,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        if args.command == "hanner-enumerate" and not 1 <= args.n <= 7:
-            raise FormatError("--n must be in 1..7")
         return args.func(args)
     except FalsificationError as exc:
         print(f"falsification: {exc}", file=sys.stderr)

@@ -72,15 +72,6 @@ def edges(g: Graph) -> list[tuple[int, int]]:
     return [(i, j) for i in range(g.n) for j in range(i + 1, g.n) if g.adj[i] >> j & 1]
 
 
-def empty_graph(n: int) -> Graph:
-    return Graph(n, (0,) * n)
-
-
-def complete_graph(n: int) -> Graph:
-    full = (1 << n) - 1
-    return Graph(n, tuple(full & ~(1 << i) for i in range(n)))
-
-
 def complement(g: Graph) -> Graph:
     full = (1 << g.n) - 1
     return Graph(g.n, tuple((full & ~m) & ~(1 << i) for i, m in enumerate(g.adj)))
@@ -339,6 +330,17 @@ def _swap_labels(adj: tuple[int, ...], i: int) -> tuple[int, ...]:
     return tuple(out)
 
 
+LABELED_MAX_N = 7  # 78 416 labeled P4-free graphs; 1 320 064 at n = 8
+
+
+def check_hanner_request(n: int, dedup: bool) -> None:
+    """Refuse a Hanner enumeration out of range before any graph is listed; the messages are the command line's."""
+    if not 1 <= n <= LABELED_MAX_N:
+        raise ResourceError(f"--n must be in 1..{LABELED_MAX_N}")
+    if n == LABELED_MAX_N and not dedup:  # only the classes: the labeled balls are too many to build
+        raise ResourceError(f"n = {n} without --dedup means 78416 labeled bodies; pass --dedup")
+
+
 def enumerate_p4_free_labeled(n: int) -> list[Graph]:
     """Every labeled P4-free graph on vertices 0..n-1, sorted by adjacency.
 
@@ -346,8 +348,8 @@ def enumerate_p4_free_labeled(n: int) -> list[Graph]:
     and swaps of neighbouring labels generate every relabeling, so closing
     the representatives under those swaps lists each graph once.
     """
-    if not 1 <= n <= 7:
-        raise ResourceError("labeled enumeration is intended for n <= 7")
+    if not 1 <= n <= LABELED_MAX_N:
+        raise ResourceError(f"labeled enumeration is intended for n <= {LABELED_MAX_N}")
     seen: set[tuple[int, ...]] = set()
     for g in enumerate_p4_free_classes(n):
         seen.add(g.adj)
@@ -367,13 +369,9 @@ def enumerate_standard_hanner(n: int, dedup: bool = False) -> list[tuple[Graph, 
 
     Without dedup, one entry per labeled P4-free graph; with dedup, one per
     isomorphism class (canonical cotree representatives).  Every polytope is
-    built from its independent-set vertices by an honest hull.  Raises
-    ResourceError above n = 7, and at n = 7 without dedup (78416 bodies).
+    built from its independent-set vertices by an honest hull.
     """
-    if n > 7:
-        raise ResourceError("Hanner enumeration above n = 7 is not supported")
-    if n == 7 and not dedup:
-        raise ResourceError("n = 7 without dedup means 78416 labeled bodies; pass dedup=True (--dedup)")
+    check_hanner_request(n, dedup)
     gs = enumerate_p4_free_classes(n) if dedup else enumerate_p4_free_labeled(n)
     return [(g, polytope_from_graph(g)) for g in gs]
 

@@ -39,6 +39,7 @@ from .errors import (
     ResourceError,
 )
 from .graphs import (
+    LABELED_MAX_N,
     Graph,
     _pair_graph,
     enumerate_p4_free_labeled,
@@ -92,6 +93,19 @@ class ExperimentConfig:
             raise PreconditionError("trial count must be nonnegative")
         if not 0 <= self.delta < 1:
             raise PreconditionError("delta must satisfy 0 <= delta < 1")
+
+
+PROBE_MAX_DELTA = Fraction(1, 2)
+PROBE_MAX_N = 5
+
+
+def check_stability_request(cfg: ExperimentConfig, probe: bool = False) -> None:
+    """Refuse a run out of range before any graph is listed or body is built; a probe's delta is reported first."""
+    if probe and cfg.delta > PROBE_MAX_DELTA:
+        raise PreconditionError(f"probe delta must satisfy 0 <= delta <= {PROBE_MAX_DELTA}")
+    what, limit = ("the symmetric probe", PROBE_MAX_N) if probe else ("the stability experiment", LABELED_MAX_N)
+    if cfg.n > limit:  # the experiment lists the labeled graphs, so it stops where they do
+        raise ResourceError(f"{what} is limited to n <= {limit}")
 
 
 # ---------------------------------------------------------------------------
@@ -212,9 +226,7 @@ def perturb_unconditional(h: Polytope, delta, seed: int) -> Polytope:
     body ``normalize_unconditional`` makes of their hull, as a positive
     diagonal map commutes with sign flips and hulls.
     """
-    delta = fr(delta)
-    if not 0 <= delta < 1:
-        raise PreconditionError("delta must satisfy 0 <= delta < 1")
+    delta = ExperimentConfig(h.dim, 0, delta, seed).delta  # delta and seed checked as the experiment checks them
     hn = normalize_unconditional(h)
     rng = random.Random(seed)
     scaled = []
@@ -267,7 +279,6 @@ def trial_base_graphs(n: int) -> tuple[Graph, ...]:
 
 
 EXPERIMENT_CSV_HEADER = "trial,n,delta,distance_sq,distance_float,excess,excess_float,case_tag,seed"
-EXPERIMENT_MAX_N = 7
 
 
 def stability_experiment(cfg: ExperimentConfig) -> tuple[list[StabilityRecord], str, dict]:
@@ -277,8 +288,7 @@ def stability_experiment(cfg: ExperimentConfig) -> tuple[list[StabilityRecord], 
     rows are exact, the summary carries the minimum and median excess plus
     the empirical excess/(bound * distance) floor.
     """
-    if cfg.n > EXPERIMENT_MAX_N:
-        raise ResourceError(f"the stability experiment is limited to n <= {EXPERIMENT_MAX_N}")
+    check_stability_request(cfg)
     bases = trial_base_graphs(cfg.n)
     bound = mahler_bound(cfg.n)
     records: list[StabilityRecord] = []
@@ -344,8 +354,6 @@ class SymmetricProbeReport:
 
 
 PROBE_CSV_HEADER = "trial,distance_sq,distance_float,excess,excess_float"
-PROBE_MAX_DELTA = Fraction(1, 2)
-PROBE_MAX_N = 5
 
 
 def symmetric_probe(h: Polytope, delta, trials: int, seed: int) -> SymmetricProbeReport:
@@ -355,16 +363,11 @@ def symmetric_probe(h: Polytope, delta, trials: int, seed: int) -> SymmetricProb
     probes minimality outside the proven regime: any negative excess is a
     falsification event and raises immediately.
     """
-    if h.dim > PROBE_MAX_N:
-        raise ResourceError(f"the symmetric probe is limited to n <= {PROBE_MAX_N}")
-    delta = fr(delta)
-    if not 0 <= delta <= PROBE_MAX_DELTA:
-        raise PreconditionError(f"probe delta must satisfy 0 <= delta <= {PROBE_MAX_DELTA}")
-    if trials < 0:
-        raise PreconditionError("trial count must be nonnegative")
+    cfg = ExperimentConfig(h.dim, trials, delta, seed)
+    check_stability_request(cfg, probe=True)
     hn = normalize_unconditional(h)
     reps = list(compress(hn.vertex_rows, _orbit_weights(hn.vertex_rows, 1)))  # one vertex of each +- pair
-    shift, unit = delta.numerator, delta.denominator * 2**13  # each jitter is shift * r / unit
+    shift, unit = cfg.delta.numerator, cfg.delta.denominator * 2**13  # each jitter is shift * r / unit
     records = []
     min_excess: Optional[Fraction] = None
     for t in range(trials):
@@ -385,7 +388,7 @@ def symmetric_probe(h: Polytope, delta, trials: int, seed: int) -> SymmetricProb
         min_excess = excess if min_excess is None else min(min_excess, excess)
     return SymmetricProbeReport(
         n=hn.dim,
-        delta=delta,
+        delta=cfg.delta,
         trials=trials,
         seed=seed,
         min_excess=min_excess if min_excess is not None else Fraction(0),

@@ -23,8 +23,9 @@ disjoint maximal independent sets for the complete multipartite graphs, and the
 Hanner ball of a cotree as nested l1 and linf sums, permuted into place.  The
 small helpers that only tests call live here too: the Fraction unit vector
 ``unit_vec``, the sign flips ``sign_orbit``, the graph builders
-``path_graph`` and ``induced_subgraph`` and the coordinate relabeling
-``permute_coordinates``, the hull of the relabeled vertex rows.
+``empty_graph``, ``complete_graph``, ``path_graph`` and ``induced_subgraph``
+and the coordinate relabeling ``permute_coordinates``, the hull of the
+relabeled vertex rows.
 The library pieces reused are: the dot product ``dot``,
 membership and the primitive facet row ``_int_facet`` that ``canon_facet``
 reads, each covered by its own tests, ``from_halfspaces`` for the sections, for
@@ -74,6 +75,15 @@ def unit_vec(n: int, i: int) -> tuple[Fraction, ...]:
 def sign_orbit(v) -> list[tuple]:
     """Every vector obtained from v by flipping the signs of some of its nonzero coordinates, v itself first."""
     return list(iter_product(*[(x, -x) if x else (x,) for x in v]))
+
+
+def empty_graph(n: int) -> Graph:
+    return Graph(n, (0,) * n)
+
+
+def complete_graph(n: int) -> Graph:
+    full = (1 << n) - 1
+    return Graph(n, tuple(full & ~(1 << i) for i in range(n)))
 
 
 def path_graph(n: int) -> Graph:

@@ -15,10 +15,8 @@ from mahlerlab.errors import (
 from mahlerlab.graphs import (
     Graph,
     complement,
-    complete_graph,
     cotree_shapes,
     edges,
-    empty_graph,
     enumerate_p4_free_classes,
     enumerate_p4_free_labeled,
     enumerate_standard_hanner,
@@ -47,6 +45,8 @@ from mahlerlab.polytope import (
 )
 from oracles import (
     canonical_graph_key,
+    complete_graph,
+    empty_graph,
     hanner_by_sums,
     has_induced_p4_by_orderings,
     independent_sets_exhaustive,

@@ -7,6 +7,7 @@ from pathlib import Path
 import pytest
 
 import mahlerlab
+from test_traced import _traced_names
 
 ROOT = Path(__file__).resolve().parents[1]
 SRC = ROOT / "src" / "mahlerlab"
@@ -104,16 +105,47 @@ def test_every_private_function_has_a_package_reader():
     assert unread_private_functions(sources) == []
 
 
-def test_every_public_name_has_a_reader():
-    # a public name that only the tests read belongs in tests/oracles.py; a read in its own body is no read
-    sources = {path.stem: path.read_text(encoding="utf-8") for path in sorted(SRC.glob("*.py")) if path.stem != "__init__"}
-    sources |= {path.stem: path.read_text(encoding="utf-8") for path in sorted(DEMOS.glob("*.py"))}
-    read = readers({module: ast.parse(source) for module, source in sources.items()})
-    readme = README.read_text(encoding="utf-8")
-    unread = [
+def unread_public_names(
+    package: dict[str, str], others: dict[str, str], readme: str, exempt=frozenset(), exported=()
+) -> list[str]:
+    """Public module-level functions and classes of ``package``, and the ``exported`` names, that nothing reads.
+
+    A read counts in any module of ``package`` or ``others`` outside the
+    name's own body, or as a word of ``readme``.  Definitions named
+    ``"module.name"`` in ``exempt`` are not held to the rule.
+    """
+    trees = {module: ast.parse(source) for module, source in package.items()}
+    names = set(exported) | {
+        node.name
+        for module, tree in trees.items()
+        for node in tree.body
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+        and not node.name.startswith("_")
+        and f"{module}.{node.name}" not in exempt
+    }
+    read = readers(trees | {module: ast.parse(source) for module, source in others.items()})
+    return sorted(
         name
-        for name in mahlerlab.__all__
+        for name in names
         if not {where for where in read.get(name, ()) if where.rpartition(".")[2] != name}
         and not re.search(rf"\b{name}\b", readme)
-    ]
-    assert unread == []
+    )
+
+
+def test_the_check_finds_an_unread_public_name():
+    package = {
+        "a": "def used(): pass\ndef recursive(n): return recursive(n - 1)\ndef unused(): pass\nclass Told: pass\n",
+        "b": "def traced(): pass\n",
+    }
+    demo = {"demo": "from a import used\ndef main(): used()\n"}
+    found = unread_public_names(package, demo, "See `Told`.", exempt={"b.traced"}, exported=["gone"])
+    assert found == ["gone", "recursive", "unused"]
+
+
+def test_every_public_name_has_a_reader():
+    # a public name that only the tests read belongs in tests/oracles.py; the
+    # benchmark tracer binds its names from outside the package, so they are exempt
+    package = {path.stem: path.read_text(encoding="utf-8") for path in sorted(SRC.glob("*.py")) if path.stem != "__init__"}
+    demos = {path.stem: path.read_text(encoding="utf-8") for path in sorted(DEMOS.glob("*.py"))}
+    readme = README.read_text(encoding="utf-8")
+    assert unread_public_names(package, demos, readme, set(_traced_names()), mahlerlab.__all__) == []

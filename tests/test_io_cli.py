@@ -1,23 +1,27 @@
 """End-to-end tests of the command-line interface and its exit codes."""
 
+import io
 import json
 import os
 import shutil
 import subprocess
 import sys
+from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
 from importlib.metadata import EntryPoint
 from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 import mahlerlab
 from mahlerlab import cli, graphs, stability
-from mahlerlab.errors import PreconditionError
+from mahlerlab.errors import GeometryError, PreconditionError
+from mahlerlab.graphs import check_hanner_request
 from mahlerlab.polytope import cube, interval, to_json_dict
 from mahlerlab.ratlin import PARSE_MAX_DIGITS, format_exact, parse_fraction
-from mahlerlab.stability import EXPERIMENT_CSV_HEADER
+from mahlerlab.stability import EXPERIMENT_CSV_HEADER, ExperimentConfig, check_stability_request
 from mahlerlab.volprod import VolumeProductReport
 
 F = Fraction
@@ -177,6 +181,84 @@ def test_volprod_inconsistent_payload(tmp_path, capsys):
     code, _, err = run_main(capsys, ["volprod", str(path)])
     assert code == 2
     assert "not a vertex" in err
+
+
+@pytest.mark.parametrize(
+    "payload, message",
+    [
+        pytest.param(
+            b"\xff\xfe\x00garbage", "'utf-8' codec can't decode byte 0xff in position 0: invalid start byte", id="not_utf8"
+        ),
+        pytest.param(b"[" * 200_000 + b"]" * 200_000, "JSON nested too deeply", id="deep"),
+        pytest.param(b'{"vertices": ' + b"[" * 5_000 + b"]" * 5_000 + b"}", "JSON nested too deeply", id="deep_vertices"),
+    ],
+)
+def test_volprod_refuses_a_file_it_cannot_decode(tmp_path, capsys, payload, message):
+    # each once left the decoder's own error as an internal one (exit 4)
+    path = tmp_path / "undecodable.json"
+    path.write_bytes(payload)
+    expected = (2, f"config: mahlerlab volprod {path}\n", f"error: {path}: {message}\n")
+    assert run_main(capsys, ["volprod", str(path)]) == expected
+
+
+def test_volprod_recursion_fault_inside_the_package_stays_internal(tmp_path, capsys, monkeypatch):
+    # only the JSON decoder's recursion is an input error
+    def runaway(data):
+        raise RecursionError("maximum recursion depth exceeded")
+
+    monkeypatch.setattr(cli, "from_json_dict", runaway)
+    code, _, err = run_main(capsys, ["volprod", str(write_cube_file(tmp_path))])
+    assert code == 4 and err.startswith("internal error: ")
+
+
+_SCALARS = st.one_of(
+    st.integers(-4, 4).map(str),
+    st.builds("{}/{}".format, st.integers(-6, 6), st.integers(-2, 6)),
+    st.integers(-4, 4),
+    st.floats(),
+    st.booleans(),
+    st.none(),
+    st.text(max_size=3),
+    st.lists(st.integers(), max_size=2),
+    st.dictionaries(st.text(max_size=2), st.integers(), max_size=1),
+)
+_ROWS = st.lists(st.one_of(st.lists(_SCALARS, max_size=4), _SCALARS), max_size=6)
+_HALFSPACES = st.lists(
+    st.one_of(st.fixed_dictionaries({"normal": st.lists(_SCALARS, max_size=4), "offset": _SCALARS}), _SCALARS),
+    max_size=4,
+)
+
+
+def _documents(d: int):
+    """The points +-p_1, ..., +-p_d (a body when the p_i are independent), some fields overwritten by junk."""
+    coordinate = st.fractions(-6, 6, max_denominator=6)
+    points = st.lists(st.lists(coordinate, min_size=d, max_size=d), min_size=d, max_size=d)
+    body = points.map(lambda ps: {"dim": d, "vertices": [[format_exact(s * x) for x in p] for p in ps for s in (1, -1)]})
+    fields = st.sampled_from(["dim", "vertices", "halfspaces"])
+    junk = st.dictionaries(fields, st.one_of(_SCALARS, _ROWS, _HALFSPACES), max_size=2)
+    return st.builds(lambda doc, patch: {**doc, **patch}, body, junk)
+
+
+_DEPTH = sys.getrecursionlimit()
+_VOLPROD_INPUTS = st.one_of(
+    st.binary(max_size=64),
+    st.builds(lambda d: ("[" * d + "]" * d).encode(), st.integers(_DEPTH, 3 * _DEPTH)),
+    st.builds(lambda d: ('{"vertices": ' + "[" * d + "]" * d + "}").encode(), st.integers(_DEPTH, 3 * _DEPTH)),
+    st.integers(1, 3).flatmap(_documents).map(lambda doc: json.dumps(doc).encode()),
+)
+
+
+@settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(payload=_VOLPROD_INPUTS)
+def test_volprod_answers_any_file_with_an_answer_or_an_input_error(tmp_path, payload):
+    # whatever the file holds, volprod measures it or refuses it in one line: never an internal error
+    path = tmp_path / "fuzz.json"
+    path.write_bytes(payload)
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = cli.main(["volprod", str(path)])
+    assert code in (0, 2), err.getvalue()
+    assert err.getvalue().count("\n") <= 1, err.getvalue()
 
 
 def _zero_length_points():
@@ -447,6 +529,33 @@ def test_oversized_requests_are_refused_before_any_body_is_built(capsys, monkeyp
 def test_oversized_requests_print_no_config_line(capsys, argv, err):
     # a refused request prints nothing to stdout, not even the config line
     assert run_main(capsys, argv) == (2, "", err)
+
+
+@pytest.mark.parametrize(
+    "argv, check",
+    [
+        (["stability", "--n", "8"], lambda: check_stability_request(ExperimentConfig(8, 100, F(1, 10), 0))),
+        (
+            ["stability", "--probe", "symmetric", "--n", "6"],
+            lambda: check_stability_request(ExperimentConfig(6, 100, F(1, 10), 0), probe=True),
+        ),
+        (
+            ["stability", "--probe", "symmetric", "--delta", "2/3"],
+            lambda: check_stability_request(ExperimentConfig(3, 100, F(2, 3), 0), probe=True),
+        ),
+        # both delta and n out of range: the delta is reported, by the library as by the command line
+        (
+            ["stability", "--probe", "symmetric", "--n", "6", "--delta", "2/3"],
+            lambda: stability.symmetric_probe(cube(6), F(2, 3), 100, 0),
+        ),
+        (["hanner-enumerate", "--n", "7"], lambda: check_hanner_request(7, False)),
+    ],
+)
+def test_refusals_print_the_library_message(capsys, argv, check):
+    # the command line states no bound of its own: it prints what the library's check raises
+    with pytest.raises(GeometryError) as refused:
+        check()
+    assert run_main(capsys, argv) == (2, "", f"error: {refused.value}\n")
 
 
 def test_volprod_names_a_huge_non_vertex_point_in_a_clipped_message(tmp_path, capsys):

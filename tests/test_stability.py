@@ -14,9 +14,7 @@ from mahlerlab.errors import (
 )
 from mahlerlab import dd, graphs, polytope, stability, volprod
 from mahlerlab.graphs import (
-    complete_graph,
     edges,
-    empty_graph,
     enumerate_p4_free_labeled,
     from_edges,
     graph_from_polytope,
@@ -65,7 +63,9 @@ from mahlerlab.volprod import (
     volume_product,
 )
 from oracles import (
+    complete_graph,
     diagonal_truncation_by_sections,
+    empty_graph,
     induced_subgraph,
     mis_pairwise_disjoint,
     normalize_by_gauges,
@@ -403,6 +403,8 @@ def test_perturb_preconditions():
         perturb_unconditional(cube(2), 1, seed=0)
     with pytest.raises(PreconditionError):
         perturb_unconditional(cube(2), F(-1, 10), seed=0)
+    with pytest.raises(TypeError, match="seed must be an int"):  # a seed of 0.5 once ran
+        perturb_unconditional(cube(2), F(1, 10), seed=0.5)
     tilted = from_vertices([(1, 0), (0, 1), (-1, 0), (0, -1), (1, 1)])
     for body in (tilted, jittered_symmetric_body()):
         with pytest.raises(PreconditionError, match="unconditional"):
@@ -599,6 +601,12 @@ def test_symmetric_probe_preconditions():
     for body in (tilted, jittered_symmetric_body()):
         with pytest.raises(PreconditionError, match="unconditional"):
             symmetric_probe(body, F(1, 20), trials=1, seed=0)
+    # the trial count and seed are checked as ExperimentConfig checks them: True and a seed of 0.5 once ran
+    for trials in (True, 1.0, "1"):
+        with pytest.raises(TypeError, match="trial count must be an int"):
+            symmetric_probe(cube(2), F(1, 20), trials=trials, seed=0)
+    with pytest.raises(TypeError, match="seed must be an int"):
+        symmetric_probe(cube(2), F(1, 20), trials=1, seed=0.5)
 
 
 def test_symmetric_probe_refuses_n6_up_front(monkeypatch):
