@@ -17,6 +17,10 @@ homogenization:
 * facets of the hull of the sign orbits of closed-orthant points  <-  the
   rays of the same cone cut by ``a >= 0`` that pass the cover rule
   (``orthant_hull_facets``; the proof is in the ``polytope`` docstring).
+* vertices of the orthant piece ``{x >= 0 : <A, x> <= B}``  <-  the rays
+  (x, r) of that cut cone run on the rows (A, B) as its points
+  (``orthant_cone``, the whole run); the rays tight on the row ``x_j >= 0``
+  are the vertices of the piece's coordinate facet ``x_j = 0``.
 
 A ray that survives with homogenizing coordinate t == 0 is a recession
 direction, which is exactly how unbounded input announces itself.  Both
@@ -32,10 +36,10 @@ on each facet (``orthant_hull_facets``) or the vertices on each inequality
 
 A run starts from d independent rows and the rays one elimination on them
 gives.  The orthant run knows its start with no elimination: for its first
-point (V, t), t > 0, the rows ``-e_i`` and ``(V, -t)`` are independent; the
-ray ``(t*e_i, V_i)``, made primitive, is tight on each of them but ``-e_i``
-(``<V, t*e_i> - V_i*t = 0``) and gives ``-t < 0`` there, and
-``(0, ..., 0, 1)`` is tight on every ``-e_i`` and gives ``-t`` on the point row.
+point (V, t), t > 0, the rows ``(V, -t)`` and ``-e_i`` are independent;
+``(0, ..., 0, 1)`` is tight on every ``-e_i`` and gives ``-t`` on the point
+row, and the ray ``(t*e_i, V_i)``, made primitive, is tight on each of them
+but ``-e_i`` (``<V, t*e_i> - V_i*t = 0``) and gives ``-t < 0`` there.
 """
 
 from __future__ import annotations
@@ -229,19 +233,18 @@ def hull_facets(
     return [(r[:-1], r[-1]) for r in rays], flags, sets
 
 
-def orthant_hull_facets(
+def orthant_cone(
     points: Sequence[tuple[IntVec, int]],
-) -> tuple[list[tuple[IntVec, int]], list[bool], list[int]]:
-    """Facets of the hull of the sign orbits of closed-orthant points, one per orbit, vertex flags and tight points.
+) -> tuple[list[IntVec], list[bool], list[int]]:
+    """The whole orthant run: the rays of the cone of closed-orthant points, a facet flag per row and its tight rays.
 
     Each point V/t comes as (V, t), V >= 0, t > 0.  The cone is
-    ``{(a, s) : a >= 0, <p, a> <= s for every point p}``: one row per point
-    and one per ``a_i >= 0``, not one per point of the 2^n-fold orbits.  Its
-    ray (A, B) is a facet of the hull iff every i with ``A_i = 0`` is nonzero
-    on some point tight on it (the cover rule); each facet returned stands for
-    its sign orbit.  A point is a vertex, up to sign, exactly when its
-    constraint supports a facet of the cone.  The third list holds, per facet
-    returned, the bitmask of the points (by index) tight on it.
+    ``{(a, s) : a >= 0, <V, a> <= s*t for every point}``, with one row per
+    point and then one per ``a_i >= 0``, in that order: row
+    ``len(points) + i`` is ``a_i >= 0``.  Ray 0 is ``(0, ..., 0, 1)``: it
+    heads the closed-form start and is strictly inside every point row, so
+    each insertion keeps it first.  The flags and the tight-ray bitmasks are
+    ``_convert``'s, one per row.
     """
     if not points:
         raise DimensionError("point set is not full-dimensional")
@@ -251,11 +254,28 @@ def orthant_hull_facets(
     if not all(any(v[i] for v, _ in points) for i in range(n)):
         raise DimensionError("point set is not full-dimensional")
     rows = [v + (-t,) for v, t in points] + [tuple(-int(k == i) for k in range(n + 1)) for i in range(n)]
-    v, t = points[0]  # the rows -e_i and (v, -t) cut out the closed-form start of the module docstring
+    v, t = points[0]  # the rows (v, -t) and -e_i cut out the closed-form start of the module docstring
     first = [primitive_int_vec((0,) * i + (t,) + (0,) * (n - 1 - i) + (v[i],)) for i in range(n)]
-    rays, flags, sets = _convert(rows, ([len(points) + i for i in range(n)] + [0], first + [(0,) * n + (1,)]))
+    return _convert(rows, ([0] + [len(points) + i for i in range(n)], [(0,) * n + (1,)] + first))
+
+
+def orthant_hull_facets(
+    points: Sequence[tuple[IntVec, int]],
+) -> tuple[list[tuple[IntVec, int]], list[bool], list[int]]:
+    """Facets of the hull of the sign orbits of closed-orthant points, one per orbit, vertex flags and tight points.
+
+    Each point V/t comes as (V, t), V >= 0, t > 0.  The cone is
+    ``orthant_cone``'s: one row per point and one per ``a_i >= 0``, not one
+    per point of the 2^n-fold orbits.  Its ray (A, B) is a facet of the hull
+    iff every i with ``A_i = 0`` is nonzero on some point tight on it (the
+    cover rule); each facet returned stands for its sign orbit.  A point is a
+    vertex, up to sign, exactly when its constraint supports a facet of the
+    cone.  The third list holds, per facet returned, the bitmask of the
+    points (by index) tight on it.
+    """
+    rays, flags, sets = orthant_cone(points)
     sets = sets[: len(points)]
-    cover = [0] * n  # coordinate i -> the rays tight on a point nonzero at i
+    cover = [0] * len(points[0][0])  # coordinate i -> the rays tight on a point nonzero at i
     for (v, _), s in zip(points, sets):
         for i, x in enumerate(v):
             if x:

@@ -85,6 +85,30 @@ dropped.  ``P_j v`` is tight on a facet iff v and ``s_j v`` both are, so its
 tight set is the meet of theirs.  The face rule ``dd.maximal_sets`` then
 picks the facets, the nonempty maximal tight sets of the candidates, and the
 vertices, the candidates whose sets of chosen facets are maximal.
+``coordinate_section`` is a public reference: no package path calls it, and
+the tests compare the section volumes below with those of its sections.
+
+The section volumes of an unconditional body K come from its orthant piece
+``P = K cap R+^n`` with no section built (``_orthant_section_volumes``).
+For x >= 0 and a sign flip sigma, ``<sigma A, x> <= <A, x>``, so P is
+``{x >= 0 : <A, x> <= B}`` over K's facet representatives ``(A, B)``, A >= 0.
+Its vertices x/r are the rays (x, r) of the cone ``{(x, r) : x >= 0,
+<A, x> <= r*B}``, the orthant run of ``dd.orthant_cone`` with the facet
+representatives as its points; r > 0 on every ray, as P is bounded, and
+the origin is ray 0.  ``K cap e_j-perp`` is unconditional, and its piece in
+the closed orthant of ``e_j-perp`` is ``P cap {x_j = 0}``, a facet of P, as
+the origin is interior to K; its vertices are the rays tight on the row
+``x_j >= 0``.  The 2^(n-1) sign flips of that piece cover the section and
+meet in measure zero, so ``|K cap e_j-perp| = 2^(n-1) * vol(P cap {x_j =
+0})``.  The facet is triangulated by pulling from vertex 0, the origin, over
+P's facet masks, the rows DD flags (coordinate rows included): its facets
+through the origin are skipped, so every cell ends at the origin, whose row
+is zero, and its volume is the determinant of its other vertices with
+coordinate j dropped.  A face's
+triangulation depends on the face alone, so one memo serves every j.  The
+section is the projection ``P_j K``, whose polar in ``e_j-perp`` is ``K
+polar cap e_j-perp``; K polar's facet representatives are K's vertex
+representatives, so the polar volumes are the same construction on those.
 
 A point is cleared once to ``X/dx``; ``membership`` compares the ints
 ``<A, X>`` and ``B*dx``, and ``gauge`` takes the largest ``<A, X>/B`` by
@@ -152,7 +176,7 @@ volume ``|det(E)| / (prod t_i * t_z^d * d!)``.  With the origin as apex
 are the vertex rows as they stand, and only class 0 builds edge rows.  Each
 cell goes straight to the fraction-free elimination (``ratlin._bareiss``);
 the weighted ints are summed per ``prod t_i`` and divided once, over their
-lcm.
+lcm (``_cell_sum``, which the section volumes share).
 
 The distance from a point to a polytope is the norm of the min-norm point of
 the translated vertices, found exactly by Wolfe's algorithm on the same
@@ -683,16 +707,55 @@ def volume(p: Polytope) -> Fraction:
         apex, tz = verts[0]
         rows = [tuple(tz * x - t * y for x, y in zip(v, apex)) for v, t in verts]
         cones = [(f, 1) for f in facet_masks if not f & 1]
-    dens = [t for _, t in verts]
-    by_den: dict[int, int] = {}  # prod t_i over a cell's vertices -> weighted sum of |det|
     memo: dict[int, list[tuple[int, ...]]] = {}
-    for f, w in cones:
-        for cell in _pull_triangulation(f, d - 1, facet_masks, memo):
+    triangulations = ((_pull_triangulation(f, d - 1, facet_masks, memo), w) for f, w in cones)
+    return _cell_sum(triangulations, rows, [t for _, t in verts], tz**d)
+
+
+def _cell_sum(
+    triangulations: Iterable[tuple[list[tuple[int, ...]], int]],
+    rows: Sequence[Sequence[int]],
+    dens: Sequence[int],
+    scale: int,
+) -> Fraction:
+    """The sum of ``w * |det(rows[i] for i in cell)| / (prod dens[i] * scale * d!)`` over the cells of each (cells, w).
+
+    The rows have length d.  A cell lists d ids, or d + 1 with the origin,
+    a zero row of denominator 1, last: its determinant is that of its first
+    d rows, one fraction-free elimination (``ratlin._bareiss``).  The
+    weighted ints are summed per ``prod dens[i]`` and divided once, over
+    their lcm.
+    """
+    d = len(rows[0])
+    by_den: dict[int, int] = {}  # prod dens[i] over a cell -> weighted sum of |det|
+    for cells, w in triangulations:
+        for cell in cells:
             a = [list(rows[i]) for i in cell]
             q = math.prod([dens[i] for i in cell])
-            by_den[q] = by_den.get(q, 0) + w * abs(_bareiss(a, d) * a[-1][-1])
+            by_den[q] = by_den.get(q, 0) + w * abs(_bareiss(a, d) * a[d - 1][d - 1])
     lcm = math.lcm(*by_den)
-    return Fraction(sum(n * (lcm // q) for q, n in by_den.items()), lcm * tz**d * math.factorial(d))
+    return Fraction(sum(n * (lcm // q) for q, n in by_den.items()), lcm * scale * math.factorial(d))
+
+
+def _orthant_section_volumes(reps: Sequence[Row]) -> list[Fraction]:
+    """``|K cap e_j-perp|`` for each j, K the unconditional body of the closed-orthant rows ``reps``, n >= 2.
+
+    One DD run (``dd.orthant_cone``) gives the vertices of the piece
+    ``K cap R+^n`` with the origin as vertex 0, and the coordinate facets
+    of the piece are triangulated from it (module docstring).
+    """
+    rays, flags, tight = dd.orthant_cone(reps)
+    n = len(reps[0][0])
+    facets = set(compress(tight, flags))  # repeated rows merged: DD flags every copy
+    dens = [r[-1] for r in rays]
+    weight = 1 << (n - 1)  # the orthants of e_j-perp
+    memo: dict[int, list[tuple[int, ...]]] = {}
+    out = []
+    for j, on in enumerate(tight[len(reps) :]):  # the vertices on the row x_j >= 0
+        rows = [r[:j] + r[j + 1 : -1] for r in rays]
+        cells = _pull_triangulation(on, n - 1, facets, memo)  # each ends at vertex 0, the origin
+        out.append(_cell_sum([(cells, weight)], rows, dens, 1))
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -9,8 +9,10 @@ Conventions used throughout: bodies are polytopes with the origin interior;
 polar of a section equals the section of the polar, which is what makes the
 per-coordinate products on the right-hand sides below well defined.  The
 four section checks read one memoised table per body, ``_section_volumes``:
-it alone refuses a body that is not unconditional, applies counting measure
-to the one-point section of an interval, and builds each section once.
+it alone refuses a body that is not unconditional, before any other work,
+applies counting measure to the one-point section of an interval, and builds
+no section: it reads all 2n section volumes off two DD runs, on the orthant
+pieces of the body and of its polar.
 ``_cube_cap`` alone builds the cube caps of the truncated-cube bound.
 """
 
@@ -29,10 +31,10 @@ from .polytope import (
     Row,
     _hull,
     _orthant_hull,
+    _orthant_section_volumes,
     _primitive_row,
     _row_gauge,
     _row_membership,
-    coordinate_section,
     cube,
     is_unconditional,
     polar,
@@ -130,13 +132,18 @@ def volume_product(k: Polytope, body_id: str = "") -> VolumeProductReport:
 
 @lru_cache(maxsize=4096)
 def _section_volumes(k: Polytope) -> tuple[tuple[Fraction, Fraction], ...]:
-    """(|K cap e_j-perp|, |its polar|) for each coordinate j, memoised like ``volume``."""
+    """(|K cap e_j-perp|, |its polar|) for each coordinate j, memoised like ``volume``.
+
+    No section is built: the first volumes are read off the orthant piece of
+    K's facet representatives, and as the polar of ``K cap e_j-perp`` is
+    ``K polar cap e_j-perp``, the second off the piece of its vertex
+    representatives, one DD run each (``polytope._orthant_section_volumes``).
+    """
     if not is_unconditional(k):
         raise PreconditionError("coordinate sections are read only for unconditional bodies")
     if k.dim == 1:
         return ((Fraction(1), Fraction(1)),)  # {0} under counting measure, and its polar
-    sections = (coordinate_section(k, j) for j in range(k.dim))
-    return tuple((volume(s), volume(polar(s))) for s in sections)
+    return tuple(zip(_orthant_section_volumes(k._facet_reps), _orthant_section_volumes(k._vertex_reps)))
 
 
 def section_products(k: Polytope) -> list[Fraction]:
@@ -151,8 +158,9 @@ def section_membership_vector(k: Polytope) -> tuple[Fraction, ...]:
     membership is checked exactly and its failure raises, since it would
     contradict a proven inequality rather than indicate bad input.
     """
+    vols = _section_volumes(k)  # refuses a body that is not unconditional before any volume
     scale = 2 / (k.dim * volume(k))
-    m = vec([scale * v for v, _ in _section_volumes(k)])
+    m = vec([scale * v for v, _ in vols])
     if _row_membership(polar(k), *int_row(m)) == "outside":
         raise FalsificationError(
             f"section membership vector {tuple(map(format_exact, m))} fell outside the polar body"

@@ -2,7 +2,7 @@
 
 import pytest
 
-from mahlerlab import dd, polytope, volprod
+from mahlerlab import dd, polytope
 
 
 @pytest.fixture
@@ -10,7 +10,7 @@ def dd_runs(monkeypatch) -> list[int]:
     """Count DD runs and forbid building a coordinate section.
 
     Every ``dd.extreme_rays`` call appends its row count to the returned
-    list; a ``coordinate_section`` call fails the test.
+    list; a ``polytope.coordinate_section`` call fails the test.
     """
     runs: list[int] = []
     real = dd.extreme_rays
@@ -24,5 +24,4 @@ def dd_runs(monkeypatch) -> list[int]:
 
     monkeypatch.setattr(dd, "extreme_rays", counting)
     monkeypatch.setattr(polytope, "coordinate_section", forbidden)
-    monkeypatch.setattr(volprod, "coordinate_section", forbidden)
     return runs

@@ -214,6 +214,20 @@ def test_orthant_hull_facets_are_the_hull_rays_with_no_negative_entry():
         assert tight == [sum(1 << k for k, v in enumerate(reps) if scan[r] >> at[v] & 1) for r in rays]
 
 
+def test_orthant_cone_rays_are_the_vertices_of_the_orthant_piece():
+    for p in [cube(3), cross_polytope(3), random_unconditional_polytope(3, 1), polar(random_unconditional_polytope(4, 2))]:
+        n, reps = p.dim, p._facet_reps
+        rays, flags, tight = dd.orthant_cone(reps)
+        orthant = [(tuple(-int(k == i) for k in range(n)), 0) for i in range(n)]
+        piece = from_halfspaces(list(p.facets) + orthant, n)  # K cap R+^n
+        assert rays[0] == (0,) * n + (1,)
+        assert sorted(rays) == sorted(v + (t,) for v, t in piece.vertex_rows)
+        assert flags == [True] * (len(reps) + n)  # every representative row and every x_j >= 0 is a facet
+        for j in range(n):  # the row x_j >= 0 holds the vertices of the coordinate facet
+            on = tight[len(reps) + j]
+            assert {r for k, r in enumerate(rays) if on >> k & 1} == {v + (t,) for v, t in piece.vertex_rows if v[j] == 0}
+
+
 def test_hull_drops_non_extreme_points():
     base = cube(2)
     fat = list(base.vertices) + [(F(0), F(0)), (F(1), F(0)), (F(1, 2), F(1, 2))]
@@ -1506,7 +1520,9 @@ def test_orthant_hull_is_the_hull_of_the_sign_orbits(reps, dual):
     assert got == want and hash(got) == hash(want)
 
 
-@pytest.mark.parametrize("build", [dd.hull_facets, dd.orthant_hull_facets, polytope._hull, polytope._orthant_hull])
+@pytest.mark.parametrize(
+    "build", [dd.hull_facets, dd.orthant_hull_facets, polytope._hull, polytope._orthant_hull, dd.orthant_cone]
+)
 def test_empty_point_sets_are_not_full_dimensional(build):
     with pytest.raises(DimensionError, match="point set is not full-dimensional"):
         build([])

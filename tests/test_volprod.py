@@ -5,15 +5,17 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from mahlerlab import dd, volprod
+from mahlerlab import volprod
 from mahlerlab.errors import FalsificationError, PreconditionError
-from mahlerlab.graphs import enumerate_p4_free_labeled, polytope_from_graph
+from mahlerlab.graphs import enumerate_p4_free_labeled, enumerate_standard_hanner, polytope_from_graph
 from mahlerlab.polytope import (
     coordinate_section,
     cross_polytope,
     cube,
+    diagonal_image,
     from_vertices,
     gauge,
+    l1_sum,
     linf_sum,
     interval,
     normalize_unconditional,
@@ -42,7 +44,7 @@ from oracles import (
     section_membership_vector_by_rebuild,
     section_products_by_rebuild,
 )
-from test_polytope import symmetric_body
+from test_polytope import positive_rationals, symmetric_body
 
 F = Fraction
 
@@ -136,23 +138,64 @@ def test_section_membership_vector_random_bodies(seed):
     assert all(sum(a * b for a, b in zip(m, v)) <= 1 for v in body.vertices)
 
 
-@given(st.integers(min_value=1, max_value=4), st.integers(min_value=0, max_value=10**6))
-@settings(max_examples=25, deadline=None)
-def test_section_table_matches_rebuild_on_random_bodies(n, seed):
-    body = random_unconditional_polytope(n, seed)
+def check_section_table(body):
+    """The table read off the orthant pieces against every section built, by DD and off the incidence."""
     assert section_products(body) == section_products_by_rebuild(body)
     assert section_membership_vector(body) == section_membership_vector_by_rebuild(body)
+    if body.dim >= 2:
+        for j, got in enumerate(volprod._section_volumes(body)):
+            section = coordinate_section(body, j)
+            assert got == (volume(section), volume(polar(section)))
+
+
+@st.composite
+def section_body(draw):
+    """A class-2 body, n = 1 to 5, by every birth path, then maybe its polar, a mixed-sign image or a section.
+
+    The bases are orthant hulls, hulls of sign-closed point sets, truncated
+    cubes and the sums of two orthant hulls.
+    """
+    kind = draw(st.sampled_from(["orthant", "points", "truncated", "linf", "l1"]))
+    if kind == "orthant":
+        p = random_unconditional_polytope(draw(st.integers(1, 5)), draw(st.integers(0, 10**6)))
+    elif kind == "points":
+        p = draw(symmetric_body(dim=draw(st.integers(1, 4))))
+    elif kind == "truncated":
+        n = draw(st.integers(3, 5))
+        p = truncated_cube(n, F(n - 1, n) + F(draw(st.integers(0, 8)), 8 * n))
+    else:
+        factors = [random_unconditional_polytope(draw(st.integers(1, 2)), draw(st.integers(0, 10**6))) for _ in "pq"]
+        p = (linf_sum if kind == "linf" else l1_sum)(*factors)
+    if draw(st.booleans()):
+        p = polar(p)
+    if draw(st.booleans()):  # a diagonal image with a negative scale, its rows sorted again
+        sizes = draw(st.lists(positive_rationals, min_size=p.dim, max_size=p.dim))
+        signs = draw(st.lists(st.sampled_from([1, -1]), min_size=p.dim, max_size=p.dim))
+        signs[draw(st.integers(0, p.dim - 1))] = -1
+        p = diagonal_image(p, [s * x for s, x in zip(signs, sizes)])
+    if p.dim >= 2 and draw(st.booleans()):
+        p = coordinate_section(p, draw(st.integers(0, p.dim - 1)))
+    return p
+
+
+@given(section_body())
+@settings(max_examples=40, deadline=None)
+def test_section_table_matches_rebuild_on_random_bodies(body):
+    check_section_table(body)
 
 
 def test_section_table_matches_rebuild_on_hanner_balls():
-    for n in range(1, 5):
-        for g in enumerate_p4_free_labeled(n):
-            body = polytope_from_graph(g)
-            assert section_products(body) == section_products_by_rebuild(body)
-            assert section_membership_vector(body) == section_membership_vector_by_rebuild(body)
+    balls = [polytope_from_graph(g) for n in range(1, 5) for g in enumerate_p4_free_labeled(n)]
+    balls += [h for _, h in enumerate_standard_hanner(5, dedup=True)]  # one per class
+    for i, body in enumerate(balls):
+        check_section_table(body)
+        scales = [(-1) ** (i + c) * F(c + 2, c + 1) for c in range(body.dim)]  # mixed signs from n = 2 on
+        check_section_table(diagonal_image(body, scales))
+        if body.dim >= 2:
+            check_section_table(coordinate_section(body, i % body.dim))
 
 
-def test_section_checks_refuse_bodies_that_are_not_unconditional():
+def test_section_checks_refuse_bodies_that_are_not_unconditional(dd_runs, monkeypatch):
     tilted = from_vertices([(1, 0), (0, 1), (-1, 0), (0, -1), (1, 1)])
     # centrally symmetric, but one pair of corners is off the sign orbit
     jittered = from_vertices(
@@ -168,28 +211,33 @@ def test_section_checks_refuse_bodies_that_are_not_unconditional():
         meyer_inequality_check,
         lambda k: near_minimal_sections_check(k, 0),
     ]
+    # the refusal comes before any work: no volume and no DD run
+    dd_runs.clear()
+    monkeypatch.setattr(volprod, "volume", lambda k: pytest.fail("volume computed before the refusal"))
     for body in (tilted, jittered):
         for check in checks:
             with pytest.raises(PreconditionError, match="unconditional"):
                 check(body)
+    assert dd_runs == []
 
 
 @pytest.mark.parametrize("n", [3, 4])
-def test_section_checks_build_each_section_once(n, monkeypatch):
-    # the three section checks on one body share its n sections: n builds,
-    # not one set per check, each read off the body's incidence with no DD run
+def test_section_checks_build_no_section_and_run_two_dd_conversions(n, dd_runs):
+    # the three section checks on one body read its 2n section volumes off two
+    # orthant runs, on its facet and its vertex representatives; the dd_runs
+    # fixture fails any coordinate_section call
     body = random_unconditional_polytope(n, 77)
     mahler_bound(n - 1), mahler_bound(n)  # the bounds' cubes, built before counting
     volprod._section_volumes.cache_clear()
-    built, runs = [], []
-    real_section, real_rays = volprod.coordinate_section, dd.extreme_rays
-    monkeypatch.setattr(volprod, "coordinate_section", lambda k, j: built.append(j) or real_section(k, j))
-    monkeypatch.setattr(dd, "extreme_rays", lambda rows, start=None: runs.append(len(rows)) or real_rays(rows, start))
+    dd_runs.clear()
     section_membership_vector(body)
     meyer_inequality_check(body)
     near_minimal_sections_check(body, 0)
-    assert sorted(built) == list(range(n))
-    assert runs == []
+    assert dd_runs == [len(body._facet_reps) + n, len(body._vertex_reps) + n]
+    dd_runs.clear()
+    section_products(body)
+    meyer_inequality_check(body)
+    assert dd_runs == []
 
 
 def test_meyer_inequality_equality_cases():
